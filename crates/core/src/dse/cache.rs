@@ -1,35 +1,36 @@
-//! On-disk layer of the global analysis cache: warm sweeps across
-//! processes and shards.
+//! On-disk layer of the memo caches: warm sweeps across processes and
+//! shards.
 //!
-//! A [`GlobalAnalysisCache`]
-//! memoizes throughput analyses within one process. This module persists
-//! it under a directory (`mamps dse --cache-dir DIR`) so the next run —
-//! the same process re-invoked, or the *other shards* of a split sweep —
-//! starts warm:
+//! A [`MemoStore`] (the analysis cache or the pass cache) memoizes within
+//! one process. This module persists it under a directory (`mamps dse
+//! --cache-dir DIR`) so the next run — the same process re-invoked, or the
+//! *other shards* of a split sweep — starts warm. One load/persist pair
+//! serves every entry type:
 //!
-//! * **Format.** One JSON object per line
-//!   ([`CacheEntry`], canonical bytes),
-//!   seq-free: lines are keyed by the entry's graph fingerprint and
-//!   options, so files can be concatenated, truncated or partially
-//!   written without any ordering contract. Entries are exported sorted
-//!   by key, so equal caches produce identical files.
-//! * **Naming.** Each run writes `analysis-cache-<index>-of-<count>.jsonl`
-//!   for its own [`ShardSpec`] — concurrent shard processes sharing one
-//!   `--cache-dir` never write the same file — and loads *every*
-//!   `*.jsonl` in the directory on startup, whichever shard produced it.
+//! * **Format.** One JSON object per line (the store's [`MemoEntry`],
+//!   canonical bytes), seq-free: lines are keyed by the entry itself, so
+//!   files can be concatenated, truncated or partially written without
+//!   any ordering contract. Entries are exported sorted by key, so equal
+//!   caches produce identical files.
+//! * **Naming.** Each run writes `<PREFIX><index>-of-<count>.jsonl` for
+//!   its own [`ShardSpec`] (`analysis-cache-` or `pass-cache-`, per
+//!   [`MemoEntry::PREFIX`]) — concurrent shard processes sharing one
+//!   `--cache-dir` never write the same file. On startup each loader reads
+//!   every `<PREFIX>*.jsonl` of its own entry type, whichever shard
+//!   produced it, and ignores every other file in the directory.
 //! * **Robustness.** The cache is advisory: a line that fails to parse
-//!   (torn tail of a killed run, foreign file) is skipped and counted,
-//!   never an error — the worst case is re-analysing a design point.
-//!   Files are written to a temporary name and renamed into place, so a
-//!   reader never observes a half-written cache file.
+//!   (torn tail of a killed run) is skipped and counted, never an error —
+//!   the worst case is re-analysing a design point. Files are written to
+//!   a temporary name unique to the writer and renamed into place, so a
+//!   reader never observes a half-written cache file and two writers of
+//!   one file never truncate each other's temporary.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use mamps_sdf::cache::{CacheEntry, GlobalAnalysisCache};
-use mamps_sdf::passes::{PassCache, PassEntry};
-use serde::Serialize;
+use mamps_sdf::memo::{MemoEntry, MemoStore};
 
 use crate::dse::shard::ShardSpec;
 
@@ -61,69 +62,16 @@ impl std::fmt::Display for CacheDirLoad {
     }
 }
 
-/// Loads every `*.jsonl` file of `dir` into `cache`. A missing directory
-/// is an empty cache, not an error (the run will create it on persist).
-/// Files are visited in name order, so which duplicate of a key wins is
-/// deterministic.
+/// Loads every `<E::PREFIX>*.jsonl` file of `dir` into `cache`. A missing
+/// directory is an empty cache, not an error (the run will create it on
+/// persist). Files are visited in name order, so which duplicate of a key
+/// wins is deterministic.
 ///
 /// # Errors
 ///
 /// Only real I/O errors (unreadable directory or file); parse failures
 /// are skipped and counted in [`CacheDirLoad::skipped_lines`].
-pub fn load_cache_dir(cache: &GlobalAnalysisCache, dir: &Path) -> io::Result<CacheDirLoad> {
-    let mut load = CacheDirLoad::default();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(load),
-        Err(e) => return Err(e),
-    };
-    // Pass-cache files share the directory but carry a different record
-    // type; they are loaded by `load_pass_cache_dir`, not here.
-    let mut files: Vec<PathBuf> = entries
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-        .filter(|p| !file_name_starts_with(p, PASS_CACHE_PREFIX))
-        .collect();
-    files.sort();
-    for path in files {
-        let text = fs::read_to_string(&path)?;
-        let mut parsed: Vec<CacheEntry> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde::json::from_str::<CacheEntry>(line) {
-                Ok(e) => parsed.push(e),
-                Err(_) => load.skipped_lines += 1,
-            }
-        }
-        load.imported += cache.import(parsed);
-        load.files += 1;
-    }
-    Ok(load)
-}
-
-/// File-name prefix of the pass-cache layer's files.
-const PASS_CACHE_PREFIX: &str = "pass-cache-";
-
-fn file_name_starts_with(path: &Path, prefix: &str) -> bool {
-    path.file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n.starts_with(prefix))
-}
-
-/// Loads every `pass-cache-*.jsonl` file of `dir` into `cache`, with the
-/// same contract as [`load_cache_dir`]: a missing directory is an empty
-/// cache, files are visited in name order, unparseable lines are skipped
-/// and counted.
-///
-/// # Errors
-///
-/// Only real I/O errors (unreadable directory or file).
-pub fn load_pass_cache_dir(cache: &PassCache, dir: &Path) -> io::Result<CacheDirLoad> {
+pub fn load_cache_dir<E: MemoEntry>(cache: &MemoStore<E>, dir: &Path) -> io::Result<CacheDirLoad> {
     let mut load = CacheDirLoad::default();
     let entries = match fs::read_dir(dir) {
         Ok(e) => e,
@@ -134,19 +82,18 @@ pub fn load_pass_cache_dir(cache: &PassCache, dir: &Path) -> io::Result<CacheDir
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "jsonl"))
-        .filter(|p| file_name_starts_with(p, PASS_CACHE_PREFIX))
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with(E::PREFIX) && n.ends_with(".jsonl"))
+        })
         .collect();
     files.sort();
     for path in files {
         let text = fs::read_to_string(&path)?;
-        let mut parsed: Vec<PassEntry> = Vec::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde::json::from_str::<PassEntry>(line) {
+        let mut parsed: Vec<E> = Vec::new();
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            match serde::json::from_str::<E>(line) {
                 Ok(e) => parsed.push(e),
                 Err(_) => load.skipped_lines += 1,
             }
@@ -157,72 +104,53 @@ pub fn load_pass_cache_dir(cache: &PassCache, dir: &Path) -> io::Result<CacheDir
     Ok(load)
 }
 
-/// The cache file a run of shard `spec` owns inside `dir`.
-pub fn cache_file_name(spec: ShardSpec) -> String {
-    format!("analysis-cache-{}-of-{}.jsonl", spec.index, spec.count)
-}
-
-/// Persists `cache` to its shard-owned file in `dir` (creating the
-/// directory if needed) and returns the written path. The file is
-/// replaced atomically (write to a temporary name, then rename), so
-/// concurrent loaders see either the old or the new cache, never a torn
-/// one.
+/// Persists `cache` to its shard-owned `<E::PREFIX><i>-of-<n>.jsonl` file
+/// in `dir` (creating the directory if needed) and returns the written
+/// path. The file is replaced atomically (write to a temporary name
+/// unique to this writer — process id plus a process-wide counter — then
+/// rename), so concurrent loaders see either the old or the new cache,
+/// never a torn one, and concurrent persists of one file all succeed.
 ///
 /// # Errors
 ///
 /// I/O errors creating the directory or writing the file.
-pub fn persist_cache(
-    cache: &GlobalAnalysisCache,
+pub fn persist_cache<E: MemoEntry>(
+    cache: &MemoStore<E>,
     dir: &Path,
     spec: ShardSpec,
 ) -> io::Result<PathBuf> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
     fs::create_dir_all(dir)?;
-    let name = cache_file_name(spec);
+    let name = format!("{}{}-of-{}.jsonl", E::PREFIX, spec.index, spec.count);
     let mut out = String::new();
     for entry in cache.export() {
         serde::json::emit(&entry.to_value(), &mut out);
         out.push('\n');
     }
-    let tmp = dir.join(format!(".{name}.tmp"));
+    let writer = WRITES.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{name}.{}-{writer}.tmp", std::process::id()));
     let path = dir.join(name);
-    fs::write(&tmp, out)?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
-}
-
-/// The pass-cache file a run of shard `spec` owns inside `dir`.
-pub fn pass_cache_file_name(spec: ShardSpec) -> String {
-    format!("{PASS_CACHE_PREFIX}{}-of-{}.jsonl", spec.index, spec.count)
-}
-
-/// Persists `cache` to its shard-owned `pass-cache-*` file in `dir`, with
-/// the same atomicity and determinism contract as [`persist_cache`].
-///
-/// # Errors
-///
-/// I/O errors creating the directory or writing the file.
-pub fn persist_pass_cache(cache: &PassCache, dir: &Path, spec: ShardSpec) -> io::Result<PathBuf> {
-    fs::create_dir_all(dir)?;
-    let name = pass_cache_file_name(spec);
-    let mut out = String::new();
-    for entry in cache.export() {
-        serde::json::emit(&entry.to_value(), &mut out);
-        out.push('\n');
+    let written = fs::write(&tmp, out).and_then(|()| fs::rename(&tmp, &path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
     }
-    let tmp = dir.join(format!(".{name}.tmp"));
-    let path = dir.join(name);
-    fs::write(&tmp, out)?;
-    fs::rename(&tmp, &path)?;
-    Ok(path)
+    written.map(|()| path)
 }
+
+/// [`load_cache_dir`] under the name callers of the pass cache know.
+pub use load_cache_dir as load_pass_cache_dir;
+/// [`persist_cache`] under the name callers of the pass cache know.
+pub use persist_cache as persist_pass_cache;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mamps_sdf::graph::SdfGraphBuilder;
     use mamps_sdf::state_space::AnalysisOptions;
+    use mamps_sdf::{GlobalAnalysisCache, PassCache};
+    use serde::Value;
 
-    fn populated_cache() -> GlobalAnalysisCache {
+    fn populated_analysis() -> GlobalAnalysisCache {
         let cache = GlobalAnalysisCache::new();
         for n in 2..6u64 {
             let mut b = SdfGraphBuilder::new("g");
@@ -238,67 +166,7 @@ mod tests {
         cache
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("mamps-cache-test-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn persist_then_load_round_trips() {
-        let dir = tempdir("roundtrip");
-        let cache = populated_cache();
-        let path = persist_cache(&cache, &dir, ShardSpec::full()).unwrap();
-        assert!(path.ends_with("analysis-cache-0-of-1.jsonl"));
-
-        let warm = GlobalAnalysisCache::new();
-        let load = load_cache_dir(&warm, &dir).unwrap();
-        assert_eq!(load.files, 1);
-        assert_eq!(load.imported, cache.len());
-        assert_eq!(load.skipped_lines, 0);
-        assert_eq!(warm.export(), cache.export());
-
-        // Persisting the re-loaded cache reproduces identical bytes.
-        let again = persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
-        assert_eq!(
-            fs::read_to_string(&again).unwrap(),
-            fs::read_to_string(&path).unwrap()
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn missing_directory_is_an_empty_cache() {
-        let warm = GlobalAnalysisCache::new();
-        let load = load_cache_dir(&warm, Path::new("/nonexistent/mamps-cache")).unwrap();
-        assert_eq!(load, CacheDirLoad::default());
-        assert!(warm.is_empty());
-    }
-
-    #[test]
-    fn unparseable_lines_are_skipped_not_fatal() {
-        let dir = tempdir("torn");
-        let cache = populated_cache();
-        let path = persist_cache(&cache, &dir, ShardSpec::new(1, 4).unwrap()).unwrap();
-        assert!(path.ends_with("analysis-cache-1-of-4.jsonl"));
-        // Tear the last line mid-record and append garbage, as a killed
-        // writer (without the atomic rename) might have.
-        let text = fs::read_to_string(&path).unwrap();
-        let torn = format!("{}\nnot json\n", &text[..text.len() - 9]);
-        fs::write(&path, torn).unwrap();
-
-        let warm = GlobalAnalysisCache::new();
-        let load = load_cache_dir(&warm, &dir).unwrap();
-        assert_eq!(load.skipped_lines, 2);
-        assert_eq!(load.imported, cache.len() - 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pass_cache_round_trips_and_stays_out_of_analysis_load() {
-        use serde::Value;
-        let dir = tempdir("pass");
+    fn populated_passes() -> PassCache {
         let passes = PassCache::new();
         passes.insert(
             "bind",
@@ -310,56 +178,116 @@ mod tests {
             9,
             Value::Map(vec![("Ok".into(), Value::Int(3))]),
         );
-        let path = persist_pass_cache(&passes, &dir, ShardSpec::full()).unwrap();
-        assert!(path.ends_with("pass-cache-0-of-1.jsonl"));
+        passes.insert("schedule", 4, Value::Int(4));
+        passes
+    }
 
-        // Also persist an analysis cache into the same directory.
-        let analysis = populated_cache();
+    fn tempdir(tag: &str) -> PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("mamps-cache-test-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The directory contract every entry type keeps: a persist → load →
+    /// persist byte fixpoint, torn lines skipped and counted, a missing
+    /// directory loading as an empty cache, and shard files that do not
+    /// collide.
+    fn check_contract<E: MemoEntry + PartialEq + std::fmt::Debug>(
+        cache: &MemoStore<E>,
+        dir: &Path,
+    ) {
+        let n = cache.len();
+        assert!(n >= 2, "the contract needs a cache of several entries");
+
+        let roundtrip = dir.join("roundtrip");
+        let path = persist_cache(cache, &roundtrip, ShardSpec::full()).unwrap();
+        assert!(path.ends_with(format!("{}0-of-1.jsonl", E::PREFIX)));
+        let warm = MemoStore::<E>::new();
+        let load = load_cache_dir(&warm, &roundtrip).unwrap();
+        assert_eq!((load.files, load.imported, load.skipped_lines), (1, n, 0));
+        assert_eq!(warm.export(), cache.export());
+        let again = persist_cache(&warm, &roundtrip, ShardSpec::full()).unwrap();
+        assert_eq!(fs::read(&again).unwrap(), fs::read(&path).unwrap());
+
+        // Tear the last line mid-record and append garbage, as a killed
+        // writer (without the atomic rename) might have.
+        let torn = dir.join("torn");
+        let path = persist_cache(cache, &torn, ShardSpec::new(1, 4).unwrap()).unwrap();
+        assert!(path.ends_with(format!("{}1-of-4.jsonl", E::PREFIX)));
+        let text = fs::read_to_string(&path).unwrap();
+        fs::write(&path, format!("{}\nnot json\n", &text[..text.len() - 9])).unwrap();
+        let load = load_cache_dir(&MemoStore::<E>::new(), &torn).unwrap();
+        assert_eq!((load.imported, load.skipped_lines), (n - 1, 2));
+
+        let missing = MemoStore::<E>::new();
+        let load = load_cache_dir(&missing, &dir.join("missing")).unwrap();
+        assert_eq!(load, CacheDirLoad::default());
+        assert!(missing.is_empty());
+
+        let shards = dir.join("shards");
+        let a = persist_cache(cache, &shards, ShardSpec::new(0, 2).unwrap()).unwrap();
+        let b = persist_cache(cache, &shards, ShardSpec::new(1, 2).unwrap()).unwrap();
+        assert_ne!(a, b);
+        let warm = MemoStore::<E>::new();
+        let load = load_cache_dir(&warm, &shards).unwrap();
+        // Same entries twice: the duplicates import as no-ops.
+        assert_eq!((load.files, load.imported, warm.len()), (2, n, n));
+        let _ = fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn cache_dir_contract_holds_for_both_entry_types() {
+        check_contract(&populated_analysis(), &tempdir("contract-analysis"));
+        check_contract(&populated_passes(), &tempdir("contract-pass"));
+    }
+
+    #[test]
+    fn each_loader_reads_only_its_own_prefix() {
+        let dir = tempdir("foreign");
+        let (analysis, passes) = (populated_analysis(), populated_passes());
         persist_cache(&analysis, &dir, ShardSpec::full()).unwrap();
-
-        // Each loader sees only its own layer, with no skipped lines.
-        let warm_pass = PassCache::new();
-        let load = load_pass_cache_dir(&warm_pass, &dir).unwrap();
-        assert_eq!((load.files, load.imported, load.skipped_lines), (1, 2, 0));
-        assert_eq!(warm_pass.export(), passes.export());
-
-        let warm_analysis = GlobalAnalysisCache::new();
-        let load = load_cache_dir(&warm_analysis, &dir).unwrap();
+        persist_cache(&passes, &dir, ShardSpec::full()).unwrap();
+        // A `dse --shard --out` file kept in the same directory.
+        fs::write(
+            dir.join("s0.jsonl"),
+            "{\"Header\":{\"mode\":\"Binders\"}}\n{\"Record\":{\"seq\":0}}\n",
+        )
+        .unwrap();
+        let load = load_cache_dir(&GlobalAnalysisCache::new(), &dir).unwrap();
         assert_eq!(
             (load.files, load.imported, load.skipped_lines),
             (1, analysis.len(), 0)
         );
-
-        // Re-persisting the re-loaded pass cache reproduces identical bytes.
-        let again = persist_pass_cache(&warm_pass, &dir, ShardSpec::full()).unwrap();
+        let load = load_cache_dir(&PassCache::new(), &dir).unwrap();
         assert_eq!(
-            fs::read_to_string(&again).unwrap(),
-            fs::read_to_string(&path).unwrap()
+            (load.files, load.imported, load.skipped_lines),
+            (1, passes.len(), 0)
         );
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn missing_directory_is_an_empty_pass_cache() {
-        let warm = PassCache::new();
-        let load = load_pass_cache_dir(&warm, Path::new("/nonexistent/mamps-cache")).unwrap();
-        assert_eq!(load, CacheDirLoad::default());
-        assert!(warm.is_empty());
-    }
-
-    #[test]
-    fn shard_files_do_not_collide_and_all_load() {
-        let dir = tempdir("shards");
-        let cache = populated_cache();
-        let a = persist_cache(&cache, &dir, ShardSpec::new(0, 2).unwrap()).unwrap();
-        let b = persist_cache(&cache, &dir, ShardSpec::new(1, 2).unwrap()).unwrap();
-        assert_ne!(a, b);
-        let warm = GlobalAnalysisCache::new();
-        let load = load_cache_dir(&warm, &dir).unwrap();
-        assert_eq!(load.files, 2);
-        // Same entries twice: the duplicates import as no-ops.
-        assert_eq!(load.imported, cache.len());
-        assert_eq!(warm.len(), cache.len());
+    fn concurrent_persists_of_one_file_all_succeed() {
+        let dir = tempdir("race");
+        let cache = populated_passes();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..200 {
+                        persist_cache(&cache, &dir, ShardSpec::full()).expect("persist succeeds");
+                    }
+                });
+            }
+        });
+        let load = load_cache_dir(&PassCache::new(), &dir).unwrap();
+        assert_eq!(
+            (load.files, load.imported, load.skipped_lines),
+            (1, cache.len(), 0)
+        );
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no temporary left");
         let _ = fs::remove_dir_all(&dir);
     }
 }

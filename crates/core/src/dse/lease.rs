@@ -11,6 +11,9 @@
 //!   disconnected owner's leases are released at once. Completion is
 //!   idempotent: a stale lease finishing after its range was reassigned —
 //!   and the reassigned lease finishing too — both just confirm the range.
+//!   A worker's completion is not trusted ([`LeaseTable::accept`]): only
+//!   records inside the leased range and of the sweep's mode are merged,
+//!   and the range is done only once all of it is recorded.
 //! * [`MergeLedger`] — the incremental, seq-keyed merge of completed
 //!   records. At-least-once execution means the same seq can arrive more
 //!   than once (a timed-out worker that was not actually dead, a range
@@ -57,6 +60,11 @@ impl SeqRange {
     /// True when the range contains no seqs.
     pub fn is_empty(&self) -> bool {
         self.end <= self.start
+    }
+
+    /// True when `seq` lies in the range.
+    pub fn contains(&self, seq: u64) -> bool {
+        self.start <= seq && seq < self.end
     }
 }
 
@@ -211,6 +219,36 @@ impl LeaseTable {
         Some(self.items[idx].range)
     }
 
+    /// Merges a worker's completion of `lease` into `ledger`, or returns
+    /// `None` for an unknown lease id. Only records that belong to the
+    /// leased range are merged: one whose seq lies outside the range, or
+    /// whose outcome kind the sweep mode does not produce, is dropped and
+    /// counted. The range is marked done (as by [`LeaseTable::complete`])
+    /// only once the ledger holds every one of its seqs; an empty or
+    /// partial completion leaves the lease as it is, so expiry reassigns
+    /// the range.
+    pub fn accept(
+        &mut self,
+        lease: u64,
+        records: Vec<ShardRecord>,
+        ledger: &mut MergeLedger,
+    ) -> Option<Completion> {
+        let range = self.items[*self.by_lease.get(&lease)?].range;
+        let mut completion = Completion::default();
+        for record in records {
+            if !range.contains(record.seq) || !ledger.header.mode.admits(&record.outcome) {
+                completion.rejected += 1;
+            } else if ledger.insert(record.clone()) {
+                completion.fresh.push(record);
+            }
+        }
+        completion.done = range.seqs().all(|seq| ledger.contains(seq));
+        if completion.done {
+            self.complete(lease);
+        }
+        Some(completion)
+    }
+
     /// True when every range is done.
     pub fn is_done(&self) -> bool {
         self.items.iter().all(|i| i.state == ItemState::Done)
@@ -243,6 +281,18 @@ impl LeaseTable {
     pub fn items(&self) -> impl Iterator<Item = (SeqRange, ItemState)> + '_ {
         self.items.iter().map(|i| (i.range, i.state))
     }
+}
+
+/// What [`LeaseTable::accept`] made of one worker completion.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Completion {
+    /// Records merged for the first time, in arrival order: exactly the
+    /// ones to append to the spool.
+    pub fresh: Vec<ShardRecord>,
+    /// Records dropped because they do not belong to the leased range.
+    pub rejected: usize,
+    /// True when the whole range is recorded and the lease is done.
+    pub done: bool,
 }
 
 /// Incremental, seq-keyed merge of completed design-point records. See
@@ -453,6 +503,47 @@ mod tests {
                 reason: "test".into(),
             }),
         }
+    }
+
+    #[test]
+    fn completion_must_cover_the_leased_range() {
+        let mut table = LeaseTable::new(4, 2, |_| false);
+        let mut ledger = MergeLedger::new(header(4));
+        let (lease, range) = table.acquire(1, 0, 100).unwrap();
+        assert_eq!(range, SeqRange { start: 0, end: 2 });
+        assert_eq!(table.accept(9999, vec![record(0)], &mut ledger), None);
+
+        // Empty: nothing recorded, the lease stays open.
+        let empty = table.accept(lease, Vec::new(), &mut ledger).unwrap();
+        assert_eq!(
+            (empty.fresh.len(), empty.rejected, empty.done),
+            (0, 0, false)
+        );
+        // Wrong mode: binder records do not belong to a use-case sweep.
+        let mut use_cases = MergeLedger::new(ShardHeader {
+            mode: SweepMode::UseCases,
+            ..header(4)
+        });
+        let wrong = table.accept(lease, vec![record(0), record(1)], &mut use_cases);
+        assert_eq!(wrong.map(|c| (c.rejected, c.done)), Some((2, false)));
+        assert!(use_cases.is_empty());
+        // Out of range and partial: seq 2 is dropped, seq 1 is missing.
+        let partial = table.accept(lease, vec![record(0), record(2)], &mut ledger);
+        let partial = partial.unwrap();
+        assert_eq!((partial.fresh, partial.rejected), (vec![record(0)], 1));
+        assert!(!partial.done && !ledger.contains(2));
+        assert_eq!(table.leased(), 1);
+
+        // The open lease expires and the range is leased again, in full.
+        assert_eq!(table.expire(101), vec![range]);
+        let (again, _) = table.acquire(2, 200, 100).unwrap();
+        let full = table.accept(again, vec![record(0), record(1)], &mut ledger);
+        let full = full.unwrap();
+        assert_eq!((full.fresh, full.done), (vec![record(1)], true));
+        assert_eq!(
+            (ledger.len(), ledger.duplicates(), table.pending()),
+            (2, 1, 1)
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! e.g. a `spiral` point that ties `greedy` throughput at fewer allocated
 //! NoC wire-links. Design points are independent full flow runs, so
 //! [`explore_report`] evaluates them concurrently via
-//! [`crate::parallel::parallel_map`] when [`FlowOptions::jobs`] asks for
+//! [`crate::parallel::dynamic_map`] when [`FlowOptions::jobs`] asks for
 //! it; the result is point-for-point identical to the sequential sweep.
 //! Infeasible points are not silently discarded: they come back as
 //! [`SkippedPoint`]s naming the strategy and the failing flow step,

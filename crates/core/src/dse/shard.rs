@@ -126,6 +126,19 @@ pub enum SweepMode {
     UseCases,
 }
 
+impl SweepMode {
+    /// True when `outcome` is a kind of record this sweep mode produces.
+    pub fn admits(self, outcome: &ShardOutcome) -> bool {
+        matches!(
+            (outcome, self),
+            (
+                ShardOutcome::Point(_) | ShardOutcome::Skipped(_),
+                SweepMode::Binders
+            ) | (ShardOutcome::UseCase(_), SweepMode::UseCases)
+        )
+    }
+}
+
 impl fmt::Display for SweepMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -328,14 +341,7 @@ impl DseShard {
                     shard: header.shard,
                 });
             }
-            let mode_matches = matches!(
-                (&r.outcome, header.mode),
-                (
-                    ShardOutcome::Point(_) | ShardOutcome::Skipped(_),
-                    SweepMode::Binders
-                ) | (ShardOutcome::UseCase(_), SweepMode::UseCases)
-            );
-            if !mode_matches {
+            if !header.mode.admits(&r.outcome) {
                 return Err(ShardFileError::ModeMismatch { seq: r.seq });
             }
         }

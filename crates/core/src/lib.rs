@@ -59,6 +59,6 @@ pub use flow::{
     run_flow, run_flow_with_arch, run_multi_flow, AppSection, FlowError, FlowOptions, FlowResult,
     MultiFlowResult, StepTimings,
 };
-pub use parallel::{default_jobs, dynamic_map, parallel_map};
+pub use parallel::{default_jobs, dynamic_map};
 pub use predict::predicted_throughput;
 pub use validate::GuaranteeReport;

@@ -1,30 +1,21 @@
-//! Scoped-thread parallelism helpers for embarrassingly parallel flow work.
+//! Scoped-thread parallelism for embarrassingly parallel flow work.
 //!
 //! The design flow evaluates many *independent* pure computations — DSE
-//! design points, buffer-growth candidates, per-sequence experiments — whose
-//! results must come back in a deterministic order. This module provides the
-//! two primitives that pattern needs, on `std` only (no registry
-//! dependencies):
+//! design points whose cost varies by orders of magnitude with the binder
+//! and the tile count — whose results must come back in a deterministic
+//! order. [`dynamic_map`] provides that on `std` only (no registry
+//! dependencies): a work-stealing scheduler in which each worker starts
+//! with a contiguous slice of the input and, when it runs dry, steals the
+//! upper half of the largest remaining slice, which keeps every core busy
+//! until the global tail. The DSE sweep ([`crate::dse`]) and the service
+//! workers ([`crate::serve`]) use it.
 //!
-//! * [`parallel_map`] fans items out over `std::thread::scope` workers
-//!   pulling one item at a time from a shared atomic cursor. Best for
-//!   *uniform* workloads, where one cursor bump per item is the only
-//!   scheduling cost.
-//! * [`dynamic_map`] is a work-stealing scheduler: each worker starts with
-//!   a contiguous slice of the input and, when it runs dry, steals the
-//!   upper half of the largest remaining slice. Best for *skewed*
-//!   workloads — DSE points whose cost varies by orders of magnitude with
-//!   the binder and the tile count — where it keeps every core busy until
-//!   the global tail. The DSE sweep ([`crate::dse`]) uses this one.
-//!
-//! Both return results in input order and behave identically for any job
-//! count. `mamps_sdf::buffer` uses the same scoped-worker pattern
-//! internally for concurrent buffer-growth candidates (it sits below this
-//! crate in the dependency graph); everything at flow level should use
-//! these helpers.
+//! Results come back in input order and are identical for any job count.
+//! `mamps_sdf::buffer` uses the same scoped-worker pattern internally for
+//! concurrent buffer-growth candidates (it sits below this crate in the
+//! dependency graph); everything at flow level should use this helper.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A sensible default for `jobs` knobs: the machine's available
@@ -33,57 +24,6 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Applies `f` to every item of `items` on up to `jobs` scoped threads and
-/// returns the results in input order.
-///
-/// `f` receives the item index alongside the item. The worker count is
-/// capped at `min(jobs, items.len())` and at the machine's available
-/// parallelism — the work is CPU-bound, so oversubscription only adds
-/// contention, and a worker without an item to claim would only park on
-/// the scope join. With an effective single job (or a single item)
-/// everything runs on the calling thread — the results are identical
-/// either way, only the wall-clock differs. Worker panics propagate to
-/// the caller once the scope joins.
-///
-/// Workers claim one item at a time from a shared cursor, so the per-item
-/// scheduling cost is a single atomic increment. Prefer this for uniform
-/// workloads; for skewed ones (the DSE sweep) use [`dynamic_map`], which
-/// claims contiguous runs and rebalances by stealing.
-pub fn parallel_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let jobs = jobs.min(default_jobs()).clamp(1, items.len().max(1));
-    if jobs <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
-                }
-                let r = f(i, &items[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(r);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every item claimed by a worker")
-        })
-        .collect()
 }
 
 /// Applies `f` to every item of `items` on up to `jobs` scoped threads
@@ -100,8 +40,15 @@ where
 /// The schedule is dynamic but the *results* are deterministic: `f` runs
 /// exactly once per index and results come back in input order, so callers
 /// behave identically for any job count — this is what lets the sharded
-/// DSE merge stay byte-identical to an unsharded run. Same worker-count
-/// caps and panic behaviour as [`parallel_map`].
+/// DSE merge stay byte-identical to an unsharded run.
+///
+/// The worker count is capped at `min(jobs, items.len())` and at the
+/// machine's available parallelism — the work is CPU-bound, so
+/// oversubscription only adds contention, and a worker without an item to
+/// claim would only park on the scope join. With an effective single job
+/// (or a single item) everything runs on the calling thread — the results
+/// are identical either way, only the wall-clock differs. Worker panics
+/// propagate to the caller once the scope joins.
 pub fn dynamic_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -189,35 +136,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preserves_input_order() {
-        let items: Vec<u64> = (0..100).collect();
-        let seq = parallel_map(1, &items, |_, &x| x * x);
-        let par = parallel_map(8, &items, |_, &x| x * x);
-        assert_eq!(seq, par);
-        assert_eq!(par[13], 169);
-    }
-
-    #[test]
-    fn passes_indices() {
-        let items = ["a", "b", "c"];
-        let r = parallel_map(2, &items, |i, &s| format!("{i}{s}"));
-        assert_eq!(r, vec!["0a", "1b", "2c"]);
-    }
-
-    #[test]
-    fn empty_and_single_item() {
-        let none: Vec<u32> = Vec::new();
-        assert!(parallel_map(4, &none, |_, &x| x).is_empty());
-        assert_eq!(parallel_map(4, &[7u32], |_, &x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn more_jobs_than_items() {
-        let items: Vec<u32> = (0..3).collect();
-        assert_eq!(parallel_map(64, &items, |_, &x| x), items);
-    }
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn default_jobs_is_positive() {
@@ -246,6 +165,7 @@ mod tests {
         let none: Vec<u32> = Vec::new();
         assert!(dynamic_map(4, &none, |_, &x| x).is_empty());
         assert_eq!(dynamic_map(4, &[7u32], |_, &x| x + 1), vec![8]);
+        assert_eq!(dynamic_map(64, &[1u32, 2, 3], |_, &x| x), vec![1, 2, 3]);
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub fn run_coordinator(cfg: ServeConfig) -> Result<(), Box<dyn std::error::Error
     let passes = Arc::new(PassCache::new());
     if let Some(dir) = &cfg.cache_dir {
         let a = dse_cache::load_cache_dir(&analysis, dir)?;
-        let p = dse_cache::load_pass_cache_dir(&passes, dir)?;
+        let p = dse_cache::load_cache_dir(&passes, dir)?;
         eprintln!("dse-serve: cache warmed from disk: {a}; pass cache: {p}");
     }
 
@@ -287,7 +287,7 @@ fn graceful_shutdown(shared: &Shared) {
 fn persist_caches(shared: &Shared) {
     if let Some(dir) = &shared.cfg.cache_dir {
         if let Err(e) = dse_cache::persist_cache(&shared.analysis, dir, ShardSpec::full())
-            .and_then(|_| dse_cache::persist_pass_cache(&shared.passes, dir, ShardSpec::full()))
+            .and_then(|_| dse_cache::persist_cache(&shared.passes, dir, ShardSpec::full()))
         {
             eprintln!(
                 "dse-serve: could not persist caches to {}: {e}",
@@ -572,8 +572,9 @@ fn handle_fetch(
 }
 
 /// Merges a completed range: imports the worker's cache growth, records
-/// the fresh outcomes (appending them to the spool before the lease is
-/// marked done), and finalizes the job when the ledger is complete.
+/// the outcomes that belong to the lease (appending the fresh ones to the
+/// spool), and finalizes the job when the ledger is complete. A lease
+/// whose range the records do not cover stays open until it expires.
 fn handle_complete(
     shared: &Shared,
     job_fp: u64,
@@ -592,17 +593,20 @@ fn handle_complete(
         return;
     };
     let job = &mut st.jobs[idx];
-    let mut fresh = String::new();
-    for record in records {
-        let line = tagged_line("Record", &record);
-        if job.ledger.insert(record) {
-            job.evaluated += 1;
-            fresh.push_str(&line);
-        }
+    let Some(completion) = job.table.accept(lease, records, &mut job.ledger) else {
+        return; // not a lease of this job
+    };
+    if !completion.done {
+        let n = completion.rejected;
+        eprintln!("dse-serve: lease {lease} of {job_fp:016x} left open ({n} foreign records)");
     }
+    job.evaluated += completion.fresh.len() as u64;
+    let fresh: String = completion
+        .fresh
+        .iter()
+        .map(|r| tagged_line("Record", r))
+        .collect();
     if !fresh.is_empty() {
-        // Spool before completing the lease: if the append fails the
-        // lease still reverts (or expires) and the range is redone.
         use std::fs::OpenOptions;
         let appended = OpenOptions::new()
             .append(true)
@@ -615,7 +619,6 @@ fn handle_complete(
             );
         }
     }
-    job.table.complete(lease);
     if job.ledger.is_complete() {
         let job = st.jobs.remove(idx);
         finalize_job(shared, &mut st, job);

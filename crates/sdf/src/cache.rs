@@ -20,17 +20,11 @@
 //!   result computed under one configuration is never served to another —
 //!   invalidation-by-options falls out of the key derivation.
 //!
-//! Interior mutability is a fixed set of `Mutex`-protected shards (an
-//! FxHash map each), picked by key hash, so concurrent DSE workers rarely
-//! contend on the same lock. Hit/miss/insert counters are atomics,
-//! surfaced per run via [`GlobalAnalysisCache::stats`] (`mamps dse
-//! --stats`).
-//!
-//! Entries [`export`](GlobalAnalysisCache::export) to /
-//! [`import`](GlobalAnalysisCache::import) from serializable
-//! [`CacheEntry`] values; `mamps_core::dse::cache` persists them as JSON
-//! lines (`--cache-dir`), which is what makes a second sweep over the
-//! same corpus warm across processes and shards.
+//! The store itself is the generic [`MemoStore`] over [`CacheEntry`]:
+//! sharded, counted, exported sorted and imported first-wins, and
+//! persisted by `mamps_core::dse::cache` as `analysis-cache-*.jsonl`
+//! under `--cache-dir`, which is what makes a second sweep over the same
+//! corpus warm across processes and shards.
 //!
 //! Hash collisions: two *different* graphs colliding on the 64-bit
 //! fingerprint would alias cache entries. The keys mix every actor,
@@ -39,58 +33,12 @@
 //! is ~n²/2⁶⁵ — accepted, as SDF3-style flows accept it for memoized
 //! analyses.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
 use serde::{stable_hash, Deserialize, Serialize, Value};
 
 use crate::error::SdfError;
 use crate::graph::{ActorId, ChannelId, SdfGraph};
+use crate::memo::{MemoEntry, MemoStore};
 use crate::state_space::{throughput, AnalysisOptions, ThroughputResult};
-
-/// FxHash (the rustc hash) as a `std::hash::Hasher`, for the in-memory
-/// shard maps. Quality is sufficient for table indexing and it is much
-/// cheaper than SipHash on the short keys used here. (Only the *stable*
-/// [`serde::stable_hash`] is persisted; this table hash never leaves the
-/// process.)
-#[derive(Default)]
-pub(crate) struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
-pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
 
 /// The canonical identity of a graph for caching purposes: a stable
 /// 64-bit hash over the canonical-JSON form, plus the channel permutation
@@ -201,9 +149,10 @@ impl GraphFingerprint {
 }
 
 /// Full cache key: graph fingerprint hash, canonical capacity vector, and
-/// every analysis-options field.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
+/// every analysis-options field. The derived `Ord` (field by field, in
+/// declaration order) is the on-disk sort order.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct AnalysisKey {
     graph: u64,
     caps: Vec<u64>,
     auto_concurrency: bool,
@@ -211,9 +160,9 @@ struct Key {
     max_firings_per_instant: u64,
 }
 
-impl Key {
-    fn new(fp: &GraphFingerprint, caps: &[u64], opts: &AnalysisOptions) -> Key {
-        Key {
+impl AnalysisKey {
+    fn new(fp: &GraphFingerprint, caps: &[u64], opts: &AnalysisOptions) -> AnalysisKey {
+        AnalysisKey {
             graph: fp.hash,
             caps: fp.canonical_caps(caps),
             auto_concurrency: opts.auto_concurrency,
@@ -242,34 +191,33 @@ pub struct CacheEntry {
     pub result: Result<ThroughputResult, SdfError>,
 }
 
-/// Counter snapshot of a [`GlobalAnalysisCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups answered from the cache.
-    pub hits: u64,
-    /// Lookups that found no entry.
-    pub misses: u64,
-    /// Entries newly inserted by [`GlobalAnalysisCache::insert`]
-    /// (imported entries are not counted).
-    pub inserts: u64,
-    /// Entries currently stored.
-    pub entries: usize,
-}
+impl MemoEntry for CacheEntry {
+    type Key = AnalysisKey;
+    type Value = Result<ThroughputResult, SdfError>;
+    const PREFIX: &'static str = "analysis-cache-";
 
-impl fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} hits / {} misses / {} inserts ({} entries)",
-            self.hits, self.misses, self.inserts, self.entries
-        )
+    fn split(self) -> (AnalysisKey, Self::Value) {
+        let key = AnalysisKey {
+            graph: self.graph,
+            caps: self.caps,
+            auto_concurrency: self.auto_concurrency,
+            max_states: self.max_states,
+            max_firings_per_instant: self.max_firings_per_instant,
+        };
+        (key, self.result)
+    }
+
+    fn join(key: AnalysisKey, result: Self::Value) -> CacheEntry {
+        CacheEntry {
+            graph: key.graph,
+            caps: key.caps,
+            auto_concurrency: key.auto_concurrency,
+            max_states: key.max_states,
+            max_firings_per_instant: key.max_firings_per_instant,
+            result,
+        }
     }
 }
-
-/// Number of independently locked map shards. A small power of two:
-/// enough that a handful of DSE workers rarely collide, cheap enough to
-/// iterate for export.
-const SHARD_COUNT: usize = 16;
 
 /// A global, thread-safe throughput-analysis cache.
 ///
@@ -279,49 +227,9 @@ const SHARD_COUNT: usize = 16;
 /// shared-system verification, and the buffer-sizing searches via
 /// [`crate::buffer::AnalysisCache::with_global`]) before falling back to
 /// the state-space kernel.
-///
-/// All methods take `&self`; shards are locked individually and never
-/// while computing, so concurrent workers only serialize on map access
-/// itself. Two workers racing to analyse the same key both compute and
-/// both insert — the analysis is deterministic, so the duplicate insert
-/// is benign (first write wins, counters may differ across runs).
-pub struct GlobalAnalysisCache {
-    shards: [Mutex<FxHashMap<Key, Result<ThroughputResult, SdfError>>>; SHARD_COUNT],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-}
+pub type GlobalAnalysisCache = MemoStore<CacheEntry>;
 
-impl fmt::Debug for GlobalAnalysisCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GlobalAnalysisCache")
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl Default for GlobalAnalysisCache {
-    fn default() -> Self {
-        GlobalAnalysisCache::new()
-    }
-}
-
-impl GlobalAnalysisCache {
-    /// An empty cache.
-    pub fn new() -> GlobalAnalysisCache {
-        GlobalAnalysisCache {
-            shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: &Key) -> &Mutex<FxHashMap<Key, Result<ThroughputResult, SdfError>>> {
-        let h = FxBuild::default().hash_one(key);
-        &self.shards[(h as usize) % SHARD_COUNT]
-    }
-
+impl MemoStore<CacheEntry> {
     /// The memoized result for `(fingerprint, caps, opts)`, if any.
     /// Counts a hit or a miss.
     pub fn lookup(
@@ -330,23 +238,12 @@ impl GlobalAnalysisCache {
         caps: &[u64],
         opts: &AnalysisOptions,
     ) -> Option<Result<ThroughputResult, SdfError>> {
-        let key = Key::new(fp, caps, opts);
-        let r = self
-            .shard(&key)
-            .lock()
-            .expect("cache shard poisoned")
-            .get(&key)
-            .cloned();
-        match r {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        r
+        self.get(&AnalysisKey::new(fp, caps, opts))
     }
 
-    /// Memoizes `result` under `(fingerprint, caps, opts)`. An existing
-    /// entry is kept (analyses are deterministic, so it is equal anyway)
-    /// and the insert counter is only bumped for genuinely new entries.
+    /// Memoizes `result` under `(fingerprint, caps, opts)`. Analyses are
+    /// deterministic, so a racing duplicate stores an equal value and the
+    /// insert counter only counts the first.
     pub fn insert(
         &self,
         fp: &GraphFingerprint,
@@ -354,12 +251,7 @@ impl GlobalAnalysisCache {
         opts: &AnalysisOptions,
         result: Result<ThroughputResult, SdfError>,
     ) {
-        let key = Key::new(fp, caps, opts);
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-        if let Entry::Vacant(slot) = shard.entry(key) {
-            slot.insert(result);
-            self.inserts.fetch_add(1, Ordering::Relaxed);
-        }
+        self.put(AnalysisKey::new(fp, caps, opts), result);
     }
 
     /// [`throughput`] of `graph` through the cache: fingerprints the
@@ -383,95 +275,13 @@ impl GlobalAnalysisCache {
         self.insert(&fp, &[], opts, r.clone());
         r
     }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
-    }
-
-    /// Entries currently stored.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every entry as a serializable [`CacheEntry`], deterministically
-    /// sorted (by graph hash, capacities, options) so equal caches export
-    /// byte-identical JSONL regardless of insertion or shard order.
-    pub fn export(&self) -> Vec<CacheEntry> {
-        let mut entries: Vec<CacheEntry> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            for (k, v) in shard.lock().expect("cache shard poisoned").iter() {
-                entries.push(CacheEntry {
-                    graph: k.graph,
-                    caps: k.caps.clone(),
-                    auto_concurrency: k.auto_concurrency,
-                    max_states: k.max_states,
-                    max_firings_per_instant: k.max_firings_per_instant,
-                    result: v.clone(),
-                });
-            }
-        }
-        entries.sort_by(|a, b| {
-            (
-                a.graph,
-                &a.caps,
-                a.auto_concurrency,
-                a.max_states,
-                a.max_firings_per_instant,
-            )
-                .cmp(&(
-                    b.graph,
-                    &b.caps,
-                    b.auto_concurrency,
-                    b.max_states,
-                    b.max_firings_per_instant,
-                ))
-        });
-        entries
-    }
-
-    /// Loads entries (e.g. parsed from an on-disk cache file) into the
-    /// cache, returning how many were new. Existing entries win over
-    /// imported ones; duplicates across files are harmless. Imports touch
-    /// neither the hit/miss nor the insert counters — they account for
-    /// *this* run's analyses only.
-    pub fn import<I: IntoIterator<Item = CacheEntry>>(&self, entries: I) -> usize {
-        let mut added = 0;
-        for e in entries {
-            let key = Key {
-                graph: e.graph,
-                caps: e.caps,
-                auto_concurrency: e.auto_concurrency,
-                max_states: e.max_states,
-                max_firings_per_instant: e.max_firings_per_instant,
-            };
-            let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
-            if let Entry::Vacant(slot) = shard.entry(key) {
-                slot.insert(e.result);
-                added += 1;
-            }
-        }
-        added
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::SdfGraphBuilder;
+    use std::collections::HashMap;
 
     fn two_actor_graph(order: &[&str]) -> SdfGraph {
         // Same structure regardless of `order`: actors A (10) and B (5)
@@ -624,19 +434,6 @@ mod tests {
             throughput(&g, &opts).unwrap()
         );
         assert_eq!(fresh.stats().hits, 1);
-    }
-
-    #[test]
-    fn cache_entries_serialize_to_json_and_back() {
-        let g = two_actor_graph(&["A", "B"]);
-        let cache = GlobalAnalysisCache::new();
-        cache.throughput(&g, &AnalysisOptions::default()).unwrap();
-        for e in cache.export() {
-            let line = serde::json::to_string(&e);
-            let back: CacheEntry = serde::json::from_str(&line).unwrap();
-            assert_eq!(back, e);
-            assert_eq!(serde::json::to_string(&back), line, "canonical bytes");
-        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! * [`buffer`] — deadlock-free and throughput-constrained buffer sizing.
 //! * [`transform`] — self-edges, buffer-capacity reverse channels and
 //!   static-order constraint encodings.
+//! * [`memo`] — the sharded, counted memo store behind the analysis
+//!   [`cache`] and the [`passes`] cache.
 //! * [`model`] — the application model joining the graph with per-actor
 //!   implementation metadata (WCET, memory sizes, argument bindings).
 //! * [`gen`] — seeded synthetic scenario generation (topology families,
@@ -47,6 +49,7 @@ pub mod graph;
 pub mod hsdf;
 pub mod liveness;
 pub mod mcr;
+pub mod memo;
 pub mod model;
 pub mod passes;
 pub mod ratio;
@@ -56,10 +59,11 @@ pub mod transform;
 pub mod xml;
 pub mod xmlutil;
 
-pub use cache::{CacheEntry, CacheStats, GlobalAnalysisCache, GraphFingerprint};
+pub use cache::{CacheEntry, GlobalAnalysisCache, GraphFingerprint};
 pub use error::SdfError;
 pub use gen::{Family, GenConfig};
 pub use graph::{Actor, ActorId, Channel, ChannelId, SdfGraph, SdfGraphBuilder};
+pub use memo::{CacheStats, MemoEntry, MemoStore};
 pub use model::{ApplicationModel, ThroughputConstraint};
 pub use passes::{PassCache, PassEntry, PassReport, PassRunner, PassStat};
 pub use ratio::Ratio;

@@ -29,24 +29,18 @@
 //!   decodes (schema drift in an on-disk cache from an older build) is
 //!   treated as a miss and recomputed — the cache can never wedge a run.
 //!
-//! The sharded-map + atomic-counter structure and the sorted
-//! export/import contract mirror [`crate::cache::GlobalAnalysisCache`];
-//! `mamps_core::dse::cache` persists [`PassEntry`] rows as JSONL next to
+//! The store is the generic [`MemoStore`] over [`PassEntry`], the same
+//! one behind [`crate::cache::GlobalAnalysisCache`];
+//! `mamps_core::dse::cache` persists it as `pass-cache-*.jsonl` next to
 //! the analysis-cache files.
 
-use std::collections::hash_map::Entry;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use serde::{intern, stable_hash, Deserialize, Serialize, Value};
 
-use crate::cache::{CacheStats, FxBuild, FxHashMap};
-
-/// Number of independently locked shards, matching
-/// [`crate::cache::GlobalAnalysisCache`].
-const SHARD_COUNT: usize = 16;
+use crate::memo::{MemoEntry, MemoStore};
 
 /// Reduces the parts of a pass input to one stable 64-bit fingerprint.
 ///
@@ -59,9 +53,10 @@ pub fn fingerprint(parts: Vec<Value>) -> u64 {
     stable_hash(&Value::Seq(parts))
 }
 
-/// Cache key: which pass, over which input fingerprint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key {
+/// Cache key: which pass, over which input fingerprint. The derived `Ord`
+/// (pass name, then input) is the on-disk sort order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct PassKey {
     pass: &'static str,
     input: u64,
 }
@@ -79,133 +74,44 @@ pub struct PassEntry {
     pub output: Value,
 }
 
-/// A global, thread-safe memo table from `(pass, input fingerprint)` to
-/// serialized pass output. Shared as an `Arc` through a [`PassRunner`];
-/// all methods take `&self` and shards are never locked while computing.
-pub struct PassCache {
-    shards: [Mutex<FxHashMap<Key, Value>>; SHARD_COUNT],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-}
+impl MemoEntry for PassEntry {
+    type Key = PassKey;
+    type Value = Value;
+    const PREFIX: &'static str = "pass-cache-";
 
-impl fmt::Debug for PassCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PassCache")
-            .field("stats", &self.stats())
-            .finish()
+    fn split(self) -> (PassKey, Value) {
+        let key = PassKey {
+            pass: intern(&self.pass),
+            input: self.input,
+        };
+        (key, self.output)
     }
-}
 
-impl Default for PassCache {
-    fn default() -> Self {
-        PassCache::new()
-    }
-}
-
-impl PassCache {
-    /// An empty cache.
-    pub fn new() -> PassCache {
-        PassCache {
-            shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+    fn join(key: PassKey, output: Value) -> PassEntry {
+        PassEntry {
+            pass: key.pass.to_string(),
+            input: key.input,
+            output,
         }
     }
+}
 
-    fn shard(&self, key: &Key) -> &Mutex<FxHashMap<Key, Value>> {
-        use std::hash::BuildHasher;
-        let h = FxBuild::default().hash_one(key);
-        &self.shards[(h as usize) % SHARD_COUNT]
-    }
+/// A global, thread-safe memo table from `(pass, input fingerprint)` to
+/// serialized pass output. Shared as an `Arc` through a [`PassRunner`].
+pub type PassCache = MemoStore<PassEntry>;
 
+impl MemoStore<PassEntry> {
     /// The memoized output for `pass` over `input`, if any. Counts a hit
     /// or a miss.
     pub fn lookup(&self, pass: &'static str, input: u64) -> Option<Value> {
-        let key = Key { pass, input };
-        let r = self
-            .shard(&key)
-            .lock()
-            .expect("pass-cache shard poisoned")
-            .get(&key)
-            .cloned();
-        match r {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        r
+        self.get(&PassKey { pass, input })
     }
 
-    /// Memoizes `output` for `pass` over `input`. Passes are
-    /// deterministic, so a racing duplicate insert is benign.
+    /// Memoizes `output` for `pass` over `input`, replacing a stale
+    /// entry. Passes are deterministic, so a racing duplicate insert is
+    /// benign and counted once.
     pub fn insert(&self, pass: &'static str, input: u64, output: Value) {
-        let key = Key { pass, input };
-        self.shard(&key)
-            .lock()
-            .expect("pass-cache shard poisoned")
-            .insert(key, output);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            entries: self.len(),
-        }
-    }
-
-    /// Entries currently stored.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("pass-cache shard poisoned").len())
-            .sum()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every entry as a serializable [`PassEntry`], deterministically
-    /// sorted by (pass, input) so equal caches export byte-identical
-    /// JSONL regardless of insertion or shard order.
-    pub fn export(&self) -> Vec<PassEntry> {
-        let mut entries: Vec<PassEntry> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            for (k, v) in shard.lock().expect("pass-cache shard poisoned").iter() {
-                entries.push(PassEntry {
-                    pass: k.pass.to_string(),
-                    input: k.input,
-                    output: v.clone(),
-                });
-            }
-        }
-        entries.sort_by(|a, b| (&a.pass, a.input).cmp(&(&b.pass, b.input)));
-        entries
-    }
-
-    /// Loads entries (e.g. parsed from an on-disk cache file) into the
-    /// cache, returning how many were new. Existing entries win; imports
-    /// touch neither the hit/miss nor the insert counters.
-    pub fn import<I: IntoIterator<Item = PassEntry>>(&self, entries: I) -> usize {
-        let mut added = 0;
-        for e in entries {
-            let key = Key {
-                pass: intern(&e.pass),
-                input: e.input,
-            };
-            let mut shard = self.shard(&key).lock().expect("pass-cache shard poisoned");
-            if let Entry::Vacant(slot) = shard.entry(key) {
-                slot.insert(e.output);
-                added += 1;
-            }
-        }
-        added
+        self.put(PassKey { pass, input }, output);
     }
 }
 
@@ -431,12 +337,14 @@ mod tests {
         let cache = Arc::new(PassCache::new());
         // A foreign entry of the wrong shape under the key we will ask for.
         cache.insert("p", 9, Value::Str("not a Result".into()));
-        let runner = PassRunner::with_cache(cache);
+        let runner = PassRunner::with_cache(Arc::clone(&cache));
         let out: Result<u64, String> = runner.run("p", fp(9), || Ok(42));
         assert_eq!(out, Ok(42));
         // The recompute overwrote the stale entry; now it replays.
         let again: Result<u64, String> = runner.run("p", fp(9), || unreachable!());
         assert_eq!(again, Ok(42));
+        // Overwriting replaced a value under a known key: one insert.
+        assert_eq!(cache.stats().inserts, 1);
     }
 
     #[test]
@@ -458,14 +366,6 @@ mod tests {
         assert_eq!(fresh.import(exported.clone()), 3);
         assert_eq!(fresh.import(exported.clone()), 0, "duplicates are no-ops");
         assert_eq!(fresh.export(), exported);
-
-        // Entries survive a JSON round-trip byte-for-byte.
-        for e in &exported {
-            let mut line = String::new();
-            serde::json::emit(&e.to_value(), &mut line);
-            let back: PassEntry = serde::json::from_str(&line).unwrap();
-            assert_eq!(&back, e);
-        }
     }
 
     #[test]

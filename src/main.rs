@@ -198,8 +198,8 @@ struct RunCaches {
     analysis: Option<std::sync::Arc<mamps::sdf::GlobalAnalysisCache>>,
     passes: std::sync::Arc<mamps::sdf::PassCache>,
     runner: std::sync::Arc<mamps::mapping::PassRunner>,
-    warmed_analysis: Option<dse_cache::CacheDirLoad>,
-    warmed_passes: Option<dse_cache::CacheDirLoad>,
+    /// What `dir` held for the analysis and the pass cache.
+    warmed: Option<(dse_cache::CacheDirLoad, dse_cache::CacheDirLoad)>,
     show_stats: bool,
     started: std::time::Instant,
 }
@@ -228,13 +228,14 @@ fn setup_caches(
     }
     let passes = std::sync::Arc::new(mamps::sdf::PassCache::new());
     let mut analysis = None;
-    let mut warmed_analysis = None;
-    let mut warmed_passes = None;
+    let mut warmed = None;
     if cache_dir.is_some() || always_analysis {
         let cache = std::sync::Arc::new(mamps::sdf::GlobalAnalysisCache::new());
         if let Some(dir) = &cache_dir {
-            warmed_analysis = Some(dse_cache::load_cache_dir(&cache, dir)?);
-            warmed_passes = Some(dse_cache::load_pass_cache_dir(&passes, dir)?);
+            warmed = Some((
+                dse_cache::load_cache_dir(&cache, dir)?,
+                dse_cache::load_cache_dir(&passes, dir)?,
+            ));
         }
         opts.map.cache = Some(std::sync::Arc::clone(&cache));
         analysis = Some(cache);
@@ -252,8 +253,7 @@ fn setup_caches(
         analysis,
         passes,
         runner,
-        warmed_analysis,
-        warmed_passes,
+        warmed,
         show_stats,
         started: std::time::Instant::now(),
     }))
@@ -265,29 +265,20 @@ fn setup_caches(
 /// stdout must stay byte-comparable across cold, warm and incremental
 /// runs.
 fn finish_caches(c: &RunCaches, spec: shard::ShardSpec) -> Result<(), Box<dyn std::error::Error>> {
-    if let Some(dir) = &c.dir {
-        let ppath = dse_cache::persist_pass_cache(&c.passes, dir, spec)?;
-        let apath = match &c.analysis {
-            Some(a) => Some(dse_cache::persist_cache(a, dir, spec)?),
-            None => None,
-        };
+    // A cache directory always comes with an analysis cache.
+    if let (Some(dir), Some(a)) = (&c.dir, &c.analysis) {
+        let apath = dse_cache::persist_cache(a, dir, spec)?;
+        let ppath = dse_cache::persist_cache(&c.passes, dir, spec)?;
         if c.show_stats {
-            if let (Some(a), Some(path)) = (&c.analysis, apath) {
-                eprintln!("cache persisted: {} entries -> {}", a.len(), path.display());
-            }
-            eprintln!(
-                "pass cache persisted: {} entries -> {}",
-                c.passes.len(),
-                ppath.display()
-            );
+            let (na, np) = (a.len(), c.passes.len());
+            eprintln!("cache persisted: {na} entries -> {}", apath.display());
+            eprintln!("pass cache persisted: {np} entries -> {}", ppath.display());
         }
     }
     if c.show_stats {
-        if let Some(w) = &c.warmed_analysis {
-            eprintln!("cache warmed from disk: {w}");
-        }
-        if let Some(w) = &c.warmed_passes {
-            eprintln!("pass cache warmed from disk: {w}");
+        if let Some((a, p)) = &c.warmed {
+            eprintln!("cache warmed from disk: {a}");
+            eprintln!("pass cache warmed from disk: {p}");
         }
         if let Some(a) = &c.analysis {
             eprintln!("analysis cache: {}", a.stats());

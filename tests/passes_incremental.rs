@@ -148,12 +148,12 @@ fn persisted_pass_cache_replays_across_processes() {
     // "Process 1": cold run, persist both cache layers.
     let (opts, pass_cache) = cached_opts();
     let cold = map_application(&app, &arch, &opts).unwrap();
-    dse_cache::persist_pass_cache(&pass_cache, &dir, ShardSpec::full()).unwrap();
+    dse_cache::persist_cache(&pass_cache, &dir, ShardSpec::full()).unwrap();
     dse_cache::persist_cache(opts.cache.as_ref().unwrap(), &dir, ShardSpec::full()).unwrap();
 
     // "Process 2": fresh in-memory state warmed only from disk.
     let warm_cache = Arc::new(PassCache::new());
-    let load = dse_cache::load_pass_cache_dir(&warm_cache, &dir).unwrap();
+    let load = dse_cache::load_cache_dir(&warm_cache, &dir).unwrap();
     assert_eq!(load.skipped_lines, 0);
     assert_eq!(load.imported, pass_cache.len());
     let runner = Arc::new(PassRunner::with_cache(Arc::clone(&warm_cache)));
