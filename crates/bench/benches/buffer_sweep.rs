@@ -8,10 +8,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mamps_bench::short_criterion;
-use mamps_sdf::buffer::{analyse, minimal_live_capacities, size_for_throughput};
+use mamps_sdf::buffer::{minimal_live_capacities, size_for_throughput};
 use mamps_sdf::graph::{SdfGraph, SdfGraphBuilder};
 use mamps_sdf::ratio::Ratio;
-use mamps_sdf::state_space::AnalysisOptions;
+use mamps_sdf::state_space::{throughput_bounded, AnalysisOptions};
 
 fn producer_consumer() -> SdfGraph {
     let mut b = SdfGraphBuilder::new("pc");
@@ -30,7 +30,7 @@ fn bench(c: &mut Criterion) {
     let min_caps = minimal_live_capacities(&g).unwrap();
     for extra in 0..6u64 {
         let caps = vec![min_caps[0] + extra];
-        let t = analyse(&g, &caps, &opts).unwrap();
+        let t = throughput_bounded(&g, &caps, &opts).unwrap();
         println!(
             "{:<10} {:>16} {:>16.1}",
             caps[0],
@@ -40,7 +40,7 @@ fn bench(c: &mut Criterion) {
     }
     // Saturation: large buffers hit the producer bound — q = (3, 2), so
     // one iteration needs 3 producer firings of 7 cycles = 21 cycles.
-    let saturated = analyse(&g, &[min_caps[0] + 32], &opts).unwrap();
+    let saturated = throughput_bounded(&g, &[min_caps[0] + 32], &opts).unwrap();
     assert_eq!(saturated.iterations_per_cycle, Ratio::new(1, 21));
 
     c.bench_function("buffer/minimal_live_capacities", |b| {

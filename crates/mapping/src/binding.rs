@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::Interconnect;
+use mamps_platform::noc::WireAllocator;
 use mamps_platform::types::TileId;
 use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::ActorId;
@@ -135,39 +136,25 @@ impl Occupancy {
         Ok(())
     }
 
-    /// Seeds a wire allocator with the reserved connections.
+    /// A wire allocator for `arch`'s NoC, seeded with the reserved
+    /// connections; `None` on FSL platforms.
     ///
     /// # Errors
     ///
     /// [`MapError::Wires`] if the recorded reservations no longer fit the
     /// NoC (inconsistent occupancy).
-    pub fn seed_wires(
+    pub(crate) fn wire_allocator(
         &self,
-        alloc: &mut mamps_platform::noc::WireAllocator,
-    ) -> Result<(), MapError> {
+        arch: &Architecture,
+    ) -> Result<Option<WireAllocator>, MapError> {
+        let Interconnect::Noc(noc) = arch.interconnect() else {
+            return Ok(None);
+        };
+        let mut alloc = WireAllocator::new(*noc);
         for &(from, to, wires) in &self.connections {
             alloc.allocate(from, to, wires)?;
         }
-        Ok(())
-    }
-
-    /// Seeds a wire allocator for `arch`'s interconnect, when it is a NoC.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Occupancy::seed_wires`].
-    pub fn wire_allocator(
-        &self,
-        arch: &Architecture,
-    ) -> Result<Option<mamps_platform::noc::WireAllocator>, MapError> {
-        match arch.interconnect() {
-            Interconnect::Noc(noc) => {
-                let mut alloc = mamps_platform::noc::WireAllocator::new(*noc);
-                self.seed_wires(&mut alloc)?;
-                Ok(Some(alloc))
-            }
-            Interconnect::Fsl { .. } => Ok(None),
-        }
+        Ok(Some(alloc))
     }
 }
 

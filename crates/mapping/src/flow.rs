@@ -17,43 +17,53 @@
 //! re-execute. Replayed outputs are exactly the values the original run
 //! produced, so cold, warm and incremental runs build identical
 //! mappings by construction.
+//!
+//! The helpers the passes are built from — wire allocation, the initial
+//! buffer allocation, expand-then-analyse and deadlock-driven growth —
+//! are shared with the genetic binder's fitness ([`crate::strategy`]) and
+//! the shared-system verification of [`crate::multi`].
 
-use std::cell::RefCell;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use mamps_platform::arch::Architecture;
-use mamps_platform::interconnect::Interconnect;
-use mamps_platform::noc::WireAllocator;
-use mamps_sdf::buffer::capacity_lower_bound;
+use mamps_sdf::buffer::{capacity_lower_bound, grow_step};
 use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::SdfGraph;
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::passes::{fingerprint, PassRunner};
-use mamps_sdf::ratio::Ratio;
+use mamps_sdf::ratio::{gcd, Ratio};
 use mamps_sdf::state_space::{throughput, AnalysisOptions, ThroughputResult};
 use mamps_sdf::SdfError;
 use serde::{Deserialize, Serialize, Value};
 
-use crate::binding::{bind, BindOptions};
+use crate::binding::{bind, BindOptions, Occupancy};
 use crate::comm_expand::{expand, ExpandedGraph};
 use crate::error::MapError;
-use crate::mapping::{ChannelAlloc, Mapping};
+use crate::mapping::{Binding, ChannelAlloc, Mapping, ScheduleEntry};
 use crate::schedule::build_schedules;
 
+/// SDM wires requested per NoC connection (clamped to availability).
+const WIRES_PER_CONNECTION: u32 = 2;
+
+/// Budget of greedy growth steps of the `buffer-size` pass.
+const GROWTH_BUDGET: usize = 32;
+
+/// State cap of every expanded-graph throughput analysis.
+pub(crate) const MAX_STATES: usize = 2_000_000;
+
+/// How many deadlock-driven buffer-growth steps [`grow_to_liveness`]
+/// takes before giving up.
+pub(crate) const DEADLOCK_GROWTH_ATTEMPTS: usize = 12;
+
 /// Options of the mapping flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MapOptions {
     /// Binder options (strategy, cost weights, pinning).
     pub bind: BindOptions,
     /// Throughput target in iterations/cycle; `None` uses the application's
     /// constraint, and if that is absent too, buffers grow until saturation.
     pub target: Option<Ratio>,
-    /// SDM wires requested per NoC connection (clamped to availability).
-    pub wires_per_connection: u32,
-    /// Budget of greedy buffer-growth steps.
-    pub growth_budget: usize,
-    /// State-space analysis limits.
-    pub max_states: usize,
     /// Shared throughput-analysis cache. When set, every expand + analyse
     /// probe of the buffer-growth search consults the cache before falling
     /// back to the state-space kernel, so structurally identical candidate
@@ -65,20 +75,6 @@ pub struct MapOptions {
     /// memoization — unchanged passes replay instead of re-executing.
     /// `None` runs every pass directly with zero bookkeeping.
     pub passes: Option<Arc<PassRunner>>,
-}
-
-impl Default for MapOptions {
-    fn default() -> Self {
-        MapOptions {
-            bind: BindOptions::default(),
-            target: None,
-            wires_per_connection: 2,
-            growth_budget: 32,
-            max_states: 2_000_000,
-            cache: None,
-            passes: None,
-        }
-    }
 }
 
 impl MapOptions {
@@ -103,14 +99,6 @@ pub struct MappedApplication {
     pub analysis: ThroughputResult,
     /// Name of the binding strategy that produced the mapping.
     pub strategy: &'static str,
-}
-
-fn analysis_options(max_states: usize) -> AnalysisOptions {
-    AnalysisOptions {
-        auto_concurrency: true,
-        max_states,
-        ..AnalysisOptions::default()
-    }
 }
 
 /// Runs `f` as the pass `name` under `passes`, or directly (uncached,
@@ -153,24 +141,182 @@ pub(crate) fn channel_structure_value(graph: &SdfGraph) -> Value {
     )
 }
 
-/// How many deadlock-driven buffer-growth attempts are allowed before
-/// giving up (shared by the single-application phase-1 loop and the
-/// multi-app combined-schedule growth in [`crate::multi`]).
-pub(crate) const DEADLOCK_GROWTH_ATTEMPTS: usize = 12;
+/// `graph` with every actor's execution time set to its bound WCET.
+pub(crate) fn wcet_graph(graph: &SdfGraph, binding: &Binding) -> SdfGraph {
+    let mut g = graph.clone();
+    for (aid, _) in graph.actors() {
+        g.actor_mut(aid).set_execution_time(binding.wcet_of[aid.0]);
+    }
+    g
+}
 
-/// One uniform buffer-growth step on every channel allocation: a
-/// production of slack at the source, a consumption at the destination,
-/// and one rate-gcd token of local capacity. Used whenever an analysis
-/// deadlocks at the current allocation.
-pub(crate) fn grow_channels_one_step(
-    graph: &mamps_sdf::graph::SdfGraph,
-    channels: &mut [ChannelAlloc],
-) {
+/// NoC wire allocation, one connection per cross-tile channel, starting
+/// from the reservations of `occupancy` so an admitted use-case's
+/// connections are never double-allocated. All zero on FSL platforms.
+///
+/// # Errors
+///
+/// [`MapError::Wires`] when the residual wires cannot carry a connection.
+pub(crate) fn allocate_wires(
+    graph: &SdfGraph,
+    binding: &Binding,
+    arch: &Architecture,
+    occupancy: &Occupancy,
+) -> Result<Vec<u32>, MapError> {
+    let mut wires = vec![0u32; graph.channel_count()];
+    if let Some(mut alloc) = occupancy.wire_allocator(arch)? {
+        for (cid, ch) in graph.channels() {
+            if ch.is_self_edge() || !binding.crosses_tiles(ch.src(), ch.dst()) {
+                continue;
+            }
+            let from = binding.tile_of[ch.src().0];
+            let to = binding.tile_of[ch.dst().0];
+            let want = WIRES_PER_CONNECTION
+                .min(alloc.max_allocatable(from, to))
+                .max(1);
+            alloc.allocate(from, to, want)?;
+            wires[cid.0] = want;
+        }
+    }
+    Ok(wires)
+}
+
+/// The mapping buffer sizing starts from: `binding` with its schedules
+/// and wires, and every channel at its initial allocation — two rate
+/// steps of buffer at each end and the isolated lower bound of local
+/// capacity.
+pub(crate) fn initial_mapping(
+    graph: &SdfGraph,
+    binding: Binding,
+    (schedules, rounds): (Vec<Vec<ScheduleEntry>>, Vec<u64>),
+    wires: &[u32],
+) -> Mapping {
+    let channels = graph
+        .channels()
+        .map(|(cid, ch)| ChannelAlloc {
+            wires: wires[cid.0],
+            alpha_src: ch.initial_tokens() + 2 * ch.production_rate(),
+            alpha_dst: 2 * ch.consumption_rate(),
+            local_capacity: capacity_lower_bound(graph, cid),
+        })
+        .collect();
+    Mapping {
+        binding,
+        schedules,
+        rounds_per_iteration: rounds,
+        channels,
+        guaranteed_iterations: 0,
+        guaranteed_cycles: 1,
+    }
+}
+
+/// Expands `mapping` (Fig. 4) and analyses the expanded graph, through
+/// `cache` when one is set. The outer error is the expansion's, the inner
+/// one the analysis's: the genetic fitness penalizes the two differently.
+pub(crate) fn expand_and_analyse(
+    graph: &SdfGraph,
+    mapping: &Mapping,
+    arch: &Architecture,
+    cache: Option<&GlobalAnalysisCache>,
+) -> Result<(ExpandedGraph, Result<ThroughputResult, SdfError>), MapError> {
+    let e = expand(graph, mapping, arch)?;
+    let opts = AnalysisOptions {
+        auto_concurrency: true,
+        max_states: MAX_STATES,
+        ..AnalysisOptions::default()
+    };
+    let r = match cache {
+        Some(cache) => cache.throughput(&e.graph, &opts),
+        None => throughput(&e.graph, &opts),
+    };
+    Ok((e, r))
+}
+
+/// [`expand_and_analyse`] with both errors as one [`MapError`].
+fn analyse(
+    graph: &SdfGraph,
+    mapping: &Mapping,
+    arch: &Architecture,
+    cache: Option<&GlobalAnalysisCache>,
+) -> Result<(ExpandedGraph, ThroughputResult), MapError> {
+    let (e, r) = expand_and_analyse(graph, mapping, arch, cache)?;
+    Ok((e, r?))
+}
+
+/// Phase 1 of buffer sizing, shared by the `buffer-size` and
+/// `verify-shared` passes: analyses `m` and, while the analysis
+/// deadlocks, grows every channel allocation by one uniform step — a
+/// production of slack at the source, a consumption at the destination and
+/// one rate-gcd token of local capacity — up to
+/// [`DEADLOCK_GROWTH_ATTEMPTS`] times.
+///
+/// # Errors
+///
+/// The last deadlock once the attempts are exhausted, or the first other
+/// expansion or analysis error.
+pub(crate) fn grow_to_liveness(
+    graph: &SdfGraph,
+    m: &mut Mapping,
+    arch: &Architecture,
+    cache: Option<&GlobalAnalysisCache>,
+) -> Result<(ExpandedGraph, ThroughputResult), MapError> {
+    let mut attempt = 0;
+    loop {
+        match analyse(graph, m, arch, cache) {
+            Err(MapError::Sdf(SdfError::Deadlock(_))) if attempt < DEADLOCK_GROWTH_ATTEMPTS => {
+                attempt += 1;
+                for (cid, ch) in graph.channels() {
+                    let c = &mut m.channels[cid.0];
+                    c.alpha_src += ch.production_rate().max(ch.initial_tokens());
+                    c.alpha_dst += ch.consumption_rate();
+                    c.local_capacity += gcd(ch.production_rate(), ch.consumption_rate());
+                }
+            }
+            result => return result,
+        }
+    }
+}
+
+/// Which buffer of a channel allocation a growth move enlarges.
+#[derive(Debug, Clone, Copy)]
+enum Buffer {
+    Src,
+    Dst,
+    Local,
+}
+
+/// The growth moves of the `buffer-size` search, in channel order: one
+/// production step of source buffer and one consumption step of
+/// destination buffer for every cross-tile channel, one rate-gcd step of
+/// local capacity for every other non-self channel.
+fn growth_moves(graph: &SdfGraph, binding: &Binding) -> Vec<(usize, Buffer, u64)> {
+    let mut moves = Vec::new();
     for (cid, ch) in graph.channels() {
-        let c = &mut channels[cid.0];
-        c.alpha_src += ch.production_rate().max(ch.initial_tokens());
-        c.alpha_dst += ch.consumption_rate();
-        c.local_capacity += mamps_sdf::ratio::gcd(ch.production_rate(), ch.consumption_rate());
+        let (p, c) = (ch.production_rate(), ch.consumption_rate());
+        if ch.is_self_edge() {
+            continue;
+        } else if binding.crosses_tiles(ch.src(), ch.dst()) {
+            moves.push((cid.0, Buffer::Src, p));
+            moves.push((cid.0, Buffer::Dst, c));
+        } else {
+            moves.push((cid.0, Buffer::Local, gcd(p, c)));
+        }
+    }
+    moves
+}
+
+/// Applies (or, with `undo`, reverts) one growth move to a mapping.
+fn grow_buffer(m: &mut Mapping, &(idx, buffer, step): &(usize, Buffer, u64), undo: bool) {
+    let c = &mut m.channels[idx];
+    let field = match buffer {
+        Buffer::Src => &mut c.alpha_src,
+        Buffer::Dst => &mut c.alpha_dst,
+        Buffer::Local => &mut c.local_capacity,
+    };
+    if undo {
+        *field -= step;
+    } else {
+        *field += step;
     }
 }
 
@@ -213,20 +359,9 @@ pub fn map_application(
         || bind(app, arch, &bind_opts),
     )?;
     let graph = app.graph();
+    let wcet_graph = wcet_graph(graph, &binding);
 
-    // WCET-annotated graph for analysis.
-    let wcet_graph = {
-        let mut g = graph.clone();
-        for (aid, _) in graph.actors() {
-            g.actor_mut(aid).set_execution_time(binding.wcet_of[aid.0]);
-        }
-        g
-    };
-
-    // NoC wire allocation, one connection per cross-tile channel. The
-    // allocator starts from the occupancy's reservations so an admitted
-    // use-case's connections are never double-allocated. Keyed WCET-free:
-    // wires depend on placement and topology only.
+    // Keyed WCET-free: wires depend on placement and topology only.
     let wires = run_pass(
         &opts.passes,
         "wire-alloc",
@@ -236,33 +371,15 @@ pub fn map_application(
                 binding.tile_of.to_value(),
                 arch.to_value(),
                 opts.bind.occupancy.connections.to_value(),
-                Value::Int(opts.wires_per_connection as i128),
+                Value::Int(WIRES_PER_CONNECTION as i128),
             ])
         },
-        || -> Result<Vec<u32>, MapError> {
-            let mut wires = vec![0u32; graph.channel_count()];
-            if let Interconnect::Noc(noc) = arch.interconnect() {
-                let mut alloc = WireAllocator::new(*noc);
-                opts.bind.occupancy.seed_wires(&mut alloc)?;
-                for (cid, ch) in graph.channels() {
-                    if ch.is_self_edge() || !binding.crosses_tiles(ch.src(), ch.dst()) {
-                        continue;
-                    }
-                    let from = binding.tile_of[ch.src().0];
-                    let to = binding.tile_of[ch.dst().0];
-                    let avail = alloc.max_allocatable(from, to);
-                    let want = opts.wires_per_connection.min(avail).max(1);
-                    alloc.allocate(from, to, want)?;
-                    wires[cid.0] = want;
-                }
-            }
-            Ok(wires)
-        },
+        || allocate_wires(graph, &binding, arch, &opts.bind.occupancy),
     )?;
 
     // Static-order schedules. Also WCET-free: ordering follows the
     // repetition vector and liveness order, never execution times.
-    let (schedules, rounds) = run_pass(
+    let schedules = run_pass(
         &opts.passes,
         "schedule",
         || {
@@ -276,36 +393,17 @@ pub fn map_application(
         || build_schedules(graph, &binding, arch),
     )?;
 
-    // Initial buffer allocation.
-    let channels: Vec<ChannelAlloc> = graph
-        .channels()
-        .map(|(cid, ch)| ChannelAlloc {
-            wires: wires[cid.0],
-            alpha_src: ch.initial_tokens() + 2 * ch.production_rate(),
-            alpha_dst: 2 * ch.consumption_rate(),
-            local_capacity: capacity_lower_bound(graph, cid),
-        })
-        .collect();
-
     let target = opts
         .target
         .or_else(|| app.throughput_constraint().map(|c| c.as_ratio()));
-
-    let mut mapping = Mapping {
-        binding,
-        schedules,
-        rounds_per_iteration: rounds,
-        channels,
-        guaranteed_iterations: 0,
-        guaranteed_cycles: 1,
-    };
+    let mut mapping = initial_mapping(graph, binding, schedules, &wires);
 
     // Buffer sizing: the dominant pass (phase-1 deadlock growth plus the
     // phase-2 greedy search, each step one expand + throughput analysis).
     // On a replay only the final allocation and analysis come back; the
     // expanded graph is rebuilt below — expansion is deterministic and
     // costs one graph construction, far below a single analysis.
-    let expanded_slot: RefCell<Option<ExpandedGraph>> = RefCell::new(None);
+    let mut expanded = None;
     let (sized_channels, analysis) = run_pass(
         &opts.passes,
         "buffer-size",
@@ -316,8 +414,8 @@ pub fn map_application(
                 mapping.binding.to_value(),
                 mapping.channels.to_value(),
                 target.to_value(),
-                Value::Int(opts.growth_budget as i128),
-                Value::Int(opts.max_states as i128),
+                Value::Int(GROWTH_BUDGET as i128),
+                Value::Int(MAX_STATES as i128),
             ])
         },
         || -> Result<(Vec<ChannelAlloc>, ThroughputResult), MapError> {
@@ -327,100 +425,28 @@ pub fn map_application(
             // candidate used to dominate the mapping step's cost outside
             // the throughput kernel.
             let mut m = mapping.clone();
-            let analyse = |m: &Mapping| -> Result<(ExpandedGraph, ThroughputResult), MapError> {
-                let e = expand(&wcet_graph, m, arch)?;
-                let aopts = analysis_options(opts.max_states);
-                // Buffer capacities are encoded structurally (reverse
-                // channels) in the expanded graph, so the cache key needs
-                // no capacity vector.
-                let r = match &opts.cache {
-                    Some(cache) => cache.throughput(&e.graph, &aopts),
-                    None => throughput(&e.graph, &aopts),
-                };
-                Ok((e, r.map_err(MapError::Sdf)?))
-            };
-
-            // Phase 1: reach liveness by doubling buffers on deadlock.
-            let mut attempt = 0;
-            let mut current = loop {
-                match analyse(&m) {
-                    Ok(r) => break r,
-                    Err(MapError::Sdf(SdfError::Deadlock(msg))) => {
-                        attempt += 1;
-                        if attempt > DEADLOCK_GROWTH_ATTEMPTS {
-                            return Err(MapError::Sdf(SdfError::Deadlock(msg)));
-                        }
-                        grow_channels_one_step(graph, &mut m.channels);
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-
-            // Applies or reverts one growth step of `kind` on channel `idx`.
-            let grow = |m: &mut Mapping, idx: usize, kind: u8, revert: bool| {
-                let ch = graph.channel(mamps_sdf::graph::ChannelId(idx));
-                let (field, step) = match kind {
-                    0 => (&mut m.channels[idx].alpha_src, ch.production_rate()),
-                    1 => (&mut m.channels[idx].alpha_dst, ch.consumption_rate()),
-                    _ => (
-                        &mut m.channels[idx].local_capacity,
-                        mamps_sdf::ratio::gcd(ch.production_rate(), ch.consumption_rate()),
-                    ),
-                };
-                if revert {
-                    *field -= step;
-                } else {
-                    *field += step;
-                }
-            };
+            let cache = opts.cache.as_deref();
+            let mut current = grow_to_liveness(&wcet_graph, &mut m, arch, cache)?;
 
             // Phase 2: greedy growth toward the target (or saturation when
-            // no target is set, bounded by the growth budget). Candidates
-            // are probed by mutating the mapping in place and reverting.
-            let mut budget = opts.growth_budget;
-            loop {
-                let met = match target {
-                    Some(t) => current.1.iterations_per_cycle >= t,
-                    None => false,
-                };
-                if met || budget == 0 {
+            // no target is set, bounded by the growth budget). A candidate
+            // whose expansion or analysis fails is skipped.
+            let moves = growth_moves(graph, &m.binding);
+            for _ in 0..GROWTH_BUDGET {
+                if target.is_some_and(|t| current.1.iterations_per_cycle >= t) {
                     break;
                 }
-                budget -= 1;
-                let mut best: Option<(usize, u8, (ExpandedGraph, ThroughputResult))> = None;
-                for (cid, ch) in graph.channels() {
-                    if ch.is_self_edge() {
-                        continue;
-                    }
-                    let steps: &[u8] = if m.binding.crosses_tiles(ch.src(), ch.dst()) {
-                        &[0, 1] // grow alpha_src / alpha_dst
-                    } else {
-                        &[2] // grow local capacity
-                    };
-                    for &kind in steps {
-                        grow(&mut m, cid.0, kind, false);
-                        let r = analyse(&m);
-                        grow(&mut m, cid.0, kind, true);
-                        if let Ok(r) = r {
-                            let better = match &best {
-                                None => r.1.iterations_per_cycle > current.1.iterations_per_cycle,
-                                Some((_, _, b)) => {
-                                    r.1.iterations_per_cycle > b.1.iterations_per_cycle
-                                }
-                            };
-                            if better {
-                                best = Some((cid.0, kind, r));
-                            }
-                        }
-                    }
-                }
-                match best {
-                    Some((idx, kind, r)) => {
-                        grow(&mut m, idx, kind, false);
-                        current = r;
-                    }
-                    None => break, // saturated
-                }
+                let Ok(Some(next)) = grow_step(
+                    &mut m,
+                    &moves,
+                    current.1.iterations_per_cycle,
+                    grow_buffer,
+                    |m| Ok::<_, Infallible>(analyse(&wcet_graph, m, arch, cache).ok()),
+                    |r| r.1.iterations_per_cycle,
+                ) else {
+                    break; // saturated
+                };
+                current = next;
             }
 
             if let Some(t) = target {
@@ -432,7 +458,7 @@ pub fn map_application(
                 }
             }
 
-            expanded_slot.replace(Some(current.0));
+            expanded = Some(current.0);
             Ok((m.channels, current.1))
         },
     )?;
@@ -440,7 +466,7 @@ pub fn map_application(
     mapping.channels = sized_channels;
     mapping.guaranteed_iterations = analysis.iterations_per_cycle.numer().max(0) as u64;
     mapping.guaranteed_cycles = analysis.iterations_per_cycle.denom() as u64;
-    let expanded = match expanded_slot.into_inner() {
+    let expanded = match expanded {
         Some(e) => e,
         None => expand(&wcet_graph, &mapping, arch)?,
     };
@@ -455,6 +481,7 @@ pub fn map_application(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mamps_platform::interconnect::Interconnect;
     use mamps_sdf::graph::SdfGraphBuilder;
     use mamps_sdf::model::{HomogeneousModelBuilder, ThroughputConstraint};
     use mamps_sdf::passes::PassCache;

@@ -56,12 +56,15 @@ use mamps_sdf::graph::{ActorId, ChannelId, SdfGraph, SdfGraphBuilder};
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::ratio::{gcd, Ratio};
 use mamps_sdf::repetition::repetition_vector;
-use mamps_sdf::state_space::{throughput, AnalysisOptions, ThroughputResult};
+use mamps_sdf::state_space::ThroughputResult;
+use mamps_sdf::SdfError;
 
 use crate::binding::Occupancy;
-use crate::comm_expand::expand;
 use crate::error::MapError;
-use crate::flow::{map_application, run_pass, MapOptions, MappedApplication};
+use crate::flow::{
+    grow_to_liveness, map_application, run_pass, MapOptions, MappedApplication,
+    DEADLOCK_GROWTH_ATTEMPTS, MAX_STATES,
+};
 use crate::mapping::{Binding, ChannelAlloc, Mapping, ScheduleEntry};
 use mamps_sdf::cache::GraphFingerprint;
 use mamps_sdf::passes::fingerprint;
@@ -227,8 +230,9 @@ pub struct GroupMember {
 /// WCET-annotated union graph of all member applications and the combined
 /// mapping whose per-tile schedules concatenate the members' rounds.
 ///
-/// Ready for both the state-space analysis (via [`expand`]) and the
-/// cycle-level simulator (`System::new_with_repetitions` with
+/// Ready for both the state-space analysis (via
+/// [`expand`](crate::comm_expand::expand)) and the cycle-level simulator
+/// (`System::new_with_repetitions` with
 /// [`SharedSystem::combined_repetitions`]).
 #[derive(Debug, Clone)]
 pub struct SharedSystem {
@@ -297,19 +301,11 @@ impl UseCaseMapping {
     }
 }
 
-fn analysis_options(max_states: usize) -> AnalysisOptions {
-    AnalysisOptions {
-        auto_concurrency: true,
-        max_states,
-        ..AnalysisOptions::default()
-    }
-}
-
 /// Maps every application of `uc` onto `arch`, one at a time, verifying
 /// all per-application guarantees under sharing after each admission.
 ///
 /// `opts` configures the per-application mapping step (binding strategy,
-/// wires, growth budget); each application's throughput target comes from
+/// caches); each application's throughput target comes from
 /// its own model constraint unless `opts.target` overrides it for all.
 /// Applications that cannot be admitted are recorded in
 /// [`UseCaseMapping::rejected`] — the loop continues with the remaining
@@ -541,12 +537,12 @@ fn verify_shared(
         } else {
             // Concatenated (batched) rounds can need more buffer slack
             // than each member's isolation sizing provided; grow the
-            // combined allocation to liveness exactly like the mapping
-            // flow's phase 1. The simulator deploys the same grown
-            // allocation, so the bound stays exact for the shared system.
-            // Memoized as the `verify-shared` pass: an unchanged group
-            // (same combined graph incl. WCETs, same mapping) replays its
-            // grown allocation and analysis.
+            // combined allocation to liveness with the mapping flow's
+            // phase 1. The simulator deploys the same grown allocation, so
+            // the bound stays exact for the shared system. Memoized as the
+            // `verify-shared` pass: an unchanged group (same combined graph
+            // incl. WCETs, same mapping) replays its grown allocation and
+            // analysis.
             let (grown_channels, analysis) = run_pass(
                 &opts.passes,
                 "verify-shared",
@@ -554,37 +550,22 @@ fn verify_shared(
                     fingerprint(vec![
                         serde::Value::Int(i128::from(GraphFingerprint::of(&graph).hash())),
                         mapping.to_value(),
-                        serde::Value::Int(opts.max_states as i128),
+                        serde::Value::Int(MAX_STATES as i128),
                     ])
                 },
                 || -> Result<(Vec<ChannelAlloc>, ThroughputResult), RejectReason> {
                     let mut m = mapping.clone();
-                    let mut attempt = 0;
-                    let analysis = loop {
-                        let result = expand(&graph, &m, arch).and_then(|e| {
-                            let aopts = analysis_options(opts.max_states);
-                            match &opts.cache {
-                                Some(cache) => cache.throughput(&e.graph, &aopts),
-                                None => throughput(&e.graph, &aopts),
-                            }
-                            .map_err(MapError::Sdf)
-                        });
-                        match result {
-                            Ok(t) => break t,
-                            Err(MapError::Sdf(mamps_sdf::SdfError::Deadlock(msg))) => {
-                                attempt += 1;
-                                if attempt > crate::flow::DEADLOCK_GROWTH_ATTEMPTS {
-                                    return Err(RejectReason::SharedAnalysis(format!(
-                                        "combined static orders stay deadlocked after \
-                                         {attempt} buffer-growth steps: {msg}"
-                                    )));
-                                }
-                                crate::flow::grow_channels_one_step(&graph, &mut m.channels);
-                            }
-                            Err(e) => return Err(RejectReason::SharedAnalysis(e.to_string())),
+                    match grow_to_liveness(&graph, &mut m, arch, opts.cache.as_deref()) {
+                        Ok((_, analysis)) => Ok((m.channels, analysis)),
+                        Err(MapError::Sdf(SdfError::Deadlock(msg))) => {
+                            Err(RejectReason::SharedAnalysis(format!(
+                                "combined static orders stay deadlocked after {} \
+                                 buffer-growth steps: {msg}",
+                                DEADLOCK_GROWTH_ATTEMPTS + 1
+                            )))
                         }
-                    };
-                    Ok((m.channels, analysis))
+                        Err(e) => Err(RejectReason::SharedAnalysis(e.to_string())),
+                    }
                 },
             )?;
             mapping.channels = grown_channels;

@@ -48,21 +48,19 @@ use std::sync::Arc;
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::Interconnect;
 use mamps_platform::types::{words_per_token, TileId};
-use mamps_sdf::buffer::capacity_lower_bound;
 use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::ActorId;
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::repetition::repetition_vector;
-use mamps_sdf::state_space::{throughput, AnalysisOptions};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::binding::BindOptions;
-use crate::comm_expand::expand;
 use crate::cost::CostBreakdown;
 use crate::error::MapError;
-use crate::mapping::{Binding, ChannelAlloc, Mapping};
+use crate::flow::{allocate_wires, expand_and_analyse, initial_mapping, wcet_graph};
+use crate::mapping::Binding;
 use crate::schedule::build_schedules;
 
 /// An actor-to-tile binding heuristic.
@@ -595,24 +593,21 @@ fn spiral_tile_order(
 /// probability `1/actors`.
 ///
 /// The fitness of a chromosome is the **guaranteed throughput** of the
-/// candidate binding: schedules are built, NoC wires allocated, the Fig. 4
-/// interconnect expansion applied, and the existing state-space analysis
-/// run on the result; fitness values are memoized per assignment so
-/// repeated chromosomes cost nothing. Assignments that violate tile memory
-/// get a large negative penalty, ones that fail wire allocation or
-/// scheduling a smaller one, and ones that deadlock at the initial buffer
-/// allocation a token penalty (the downstream flow can often still grow
-/// buffers to liveness).
+/// candidate binding, evaluated with the mapping flow's own helpers: NoC
+/// wires allocated and schedules built as the `wire-alloc` and `schedule`
+/// passes do, channels at the `buffer-size` pass's initial allocation,
+/// and the same expand-then-analyse step. Fitness values are memoized per
+/// assignment so repeated chromosomes cost nothing. Assignments that
+/// violate tile memory get a large negative penalty, ones that fail wire
+/// allocation, scheduling or expansion a smaller one, and ones whose
+/// analysis fails (typically a deadlock at the initial buffer allocation)
+/// a token penalty (the downstream flow can often still grow buffers to
+/// liveness).
 ///
-/// The fitness model evaluates candidates under this binder's own
-/// [`wires_per_connection`](GeneticBinder::wires_per_connection) and
-/// [`max_states`](GeneticBinder::max_states) (whose defaults match
-/// `MapOptions`), and at the *initial* buffer allocation — it is a
-/// heuristic ranking, not the final verdict. When the downstream flow
-/// runs with different options, or when a binding only shines after
-/// buffer growth, the GA's ranking can diverge from the flow's final
-/// numbers; the winning binding is always re-verified by the unchanged
-/// pipeline either way.
+/// Because it skips buffer growth, the fitness is a heuristic ranking, not
+/// the final verdict: a binding that only shines after growth can rank
+/// below its final numbers. The winning binding is always re-verified by
+/// the unchanged pipeline.
 ///
 /// All randomness comes from a [`StdRng`] seeded with [`GeneticBinder::seed`]:
 /// the same seed always yields the same binding.
@@ -628,11 +623,6 @@ pub struct GeneticBinder {
     pub elite: usize,
     /// Probability of drawing a parent from the elite pool.
     pub bias: f64,
-    /// SDM wires requested per NoC connection in the fitness evaluation
-    /// (mirrors `MapOptions::wires_per_connection`).
-    pub wires_per_connection: u32,
-    /// State cap of the fitness throughput analysis.
-    pub max_states: usize,
 }
 
 impl Default for GeneticBinder {
@@ -643,8 +633,6 @@ impl Default for GeneticBinder {
             generations: 8,
             elite: 4,
             bias: 0.7,
-            wires_per_connection: 2,
-            max_states: 2_000_000,
         }
     }
 }
@@ -657,113 +645,57 @@ impl GeneticBinder {
             ..GeneticBinder::default()
         }
     }
+}
 
-    /// Penalized guaranteed-throughput fitness of one assignment,
-    /// evaluated against the residual resources left by `occ`.
-    fn fitness(
-        &self,
-        app: &ApplicationModel,
-        arch: &Architecture,
-        occ: &crate::binding::Occupancy,
-        cache: Option<&GlobalAnalysisCache>,
-        chrom: &[TileId],
-    ) -> f64 {
-        const MEM_PENALTY: f64 = -1e9;
-        const STRUCTURE_PENALTY: f64 = -1e6;
-        const DEADLOCK_PENALTY: f64 = -1.0;
+/// Penalized guaranteed-throughput fitness of one assignment of the
+/// [`GeneticBinder`], evaluated against the residual resources left by
+/// `occ`.
+fn fitness(
+    app: &ApplicationModel,
+    arch: &Architecture,
+    occ: &crate::binding::Occupancy,
+    cache: Option<&GlobalAnalysisCache>,
+    chrom: &[TileId],
+) -> f64 {
+    const MEM_PENALTY: f64 = -1e9;
+    const STRUCTURE_PENALTY: f64 = -1e6;
+    const DEADLOCK_PENALTY: f64 = -1.0;
 
-        let graph = app.graph();
+    let graph = app.graph();
 
-        // Tile memory feasibility: one penalty unit per overcommitted tile.
-        let mut mem_used: Vec<u64> = (0..arch.tile_count())
-            .map(|t| occ.mem_on(TileId(t)))
-            .collect();
-        for (i, &t) in chrom.iter().enumerate() {
-            match mem_needed(app, arch, ActorId(i), t) {
-                Some(need) => mem_used[t.0] += need,
-                None => return MEM_PENALTY * chrom.len() as f64,
-            }
+    // Tile memory feasibility: one penalty unit per overcommitted tile.
+    let mut mem_used: Vec<u64> = (0..arch.tile_count())
+        .map(|t| occ.mem_on(TileId(t)))
+        .collect();
+    for (i, &t) in chrom.iter().enumerate() {
+        match mem_needed(app, arch, ActorId(i), t) {
+            Some(need) => mem_used[t.0] += need,
+            None => return MEM_PENALTY * chrom.len() as f64,
         }
-        let overcommitted = (0..arch.tile_count())
-            .filter(|&t| {
-                let tile = arch.tile(TileId(t));
-                mem_used[t] > tile.imem_bytes() + tile.dmem_bytes()
-            })
-            .count();
-        if overcommitted > 0 {
-            return MEM_PENALTY * overcommitted as f64;
-        }
+    }
+    let overcommitted = (0..arch.tile_count())
+        .filter(|&t| {
+            let tile = arch.tile(TileId(t));
+            mem_used[t] > tile.imem_bytes() + tile.dmem_bytes()
+        })
+        .count();
+    if overcommitted > 0 {
+        return MEM_PENALTY * overcommitted as f64;
+    }
 
-        let binding = finish_binding(app, arch, chrom.to_vec());
-
-        let mut wcet_graph = graph.clone();
-        for (aid, _) in graph.actors() {
-            wcet_graph
-                .actor_mut(aid)
-                .set_execution_time(binding.wcet_of[aid.0]);
-        }
-
-        let mut wires = vec![0u32; graph.channel_count()];
-        if let Interconnect::Noc(noc) = arch.interconnect() {
-            let mut alloc = mamps_platform::noc::WireAllocator::new(*noc);
-            if occ.seed_wires(&mut alloc).is_err() {
-                return STRUCTURE_PENALTY;
-            }
-            for (cid, ch) in graph.channels() {
-                if ch.is_self_edge() || !binding.crosses_tiles(ch.src(), ch.dst()) {
-                    continue;
-                }
-                let from = binding.tile_of[ch.src().0];
-                let to = binding.tile_of[ch.dst().0];
-                let want = self
-                    .wires_per_connection
-                    .min(alloc.max_allocatable(from, to))
-                    .max(1);
-                if alloc.allocate(from, to, want).is_err() {
-                    return STRUCTURE_PENALTY;
-                }
-                wires[cid.0] = want;
-            }
-        }
-
-        let (schedules, rounds) = match build_schedules(graph, &binding, arch) {
-            Ok(s) => s,
-            Err(_) => return STRUCTURE_PENALTY,
-        };
-        let channels: Vec<ChannelAlloc> = graph
-            .channels()
-            .map(|(cid, ch)| ChannelAlloc {
-                wires: wires[cid.0],
-                alpha_src: ch.initial_tokens() + 2 * ch.production_rate(),
-                alpha_dst: 2 * ch.consumption_rate(),
-                local_capacity: capacity_lower_bound(graph, cid),
-            })
-            .collect();
-        let mapping = Mapping {
-            binding,
-            schedules,
-            rounds_per_iteration: rounds,
-            channels,
-            guaranteed_iterations: 0,
-            guaranteed_cycles: 1,
-        };
-        let expanded = match expand(&wcet_graph, &mapping, arch) {
-            Ok(e) => e,
-            Err(_) => return STRUCTURE_PENALTY,
-        };
-        let opts = AnalysisOptions {
-            auto_concurrency: true,
-            max_states: self.max_states,
-            ..AnalysisOptions::default()
-        };
-        let r = match cache {
-            Some(cache) => cache.throughput(&expanded.graph, &opts),
-            None => throughput(&expanded.graph, &opts),
-        };
-        match r {
-            Ok(t) => t.as_f64(),
-            Err(_) => DEADLOCK_PENALTY,
-        }
+    let binding = finish_binding(app, arch, chrom.to_vec());
+    let Ok(wires) = allocate_wires(graph, &binding, arch, occ) else {
+        return STRUCTURE_PENALTY;
+    };
+    let Ok(schedules) = build_schedules(graph, &binding, arch) else {
+        return STRUCTURE_PENALTY;
+    };
+    let wcet_graph = wcet_graph(graph, &binding);
+    let mapping = initial_mapping(graph, binding, schedules, &wires);
+    match expand_and_analyse(&wcet_graph, &mapping, arch, cache) {
+        Ok((_, Ok(t))) => t.as_f64(),
+        Ok((_, Err(_))) => DEADLOCK_PENALTY,
+        Err(_) => STRUCTURE_PENALTY,
     }
 }
 
@@ -843,7 +775,7 @@ impl BindingStrategy for GeneticBinder {
             if let Some(&f) = memo.get(chrom) {
                 return f;
             }
-            let f = self.fitness(app, arch, &opts.occupancy, opts.cache.as_deref(), chrom);
+            let f = fitness(app, arch, &opts.occupancy, opts.cache.as_deref(), chrom);
             memo.insert(chrom.clone(), f);
             f
         };
@@ -1025,8 +957,8 @@ mod tests {
             .unwrap();
         let best = ga.bind(&app, &arch, &BindOptions::default()).unwrap();
         let occ = crate::binding::Occupancy::default();
-        let f_greedy = ga.fitness(&app, &arch, &occ, None, &greedy.tile_of);
-        let f_best = ga.fitness(&app, &arch, &occ, None, &best.tile_of);
+        let f_greedy = fitness(&app, &arch, &occ, None, &greedy.tile_of);
+        let f_best = fitness(&app, &arch, &occ, None, &best.tile_of);
         assert!(
             f_best >= f_greedy,
             "GA best {f_best} below greedy {f_greedy}"

@@ -10,31 +10,22 @@
 //! per-channel lower bound, and throughput targets are met by greedy growth
 //! of the most profitable buffer.
 //!
-//! Greedy growth re-analyses the graph once per candidate channel per step,
-//! which makes the throughput kernel the hot path of the whole sizing
-//! search. Two optimizations keep that affordable:
-//!
-//! * every analysis goes through [`AnalysisCache`], which memoizes
-//!   [`ThroughputResult`]s by capacity vector (so [`size_for_throughput`]
-//!   and [`storage_throughput_pareto`] never analyse the same distribution
-//!   twice, even across calls when a cache is shared) and reuses the
-//!   kernel's scratch allocations between analyses;
-//! * independent growth candidates of one greedy step can be analysed
-//!   concurrently with the `jobs` knob of the `_with` variants — the best
-//!   candidate is still selected in channel order, so results are identical
-//!   to the sequential search.
+//! Every greedy search of the flow takes its steps through [`grow_step`]:
+//! [`size_for_throughput`] and [`storage_throughput_pareto`] here, over
+//! capacity vectors, and the `buffer-size` pass of `mamps_mapping`, over
+//! the channel allocations of a mapping. A step probes each growth move
+//! once and keeps the first strictly best, so a search never analyses the
+//! same distribution twice. The searches here analyse with the bounded
+//! kernel and reuse one set of kernel scratch buffers for all their probes.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::convert::Infallible;
 
-use crate::cache::{GlobalAnalysisCache, GraphFingerprint};
 use crate::error::SdfError;
 use crate::graph::{ActorId, ChannelId, SdfGraph};
 use crate::ratio::{gcd, Ratio};
 use crate::repetition::{repetition_vector, RepetitionVector};
 use crate::state_space::{
-    throughput, throughput_bounded, throughput_bounded_with, AnalysisOptions, ThroughputResult,
+    throughput, throughput_bounded_with, AnalysisOptions, Scratch, ThroughputResult,
 };
 
 /// Per-channel lower bound for a deadlock-free capacity of a single channel
@@ -48,175 +39,44 @@ pub fn capacity_lower_bound(graph: &SdfGraph, id: ChannelId) -> u64 {
     lb.max(ch.initial_tokens())
 }
 
-/// Memoizes bounded throughput analyses of **one** graph by capacity
-/// vector, and carries the kernel scratch buffers so repeated analyses are
-/// allocation-free.
+/// One step of greedy buffer growth, the rule every sizing search shares.
 ///
-/// Greedy buffer growth walks a chain of capacity distributions and probes
-/// one growth step per channel at every link; sharing a cache across
-/// [`size_for_throughput_with`] and [`storage_throughput_pareto_with`]
-/// calls on the same graph means no distribution is ever analysed twice.
-/// Errors are memoized too (a saturating candidate stays saturating).
+/// Applies each of `moves` to `state` in order, probes the grown state and
+/// reverts the move. Then applies the first move whose probed throughput
+/// (`rate` of the probe result) is strictly the highest and strictly above
+/// `current`, and returns that move's probe result. Returns `Ok(None)` and
+/// leaves `state` untouched when no move improves on `current`.
 ///
-/// The cache does not track graph identity: create one cache per graph.
-/// Analysis options *are* tracked — a call with different options than the
-/// memoized entries invalidates the table, so stale results are never
-/// returned.
+/// `apply(state, move, undo)` grows `state` by `move`, or shrinks it back
+/// when `undo` is set. `probe` returns `Ok(None)` to skip a candidate.
 ///
-/// A per-graph cache can additionally be **backed by a
-/// [`GlobalAnalysisCache`]** ([`AnalysisCache::with_global`]): local
-/// misses then consult the global table (keyed by the graph's canonical
-/// fingerprint, so entries survive across runs, graphs, and — through the
-/// disk layer — processes) before running the kernel, and every computed
-/// result is published back to it.
-#[derive(Debug, Default)]
-pub struct AnalysisCache {
-    map: HashMap<Vec<u64>, Result<ThroughputResult, SdfError>>,
-    /// Fingerprint of the options the memoized entries were computed with.
-    opts_fingerprint: Option<(bool, usize, usize)>,
-    scratch: crate::state_space::Scratch,
-    hits: u64,
-    misses: u64,
-    /// Cross-run backing store plus this graph's fingerprint under it.
-    global: Option<(Arc<GlobalAnalysisCache>, GraphFingerprint)>,
-}
-
-impl AnalysisCache {
-    /// Creates an empty cache.
-    pub fn new() -> AnalysisCache {
-        AnalysisCache::default()
-    }
-
-    /// Creates a cache for `graph` backed by the global cache: local
-    /// misses are looked up in (and computed results published to)
-    /// `global` under `graph`'s canonical fingerprint. The graph passed
-    /// to later [`analyse`](Self::analyse) calls must be the one
-    /// fingerprinted here — same contract as the plain per-graph cache.
-    pub fn with_global(graph: &SdfGraph, global: Arc<GlobalAnalysisCache>) -> AnalysisCache {
-        AnalysisCache {
-            global: Some((global, GraphFingerprint::of(graph))),
-            ..AnalysisCache::default()
-        }
-    }
-
-    /// Analyses `graph` bounded by `caps`, returning the memoized result
-    /// when this distribution was seen before (with the same options).
-    ///
-    /// # Errors
-    ///
-    /// The (possibly memoized) errors of [`throughput_bounded`].
-    pub fn analyse(
-        &mut self,
-        graph: &SdfGraph,
-        caps: &[u64],
-        opts: &AnalysisOptions,
-    ) -> Result<ThroughputResult, SdfError> {
-        self.check_options(opts);
-        if let Some(r) = self.map.get(caps) {
-            self.hits += 1;
-            return r.clone();
-        }
-        if let Some(r) = self.global_lookup(caps, opts) {
-            self.hits += 1;
-            self.map.insert(caps.to_vec(), r.clone());
-            return r;
-        }
-        let r = throughput_bounded_with(graph, caps, opts, &mut self.scratch);
-        self.misses += 1;
-        self.map.insert(caps.to_vec(), r.clone());
-        self.global_publish(caps, opts, r.clone());
-        r
-    }
-
-    /// A hit from the global backing store, if configured and present.
-    fn global_lookup(
-        &self,
-        caps: &[u64],
-        opts: &AnalysisOptions,
-    ) -> Option<Result<ThroughputResult, SdfError>> {
-        let (global, fp) = self.global.as_ref()?;
-        global.lookup(fp, caps, opts)
-    }
-
-    /// Publishes a computed result to the global backing store, if any.
-    fn global_publish(
-        &self,
-        caps: &[u64],
-        opts: &AnalysisOptions,
-        r: Result<ThroughputResult, SdfError>,
-    ) {
-        if let Some((global, fp)) = &self.global {
-            global.insert(fp, caps, opts, r);
-        }
-    }
-
-    /// Drops memoized entries computed under different analysis options, so
-    /// one cache can never serve a result from a mismatched configuration.
-    fn check_options(&mut self, opts: &AnalysisOptions) {
-        let fp = (
-            opts.auto_concurrency,
-            opts.max_states,
-            opts.max_firings_per_instant,
-        );
-        if self.opts_fingerprint != Some(fp) {
-            if self.opts_fingerprint.is_some() {
-                self.map.clear();
+/// # Errors
+///
+/// The first `Err` of `probe`. It aborts the step with `state` as it was.
+pub fn grow_step<S: ?Sized, M, T, E>(
+    state: &mut S,
+    moves: &[M],
+    current: Ratio,
+    mut apply: impl FnMut(&mut S, &M, bool),
+    mut probe: impl FnMut(&S) -> Result<Option<T>, E>,
+    rate: impl Fn(&T) -> Ratio,
+) -> Result<Option<T>, E> {
+    let mut best: Option<(&M, T)> = None;
+    for mv in moves {
+        apply(state, mv, false);
+        let probed = probe(state);
+        apply(state, mv, true);
+        if let Some(t) = probed? {
+            let bar = best.as_ref().map_or(current, |(_, b)| rate(b));
+            if rate(&t) > bar {
+                best = Some((mv, t));
             }
-            self.opts_fingerprint = Some(fp);
         }
     }
-
-    /// Memoized result for `caps`, if present locally or in the global
-    /// backing store (no analysis is run). Counts as a hit so the
-    /// statistics agree between the sequential and the parallel
-    /// candidate-evaluation paths.
-    fn peek(
-        &mut self,
-        caps: &[u64],
-        opts: &AnalysisOptions,
-    ) -> Option<Result<ThroughputResult, SdfError>> {
-        let r = self
-            .map
-            .get(caps)
-            .cloned()
-            .or_else(|| self.global_lookup(caps, opts));
-        if let Some(r) = &r {
-            self.hits += 1;
-            self.map.entry(caps.to_vec()).or_insert_with(|| r.clone());
-        }
-        r
-    }
-
-    fn insert(
-        &mut self,
-        caps: Vec<u64>,
-        opts: &AnalysisOptions,
-        r: Result<ThroughputResult, SdfError>,
-    ) {
-        self.global_publish(&caps, opts, r.clone());
-        self.map.insert(caps, r);
-        self.misses += 1;
-    }
-
-    /// Number of analyses answered from the memo table.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Number of analyses actually run.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Number of memoized distributions.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
+    Ok(best.map(|(mv, t)| {
+        apply(state, mv, false);
+        t
+    }))
 }
 
 /// Computes a minimal-ish deadlock-free buffer distribution.
@@ -282,12 +142,10 @@ pub fn minimal_live_capacities(graph: &SdfGraph) -> Result<Vec<u64>, SdfError> {
 ///
 /// Returns the capacities and the throughput actually achieved.
 ///
-/// Equivalent to [`size_for_throughput_with`] with a fresh cache and
-/// sequential candidate evaluation.
-///
 /// # Errors
 ///
-/// * Errors from [`minimal_live_capacities`] and the throughput analysis.
+/// * Errors from [`minimal_live_capacities`] and the throughput analysis,
+///   including the analysis of any growth candidate.
 /// * [`SdfError::AnalysisLimit`] if the target is unreachable: growth stops
 ///   once no channel improves throughput (the graph's unbounded limit is
 ///   below the target) or the step budget is exhausted.
@@ -296,27 +154,12 @@ pub fn size_for_throughput(
     target: Ratio,
     opts: &AnalysisOptions,
 ) -> Result<(Vec<u64>, ThroughputResult), SdfError> {
-    size_for_throughput_with(graph, target, opts, &mut AnalysisCache::new(), 1)
-}
-
-/// [`size_for_throughput`] with a shared [`AnalysisCache`] and `jobs`
-/// worker threads for the candidate evaluations of each greedy step.
-/// Results are identical for any `jobs` value.
-///
-/// # Errors
-///
-/// See [`size_for_throughput`].
-pub fn size_for_throughput_with(
-    graph: &SdfGraph,
-    target: Ratio,
-    opts: &AnalysisOptions,
-    cache: &mut AnalysisCache,
-    jobs: usize,
-) -> Result<(Vec<u64>, ThroughputResult), SdfError> {
     let mut caps = minimal_live_capacities(graph)?;
-    let mut current = cache.analyse(graph, &caps, opts)?;
+    let mut scratch = Scratch::default();
+    let mut analyse = |caps: &[u64]| throughput_bounded_with(graph, caps, opts, &mut scratch);
+    let mut current = analyse(&caps)?;
+    let moves = growth_moves(graph);
     let mut budget = 64 * graph.channel_count().max(1);
-    let candidates = growth_candidates(graph);
 
     while current.iterations_per_cycle < target {
         if budget == 0 {
@@ -326,57 +169,27 @@ pub fn size_for_throughput_with(
             )));
         }
         budget -= 1;
-
-        // Greedy: try one growth step on each channel, keep the best.
-        let results = analyse_candidates(graph, &mut caps, &candidates, opts, cache, jobs);
-        let mut best: Option<(usize, ThroughputResult)> = None;
-        for (&(idx, _), r) in candidates.iter().zip(results) {
-            let t = r?;
-            let better = match &best {
-                None => t.iterations_per_cycle > current.iterations_per_cycle,
-                Some((_, bt)) => t.iterations_per_cycle > bt.iterations_per_cycle,
-            };
-            if better {
-                best = Some((idx, t));
-            }
-        }
-        match best {
-            Some((idx, t)) => {
-                let ch = graph.channel(ChannelId(idx));
-                caps[idx] += gcd(ch.production_rate(), ch.consumption_rate());
-                current = t;
-            }
-            None => {
-                return Err(SdfError::AnalysisLimit(format!(
-                    "throughput target {target} unreachable; saturated at {}",
-                    current.iterations_per_cycle
-                )));
-            }
-        }
+        let rate = current.iterations_per_cycle;
+        current = grow_step(
+            &mut caps[..],
+            &moves,
+            rate,
+            grow_capacity,
+            |caps| analyse(caps).map(Some),
+            |t| t.iterations_per_cycle,
+        )?
+        .ok_or_else(|| {
+            SdfError::AnalysisLimit(format!(
+                "throughput target {target} unreachable; saturated at {rate}"
+            ))
+        })?;
     }
     Ok((caps, current))
 }
 
-/// Analyses the graph bounded by `caps`.
-///
-/// Uses the materialization-free bounded kernel
-/// ([`throughput_bounded`]); the result is identical to
-/// `throughput(&with_buffer_capacities(graph, caps)?, opts)`.
-///
-/// # Errors
-///
-/// See [`throughput_bounded`].
-pub fn analyse(
-    graph: &SdfGraph,
-    caps: &[u64],
-    opts: &AnalysisOptions,
-) -> Result<ThroughputResult, SdfError> {
-    throughput_bounded(graph, caps, opts)
-}
-
-/// The growth candidates of the greedy searches: `(channel index, step)`
-/// for every non-self channel, in channel order.
-fn growth_candidates(graph: &SdfGraph) -> Vec<(usize, u64)> {
+/// The growth moves of the capacity-vector searches: `(channel index,
+/// step)` for every non-self channel, in channel order.
+fn growth_moves(graph: &SdfGraph) -> Vec<(usize, u64)> {
     graph
         .channels()
         .filter(|(_, ch)| !ch.is_self_edge())
@@ -384,102 +197,13 @@ fn growth_candidates(graph: &SdfGraph) -> Vec<(usize, u64)> {
         .collect()
 }
 
-/// Analyses every candidate distribution `caps + step·e_idx` of one greedy
-/// step, returning results in candidate order. Cache hits are answered
-/// directly; misses are computed — concurrently when `jobs > 1`, each
-/// worker with its own scratch space — and memoized.
-///
-/// Small graphs fall back to the sequential path regardless of `jobs`:
-/// their analyses finish in microseconds, below the cost of spawning the
-/// scoped workers.
-fn analyse_candidates(
-    graph: &SdfGraph,
-    caps: &mut [u64],
-    candidates: &[(usize, u64)],
-    opts: &AnalysisOptions,
-    cache: &mut AnalysisCache,
-    jobs: usize,
-) -> Vec<Result<ThroughputResult, SdfError>> {
-    cache.check_options(opts);
-    let tiny = graph.actor_count() + graph.channel_count() < 32;
-    if jobs <= 1 || candidates.len() <= 1 || tiny {
-        return candidates
-            .iter()
-            .map(|&(idx, step)| {
-                caps[idx] += step;
-                let r = cache.analyse(graph, caps, opts);
-                caps[idx] -= step;
-                r
-            })
-            .collect();
-    }
-
-    let mut results: Vec<Option<Result<ThroughputResult, SdfError>>> =
-        Vec::with_capacity(candidates.len());
-    let mut missing: Vec<(usize, Vec<u64>)> = Vec::new();
-    for (ci, &(idx, step)) in candidates.iter().enumerate() {
-        caps[idx] += step;
-        match cache.peek(caps, opts) {
-            Some(r) => results.push(Some(r)),
-            None => {
-                results.push(None);
-                missing.push((ci, caps.to_vec()));
-            }
-        }
+/// Applies (or, with `undo`, reverts) one growth move to a capacity vector.
+fn grow_capacity(caps: &mut [u64], &(idx, step): &(usize, u64), undo: bool) {
+    if undo {
         caps[idx] -= step;
+    } else {
+        caps[idx] += step;
     }
-
-    let computed = analyse_distributions_parallel(graph, &missing, opts, jobs);
-    for ((ci, dist), r) in missing.into_iter().zip(computed) {
-        cache.insert(dist, opts, r.clone());
-        results[ci] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every candidate analysed"))
-        .collect()
-}
-
-/// Analyses independent capacity distributions on `jobs` scoped threads.
-/// Work is handed out through an atomic cursor; each worker owns its
-/// scratch space, so no locking happens on the hot path. The worker count
-/// is capped at the available parallelism (the work is CPU-bound).
-fn analyse_distributions_parallel(
-    graph: &SdfGraph,
-    work: &[(usize, Vec<u64>)],
-    opts: &AnalysisOptions,
-    jobs: usize,
-) -> Vec<Result<ThroughputResult, SdfError>> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let jobs = jobs.min(cores).min(work.len()).max(1);
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Result<ThroughputResult, SdfError>>>> =
-        work.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| {
-                let mut scratch = crate::state_space::Scratch::default();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= work.len() {
-                        break;
-                    }
-                    let r = throughput_bounded_with(graph, &work[i].1, opts, &mut scratch);
-                    *slots[i].lock().expect("result slot poisoned") = Some(r);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("every work item claimed")
-        })
-        .collect()
 }
 
 /// Runs the abstract iteration on the bounded graph; on stall, returns the
@@ -660,99 +384,81 @@ mod tests {
     }
 
     #[test]
-    fn cache_memoizes_repeated_distributions() {
-        let g = chain(2, 3);
-        let mut cache = AnalysisCache::new();
-        let opts = AnalysisOptions::default();
-        let a1 = cache.analyse(&g, &[5], &opts).unwrap();
-        let a2 = cache.analyse(&g, &[5], &opts).unwrap();
-        assert_eq!(a1, a2);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn shared_cache_spans_sizing_and_pareto() {
-        let g = chain(2, 3);
-        let opts = AnalysisOptions::default();
-        let mut cache = AnalysisCache::new();
+    fn sizing_and_pareto_agree_at_saturation() {
         // 1/6 is the saturation throughput of the chain, so sizing and the
         // pareto walk stop at the same link of the greedy chain.
-        let (caps, t) =
-            size_for_throughput_with(&g, Ratio::new(1, 6), &opts, &mut cache, 1).unwrap();
-        let analyses_after_sizing = cache.misses();
-        // The pareto walk revisits the same greedy chain: mostly cache hits.
-        let points = storage_throughput_pareto_with(&g, &opts, 32, &mut cache, 1).unwrap();
-        assert!(cache.hits() > 0, "pareto should reuse sizing analyses");
-        assert!(cache.misses() >= analyses_after_sizing);
-        // Both searches agree on the saturation point.
+        let g = chain(2, 3);
+        let opts = AnalysisOptions::default();
+        let (caps, t) = size_for_throughput(&g, Ratio::new(1, 6), &opts).unwrap();
+        let points = storage_throughput_pareto(&g, &opts, 32).unwrap();
         assert_eq!(points.last().unwrap().throughput, t.iterations_per_cycle);
         assert_eq!(points.last().unwrap().capacities, caps);
     }
 
-    #[test]
-    fn cache_invalidates_on_option_change() {
-        let g = chain(2, 3);
-        let mut cache = AnalysisCache::new();
-        let a = cache
-            .analyse(&g, &[6], &AnalysisOptions::default())
-            .unwrap();
-        // Same capacities, different options: must re-analyse, not serve
-        // the memoized default-options result.
-        let auto = AnalysisOptions {
-            auto_concurrency: true,
-            ..AnalysisOptions::default()
-        };
-        let b = cache.analyse(&g, &[6], &auto).unwrap();
-        assert_eq!(cache.hits(), 0);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(a, analyse(&g, &[6], &AnalysisOptions::default()).unwrap());
-        assert_eq!(b, analyse(&g, &[6], &auto).unwrap());
-    }
-
-    #[test]
-    fn parallel_sizing_matches_sequential_on_large_ring() {
-        // Big enough (20 actors + 20 channels) to take the threaded
-        // candidate-evaluation path rather than the tiny-graph fallback.
-        let n = 20usize;
-        let mut b = SdfGraphBuilder::new("bigring");
-        let ids: Vec<_> = (0..n)
-            .map(|i| b.add_actor(format!("a{i}"), 1 + (i as u64 % 4)))
-            .collect();
-        for i in 0..n {
-            b.add_channel_with_tokens(format!("e{i}"), ids[i], 1, ids[(i + 1) % n], 1, 2);
-        }
-        let g = b.build().unwrap();
-        let opts = AnalysisOptions::default();
-        let target = Ratio::new(1, 200);
-        let seq = size_for_throughput(&g, target, &opts);
-        let par = size_for_throughput_with(&g, target, &opts, &mut AnalysisCache::new(), 4);
-        match (seq, par) {
-            (Ok(s), Ok(p)) => assert_eq!(s, p),
-            (Err(_), Err(_)) => {}
-            (s, p) => panic!("sequential/parallel sizing disagree: {s:?} vs {p:?}"),
+    /// Moves index a counter vector; a probe reports the rate of the one
+    /// nonzero counter, or fails on the move named by `fail`.
+    fn probe_rates(
+        rates: &[Ratio],
+        fail: Option<usize>,
+    ) -> impl FnMut(&[u64]) -> Result<Option<Ratio>, usize> + '_ {
+        move |s: &[u64]| {
+            let i = s.iter().position(|&n| n > 0).unwrap();
+            if fail == Some(i) {
+                return Err(i);
+            }
+            Ok(Some(rates[i]))
         }
     }
 
     #[test]
-    fn parallel_sizing_matches_sequential() {
-        let g = {
-            let mut b = SdfGraphBuilder::new("net");
-            let a = b.add_actor("A", 2);
-            let c = b.add_actor("B", 3);
-            let d = b.add_actor("C", 5);
-            b.add_channel("e0", a, 2, c, 3);
-            b.add_channel("e1", c, 1, d, 2);
-            b.add_channel("e2", a, 1, d, 3);
-            b.build().unwrap()
-        };
-        let opts = AnalysisOptions::default();
-        let target = Ratio::new(1, 40);
-        let seq = size_for_throughput(&g, target, &opts).unwrap();
-        let par =
-            size_for_throughput_with(&g, target, &opts, &mut AnalysisCache::new(), 4).unwrap();
-        assert_eq!(seq, par);
+    fn grow_step_takes_the_first_strictly_best_move() {
+        // Moves 1 and 3 tie for the best rate: the first of them wins.
+        let rates = [1, 2, 1, 2].map(|d| Ratio::new(d, 8));
+        let mut state = [0u64; 4];
+        let best = grow_step(
+            &mut state[..],
+            &[(0, 1), (1, 1), (2, 1), (3, 1)],
+            Ratio::new(1, 16),
+            grow_capacity,
+            probe_rates(&rates, None),
+            |r| *r,
+        );
+        assert_eq!(best, Ok(Some(Ratio::new(2, 8))));
+        assert_eq!(state, [0, 1, 0, 0]);
+    }
+
+    #[test]
+    fn grow_step_without_improvement_leaves_the_state_untouched() {
+        let rates = [1, 2, 1].map(|d| Ratio::new(d, 8));
+        let mut state = [0u64; 3];
+        let best = grow_step(
+            &mut state[..],
+            &[(0, 1), (1, 1), (2, 1)],
+            Ratio::new(2, 8),
+            grow_capacity,
+            probe_rates(&rates, None),
+            |r| *r,
+        );
+        assert_eq!(best, Ok(None));
+        assert_eq!(state, [0, 0, 0]);
+    }
+
+    #[test]
+    fn grow_step_aborts_on_a_probe_error() {
+        // Move 0 would improve, but the probe of move 1 fails: the step
+        // stops there and the state stays as it was.
+        let rates = [4, 2, 1].map(|d| Ratio::new(d, 8));
+        let mut state = [0u64; 3];
+        let best = grow_step(
+            &mut state[..],
+            &[(0, 1), (1, 1), (2, 1)],
+            Ratio::new(1, 16),
+            grow_capacity,
+            probe_rates(&rates, Some(1)),
+            |r| *r,
+        );
+        assert_eq!(best, Err(1));
+        assert_eq!(state, [0, 0, 0]);
     }
 }
 
@@ -776,76 +482,45 @@ pub struct StoragePoint {
 /// The returned points are Pareto-optimal within the explored (greedy)
 /// chain: strictly increasing in both storage and throughput.
 ///
-/// Equivalent to [`storage_throughput_pareto_with`] with a fresh cache and
-/// sequential candidate evaluation.
-///
 /// # Errors
 ///
-/// Propagates liveness/analysis errors.
+/// Propagates liveness/analysis errors of the unbounded graph and of the
+/// minimal live distribution; a growth candidate whose analysis fails is
+/// skipped.
 pub fn storage_throughput_pareto(
     graph: &SdfGraph,
     opts: &AnalysisOptions,
     max_steps: usize,
 ) -> Result<Vec<StoragePoint>, SdfError> {
-    storage_throughput_pareto_with(graph, opts, max_steps, &mut AnalysisCache::new(), 1)
-}
-
-/// [`storage_throughput_pareto`] with a shared [`AnalysisCache`] and `jobs`
-/// worker threads for the candidate evaluations of each greedy step.
-/// Results are identical for any `jobs` value.
-///
-/// # Errors
-///
-/// See [`storage_throughput_pareto`].
-pub fn storage_throughput_pareto_with(
-    graph: &SdfGraph,
-    opts: &AnalysisOptions,
-    max_steps: usize,
-    cache: &mut AnalysisCache,
-    jobs: usize,
-) -> Result<Vec<StoragePoint>, SdfError> {
     let unbounded = throughput(graph, opts)?.iterations_per_cycle;
     let mut caps = minimal_live_capacities(graph)?;
-    let mut current = cache.analyse(graph, &caps, opts)?;
-    let mut points = vec![StoragePoint {
-        capacities: caps.clone(),
+    let mut scratch = Scratch::default();
+    let mut analyse = |caps: &[u64]| throughput_bounded_with(graph, caps, opts, &mut scratch);
+    let mut current = analyse(&caps)?.iterations_per_cycle;
+    let point = |caps: &[u64], throughput: Ratio| StoragePoint {
+        capacities: caps.to_vec(),
         total_tokens: caps.iter().sum(),
-        throughput: current.iterations_per_cycle,
-    }];
-    let candidates = growth_candidates(graph);
+        throughput,
+    };
+    let mut points = vec![point(&caps, current)];
+    let moves = growth_moves(graph);
 
     for _ in 0..max_steps {
-        if current.iterations_per_cycle >= unbounded {
+        if current >= unbounded {
             break;
         }
-        // Greedy: the single growth step with the best gain. Analysis
-        // errors disqualify a candidate, matching the sequential search.
-        let results = analyse_candidates(graph, &mut caps, &candidates, opts, cache, jobs);
-        let mut best: Option<(usize, ThroughputResult)> = None;
-        for (&(idx, _), r) in candidates.iter().zip(results) {
-            if let Ok(t) = r {
-                let better = match &best {
-                    None => t.iterations_per_cycle > current.iterations_per_cycle,
-                    Some((_, bt)) => t.iterations_per_cycle > bt.iterations_per_cycle,
-                };
-                if better {
-                    best = Some((idx, t));
-                }
-            }
-        }
-        match best {
-            Some((idx, t)) => {
-                let ch = graph.channel(ChannelId(idx));
-                caps[idx] += gcd(ch.production_rate(), ch.consumption_rate());
-                current = t;
-                points.push(StoragePoint {
-                    capacities: caps.clone(),
-                    total_tokens: caps.iter().sum(),
-                    throughput: current.iterations_per_cycle,
-                });
-            }
-            None => break, // saturated below the unbounded limit
-        }
+        let Ok(Some(t)) = grow_step(
+            &mut caps[..],
+            &moves,
+            current,
+            grow_capacity,
+            |caps| Ok::<_, Infallible>(analyse(caps).ok()),
+            |t| t.iterations_per_cycle,
+        ) else {
+            break; // saturated below the unbounded limit
+        };
+        current = t.iterations_per_cycle;
+        points.push(point(&caps, current));
     }
     Ok(points)
 }
@@ -891,15 +566,5 @@ mod pareto_tests {
         let min = minimal_live_capacities(&g).unwrap();
         let points = storage_throughput_pareto(&g, &AnalysisOptions::default(), 8).unwrap();
         assert_eq!(points[0].capacities, min);
-    }
-
-    #[test]
-    fn parallel_pareto_matches_sequential() {
-        let g = chain();
-        let opts = AnalysisOptions::default();
-        let seq = storage_throughput_pareto(&g, &opts, 32).unwrap();
-        let par =
-            storage_throughput_pareto_with(&g, &opts, 32, &mut AnalysisCache::new(), 4).unwrap();
-        assert_eq!(seq, par);
     }
 }

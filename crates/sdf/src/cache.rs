@@ -14,8 +14,6 @@
 //!   hashed with the pinned [`serde::stable_hash`] — so two structurally
 //!   identical graphs hash equal regardless of insertion order, and the
 //!   64-bit key is stable across processes and can be persisted;
-//! * the **capacity vector** (in canonical channel order; empty for
-//!   analyses of graphs whose capacities are modelled in-graph); and
 //! * the **analysis options** (every [`AnalysisOptions`] field), so a
 //!   result computed under one configuration is never served to another —
 //!   invalidation-by-options falls out of the key derivation.
@@ -41,9 +39,7 @@ use crate::memo::{MemoEntry, MemoStore};
 use crate::state_space::{throughput, AnalysisOptions, ThroughputResult};
 
 /// The canonical identity of a graph for caching purposes: a stable
-/// 64-bit hash over the canonical-JSON form, plus the channel permutation
-/// needed to translate caller-side capacity vectors (indexed by original
-/// channel id) into canonical channel order.
+/// 64-bit hash over the canonical-JSON form.
 ///
 /// Canonicalization sorts actors and channels by name (ties broken by
 /// content), rewrites channel endpoints as ranks in the canonical actor
@@ -53,8 +49,6 @@ use crate::state_space::{throughput, AnalysisOptions, ThroughputResult};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GraphFingerprint {
     hash: u64,
-    /// Original channel index at each canonical position.
-    channel_order: Vec<usize>,
 }
 
 impl GraphFingerprint {
@@ -119,7 +113,6 @@ impl GraphFingerprint {
         );
         GraphFingerprint {
             hash: stable_hash(&Value::Seq(vec![actors, channels])),
-            channel_order,
         }
     }
 
@@ -127,30 +120,11 @@ impl GraphFingerprint {
     pub fn hash(&self) -> u64 {
         self.hash
     }
-
-    /// Reorders a capacity vector (indexed by original channel id) into
-    /// canonical channel order, so equal distributions key equal entries
-    /// regardless of channel insertion order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `caps` is neither empty nor of the graph's channel count.
-    pub fn canonical_caps(&self, caps: &[u64]) -> Vec<u64> {
-        if caps.is_empty() {
-            return Vec::new();
-        }
-        assert_eq!(
-            caps.len(),
-            self.channel_order.len(),
-            "capacity vector length must match the fingerprinted graph"
-        );
-        self.channel_order.iter().map(|&i| caps[i]).collect()
-    }
 }
 
-/// Full cache key: graph fingerprint hash, canonical capacity vector, and
-/// every analysis-options field. The derived `Ord` (field by field, in
-/// declaration order) is the on-disk sort order.
+/// Full cache key: graph fingerprint hash, the capacity vector of the
+/// on-disk entry, and every analysis-options field. The derived `Ord`
+/// (field by field, in declaration order) is the on-disk sort order.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AnalysisKey {
     graph: u64,
@@ -161,10 +135,10 @@ pub struct AnalysisKey {
 }
 
 impl AnalysisKey {
-    fn new(fp: &GraphFingerprint, caps: &[u64], opts: &AnalysisOptions) -> AnalysisKey {
+    fn new(fp: &GraphFingerprint, opts: &AnalysisOptions) -> AnalysisKey {
         AnalysisKey {
             graph: fp.hash,
-            caps: fp.canonical_caps(caps),
+            caps: Vec::new(),
             auto_concurrency: opts.auto_concurrency,
             max_states: opts.max_states as u64,
             max_firings_per_instant: opts.max_firings_per_instant as u64,
@@ -177,8 +151,9 @@ impl AnalysisKey {
 pub struct CacheEntry {
     /// [`GraphFingerprint::hash`] of the analysed graph.
     pub graph: u64,
-    /// Capacity vector in canonical channel order (empty when capacities
-    /// are modelled in-graph).
+    /// Always empty: every cached analysis models its buffer capacities
+    /// in-graph. Kept so cache files keep their bytes; an entry with a
+    /// nonempty vector never answers a lookup.
     pub caps: Vec<u64>,
     /// [`AnalysisOptions::auto_concurrency`] of the analysis.
     pub auto_concurrency: bool,
@@ -222,42 +197,37 @@ impl MemoEntry for CacheEntry {
 /// A global, thread-safe throughput-analysis cache.
 ///
 /// Shared as an `Arc` through `MapOptions`/`FlowOptions`, consulted by
-/// every analysis of the flow (the mapping flow's expanded-graph
-/// analyses, the genetic binder's fitness analyses, the multi-application
-/// shared-system verification, and the buffer-sizing searches via
-/// [`crate::buffer::AnalysisCache::with_global`]) before falling back to
-/// the state-space kernel.
+/// every expanded-graph analysis of the flow (the `buffer-size` pass, the
+/// genetic binder's fitness and the multi-application shared-system
+/// verification) before falling back to the state-space kernel.
 pub type GlobalAnalysisCache = MemoStore<CacheEntry>;
 
 impl MemoStore<CacheEntry> {
-    /// The memoized result for `(fingerprint, caps, opts)`, if any.
-    /// Counts a hit or a miss.
+    /// The memoized result for `(fingerprint, opts)`, if any. Counts a
+    /// hit or a miss.
     pub fn lookup(
         &self,
         fp: &GraphFingerprint,
-        caps: &[u64],
         opts: &AnalysisOptions,
     ) -> Option<Result<ThroughputResult, SdfError>> {
-        self.get(&AnalysisKey::new(fp, caps, opts))
+        self.get(&AnalysisKey::new(fp, opts))
     }
 
-    /// Memoizes `result` under `(fingerprint, caps, opts)`. Analyses are
+    /// Memoizes `result` under `(fingerprint, opts)`. Analyses are
     /// deterministic, so a racing duplicate stores an equal value and the
     /// insert counter only counts the first.
     pub fn insert(
         &self,
         fp: &GraphFingerprint,
-        caps: &[u64],
         opts: &AnalysisOptions,
         result: Result<ThroughputResult, SdfError>,
     ) {
-        self.put(AnalysisKey::new(fp, caps, opts), result);
+        self.put(AnalysisKey::new(fp, opts), result);
     }
 
     /// [`throughput`] of `graph` through the cache: fingerprints the
     /// graph, returns the memoized result on a hit, computes and memoizes
-    /// on a miss. This is the entry point for analyses whose buffer
-    /// capacities are modelled in-graph (expanded mapping graphs).
+    /// on a miss.
     ///
     /// # Errors
     ///
@@ -268,11 +238,11 @@ impl MemoStore<CacheEntry> {
         opts: &AnalysisOptions,
     ) -> Result<ThroughputResult, SdfError> {
         let fp = GraphFingerprint::of(graph);
-        if let Some(r) = self.lookup(&fp, &[], opts) {
+        if let Some(r) = self.lookup(&fp, opts) {
             return r;
         }
         let r = throughput(graph, opts);
-        self.insert(&fp, &[], opts, r.clone());
+        self.insert(&fp, opts, r.clone());
         r
     }
 }
@@ -329,11 +299,6 @@ mod tests {
         let (g, h) = (build(false), build(true));
         let (fg, fh) = (GraphFingerprint::of(&g), GraphFingerprint::of(&h));
         assert_eq!(fg.hash(), fh.hash());
-        // The permutations map each graph's own channel ids onto the same
-        // canonical order: capacities follow the channel, not its index.
-        let caps_g = [7u64, 9]; // e=7, f=9
-        let caps_h = [9u64, 7]; // f=9, e=7
-        assert_eq!(fg.canonical_caps(&caps_g), fh.canonical_caps(&caps_h));
     }
 
     #[test]

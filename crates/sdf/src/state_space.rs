@@ -47,7 +47,7 @@
 //!   by slice, so a revisited state costs zero allocations and a new state
 //!   costs exactly one (its interned storage).
 //! * All scratch buffers live in a `Scratch` value that is reused across
-//!   SCC runs and — via [`crate::buffer::AnalysisCache`] — across the many
+//!   SCC runs and, within one search of [`crate::buffer`], across the many
 //!   re-analyses of greedy buffer growth.
 //!
 //! The pre-optimization implementation is retained verbatim in

@@ -125,33 +125,6 @@ proptest! {
         }
     }
 
-    /// Greedy sizing through the memoizing cache with parallel candidate
-    /// evaluation is identical to the plain sequential search.
-    #[test]
-    fn cached_parallel_sizing_equals_sequential(
-        (q, exec, tokens) in ring_strategy(),
-        denom in 20u64..200,
-    ) {
-        let g = ring_graph(&q, &exec, &tokens);
-        prop_assume!(check_liveness(&g).is_ok());
-        prop_assume!(exec.iter().any(|&e| e > 0));
-        let opts = AnalysisOptions::default();
-        let target = mamps_sdf::ratio::Ratio::new(1, denom as i128);
-        let seq = mamps_sdf::buffer::size_for_throughput(&g, target, &opts);
-        let par = mamps_sdf::buffer::size_for_throughput_with(
-            &g,
-            target,
-            &opts,
-            &mut mamps_sdf::buffer::AnalysisCache::new(),
-            4,
-        );
-        match (seq, par) {
-            (Ok(s), Ok(p)) => prop_assert_eq!(s, p),
-            (Err(_), Err(_)) => {}
-            (s, p) => prop_assert!(false, "sequential/parallel sizing disagree: {s:?} vs {p:?}"),
-        }
-    }
-
     #[test]
     fn adding_tokens_never_decreases_throughput(
         (q, exec, mut tokens) in ring_strategy(),

@@ -143,6 +143,21 @@ fn load_arch(
     architecture_from_xml(&xml).map_err(|e| format!("{path}: {e}").into())
 }
 
+/// Parses a simulated iteration count. The steady-state throughput is
+/// measured between iteration completions, so a run shorter than two
+/// iterations measures nothing and is rejected.
+fn parse_iters(value: &str) -> Result<u64, Box<dyn std::error::Error>> {
+    let iters: u64 = value.parse()?;
+    if iters < 2 {
+        return Err(format!(
+            "iteration count {iters} is too small: at least 2 iterations are \
+             needed to measure a steady-state throughput"
+        )
+        .into());
+    }
+    Ok(iters)
+}
+
 /// Positional arguments plus `--flag value` pairs, as split by [`split_flags`].
 type ParsedArgs = (Vec<String>, Vec<(String, String)>);
 
@@ -492,7 +507,7 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             for (name, value) in &flags {
                 match name.as_str() {
                     "binder" => opts.map.bind.strategy = resolve_binder(value)?,
-                    "iters" => iters = value.parse()?,
+                    "iters" => iters = parse_iters(value)?,
                     "gantt" => gantt_cols = Some(value.parse()?),
                     "engine" => opts.sim_engine = value.parse::<mamps::sim::Engine>()?,
                     "cache-dir" => cache_dir = Some(value.into()),
@@ -569,7 +584,7 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
             let app = load_app(&pos[0])?;
             let arch = load_arch(&pos[1])?;
-            let iters: u64 = pos.get(2).map(|s| s.parse()).transpose()?.unwrap_or(200);
+            let iters = pos.get(2).map_or(Ok(200), |s| parse_iters(s))?;
             let mut opts = FlowOptions::default();
             let mut gantt_cols: Option<usize> = None;
             let mut trace_events: Option<usize> = None;

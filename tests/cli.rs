@@ -224,6 +224,41 @@ fn cli_subcommands_work_end_to_end() {
 }
 
 #[test]
+fn cli_rejects_runs_shorter_than_two_iterations() {
+    if !bin().exists() {
+        eprintln!("skipping: {} not built", bin().display());
+        return;
+    }
+    // A steady-state throughput needs two iteration completions: shorter
+    // runs must fail up front instead of reporting a violated guarantee.
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data");
+    let app = data.join("mjpeg_small_app.xml");
+    let arch = data.join("fsl_3tile_arch.xml");
+    for n in ["0", "1"] {
+        let simulate = Command::new(bin())
+            .arg("simulate")
+            .arg(&app)
+            .arg(&arch)
+            .arg(n)
+            .output()
+            .unwrap();
+        let map_multi = Command::new(bin())
+            .arg("map-multi")
+            .arg(&app)
+            .arg(&arch)
+            .args(["--iters", n])
+            .output()
+            .unwrap();
+        for (cmd, out) in [("simulate", simulate), ("map-multi", map_multi)] {
+            assert!(!out.status.success(), "{cmd} {n} must fail");
+            assert!(out.stdout.is_empty(), "{cmd} {n} measured nothing");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("at least 2 iterations"), "{cmd} {n}: {err}");
+        }
+    }
+}
+
+#[test]
 fn cli_remap_replays_from_the_pass_cache() {
     if !bin().exists() {
         eprintln!("skipping: {} not built", bin().display());
