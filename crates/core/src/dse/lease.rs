@@ -34,7 +34,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::dse::shard::{DseShard, ShardHeader, ShardOutcome, ShardRecord, SweepMode};
+use crate::dse::shard::{DseShard, ShardHeader, ShardOutcome, ShardRecord};
 
 /// A contiguous run of canonical sweep sequence numbers: `start`
 /// inclusive, `end` exclusive.
@@ -363,37 +363,19 @@ impl MergeLedger {
         self.len() == self.header.total_configs
     }
 
-    /// The records in canonical seq order.
-    pub fn records(&self) -> Vec<ShardRecord> {
-        self.outcomes
-            .iter()
-            .map(|(&seq, outcome)| ShardRecord {
-                seq,
-                outcome: outcome.clone(),
-            })
-            .collect()
-    }
-
     /// Assembles the (possibly still partial) shard: the header plus the
     /// records so far in canonical order. For a complete ledger this is
-    /// exactly the shard a single-process `explore_shard` run produces,
-    /// so its JSONL bytes and rendered report match byte for byte.
+    /// exactly the shard a single-process `mamps dse` run produces, so its
+    /// JSONL bytes and its report ([`DseShard::render`]) match byte for
+    /// byte.
     pub fn to_shard(&self) -> DseShard {
+        let records = self.outcomes.iter().map(|(&seq, outcome)| ShardRecord {
+            seq,
+            outcome: outcome.clone(),
+        });
         DseShard {
             header: self.header.clone(),
-            records: self.records(),
-        }
-    }
-
-    /// Renders the completed sweep exactly like `mamps dse` renders it.
-    pub fn render(&self) -> String {
-        match self.header.mode {
-            SweepMode::Binders => {
-                crate::report::render_dse_report(&self.to_shard().into_dse_report())
-            }
-            SweepMode::UseCases => {
-                crate::report::render_use_case_report(&self.to_shard().into_use_case_report())
-            }
+            records: records.collect(),
         }
     }
 }
@@ -401,7 +383,7 @@ impl MergeLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dse::shard::{ShardSpec, SweepSignature};
+    use crate::dse::shard::{ShardSpec, SweepMode, SweepSignature};
     use crate::dse::SkippedPoint;
 
     fn ranges(table: &LeaseTable) -> Vec<(SeqRange, ItemState)> {

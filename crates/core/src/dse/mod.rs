@@ -20,16 +20,17 @@
 //! Beyond one host, the design-point space can be split across processes
 //! or machines with [`shard`]: every result type serializes to JSON lines
 //! (via the workspace's vendored value-based serde), a deterministic
-//! [`shard::ShardSpec`] partitioner — threaded through
-//! [`FlowOptions::shard`] — assigns each process a disjoint slice of the
+//! [`shard::ShardSpec`] partitioner — an argument of
+//! [`shard::Sweep::run`] — assigns each process a disjoint slice of the
 //! sweep, and [`shard::merge_reports`] reassembles the partial results
-//! into the very report an unsharded run would have produced, recomputing
-//! the global Pareto front per strategy across shards. Merging is exact:
-//! the merged report compares equal (and renders byte-for-byte identical)
-//! to the unsharded sweep on the same inputs.
+//! into the very shard an unsharded run would have produced; rendering it
+//! recomputes the global Pareto front per strategy across shards. Merging
+//! is exact: the merged report compares equal (and renders byte-for-byte
+//! identical) to the unsharded sweep on the same inputs.
 //!
 //! ```
 //! use mamps_core::dse::{explore_report, shard};
+//! use mamps_core::dse::shard::{DseShard, ShardSpec, Sweep, SweepMode};
 //! use mamps_core::flow::FlowOptions;
 //! use mamps_sdf::graph::SdfGraphBuilder;
 //! use mamps_sdf::model::HomogeneousModelBuilder;
@@ -51,18 +52,15 @@
 //! // shard evaluates only the design points its `ShardSpec` owns, and
 //! // could run in a different process (`mamps dse --shard i/n`), with
 //! // the JSON-lines files carrying the results in between.
+//! let sweep = Sweep::new(SweepMode::Binders, vec![app], &[1, 2], false, Vec::new()).unwrap();
 //! let shards: Vec<_> = (0..2)
 //!     .map(|i| {
-//!         let mut o = opts.clone();
-//!         o.shard = Some(shard::ShardSpec::new(i, 2).unwrap());
-//!         let s = shard::explore_shard(&app, &[1, 2], false, &o);
-//!         shard::DseShard::from_jsonl(&s.to_jsonl()).unwrap() // round-trip
+//!         let s = sweep.run(ShardSpec::new(i, 2).unwrap(), &[], &opts).unwrap();
+//!         DseShard::from_jsonl(&s.to_jsonl()).unwrap() // round-trip
 //!     })
 //!     .collect();
-//! match shard::merge_reports(&shards).unwrap() {
-//!     shard::MergedReport::Dse(merged) => assert_eq!(merged, full),
-//!     other => panic!("binder sweeps merge into a DSE report, got {other:?}"),
-//! }
+//! let merged = shard::merge_reports(&shards).unwrap();
+//! assert_eq!(merged.into_dse_report(), full);
 //! ```
 
 pub mod cache;
@@ -126,41 +124,6 @@ pub struct DseReport {
 /// and its instantiation, and the binding strategy.
 pub(crate) type SweepConfig = (usize, &'static str, Interconnect, StrategyHandle);
 
-/// The strategies a sweep evaluates: [`FlowOptions::binders`], falling
-/// back to the single configured `map.bind.strategy` when empty.
-pub(crate) fn sweep_strategies(opts: &FlowOptions) -> Vec<StrategyHandle> {
-    if opts.binders.is_empty() {
-        vec![opts.map.bind.strategy.clone()]
-    } else {
-        opts.binders.clone()
-    }
-}
-
-/// Enumerates the design-point space in its canonical order (strategy
-/// outermost, then tile count, FSL before NoC). Sharding partitions this
-/// sequence; its order is part of the shard-file contract.
-pub(crate) fn sweep_configs(
-    strategies: &[StrategyHandle],
-    tile_counts: &[usize],
-    include_noc: bool,
-) -> Vec<SweepConfig> {
-    let mut configs = Vec::new();
-    for strategy in strategies {
-        for &tiles in tile_counts {
-            configs.push((tiles, "fsl", Interconnect::fsl(), strategy.clone()));
-            if include_noc {
-                configs.push((
-                    tiles,
-                    "noc",
-                    Interconnect::noc_for_tiles(tiles),
-                    strategy.clone(),
-                ));
-            }
-        }
-    }
-    configs
-}
-
 /// Runs the full flow for one sweep configuration.
 pub(crate) fn evaluate_dse_config(
     app: &ApplicationModel,
@@ -220,9 +183,12 @@ pub(crate) fn sort_dse_points(points: &mut [DsePoint]) {
 /// feasible and skipped design points. The strategies come from
 /// [`FlowOptions::binders`]; when that is empty the single configured
 /// `opts.map.bind.strategy` is swept. `opts.jobs > 1` evaluates
-/// independent design points concurrently with identical results, and
-/// [`FlowOptions::shard`] restricts the sweep to the design points that
-/// shard owns (merge the shards back with [`shard::merge_reports`]).
+/// independent design points concurrently with identical results. To
+/// shard or resume the sweep, run it through [`shard::Sweep::run`].
+///
+/// # Panics
+///
+/// When `tile_counts` is empty.
 pub fn explore_report(
     app: &ApplicationModel,
     tile_counts: &[usize],
@@ -269,8 +235,8 @@ pub struct UseCaseDseReport {
 
 /// A use-case prepared for per-configuration evaluation: either the
 /// validated [`UseCase`](mamps_mapping::multi::UseCase), or — when the
-/// application list itself is invalid (empty, duplicate names) — the
-/// rejection every configuration reports.
+/// application list itself is invalid (duplicate names; an empty list is
+/// no sweep at all) — the rejection every configuration reports.
 pub(crate) enum UseCaseContext {
     Ready(mamps_mapping::multi::UseCase),
     Invalid(Vec<(String, String)>),
@@ -379,16 +345,26 @@ pub(crate) fn sort_use_case_points(points: &mut [UseCasePoint]) {
 /// ([`mamps_mapping::multi::map_use_case`]) decides which subset of
 /// `apps` fits with every per-application guarantee intact. Strategies
 /// come from [`FlowOptions::binders`] (falling back to the configured
-/// `map.bind.strategy`), `opts.jobs > 1` evaluates configurations
-/// concurrently with identical results, and [`FlowOptions::shard`]
-/// restricts the sweep to the configurations that shard owns.
+/// `map.bind.strategy`), and `opts.jobs > 1` evaluates configurations
+/// concurrently with identical results.
+///
+/// # Panics
+///
+/// When `apps` or `tile_counts` is empty.
 pub fn explore_use_cases(
     apps: &[ApplicationModel],
     tile_counts: &[usize],
     include_noc: bool,
     opts: &FlowOptions,
 ) -> UseCaseDseReport {
-    shard::explore_use_case_shard(apps, tile_counts, include_noc, opts).into_use_case_report()
+    shard::explore_sweep(
+        shard::SweepMode::UseCases,
+        apps.to_vec(),
+        tile_counts,
+        include_noc,
+        opts,
+    )
+    .into_use_case_report()
 }
 
 /// The Pareto front of `points` over (throughput up, slices down).

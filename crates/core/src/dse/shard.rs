@@ -2,14 +2,18 @@
 //! serialize the partial results as JSON lines, and merge them back into
 //! the exact report an unsharded run would have produced.
 //!
-//! The ROADMAP's "Scale: sharding the DSE" item in three pieces:
+//! [`Sweep`] is the one sweep evaluator. `mamps dse` (plain, `--shard`,
+//! `--resume`), the [`crate::serve`] coordinator and its `dse-work`
+//! workers all resolve their sweep into one, and [`Sweep::evaluate`] is
+//! the only place design points are evaluated. Around it, in three
+//! pieces:
 //!
 //! 1. **Partitioning.** [`ShardSpec`] `index/count` (the CLI's
-//!    `--shard i/n`) deterministically assigns every design point of the
-//!    canonical sweep order — see `sweep_configs` in [`crate::dse`] — to
-//!    exactly one shard, round-robin by sequence number. Round-robin
-//!    balances load across shards even though small-tile-count points are
-//!    much cheaper than large ones.
+//!    `--shard i/n`, an argument of [`Sweep::run`]) deterministically
+//!    assigns every design point of the canonical sweep order (see
+//!    [`Sweep::new`]) to exactly one shard, round-robin by sequence
+//!    number. Round-robin balances load across shards even though
+//!    small-tile-count points are much cheaper than large ones.
 //! 2. **Serialization.** A shard run produces a [`DseShard`]: a header
 //!    identifying the sweep (its [`SweepSignature`]), the shard, and the
 //!    total design-point count, plus one seq-tagged record per evaluated
@@ -17,24 +21,24 @@
 //!    through files — one JSON object per line, first line the header.
 //! 3. **Merging.** [`merge_reports`] validates that the shard files come
 //!    from the same sweep and form a complete, non-overlapping partition,
-//!    restores the canonical evaluation order by sequence number, and
-//!    assembles the final report with the same sorting the unsharded
-//!    sweep uses — so the merged report is equal (and renders
-//!    byte-for-byte identically) to the unsharded one. Pareto fronts are
-//!    *not* merged per shard: the merged report carries all points, and
-//!    rendering recomputes the global front per strategy.
+//!    and restores the canonical evaluation order by sequence number — so
+//!    the merged shard is equal to the unsharded one, and
+//!    [`DseShard::render`] prints it byte-for-byte identically. Pareto
+//!    fronts are *not* merged per shard: the merged shard carries all
+//!    points, and rendering recomputes the global front per strategy.
 
 use std::fmt;
 use std::str::FromStr;
 
 use mamps_mapping::StrategyHandle;
+use mamps_platform::interconnect::Interconnect;
 use mamps_sdf::model::ApplicationModel;
 use serde::{Deserialize, Serialize};
 
 use crate::dse::{
     evaluate_dse_config, evaluate_use_case_config, sort_dse_points, sort_use_case_points,
-    sweep_configs, sweep_strategies, use_case_context, DsePoint, DseReport, SkippedPoint,
-    SweepConfig, UseCaseDseReport, UseCasePoint,
+    use_case_context, DsePoint, DseReport, SkippedPoint, SweepConfig, UseCaseDseReport,
+    UseCasePoint,
 };
 use crate::flow::FlowOptions;
 use crate::parallel::dynamic_map;
@@ -240,18 +244,10 @@ impl DseShard {
     /// first. The encoding is canonical — equal shards produce identical
     /// bytes.
     pub fn to_jsonl(&self) -> String {
-        use serde::{Serialize, Value};
-        // Build the externally-tagged lines by hand instead of cloning
-        // the header and every record into a ShardLine: identical bytes
-        // (pinned by the round-trip fixpoint test), no per-record clone.
-        let tagged =
-            |tag: &str, v: &dyn Serialize| Value::Map(vec![(tag.to_string(), v.to_value())]);
         let mut out = String::new();
-        serde::json::emit(&tagged("Header", &self.header), &mut out);
-        out.push('\n');
+        push_line(&mut out, "Header", &self.header);
         for r in &self.records {
-            serde::json::emit(&tagged("Record", r), &mut out);
-            out.push('\n');
+            push_line(&mut out, "Record", r);
         }
         out
     }
@@ -376,6 +372,30 @@ impl DseShard {
         sort_use_case_points(&mut report.points);
         report
     }
+
+    /// Renders the shard's report as `mamps dse` prints it, with the
+    /// renderer of the header's sweep mode. For the full shard of a sweep
+    /// — unsharded, merged, resumed or served — this is the sweep's
+    /// report, its per-strategy Pareto front included.
+    pub fn render(self) -> String {
+        match self.header.mode {
+            SweepMode::Binders => crate::report::render_dse_report(&self.into_dse_report()),
+            SweepMode::UseCases => {
+                crate::report::render_use_case_report(&self.into_use_case_report())
+            }
+        }
+    }
+}
+
+/// Appends one `{"Header":…}` / `{"Record":…}` line of a shard file to
+/// `out`. The lines are built by hand instead of cloning the header and
+/// every record into a `ShardLine`, with identical bytes (pinned by the
+/// round-trip fixpoint test). The coordinator appends its spool's record
+/// lines with it too, so a spool file is a shard file.
+pub(crate) fn push_line(out: &mut String, tag: &str, value: &dyn Serialize) {
+    let line = serde::Value::Map(vec![(tag.to_string(), value.to_value())]);
+    serde::json::emit(&line, out);
+    out.push('\n');
 }
 
 /// Errors reading a single shard file.
@@ -509,27 +529,6 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
-/// A merged sweep: the same report the matching unsharded run returns.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MergedReport {
-    /// A single-application sweep.
-    Dse(DseReport),
-    /// A use-case sweep.
-    UseCases(UseCaseDseReport),
-}
-
-impl MergedReport {
-    /// Renders the merged report exactly like `mamps dse` renders the
-    /// unsharded sweep (including the recomputed global Pareto front for
-    /// single-application sweeps).
-    pub fn render(&self) -> String {
-        match self {
-            MergedReport::Dse(r) => crate::report::render_dse_report(r),
-            MergedReport::UseCases(r) => crate::report::render_use_case_report(r),
-        }
-    }
-}
-
 /// Rendered identity of a header, for mismatch reporting.
 fn header_identity(h: &ShardHeader) -> String {
     format!(
@@ -538,16 +537,16 @@ fn header_identity(h: &ShardHeader) -> String {
     )
 }
 
-/// Merges shard results into the full report, recomputing every global
-/// figure (ordering, and at render time the per-strategy Pareto front)
-/// across shards. The merged report is equal to the unsharded sweep's —
-/// byte-for-byte once rendered.
+/// Merges shard results into the full (0/1) shard of the sweep, in
+/// canonical seq order. It is equal to the unsharded run's shard, so its
+/// report — every global figure, the per-strategy Pareto front included,
+/// is recomputed at render time — is byte-identical too.
 ///
 /// # Errors
 ///
 /// [`MergeError`] when the shards disagree about the sweep, overlap, are
 /// incomplete, or do not cover every design point exactly once.
-pub fn merge_reports(shards: &[DseShard]) -> Result<MergedReport, MergeError> {
+pub fn merge_reports(shards: &[DseShard]) -> Result<DseShard, MergeError> {
     let first = shards.first().ok_or(MergeError::NoShards)?;
     let reference = &first.header;
     for s in &shards[1..] {
@@ -605,28 +604,13 @@ pub fn merge_reports(shards: &[DseShard]) -> Result<MergedReport, MergeError> {
         });
     }
 
-    let merged = DseShard {
+    Ok(DseShard {
         header: ShardHeader {
             shard: ShardSpec::full(),
             ..reference.clone()
         },
         records: records.into_iter().cloned().collect(),
-    };
-    Ok(match reference.mode {
-        SweepMode::Binders => MergedReport::Dse(merged.into_dse_report()),
-        SweepMode::UseCases => MergedReport::UseCases(merged.into_use_case_report()),
     })
-}
-
-/// The design points of the canonical sweep order that `spec` owns, with
-/// their sequence numbers.
-fn owned_configs(configs: Vec<SweepConfig>, spec: ShardSpec) -> Vec<(u64, SweepConfig)> {
-    configs
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| (i as u64, c))
-        .filter(|(seq, _)| spec.owns(*seq))
-        .collect()
 }
 
 /// Errors seeding a sweep from partial shard files (`mamps dse --resume`).
@@ -687,176 +671,242 @@ pub(crate) fn seed_outcomes(
     Ok(seeded)
 }
 
-/// Builds the header every run of a given sweep builds — the one place
-/// the sweep's identity is assembled, shared by the in-process
-/// `explore_*` entry points and the [`crate::serve`] coordinator (whose
-/// byte-identical-report contract depends on constructing the very same
-/// header as a single-process run).
-pub(crate) fn sweep_header(
-    mode: SweepMode,
-    apps: Vec<String>,
-    tile_counts: &[usize],
-    include_noc: bool,
-    strategies: &[StrategyHandle],
-    spec: ShardSpec,
-    total_configs: u64,
-) -> ShardHeader {
-    ShardHeader {
-        mode,
-        shard: spec,
-        total_configs,
-        signature: SweepSignature {
+/// A sweep resolved for evaluation: the applications, the design points
+/// in canonical order (a point's index is its seq) and the full-sweep
+/// header. [`Sweep::evaluate`] is the only place design points are
+/// evaluated, so sharded, resumed and served runs produce the very
+/// records of a plain one.
+#[derive(Debug)]
+pub struct Sweep {
+    apps: Vec<ApplicationModel>,
+    configs: Vec<SweepConfig>,
+    header: ShardHeader,
+}
+
+impl Sweep {
+    /// Validates and resolves a sweep of `apps` over `tile_counts` × FSL
+    /// (and NoC when `include_noc`) × `strategies`. Empty `strategies`
+    /// sweeps the default binder, `greedy`.
+    ///
+    /// # Errors
+    ///
+    /// A rendered reason when `apps` is empty, a [`SweepMode::Binders`]
+    /// sweep does not have exactly one application, or `tile_counts` is
+    /// empty. Duplicate application names are not an error here: every
+    /// design point of such a use-case sweep reports them as a rejection.
+    pub fn new(
+        mode: SweepMode,
+        apps: Vec<ApplicationModel>,
+        tile_counts: &[usize],
+        include_noc: bool,
+        mut strategies: Vec<StrategyHandle>,
+    ) -> Result<Sweep, String> {
+        if apps.is_empty() {
+            return Err("sweep has no applications".into());
+        }
+        if mode == SweepMode::Binders && apps.len() != 1 {
+            return Err(format!(
+                "a binder sweep takes exactly one application, got {}",
+                apps.len()
+            ));
+        }
+        if tile_counts.is_empty() {
+            return Err("sweep has no tile counts".into());
+        }
+        if strategies.is_empty() {
+            strategies.push(StrategyHandle::default());
+        }
+        // The canonical order — strategy outermost, then tile count, FSL
+        // before NoC — is part of the shard-file contract: shards own
+        // positions in it.
+        let mut configs: Vec<SweepConfig> = Vec::new();
+        for strategy in &strategies {
+            for &tiles in tile_counts {
+                configs.push((tiles, "fsl", Interconnect::fsl(), strategy.clone()));
+                if include_noc {
+                    let noc = Interconnect::noc_for_tiles(tiles);
+                    configs.push((tiles, "noc", noc, strategy.clone()));
+                }
+            }
+        }
+        let header = ShardHeader {
+            mode,
+            shard: ShardSpec::full(),
+            total_configs: configs.len() as u64,
+            signature: SweepSignature {
+                apps: apps.iter().map(|a| a.graph().name().to_string()).collect(),
+                tile_counts: tile_counts.to_vec(),
+                include_noc,
+                binders: strategies.iter().map(|s| s.name().to_string()).collect(),
+            },
+        };
+        Ok(Sweep {
             apps,
-            tile_counts: tile_counts.to_vec(),
-            include_noc,
-            binders: strategies.iter().map(|s| s.name().to_string()).collect(),
-        },
+            configs,
+            header,
+        })
+    }
+
+    /// The full-sweep (0/1) header. Its stable hash is the coordinator's
+    /// job fingerprint.
+    pub fn header(&self) -> &ShardHeader {
+        &self.header
+    }
+
+    /// Evaluates the design points `seqs` (those past the end of the
+    /// sweep are skipped), concurrently per `opts.jobs` with results
+    /// identical to a sequential run, and returns their records in the
+    /// order of `seqs`.
+    pub fn evaluate(
+        &self,
+        seqs: impl IntoIterator<Item = u64>,
+        opts: &FlowOptions,
+    ) -> Vec<ShardRecord> {
+        let total = self.header.total_configs;
+        let todo: Vec<u64> = seqs.into_iter().filter(|&seq| seq < total).collect();
+        // The use-case is configuration-independent: validate it once,
+        // outside the per-point fan-out.
+        let use_case =
+            (self.header.mode == SweepMode::UseCases).then(|| use_case_context(&self.apps));
+        // Design-point cost is heavily skewed, so points are scheduled
+        // dynamically rather than split statically.
+        dynamic_map(opts.jobs, &todo, |_, &seq| {
+            let config = &self.configs[seq as usize];
+            let outcome = match &use_case {
+                Some(ctx) => {
+                    ShardOutcome::UseCase(evaluate_use_case_config(&self.apps, ctx, config, opts))
+                }
+                None => match evaluate_dse_config(&self.apps[0], config, opts) {
+                    Ok(p) => ShardOutcome::Point(p),
+                    Err(s) => ShardOutcome::Skipped(s),
+                },
+            };
+            ShardRecord { seq, outcome }
+        })
+    }
+
+    /// Runs the design points `shard` owns (`--shard i/n` owns the seqs
+    /// with `seq % n == i`; [`ShardSpec::full`] owns them all). The owned
+    /// records of `resume` — partial shard files of a crashed or killed
+    /// run of the same sweep, sharded alike or not — seed the run and are
+    /// not evaluated again. Outcomes are deterministic, so the result is
+    /// identical to a cold run's.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError`] when a resume shard belongs to a different sweep.
+    pub fn run(
+        &self,
+        shard: ShardSpec,
+        resume: &[DseShard],
+        opts: &FlowOptions,
+    ) -> Result<DseShard, ResumeError> {
+        let header = ShardHeader {
+            shard,
+            ..self.header.clone()
+        };
+        let mut outcomes = seed_outcomes(&header, resume)?;
+        let todo =
+            (0..header.total_configs).filter(|seq| shard.owns(*seq) && !outcomes.contains_key(seq));
+        for r in self.evaluate(todo, opts) {
+            outcomes.insert(r.seq, r.outcome);
+        }
+        Ok(DseShard {
+            header,
+            records: outcomes
+                .into_iter()
+                .map(|(seq, outcome)| ShardRecord { seq, outcome })
+                .collect(),
+        })
     }
 }
 
-/// Merges seeded outcomes with freshly evaluated records back into
-/// canonical seq order.
-fn merge_seeded(
-    mut seeded: std::collections::BTreeMap<u64, ShardOutcome>,
-    fresh: Vec<ShardRecord>,
-) -> Vec<ShardRecord> {
-    let mut records = fresh;
-    records.extend(
-        std::mem::take(&mut seeded)
-            .into_iter()
-            .map(|(seq, outcome)| ShardRecord { seq, outcome }),
-    );
-    records.sort_by_key(|r| r.seq);
-    records
+/// Runs the whole sweep of `apps` over the strategies of
+/// [`FlowOptions::binders`], or the single `opts.map.bind.strategy` when
+/// that is empty: the body of the library entry points.
+///
+/// # Panics
+///
+/// When [`Sweep::new`] rejects the sweep.
+pub(crate) fn explore_sweep(
+    mode: SweepMode,
+    apps: Vec<ApplicationModel>,
+    tile_counts: &[usize],
+    include_noc: bool,
+    opts: &FlowOptions,
+) -> DseShard {
+    let strategies = if opts.binders.is_empty() {
+        vec![opts.map.bind.strategy.clone()]
+    } else {
+        opts.binders.clone()
+    };
+    Sweep::new(mode, apps, tile_counts, include_noc, strategies)
+        .unwrap_or_else(|e| panic!("invalid sweep: {e}"))
+        .run(ShardSpec::full(), &[], opts)
+        .expect("an empty resume set cannot mismatch")
 }
 
-/// Evaluates the single-application design points owned by
-/// [`FlowOptions::shard`] (the whole sweep when unset). Points are
-/// evaluated concurrently when `opts.jobs > 1` — scheduled dynamically by
-/// [`dynamic_map`], since design-point cost is heavily skewed — with
-/// results identical to a sequential run.
+/// The whole single-application sweep of `app` as one shard (see
+/// [`crate::dse::explore_report`] for the sweep's shape).
+///
+/// # Panics
+///
+/// When `tile_counts` is empty.
 pub fn explore_shard(
     app: &ApplicationModel,
     tile_counts: &[usize],
     include_noc: bool,
     opts: &FlowOptions,
 ) -> DseShard {
-    explore_shard_with_resume(app, tile_counts, include_noc, opts, &[])
-        .expect("an empty resume set cannot mismatch")
-}
-
-/// [`explore_shard`], seeded with the records of partial shard files from
-/// a previous (crashed or killed) run of the *same* sweep: seeded design
-/// points are not re-evaluated, so a resumed sweep finishes the remaining
-/// work only. The outcomes are deterministic, so the resulting shard — and
-/// any report merged from it — is identical to a cold run's.
-///
-/// # Errors
-///
-/// [`ResumeError`] when a resume shard belongs to a different sweep.
-pub fn explore_shard_with_resume(
-    app: &ApplicationModel,
-    tile_counts: &[usize],
-    include_noc: bool,
-    opts: &FlowOptions,
-    resume: &[DseShard],
-) -> Result<DseShard, ResumeError> {
-    let strategies = sweep_strategies(opts);
-    let configs = sweep_configs(&strategies, tile_counts, include_noc);
-    let spec = opts.shard.unwrap_or_else(ShardSpec::full);
-    let header = sweep_header(
+    explore_sweep(
         SweepMode::Binders,
-        vec![app.graph().name().to_string()],
+        vec![app.clone()],
         tile_counts,
         include_noc,
-        &strategies,
-        spec,
-        configs.len() as u64,
-    );
-    let seeded = seed_outcomes(&header, resume)?;
-    let todo: Vec<(u64, SweepConfig)> = owned_configs(configs, spec)
-        .into_iter()
-        .filter(|(seq, _)| !seeded.contains_key(seq))
-        .collect();
-    let fresh = dynamic_map(opts.jobs, &todo, |_, (seq, config)| ShardRecord {
-        seq: *seq,
-        outcome: match evaluate_dse_config(app, config, opts) {
-            Ok(p) => ShardOutcome::Point(p),
-            Err(s) => ShardOutcome::Skipped(s),
-        },
-    });
-    Ok(DseShard {
-        header,
-        records: merge_seeded(seeded, fresh),
-    })
-}
-
-/// Evaluates the use-case design points owned by [`FlowOptions::shard`]
-/// (the whole sweep when unset).
-pub fn explore_use_case_shard(
-    apps: &[ApplicationModel],
-    tile_counts: &[usize],
-    include_noc: bool,
-    opts: &FlowOptions,
-) -> DseShard {
-    explore_use_case_shard_with_resume(apps, tile_counts, include_noc, opts, &[])
-        .expect("an empty resume set cannot mismatch")
-}
-
-/// [`explore_use_case_shard`], seeded like [`explore_shard_with_resume`].
-///
-/// # Errors
-///
-/// [`ResumeError`] when a resume shard belongs to a different sweep.
-pub fn explore_use_case_shard_with_resume(
-    apps: &[ApplicationModel],
-    tile_counts: &[usize],
-    include_noc: bool,
-    opts: &FlowOptions,
-    resume: &[DseShard],
-) -> Result<DseShard, ResumeError> {
-    let strategies = sweep_strategies(opts);
-    let configs = sweep_configs(&strategies, tile_counts, include_noc);
-    let spec = opts.shard.unwrap_or_else(ShardSpec::full);
-    let header = sweep_header(
-        SweepMode::UseCases,
-        apps.iter().map(|a| a.graph().name().to_string()).collect(),
-        tile_counts,
-        include_noc,
-        &strategies,
-        spec,
-        configs.len() as u64,
-    );
-    let seeded = seed_outcomes(&header, resume)?;
-    let todo: Vec<(u64, SweepConfig)> = owned_configs(configs, spec)
-        .into_iter()
-        .filter(|(seq, _)| !seeded.contains_key(seq))
-        .collect();
-    let ctx = use_case_context(apps);
-    let fresh = dynamic_map(opts.jobs, &todo, |_, (seq, config)| ShardRecord {
-        seq: *seq,
-        outcome: ShardOutcome::UseCase(evaluate_use_case_config(apps, &ctx, config, opts)),
-    });
-    Ok(DseShard {
-        header,
-        records: merge_seeded(seeded, fresh),
-    })
+        opts,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dse::tests::{app, named_app};
-    use crate::dse::{explore_report, explore_use_cases};
 
-    fn sharded(app: &ApplicationModel, n: u32, opts: &FlowOptions) -> Vec<DseShard> {
+    /// The greedy binder sweep of the test app over `tiles` × FSL/NoC.
+    fn sweep(tiles: &[usize]) -> Sweep {
+        Sweep::new(SweepMode::Binders, vec![app()], tiles, true, Vec::new()).unwrap()
+    }
+
+    /// One sweep per mode: the properties below hold for both.
+    fn both_modes() -> [Sweep; 2] {
+        let binders = ["greedy", "spiral"].map(|n| mamps_mapping::strategy::by_name(n).unwrap());
+        let apps = vec![named_app("sa", &[70, 70]), named_app("sb", &[35, 35])];
+        [
+            Sweep::new(
+                SweepMode::Binders,
+                vec![app()],
+                &[0, 1, 2, 3],
+                true,
+                binders.to_vec(),
+            ),
+            Sweep::new(SweepMode::UseCases, apps, &[1, 2, 3], true, Vec::new()),
+        ]
+        .map(Result::unwrap)
+    }
+
+    fn sharded(sweep: &Sweep, n: u32) -> Vec<DseShard> {
         (0..n)
             .map(|i| {
-                let mut o = opts.clone();
-                o.shard = Some(ShardSpec::new(i, n).unwrap());
-                explore_shard(app, &[0, 1, 2, 3], true, &o)
+                let spec = ShardSpec::new(i, n).unwrap();
+                sweep.run(spec, &[], &FlowOptions::default()).unwrap()
             })
             .collect()
+    }
+
+    fn cold(sweep: &Sweep) -> DseShard {
+        sweep
+            .run(ShardSpec::full(), &[], &FlowOptions::default())
+            .unwrap()
     }
 
     #[test]
@@ -890,47 +940,53 @@ mod tests {
     }
 
     #[test]
+    fn sweep_new_validates_the_sweep_shape() {
+        use SweepMode::{Binders, UseCases};
+        let err =
+            |mode, apps, tiles: &[usize]| Sweep::new(mode, apps, tiles, true, Vec::new()).err();
+        let no_apps = Some("sweep has no applications".to_string());
+        assert_eq!(err(UseCases, Vec::new(), &[1]), no_apps);
+        assert_eq!(err(Binders, Vec::new(), &[1]), no_apps);
+        let two = Some("a binder sweep takes exactly one application, got 2".into());
+        assert_eq!(err(Binders, vec![app(), app()], &[1]), two);
+        assert_eq!(
+            err(Binders, vec![app()], &[]),
+            Some("sweep has no tile counts".into())
+        );
+        // Duplicate names are a per-point rejection, not a malformed sweep.
+        assert_eq!(err(UseCases, vec![app(), app()], &[1]), None);
+        // No strategies sweeps greedy: 2 tile counts x fsl/noc.
+        let header = sweep(&[1, 2]).header().clone();
+        assert_eq!(header.signature.binders, vec!["greedy".to_string()]);
+        assert_eq!((header.total_configs, header.shard), (4, ShardSpec::full()));
+    }
+
+    #[test]
     fn merged_shards_equal_unsharded_report() {
-        let a = app();
-        let opts = FlowOptions {
-            binders: vec![
-                mamps_mapping::strategy::by_name("greedy").unwrap(),
-                mamps_mapping::strategy::by_name("spiral").unwrap(),
-            ],
-            ..FlowOptions::default()
-        };
-        let full = explore_report(&a, &[0, 1, 2, 3], true, &opts);
-        for n in [1u32, 2, 3, 5] {
-            let shards = sharded(&a, n, &opts);
-            match merge_reports(&shards).unwrap() {
-                MergedReport::Dse(merged) => assert_eq!(merged, full, "n={n}"),
-                other => panic!("expected a DSE report, got {other:?}"),
+        for sweep in both_modes() {
+            let full = cold(&sweep);
+            for n in [1u32, 2, 3, 5] {
+                let merged = merge_reports(&sharded(&sweep, n)).unwrap();
+                let mode = sweep.header().mode;
+                assert_eq!(merged, full, "{mode}, n={n}");
             }
+            assert_eq!(full.header.shard, ShardSpec::full());
         }
     }
 
     #[test]
-    fn merged_use_case_shards_equal_unsharded_report() {
-        let apps = vec![named_app("sa", &[70, 70]), named_app("sb", &[35, 35])];
+    fn evaluate_skips_seqs_past_the_end_of_the_sweep() {
+        let s = sweep(&[1, 2]);
         let opts = FlowOptions::default();
-        let full = explore_use_cases(&apps, &[1, 2, 3], true, &opts);
-        let shards: Vec<DseShard> = (0..3)
-            .map(|i| {
-                let mut o = opts.clone();
-                o.shard = Some(ShardSpec::new(i, 3).unwrap());
-                explore_use_case_shard(&apps, &[1, 2, 3], true, &o)
-            })
-            .collect();
-        match merge_reports(&shards).unwrap() {
-            MergedReport::UseCases(merged) => assert_eq!(merged, full),
-            other => panic!("expected a use-case report, got {other:?}"),
-        }
+        let records = s.evaluate([1, 7, 0, u64::MAX], &opts);
+        let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![1, 0]);
+        assert_eq!(records[1], cold(&s).records[0]);
     }
 
     #[test]
     fn jsonl_round_trips_shards_exactly() {
-        let a = app();
-        for shard in sharded(&a, 2, &FlowOptions::default()) {
+        for shard in sharded(&sweep(&[0, 1, 2, 3]), 2) {
             let text = shard.to_jsonl();
             let back = DseShard::from_jsonl(&text).unwrap();
             assert_eq!(back, shard);
@@ -941,8 +997,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_missing_and_duplicate_shards() {
-        let a = app();
-        let shards = sharded(&a, 3, &FlowOptions::default());
+        let shards = sharded(&sweep(&[0, 1, 2, 3]), 3);
         assert!(matches!(
             merge_reports(&shards[..2]),
             Err(MergeError::MissingShards { ref missing, count: 3 }) if missing == &vec![2]
@@ -957,17 +1012,8 @@ mod tests {
 
     #[test]
     fn merge_rejects_mismatched_sweeps() {
-        let a = app();
-        let o0 = FlowOptions {
-            shard: Some(ShardSpec::new(0, 2).unwrap()),
-            ..FlowOptions::default()
-        };
-        let o1 = FlowOptions {
-            shard: Some(ShardSpec::new(1, 2).unwrap()),
-            ..o0.clone()
-        };
-        let s0 = explore_shard(&a, &[1, 2], true, &o0);
-        let s1 = explore_shard(&a, &[1, 2, 3], true, &o1); // different tiles
+        let s0 = sharded(&sweep(&[1, 2]), 2).swap_remove(0);
+        let s1 = sharded(&sweep(&[1, 2, 3]), 2).swap_remove(1); // different tiles
         assert!(matches!(
             merge_reports(&[s0, s1]),
             Err(MergeError::SweepMismatch { .. })
@@ -976,8 +1022,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_truncated_shards() {
-        let a = app();
-        let mut shards = sharded(&a, 2, &FlowOptions::default());
+        let mut shards = sharded(&sweep(&[0, 1, 2, 3]), 2);
         shards[1].records.pop();
         assert!(matches!(
             merge_reports(&shards),
@@ -990,14 +1035,7 @@ mod tests {
         // count 0 would divide by zero in `owns`; index >= count would
         // index out of bounds in `merge_reports`. Both must surface as
         // structured errors from from_jsonl.
-        let a = app();
-        let good = {
-            let o = FlowOptions {
-                shard: Some(ShardSpec::new(0, 2).unwrap()),
-                ..FlowOptions::default()
-            };
-            explore_shard(&a, &[1], false, &o)
-        };
+        let good = sharded(&sweep(&[1]), 2).swap_remove(0);
         let zero = good
             .to_jsonl()
             .replace("\"index\":0,\"count\":2", "\"index\":0,\"count\":0");
@@ -1024,60 +1062,48 @@ mod tests {
 
     #[test]
     fn resumed_sweep_is_identical_to_a_cold_run() {
-        let a = app();
         let opts = FlowOptions::default();
-        let cold = explore_shard(&a, &[0, 1, 2, 3], true, &opts);
-        // Simulate a crash after an arbitrary prefix of the records.
-        for keep in [0, 1, cold.records.len() / 2, cold.records.len()] {
-            let mut partial = cold.clone();
-            partial.records.truncate(keep);
-            let resumed =
-                explore_shard_with_resume(&a, &[0, 1, 2, 3], true, &opts, &[partial]).unwrap();
-            assert_eq!(resumed, cold, "keep={keep}");
-            assert_eq!(resumed.to_jsonl(), cold.to_jsonl(), "keep={keep}");
+        for sweep in both_modes() {
+            let cold = cold(&sweep);
+            // Simulate a crash after an arbitrary prefix of the records.
+            for keep in [0, 1, cold.records.len() / 2, cold.records.len()] {
+                let mut partial = cold.clone();
+                partial.records.truncate(keep);
+                let resumed = sweep.run(ShardSpec::full(), &[partial], &opts).unwrap();
+                let mode = sweep.header().mode;
+                assert_eq!(resumed, cold, "{mode}, keep={keep}");
+                assert_eq!(resumed.to_jsonl(), cold.to_jsonl(), "{mode}, keep={keep}");
+            }
         }
     }
 
     #[test]
     fn resume_reuses_partials_from_a_differently_sharded_run() {
         // A crashed 3-way sharded sweep's partials seed an unsharded
-        // resume: every record carries its canonical seq, so shard
-        // geometry does not matter.
-        let a = app();
+        // resume, and the unsharded run seeds a shard: every record
+        // carries its canonical seq, so shard geometry does not matter.
+        let s = sweep(&[0, 1, 2, 3]);
         let opts = FlowOptions::default();
-        let cold = explore_shard(&a, &[0, 1, 2, 3], true, &opts);
-        let partials = sharded(&a, 3, &opts);
-        let resumed = explore_shard_with_resume(&a, &[0, 1, 2, 3], true, &opts, &partials).unwrap();
-        assert_eq!(resumed, cold);
+        let cold = cold(&s);
+        let partials = sharded(&s, 3);
+        assert_eq!(s.run(ShardSpec::full(), &partials, &opts).unwrap(), cold);
+        let spec = ShardSpec::new(1, 3).unwrap();
+        let reseeded = s.run(spec, std::slice::from_ref(&cold), &opts).unwrap();
+        assert_eq!(reseeded, partials[1]);
     }
 
     #[test]
     fn resume_rejects_foreign_sweeps() {
-        let a = app();
-        let opts = FlowOptions::default();
-        let other = explore_shard(&a, &[1, 2], false, &opts); // different sweep
+        let other = cold(&sweep(&[1, 2])); // different sweep
         assert!(matches!(
-            explore_shard_with_resume(&a, &[0, 1, 2, 3], true, &opts, &[other]),
+            sweep(&[0, 1, 2, 3]).run(ShardSpec::full(), &[other], &FlowOptions::default()),
             Err(ResumeError::SweepMismatch { .. })
         ));
     }
 
     #[test]
-    fn resumed_use_case_sweep_is_identical_to_a_cold_run() {
-        let apps = vec![named_app("ra", &[70, 70]), named_app("rb", &[35, 35])];
-        let opts = FlowOptions::default();
-        let cold = explore_use_case_shard(&apps, &[1, 2], true, &opts);
-        let mut partial = cold.clone();
-        partial.records.truncate(cold.records.len() / 2);
-        let resumed =
-            explore_use_case_shard_with_resume(&apps, &[1, 2], true, &opts, &[partial]).unwrap();
-        assert_eq!(resumed, cold);
-    }
-
-    #[test]
     fn lossy_loader_drops_only_a_torn_trailing_line() {
-        let a = app();
-        let shard = explore_shard(&a, &[1, 2], false, &FlowOptions::default());
+        let shard = cold(&sweep(&[1, 2]));
         let text = shard.to_jsonl();
 
         // Intact file: nothing dropped.
@@ -1105,8 +1131,7 @@ mod tests {
 
     #[test]
     fn foreign_records_are_rejected_at_parse_time() {
-        let a = app();
-        let shards = sharded(&a, 2, &FlowOptions::default());
+        let shards = sharded(&sweep(&[0, 1, 2, 3]), 2);
         // Concatenating two different shards' files corrupts ownership.
         let concatenated = format!("{}{}", shards[0].to_jsonl(), shards[1].to_jsonl());
         assert!(DseShard::from_jsonl(&concatenated).is_err());

@@ -97,11 +97,6 @@ pub struct FlowOptions {
     /// Empty means "just the strategy configured in `map.bind.strategy`".
     /// A single flow run always uses `map.bind.strategy`.
     pub binders: Vec<mamps_mapping::StrategyHandle>,
-    /// Which shard of the DSE design-point space this process evaluates
-    /// (`mamps dse --shard i/n`); `None` sweeps the whole space. Single
-    /// flow runs ignore it. See [`crate::dse::shard`] for the partition
-    /// contract and the merge.
-    pub shard: Option<crate::dse::shard::ShardSpec>,
     /// Simulator engine for every verification run of the flow (the
     /// synthesis boot run, the multi-flow validation runs, traced group
     /// re-runs). Both engines are bit-identical by contract; `lockstep`
@@ -118,7 +113,6 @@ impl Default for FlowOptions {
             boot_iterations: 3,
             jobs: 1,
             binders: Vec::new(),
-            shard: None,
             sim_engine: Engine::default(),
         }
     }

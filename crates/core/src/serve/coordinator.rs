@@ -40,11 +40,9 @@ use mamps_sdf::{GlobalAnalysisCache, PassCache};
 
 use crate::dse::cache as dse_cache;
 use crate::dse::lease::{LeaseTable, MergeLedger};
-use crate::dse::shard::{seed_outcomes, DseShard, ShardSpec};
+use crate::dse::shard::{push_line, seed_outcomes, DseShard, ShardRecord, ShardSpec};
 
-use super::protocol::{
-    read_msg, tagged_line, write_msg, ClientMsg, JobStats, ResolvedSweep, ServerMsg, SweepSpec,
-};
+use super::protocol::{read_msg, write_msg, ClientMsg, JobStats, ServerMsg, SweepSpec};
 
 /// How the coordinator runs; all knobs of `mamps dse-serve`.
 #[derive(Debug, Clone)]
@@ -361,11 +359,10 @@ fn handle_connection(shared: &Shared, stream: UnixStream) -> std::io::Result<()>
 /// it finishes. The job itself lives in the shared state: it keeps
 /// running — and lands in the history — even if this submitter vanishes.
 fn handle_submit(shared: &Shared, writer: &mut UnixStream, spec: SweepSpec) -> std::io::Result<()> {
-    let resolved = match ResolvedSweep::new(&spec) {
-        Ok(r) => r,
+    let header = match spec.resolve() {
+        Ok(sweep) => sweep.header().clone(),
         Err(reason) => return write_msg(writer, &ServerMsg::Reject { reason }),
     };
-    let header = resolved.header().clone();
     let fingerprint = serde::stable_hash_of(&header);
     let total = header.total_configs;
 
@@ -412,7 +409,7 @@ fn handle_submit(shared: &Shared, writer: &mut UnixStream, spec: SweepSpec) -> s
                     match seed_outcomes(&header, std::slice::from_ref(&old)) {
                         Ok(seeded) => {
                             for (seq, outcome) in seeded {
-                                ledger.insert(crate::dse::shard::ShardRecord { seq, outcome });
+                                ledger.insert(ShardRecord { seq, outcome });
                             }
                         }
                         Err(e) => eprintln!(
@@ -429,10 +426,6 @@ fn handle_submit(shared: &Shared, writer: &mut UnixStream, spec: SweepSpec) -> s
             Err(e) => eprintln!("dse-serve: cannot read spool {}: {e}", spool.display()),
         }
         let seeded = ledger.len();
-        // (Re)start the spool as header + everything seeded, so appends
-        // keep it a well-formed shard file.
-        std::fs::write(spool.with_extension("tmp"), ledger.to_shard().to_jsonl())
-            .and_then(|()| std::fs::rename(spool.with_extension("tmp"), &spool))?;
         let table = LeaseTable::new(total, shared.cfg.chunk, |seq| ledger.contains(seq));
         let job = Job {
             fingerprint,
@@ -443,6 +436,9 @@ fn handle_submit(shared: &Shared, writer: &mut UnixStream, spec: SweepSpec) -> s
             seeded,
             evaluated: 0,
         };
+        // (Re)start the spool as header + everything seeded, so appends
+        // keep it a well-formed shard file.
+        compact_spool(&job)?;
         eprintln!(
             "dse-serve: sweep {fingerprint:016x} submitted ({total} points, {seeded} seeded)"
         );
@@ -579,7 +575,7 @@ fn handle_complete(
     shared: &Shared,
     job_fp: u64,
     lease: u64,
-    records: Vec<crate::dse::shard::ShardRecord>,
+    records: Vec<ShardRecord>,
     analysis: Vec<mamps_sdf::cache::CacheEntry>,
     passes: Vec<mamps_sdf::passes::PassEntry>,
 ) {
@@ -601,11 +597,10 @@ fn handle_complete(
         eprintln!("dse-serve: lease {lease} of {job_fp:016x} left open ({n} foreign records)");
     }
     job.evaluated += completion.fresh.len() as u64;
-    let fresh: String = completion
-        .fresh
-        .iter()
-        .map(|r| tagged_line("Record", r))
-        .collect();
+    let mut fresh = String::new();
+    for r in &completion.fresh {
+        push_line(&mut fresh, "Record", r);
+    }
     if !fresh.is_empty() {
         use std::fs::OpenOptions;
         let appended = OpenOptions::new()
@@ -632,7 +627,7 @@ fn handle_complete(
 /// spool one last time, stores the report in the history, and persists
 /// the warm caches.
 fn finalize_job(shared: &Shared, st: &mut State, job: Job) {
-    let report = job.ledger.render();
+    let report = job.ledger.to_shard().render();
     let stats = job.stats();
     if let Err(e) = compact_spool(&job) {
         eprintln!(

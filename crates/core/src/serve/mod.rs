@@ -15,7 +15,8 @@
 //!   incrementally ([`crate::dse::lease::MergeLedger`]), and keeps one
 //!   warm analysis + pass cache across all submissions.
 //! * [`worker::run_worker`] (`mamps dse-work`) fetches leased ranges and
-//!   evaluates them with the exact single-process evaluation path.
+//!   evaluates them with [`Sweep::evaluate`](crate::dse::shard::Sweep::evaluate),
+//!   the evaluation path of single-process `mamps dse`.
 //! * [`submit::run_submit`] (`mamps dse-submit`) submits a sweep and
 //!   waits for the merged report.
 //!
@@ -46,6 +47,6 @@ pub mod submit;
 pub mod worker;
 
 pub use coordinator::{run_coordinator, ServeConfig};
-pub use protocol::{ClientMsg, JobStats, ResolvedSweep, ServerMsg, SweepSpec};
+pub use protocol::{ClientMsg, JobStats, ServerMsg, SweepSpec};
 pub use submit::{run_submit, SubmitOutcome};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};

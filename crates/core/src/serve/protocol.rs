@@ -16,23 +16,14 @@
 
 use std::io::{self, BufRead, Write};
 
-use mamps_mapping::{strategy, StrategyHandle};
+use mamps_mapping::strategy;
 use mamps_sdf::cache::CacheEntry;
-use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::passes::PassEntry;
 use mamps_sdf::xml::application_from_xml;
 use serde::{Deserialize, Serialize};
 
 use crate::dse::lease::SeqRange;
-use crate::dse::shard::{
-    sweep_header, ShardHeader, ShardOutcome, ShardRecord, ShardSpec, SweepMode,
-};
-use crate::dse::{
-    evaluate_dse_config, evaluate_use_case_config, sweep_configs, sweep_strategies,
-    use_case_context,
-};
-use crate::flow::FlowOptions;
-use crate::parallel::dynamic_map;
+use crate::dse::shard::{ShardRecord, Sweep, SweepMode};
 
 /// A sweep as submitted over the wire: everything a worker needs to
 /// evaluate design points, self-contained (XML text inline, binder
@@ -51,6 +42,48 @@ pub struct SweepSpec {
     /// Binding strategy names; empty means the default (greedy), exactly
     /// like `mamps dse` without `--binders`.
     pub binders: Vec<String>,
+}
+
+impl SweepSpec {
+    /// Parses the applications out of their XML and the binders out of
+    /// the registry, and validates the result with [`Sweep::new`]. The
+    /// coordinator builds its job header from the resolved sweep — the
+    /// header `mamps dse` builds for the same inputs — and workers
+    /// evaluate their leased ranges with it.
+    ///
+    /// # Errors
+    ///
+    /// A rendered reason when an XML does not parse, a binder name is
+    /// unknown, or [`Sweep::new`] rejects the sweep.
+    pub fn resolve(&self) -> Result<Sweep, String> {
+        let apps = self
+            .apps_xml
+            .iter()
+            .enumerate()
+            .map(|(i, xml)| {
+                application_from_xml(xml).map_err(|e| format!("application {}: {e}", i + 1))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        let binders = self
+            .binders
+            .iter()
+            .map(|name| {
+                strategy::by_name(name).ok_or_else(|| {
+                    format!(
+                        "unknown binder `{name}` (available: {})",
+                        strategy::names().join(", ")
+                    )
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Sweep::new(
+            self.mode,
+            apps,
+            &self.tile_counts,
+            self.include_noc,
+            binders,
+        )
+    }
 }
 
 /// Counters the coordinator reports with a finished sweep.
@@ -186,166 +219,36 @@ pub fn read_msg<T: for<'de> Deserialize<'de>>(r: &mut impl BufRead) -> io::Resul
     }
 }
 
-/// A [`SweepSpec`] parsed and resolved for evaluation: applications out
-/// of their XML, binder names out of the registry, and the canonical
-/// config order enumerated. Both ends build one: the coordinator for the
-/// sweep's identity (header → job fingerprint, total count), workers for
-/// actually evaluating leased ranges.
-pub struct ResolvedSweep {
-    apps: Vec<ApplicationModel>,
-    configs: Vec<crate::dse::SweepConfig>,
-    header: ShardHeader,
-}
-
-impl ResolvedSweep {
-    /// Parses and validates `spec`.
-    ///
-    /// # Errors
-    ///
-    /// A rendered reason when an XML does not parse, a binder name is
-    /// unknown, the application list does not fit the mode, or the tile
-    /// counts are empty.
-    pub fn new(spec: &SweepSpec) -> Result<ResolvedSweep, String> {
-        if spec.apps_xml.is_empty() {
-            return Err("sweep has no applications".into());
-        }
-        if spec.mode == SweepMode::Binders && spec.apps_xml.len() != 1 {
-            return Err(format!(
-                "a binder sweep takes exactly one application, got {}",
-                spec.apps_xml.len()
-            ));
-        }
-        if spec.tile_counts.is_empty() {
-            return Err("sweep has no tile counts".into());
-        }
-        let apps = spec
-            .apps_xml
-            .iter()
-            .enumerate()
-            .map(|(i, xml)| {
-                application_from_xml(xml).map_err(|e| format!("application {}: {e}", i + 1))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let binders = spec
-            .binders
-            .iter()
-            .map(|name| {
-                strategy::by_name(name).ok_or_else(|| {
-                    format!(
-                        "unknown binder `{name}` (available: {})",
-                        strategy::names().join(", ")
-                    )
-                })
-            })
-            .collect::<Result<Vec<StrategyHandle>, String>>()?;
-        // Route the empty-binders default through the same fallback
-        // `mamps dse` uses, so the sweep identity matches exactly.
-        let opts = FlowOptions {
-            binders,
-            ..FlowOptions::default()
-        };
-        let strategies = sweep_strategies(&opts);
-        let configs = sweep_configs(&strategies, &spec.tile_counts, spec.include_noc);
-        let header = sweep_header(
-            spec.mode,
-            apps.iter().map(|a| a.graph().name().to_string()).collect(),
-            &spec.tile_counts,
-            spec.include_noc,
-            &strategies,
-            ShardSpec::full(),
-            configs.len() as u64,
-        );
-        Ok(ResolvedSweep {
-            apps,
-            configs,
-            header,
-        })
-    }
-
-    /// The full-sweep header — the same one `mamps dse` builds, so a
-    /// ledger merged toward it renders the identical report. Its stable
-    /// hash is the job fingerprint.
-    pub fn header(&self) -> &ShardHeader {
-        &self.header
-    }
-
-    /// Design points in the sweep.
-    pub fn total(&self) -> u64 {
-        self.header.total_configs
-    }
-
-    /// Evaluates the design points of `range` (clipped to the sweep),
-    /// concurrently per `opts.jobs`, exactly as the in-process sweep
-    /// evaluates them.
-    pub fn evaluate(&self, range: SeqRange, opts: &FlowOptions) -> Vec<ShardRecord> {
-        let todo: Vec<u64> = range.seqs().filter(|&s| s < self.total()).collect();
-        match self.header.mode {
-            SweepMode::Binders => dynamic_map(opts.jobs, &todo, |_, &seq| ShardRecord {
-                seq,
-                outcome: match evaluate_dse_config(&self.apps[0], &self.configs[seq as usize], opts)
-                {
-                    Ok(p) => ShardOutcome::Point(p),
-                    Err(s) => ShardOutcome::Skipped(s),
-                },
-            }),
-            SweepMode::UseCases => {
-                let ctx = use_case_context(&self.apps);
-                dynamic_map(opts.jobs, &todo, |_, &seq| ShardRecord {
-                    seq,
-                    outcome: ShardOutcome::UseCase(evaluate_use_case_config(
-                        &self.apps,
-                        &ctx,
-                        &self.configs[seq as usize],
-                        opts,
-                    )),
-                })
-            }
-        }
-    }
-}
-
-/// One `{"Header":…}` / `{"Record":…}` line in exactly the bytes
-/// [`DseShard::to_jsonl`] writes — the coordinator's spool appends these
-/// incrementally, so a spool file *is* a shard file.
-pub(crate) fn tagged_line(tag: &str, v: &dyn Serialize) -> String {
-    let value = serde::Value::Map(vec![(tag.to_string(), v.to_value())]);
-    let mut out = String::new();
-    serde::json::emit(&value, &mut out);
-    out.push('\n');
-    out
-}
-
-/// Sanity-pin: a header line spooled by the coordinator must parse back
-/// as a shard file prefix.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dse::shard::DseShard;
 
     #[test]
-    fn tagged_header_line_matches_to_jsonl() {
+    fn resolved_spec_has_the_in_process_header() {
+        let app = mamps_mjpeg::mjpeg_application(
+            &mamps_mjpeg::StreamConfig {
+                frames: 1,
+                ..mamps_mjpeg::StreamConfig::small()
+            },
+            None,
+        )
+        .expect("mjpeg application builds");
         let spec = SweepSpec {
             mode: SweepMode::Binders,
-            apps_xml: vec![mamps_sdf::xml::application_to_xml(
-                &mamps_mjpeg::mjpeg_application(
-                    &mamps_mjpeg::StreamConfig {
-                        frames: 1,
-                        ..mamps_mjpeg::StreamConfig::small()
-                    },
-                    None,
-                )
-                .expect("mjpeg application builds"),
-            )],
+            apps_xml: vec![mamps_sdf::xml::application_to_xml(&app)],
             tile_counts: vec![1, 2],
             include_noc: false,
             binders: Vec::new(),
         };
-        let sweep = ResolvedSweep::new(&spec).expect("valid spec");
-        let shard = DseShard {
-            header: sweep.header().clone(),
-            records: Vec::new(),
+        let local = Sweep::new(SweepMode::Binders, vec![app], &[1, 2], false, Vec::new());
+        let resolved = spec.resolve().expect("valid spec");
+        assert_eq!(resolved.header(), local.expect("valid sweep").header());
+        let unknown = SweepSpec {
+            binders: vec!["quantum".into()],
+            ..spec
         };
-        assert_eq!(tagged_line("Header", sweep.header()), shard.to_jsonl());
+        let err = unknown.resolve().expect_err("unknown binder");
+        assert!(err.starts_with("unknown binder `quantum`"), "{err}");
     }
 
     #[test]

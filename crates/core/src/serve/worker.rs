@@ -1,7 +1,7 @@
 //! The `mamps dse-work` worker: fetches leased ranges from the
 //! coordinator, evaluates them with the exact in-process evaluation path
-//! (`evaluate_dse_config` / `evaluate_use_case_config` via
-//! [`ResolvedSweep::evaluate`]), and ships the records back.
+//! ([`SweepSpec::resolve`](super::protocol::SweepSpec::resolve), then
+//! [`Sweep::evaluate`]), and ships the records back.
 //!
 //! The worker is stateless with respect to the sweep — everything it
 //! needs arrives in the [`Assign`](super::protocol::ServerMsg::Assign)
@@ -21,9 +21,10 @@ use std::sync::Arc;
 use mamps_mapping::PassRunner;
 use mamps_sdf::{GlobalAnalysisCache, PassCache};
 
+use crate::dse::shard::Sweep;
 use crate::flow::FlowOptions;
 
-use super::protocol::{read_msg, write_msg, ClientMsg, ResolvedSweep, ServerMsg};
+use super::protocol::{read_msg, write_msg, ClientMsg, ServerMsg};
 
 /// How the worker runs; the knobs of `mamps dse-work`.
 #[derive(Debug, Clone)]
@@ -63,7 +64,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
     let analysis = Arc::new(GlobalAnalysisCache::new());
     let passes = Arc::new(PassCache::new());
     let runner = Arc::new(PassRunner::with_cache(Arc::clone(&passes)));
-    let mut sweeps: HashMap<u64, ResolvedSweep> = HashMap::new();
+    let mut sweeps: HashMap<u64, Sweep> = HashMap::new();
     // Cache sizes at the last ship-back: entries beyond these are news
     // the coordinator has not seen from us.
     let (mut shipped_analysis, mut shipped_passes) = (0usize, 0usize);
@@ -97,7 +98,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
                 let sweep = match sweeps.entry(job) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(v) => v.insert(
-                        ResolvedSweep::new(&spec)
+                        spec.resolve()
                             .map_err(|e| format!("coordinator sent an invalid sweep: {e}"))?,
                     ),
                 };
@@ -107,7 +108,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
                 };
                 opts.map.cache = Some(Arc::clone(&analysis));
                 opts.map.passes = Some(Arc::clone(&runner));
-                let records = sweep.evaluate(range, &opts);
+                let records = sweep.evaluate(range.seqs(), &opts);
                 if delay_ms > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(delay_ms));
                 }

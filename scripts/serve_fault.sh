@@ -8,8 +8,9 @@
 # `mamps dse` run of the same sweep:
 #
 #   * happy path  — coordinator + 3 workers sweep every corpus app
-#                   (examples/data and examples/generated); each merged
-#                   report must be byte-identical to `mamps dse`;
+#                   (examples/data and examples/generated) and one
+#                   use-case sweep (`--apps`); each merged report must be
+#                   byte-identical to `mamps dse`;
 #   * worker kill — one worker is `kill -9`ed while it holds a leased
 #                   range (MAMPS_DSE_WORK_DELAY_MS widens the window);
 #                   the coordinator must revert the lease, a surviving
@@ -28,7 +29,8 @@
 #   cargo build --release && scripts/serve_fault.sh [--quick]
 #
 # --quick sweeps 2 apps instead of 6 in the happy-path phase (the CI
-# budget); the fault phases are identical in both modes.
+# budget), plus the use-case sweep in both modes; the fault phases are
+# identical in both modes.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -108,7 +110,7 @@ if ((!QUICK)); then
   )
 fi
 
-echo "== serve_fault: happy path (coordinator + 3 workers, ${#SWEEPS[@]} sweeps)"
+echo "== serve_fault: happy path (coordinator + 3 workers, $((${#SWEEPS[@]} + 1)) sweeps)"
 start_coordinator happy
 start_worker
 start_worker
@@ -122,8 +124,16 @@ for sweep in "${SWEEPS[@]}"; do
   diff "$tmp/ref-$name.txt" "$tmp/serve-$name.txt" >/dev/null \
     || fail "$name: served report differs from single-process dse"
 done
+# One use-case sweep, so the workers' use-case arm is diffed too.
+APPS=examples/data/mjpeg_small_app.xml,examples/data/pipeline_small_app.xml,examples/data/infeasible_app.xml
+"$BIN" dse 3 --apps "$APPS" --binders greedy,spiral >"$tmp/ref-apps.txt" \
+  || fail "cold dse --apps failed"
+"$BIN" dse-submit 3 --apps "$APPS" --binders greedy,spiral --socket "$SOCK" \
+  >"$tmp/serve-apps.txt" || fail "dse-submit --apps failed"
+diff "$tmp/ref-apps.txt" "$tmp/serve-apps.txt" >/dev/null \
+  || fail "use-case sweep: served report differs from single-process dse"
 stop_all
-echo "   ${#SWEEPS[@]} sweep(s) byte-identical to single-process dse"
+echo "   ${#SWEEPS[@]} binder sweep(s) and 1 use-case sweep byte-identical to single-process dse"
 
 APP=examples/data/mjpeg_small_app.xml
 REF="$tmp/ref-mjpeg_small_app.txt"

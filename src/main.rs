@@ -95,9 +95,7 @@ use std::process::ExitCode;
 
 use mamps::flow::dse::cache as dse_cache;
 use mamps::flow::dse::shard;
-use mamps::flow::report::{
-    render_dse_report, render_mapping_summary, render_multi_report, render_use_case_report,
-};
+use mamps::flow::report::{render_mapping_summary, render_multi_report};
 use mamps::flow::serve;
 use mamps::flow::{run_flow_with_arch, run_multi_flow, FlowOptions, GuaranteeReport};
 use mamps::mapping::strategy::{self, StrategyHandle};
@@ -317,6 +315,68 @@ fn resolve_binder(name: &str) -> Result<StrategyHandle, String> {
             strategy::names().join(", ")
         )
     })
+}
+
+/// Parses `--jobs N`, where 0 means one worker per available core.
+fn parse_jobs(value: &str) -> Result<usize, Box<dyn std::error::Error>> {
+    let n: usize = value.parse()?;
+    Ok(if n == 0 {
+        mamps::flow::parallel::default_jobs()
+    } else {
+        n
+    })
+}
+
+/// The sweep `dse` and `dse-submit` run: `<app.xml> <max-tiles>` is a
+/// binder sweep, `<max-tiles> --apps a.xml,b.xml` a use-case sweep, both
+/// over tile counts `1..=max`, FSL and NoC, and the `--binders`.
+struct SweepShape {
+    mode: shard::SweepMode,
+    app_paths: Vec<String>,
+    tile_counts: Vec<usize>,
+    binders: Vec<StrategyHandle>,
+}
+
+/// Parses the sweep's shape from the positional arguments and the
+/// `--apps` / `--binders` flags; `None` is a usage error. Binder names
+/// are resolved here, so `dse-submit` fails locally with the registry's
+/// error instead of after a coordinator round trip.
+fn sweep_shape(
+    pos: &[String],
+    flags: &[(String, String)],
+) -> Result<Option<SweepShape>, Box<dyn std::error::Error>> {
+    let list = |v: &str| -> Vec<String> {
+        v.split(',')
+            .filter(|s| !s.is_empty())
+            .map(str::to_string)
+            .collect()
+    };
+    let mut apps = None;
+    let mut binders = Vec::new();
+    for (name, value) in flags {
+        match name.as_str() {
+            "apps" => apps = Some(list(value)),
+            "binders" => {
+                binders = list(value)
+                    .iter()
+                    .map(|b| resolve_binder(b))
+                    .collect::<Result<_, _>>()?
+            }
+            _ => {}
+        }
+    }
+    let (mode, app_paths, max) = match (apps, pos) {
+        (Some(paths), [max]) => (shard::SweepMode::UseCases, paths, max),
+        (None, [app, max]) => (shard::SweepMode::Binders, vec![app.clone()], max),
+        _ => return Ok(None),
+    };
+    let max: usize = max.parse()?;
+    Ok(Some(SweepShape {
+        mode,
+        app_paths,
+        tile_counts: (1..=max.max(1)).collect(),
+        binders,
+    }))
 }
 
 fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
@@ -662,51 +722,39 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 ],
                 &["stats"],
             )?;
+            let Some(shape) = sweep_shape(&pos, &flags)? else {
+                return Ok(usage());
+            };
             let mut opts = FlowOptions::default();
-            let mut multi_apps: Option<Vec<mamps::sdf::model::ApplicationModel>> = None;
+            let mut spec: Option<shard::ShardSpec> = None;
             let mut out_path: Option<String> = None;
             let mut cache_dir: Option<std::path::PathBuf> = None;
             let mut resume_paths: Vec<String> = Vec::new();
             let mut show_stats = false;
             for (name, value) in &flags {
                 match name.as_str() {
-                    "jobs" => {
-                        let n: usize = value.parse()?;
-                        opts.jobs = if n == 0 {
-                            mamps::flow::parallel::default_jobs()
-                        } else {
-                            n
-                        };
-                    }
-                    "binders" => {
-                        opts.binders = value
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(resolve_binder)
-                            .collect::<Result<Vec<_>, _>>()?;
-                    }
-                    "apps" => {
-                        multi_apps = Some(
-                            value
-                                .split(',')
-                                .filter(|s| !s.is_empty())
-                                .map(load_app)
-                                .collect::<Result<Vec<_>, _>>()?,
-                        );
-                    }
-                    "shard" => opts.shard = Some(value.parse::<shard::ShardSpec>()?),
+                    "jobs" => opts.jobs = parse_jobs(value)?,
+                    "shard" => spec = Some(value.parse()?),
                     "out" => out_path = Some(value.clone()),
                     "cache-dir" => cache_dir = Some(value.into()),
                     "resume" => resume_paths.push(value.clone()),
                     "stats" => show_stats = true,
+                    "apps" | "binders" => {} // parsed by sweep_shape
                     _ => unreachable!("split_flags rejects unknown flags"),
                 }
             }
-            if opts.shard.is_some() && out_path.is_none() {
+            if spec.is_some() && out_path.is_none() {
                 return Err("flag `--shard` requires `--out <file.jsonl>` \
                             (sharded runs emit JSON lines, not a report)"
                     .into());
             }
+            let apps = shape
+                .app_paths
+                .iter()
+                .map(|p| load_app(p))
+                .collect::<Result<Vec<_>, _>>()?;
+            let sweep =
+                shard::Sweep::new(shape.mode, apps, &shape.tile_counts, true, shape.binders)?;
 
             // The global analysis cache backs every dse run; --cache-dir
             // additionally warms it (and the whole-pass memo cache) from
@@ -728,52 +776,14 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 resume_shards.push(s);
             }
 
-            let code = match multi_apps {
-                // Use-case sweep: which subsets of the applications fit on
-                // each platform configuration.
-                Some(apps) => {
-                    if pos.len() != 1 {
-                        return Ok(usage());
-                    }
-                    let max: usize = pos[0].parse()?;
-                    let tiles: Vec<usize> = (1..=max.max(1)).collect();
-                    let s = shard::explore_use_case_shard_with_resume(
-                        &apps,
-                        &tiles,
-                        true,
-                        &opts,
-                        &resume_shards,
-                    )?;
-                    match out_path {
-                        Some(path) => write_shard(&s, &path)?,
-                        None => print!("{}", render_use_case_report(&s.into_use_case_report())),
-                    }
-                    ExitCode::SUCCESS
-                }
-                None => {
-                    if pos.len() != 2 {
-                        return Ok(usage());
-                    }
-                    let app = load_app(&pos[0])?;
-                    let max: usize = pos[1].parse()?;
-                    let tiles: Vec<usize> = (1..=max.max(1)).collect();
-                    let s = shard::explore_shard_with_resume(
-                        &app,
-                        &tiles,
-                        true,
-                        &opts,
-                        &resume_shards,
-                    )?;
-                    match out_path {
-                        Some(path) => write_shard(&s, &path)?,
-                        None => print!("{}", render_dse_report(&s.into_dse_report())),
-                    }
-                    ExitCode::SUCCESS
-                }
-            };
-
-            finish_caches(&caches, opts.shard.unwrap_or_else(shard::ShardSpec::full))?;
-            Ok(code)
+            let spec = spec.unwrap_or_else(shard::ShardSpec::full);
+            let s = sweep.run(spec, &resume_shards, &opts)?;
+            match out_path {
+                Some(path) => write_shard(&s, &path)?,
+                None => print!("{}", s.render()),
+            }
+            finish_caches(&caches, spec)?;
+            Ok(ExitCode::SUCCESS)
         }
         ("dse-merge", n) if n >= 2 => {
             let mut shards = Vec::with_capacity(n - 1);
@@ -783,8 +793,7 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 shards
                     .push(shard::DseShard::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?);
             }
-            let merged = shard::merge_reports(&shards)?;
-            print!("{}", merged.render());
+            print!("{}", shard::merge_reports(&shards)?.render());
             Ok(ExitCode::SUCCESS)
         }
         // The DSE coordinator service: runs until SIGTERM/SIGINT, then
@@ -833,14 +842,7 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             for (name, value) in &flags {
                 match name.as_str() {
                     "socket" => socket = Some(value.into()),
-                    "jobs" => {
-                        let n: usize = value.parse()?;
-                        jobs = if n == 0 {
-                            mamps::flow::parallel::default_jobs()
-                        } else {
-                            n
-                        };
-                    }
+                    "jobs" => jobs = parse_jobs(value)?,
                     _ => unreachable!("split_flags rejects unknown flags"),
                 }
             }
@@ -860,72 +862,30 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         // to single-process `mamps dse` on the same inputs.
         ("dse-submit", _) => {
             let (pos, flags) = split_flags(&args[1..], &["socket", "binders", "apps"], &["stats"])?;
+            let Some(shape) = sweep_shape(&pos, &flags)? else {
+                return Ok(usage());
+            };
             let mut socket: Option<std::path::PathBuf> = None;
-            let mut binder_names: Vec<String> = Vec::new();
-            let mut app_paths: Option<Vec<String>> = None;
             let mut show_stats = false;
             for (name, value) in &flags {
                 match name.as_str() {
                     "socket" => socket = Some(value.into()),
-                    "binders" => {
-                        binder_names = value
-                            .split(',')
-                            .filter(|s| !s.is_empty())
-                            .map(str::to_string)
-                            .collect();
-                        // Fail locally with the registry's clear error
-                        // instead of a coordinator round-trip.
-                        for b in &binder_names {
-                            resolve_binder(b)?;
-                        }
-                    }
-                    "apps" => {
-                        app_paths = Some(
-                            value
-                                .split(',')
-                                .filter(|s| !s.is_empty())
-                                .map(str::to_string)
-                                .collect(),
-                        )
-                    }
                     "stats" => show_stats = true,
+                    "apps" | "binders" => {} // parsed by sweep_shape
                     _ => unreachable!("split_flags rejects unknown flags"),
                 }
             }
             let socket = socket.ok_or("`mamps dse-submit` requires `--socket PATH`")?;
-            let read_xml = |path: &str| -> Result<String, Box<dyn std::error::Error>> {
-                Ok(std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?)
-            };
-            let spec = match app_paths {
-                Some(paths) => {
-                    if pos.len() != 1 {
-                        return Ok(usage());
-                    }
-                    let max: usize = pos[0].parse()?;
-                    serve::SweepSpec {
-                        mode: shard::SweepMode::UseCases,
-                        apps_xml: paths
-                            .iter()
-                            .map(|p| read_xml(p))
-                            .collect::<Result<Vec<_>, _>>()?,
-                        tile_counts: (1..=max.max(1)).collect(),
-                        include_noc: true,
-                        binders: binder_names,
-                    }
-                }
-                None => {
-                    if pos.len() != 2 {
-                        return Ok(usage());
-                    }
-                    let max: usize = pos[1].parse()?;
-                    serve::SweepSpec {
-                        mode: shard::SweepMode::Binders,
-                        apps_xml: vec![read_xml(&pos[0])?],
-                        tile_counts: (1..=max.max(1)).collect(),
-                        include_noc: true,
-                        binders: binder_names,
-                    }
-                }
+            let spec = serve::SweepSpec {
+                mode: shape.mode,
+                apps_xml: shape
+                    .app_paths
+                    .iter()
+                    .map(|p| std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}")))
+                    .collect::<Result<Vec<_>, _>>()?,
+                tile_counts: shape.tile_counts,
+                include_noc: true,
+                binders: shape.binders.iter().map(|b| b.name().to_string()).collect(),
             };
             let outcome = serve::run_submit(&socket, &spec, |done, total| {
                 if show_stats {

@@ -562,6 +562,24 @@ fn cli_sharded_dse_merges_to_the_unsharded_report() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `dse` validates its sweep like the coordinator does: an empty `--apps`
+/// list is an error, not a sweep of empty use-cases.
+#[test]
+fn cli_dse_rejects_an_empty_app_list() {
+    if !bin().exists() {
+        eprintln!("skipping: {} not built", bin().display());
+        return;
+    }
+    let out = Command::new(bin())
+        .args(["dse", "2", "--apps", ","])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "an empty --apps list must fail");
+    assert!(out.stdout.is_empty(), "no report for an empty sweep");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("sweep has no applications"), "{err}");
+}
+
 /// Kills a spawned service process on drop, so a failing assertion does
 /// not leak a coordinator/worker holding the test's socket.
 struct Reap(std::process::Child);
@@ -575,8 +593,10 @@ impl Drop for Reap {
 
 /// The DSE coordinator service end to end: a dead socket fails with a
 /// clear error, a 2-worker run matches single-process `mamps dse` byte
-/// for byte, and a second identical submission is served entirely from
-/// the coordinator's warm history (`--stats` reports the cache hits).
+/// for byte for a binder and a use-case sweep, a second identical
+/// submission is served entirely from the coordinator's warm history
+/// (`--stats` reports the cache hits), and an empty `--apps` list is
+/// rejected with the reason `dse` gives.
 #[cfg(unix)]
 #[test]
 fn dse_serve_cli_round_trip() {
@@ -691,6 +711,38 @@ fn dse_serve_cli_round_trip() {
         err.contains("evaluated 0, cache hits 4"),
         "second submission must be served from the warm history: {err}"
     );
+
+    // A use-case sweep: the workers evaluate use-case points, and the
+    // report matches `mamps dse --apps` byte for byte.
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data");
+    let apps = [
+        app.clone(),
+        data.join("pipeline_small_app.xml"),
+        data.join("infeasible_app.xml"),
+    ];
+    let apps = apps.map(|p| p.display().to_string()).join(",");
+    let stdout = |args: &[&str]| {
+        let out = Command::new(bin()).args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {err}");
+        out.stdout
+    };
+    let socket_arg = socket.display().to_string();
+    assert_eq!(
+        stdout(&["dse-submit", "2", "--apps", &apps, "--socket", &socket_arg]),
+        stdout(&["dse", "2", "--apps", &apps]),
+        "served use-case sweep must be byte-identical to `mamps dse --apps`"
+    );
+
+    // The coordinator rejects an empty application list like `dse` does.
+    let out = Command::new(bin())
+        .args(["dse-submit", "2", "--apps", ",", "--socket"])
+        .arg(&socket)
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("sweep has no applications"), "{err}");
 
     // Graceful shutdown lets the workers exit cleanly on their own.
     let term = Command::new("kill")

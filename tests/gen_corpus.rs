@@ -25,9 +25,7 @@
 use std::sync::Arc;
 
 use mamps::flow::dse::explore_report;
-use mamps::flow::dse::shard::{
-    self, explore_shard, explore_shard_with_resume, DseShard, ShardSpec,
-};
+use mamps::flow::dse::shard::{self, DseShard, ShardSpec, Sweep, SweepMode};
 use mamps::flow::report::render_dse_report;
 use mamps::flow::FlowOptions;
 use mamps::mapping::flow::{map_application, MapOptions};
@@ -176,13 +174,19 @@ fn corpus_sharded_and_resumed_dse_match_cold_sweeps() {
         let cold = render_dse_report(&explore_report(&app, &tile_counts, true, &opts));
 
         // Two shards merged back.
+        let sweep = Sweep::new(
+            SweepMode::Binders,
+            vec![app],
+            &tile_counts,
+            true,
+            Vec::new(),
+        )
+        .expect("a valid binder sweep");
         let shards: Vec<DseShard> = (0..2)
             .map(|i| {
-                let opts = FlowOptions {
-                    shard: Some(ShardSpec::new(i, 2).unwrap()),
-                    ..FlowOptions::default()
-                };
-                explore_shard(&app, &tile_counts, true, &opts)
+                sweep
+                    .run(ShardSpec::new(i, 2).unwrap(), &[], &opts)
+                    .unwrap()
             })
             .collect();
         let merged = shard::merge_reports(&shards).unwrap().render();
@@ -192,12 +196,8 @@ fn corpus_sharded_and_resumed_dse_match_cold_sweeps() {
         // let the resumed sweep finish it.
         let mut partial = shards[0].clone();
         partial.records.truncate(partial.records.len() / 2);
-        let opts0 = FlowOptions {
-            shard: Some(ShardSpec::new(0, 2).unwrap()),
-            ..FlowOptions::default()
-        };
-        let resumed =
-            explore_shard_with_resume(&app, &tile_counts, true, &opts0, &[partial]).unwrap();
+        let spec = ShardSpec::new(0, 2).unwrap();
+        let resumed = sweep.run(spec, &[partial], &opts).unwrap();
         assert_eq!(
             resumed, shards[0],
             "{family}: resumed shard diverges from the cold shard"

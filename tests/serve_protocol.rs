@@ -251,6 +251,7 @@ fn complete_ledger_renders_like_the_plain_report() {
         }));
     }
     assert!(ledger.is_complete());
-    let direct = mamps::flow::report::render_dse_report(&ledger.to_shard().into_dse_report());
-    assert_eq!(ledger.render(), direct);
+    let shard = ledger.to_shard();
+    let direct = mamps::flow::report::render_dse_report(&shard.clone().into_dse_report());
+    assert_eq!(shard.render(), direct);
 }

@@ -7,8 +7,7 @@ use std::sync::Arc;
 
 use mamps::flow::dse::cache::{load_cache_dir, persist_cache};
 use mamps::flow::dse::shard::{
-    explore_shard, explore_shard_with_resume, merge_reports, DseShard, MergeError, MergedReport,
-    ShardSpec,
+    explore_shard, merge_reports, DseShard, MergeError, ShardSpec, Sweep, SweepMode,
 };
 use mamps::flow::dse::{DsePoint, SkippedPoint, UseCasePoint};
 use mamps::flow::report::render_dse_report;
@@ -210,14 +209,10 @@ proptest! {
                 .cloned()
                 .collect(),
         };
-        let resumed = explore_shard_with_resume(
-            &app,
-            &tiles,
-            true,
-            &FlowOptions::default(),
-            &[prefix, strided],
-        )
-        .unwrap();
+        let sweep = Sweep::new(SweepMode::Binders, vec![app], &tiles, true, Vec::new()).unwrap();
+        let resumed = sweep
+            .run(ShardSpec::full(), &[prefix, strided], &FlowOptions::default())
+            .unwrap();
         prop_assert_eq!(&resumed.to_jsonl(), &jsonl);
         prop_assert_eq!(&render_dse_report(&resumed.into_dse_report()), &rendered);
     }
@@ -232,18 +227,16 @@ fn sharded_jsonl_files_merge_to_the_unsharded_report() {
     let opts = FlowOptions::default();
     let full = mamps::flow::dse::explore_report(&app, &[1, 2, 3], true, &opts);
 
+    let sweep = Sweep::new(SweepMode::Binders, vec![app], &[1, 2, 3], true, Vec::new()).unwrap();
     let shards: Vec<DseShard> = (0..3)
         .map(|i| {
-            let mut o = opts.clone();
-            o.shard = Some(ShardSpec::new(i, 3).unwrap());
-            let s = explore_shard(&app, &[1, 2, 3], true, &o);
+            let s = sweep
+                .run(ShardSpec::new(i, 3).unwrap(), &[], &opts)
+                .unwrap();
             DseShard::from_jsonl(&s.to_jsonl()).unwrap()
         })
         .collect();
-    match merge_reports(&shards).unwrap() {
-        MergedReport::Dse(merged) => assert_eq!(merged, full),
-        other => panic!("expected a DSE report, got {other:?}"),
-    }
+    assert_eq!(merge_reports(&shards).unwrap().into_dse_report(), full);
     assert!(matches!(
         merge_reports(&shards[1..]),
         Err(MergeError::MissingShards { .. })
