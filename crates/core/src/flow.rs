@@ -79,15 +79,17 @@ pub struct StepTimings {
     pub synthesis: Duration,
 }
 
+/// Name of the generated project.
+const PROJECT_NAME: &str = "mamps_system";
+
+/// Iterations of the warm-up/validation run in the synthesis step.
+const BOOT_ITERATIONS: u64 = 3;
+
 /// Options of the flow.
 #[derive(Debug, Clone)]
 pub struct FlowOptions {
     /// Mapping options.
     pub map: MapOptions,
-    /// Name of the generated project.
-    pub project_name: String,
-    /// Iterations of the warm-up/validation run in the synthesis step.
-    pub boot_iterations: u64,
     /// Worker threads for callers that evaluate independent flow runs
     /// (e.g. the DSE sweep and the `mamps dse --jobs` knob). A single flow
     /// run is sequential regardless; results never depend on this value.
@@ -109,8 +111,6 @@ impl Default for FlowOptions {
     fn default() -> Self {
         FlowOptions {
             map: MapOptions::default(),
-            project_name: "mamps_system".into(),
-            boot_iterations: 3,
             jobs: 1,
             binders: Vec::new(),
             sim_engine: Engine::default(),
@@ -196,7 +196,7 @@ fn run_flow_on(
 
     let t2 = Instant::now();
     let project = timed(&opts.map.passes, "platform-gen", || {
-        generate_project(app, app.graph(), &mapped.mapping, &arch, &opts.project_name)
+        generate_project(app, app.graph(), &mapped.mapping, &arch, PROJECT_NAME)
     })?;
     let platform_generation = t2.elapsed();
 
@@ -206,7 +206,7 @@ fn run_flow_on(
         let wcet = WcetTimes::new(mapped.mapping.binding.wcet_of.clone());
         let system =
             System::new(app.graph(), &mapped.mapping, &arch, &wcet)?.with_engine(opts.sim_engine);
-        let _boot = system.run(opts.boot_iterations, 1_000_000_000)?;
+        let _boot = system.run(BOOT_ITERATIONS, 1_000_000_000)?;
         Ok(())
     })?;
     let synthesis = t3.elapsed();

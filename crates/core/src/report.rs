@@ -8,7 +8,7 @@ use mamps_platform::types::TileId;
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::repetition::repetition_vector;
 
-use crate::dse::{pareto_front, DsePoint, DseReport, UseCaseDseReport};
+use crate::dse::{pareto_front, DseReport, UseCaseDseReport};
 use crate::experiments::{Fig6Row, Table1Row};
 use crate::flow::MultiFlowResult;
 
@@ -47,25 +47,6 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
             r.step,
             r.time,
             if r.automated { "a" } else { "" }
-        );
-    }
-    out
-}
-
-/// Renders a DSE sweep. Every point is attributed to the binding strategy
-/// that produced it; `wires` is the allocated NoC wire-links (0 on FSL).
-pub fn render_dse(points: &[DsePoint]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<8} {:<6} {:<6} {:>16} {:>10} {:>7}",
-        "binder", "tiles", "ic", "it/cycle", "slices", "wires"
-    );
-    for p in points {
-        let _ = writeln!(
-            out,
-            "{:<8} {:<6} {:<6} {:>16.3e} {:>10} {:>7}",
-            p.strategy, p.tiles, p.interconnect, p.guaranteed, p.slices, p.wire_units
         );
     }
     out
@@ -291,6 +272,7 @@ pub fn render_use_case_report(report: &UseCaseDseReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dse::DsePoint;
 
     #[test]
     fn fig6_table_contains_all_sequences() {
@@ -325,23 +307,6 @@ mod tests {
         let s = render_table1(&rows);
         assert!(s.contains("Mapping"));
         assert!(s.trim_end().ends_with('a'));
-    }
-
-    #[test]
-    fn dse_render() {
-        let s = render_dse(&[DsePoint {
-            tiles: 2,
-            interconnect: "fsl",
-            strategy: "greedy",
-            guaranteed: 1e-5,
-            slices: 1234,
-            wire_units: 0,
-            per_tile_load: vec![60, 40],
-        }]);
-        assert!(s.contains("fsl"));
-        assert!(s.contains("1234"));
-        assert!(s.contains("greedy"));
-        assert!(s.contains("binder"));
     }
 
     #[test]

@@ -637,16 +637,6 @@ impl Default for GeneticBinder {
     }
 }
 
-impl GeneticBinder {
-    /// The default parameters with a different RNG seed.
-    pub fn with_seed(seed: u64) -> GeneticBinder {
-        GeneticBinder {
-            seed,
-            ..GeneticBinder::default()
-        }
-    }
-}
-
 /// Penalized guaranteed-throughput fitness of one assignment of the
 /// [`GeneticBinder`], evaluated against the residual resources left by
 /// `occ`.
@@ -939,7 +929,10 @@ mod tests {
     fn genetic_same_seed_same_binding() {
         let app = pipeline_app(&[40, 10, 25, 5]);
         let arch = Architecture::homogeneous("a", 2, Interconnect::fsl()).unwrap();
-        let g = GeneticBinder::with_seed(42);
+        let g = GeneticBinder {
+            seed: 42,
+            ..GeneticBinder::default()
+        };
         let b1 = g.bind(&app, &arch, &BindOptions::default()).unwrap();
         let b2 = g.bind(&app, &arch, &BindOptions::default()).unwrap();
         assert_eq!(b1, b2);

@@ -6,9 +6,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::arbiter::TdmArbiter;
 use crate::interconnect::Interconnect;
-use crate::noc::mesh_dimensions;
 use crate::tile::{TileConfig, TileKind, MAX_TILE_MEMORY_BYTES};
-use crate::types::{ProcessorType, TileId};
+use crate::types::TileId;
 
 /// Errors produced while building or validating an architecture.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,7 +56,36 @@ impl Architecture {
         tiles: Vec<TileConfig>,
         interconnect: Interconnect,
     ) -> Result<Architecture, ArchError> {
-        let name = name.into();
+        Architecture::validated(name.into(), tiles, interconnect, None)
+    }
+
+    /// Builds an architecture in which several master tiles share the
+    /// peripherals through a predictable TDM arbiter. Every master tile
+    /// must own at least one slot of the table.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Architecture::new`], except that several master
+    /// tiles are allowed, plus [`ArchError::Invalid`] if a master tile has
+    /// no TDM slot.
+    pub fn with_peripheral_arbiter(
+        name: impl Into<String>,
+        tiles: Vec<TileConfig>,
+        interconnect: Interconnect,
+        arbiter: TdmArbiter,
+    ) -> Result<Architecture, ArchError> {
+        Architecture::validated(name.into(), tiles, interconnect, Some(arbiter))
+    }
+
+    /// The one validator behind both constructors. Without an arbiter at
+    /// most one tile may be a master; with one, every master tile must own
+    /// a TDM slot.
+    fn validated(
+        name: String,
+        tiles: Vec<TileConfig>,
+        interconnect: Interconnect,
+        peripheral_arbiter: Option<TdmArbiter>,
+    ) -> Result<Architecture, ArchError> {
         if tiles.is_empty() {
             return Err(ArchError::Invalid("architecture has no tiles".into()));
         }
@@ -76,15 +104,28 @@ impl Architecture {
                 )));
             }
         }
-        let masters = tiles
+        let mut masters = tiles
             .iter()
-            .filter(|t| t.kind() == TileKind::Master)
-            .count();
-        if masters > 1 {
-            return Err(ArchError::Invalid(format!(
-                "{masters} master tiles; peripherals must not be shared \
-                 (add a predictable arbiter via with_peripheral_arbiter)"
-            )));
+            .enumerate()
+            .filter(|(_, t)| t.kind() == TileKind::Master);
+        match &peripheral_arbiter {
+            None => {
+                let count = masters.count();
+                if count > 1 {
+                    return Err(ArchError::Invalid(format!(
+                        "{count} master tiles; peripherals must not be shared \
+                         (add a predictable arbiter via with_peripheral_arbiter)"
+                    )));
+                }
+            }
+            Some(arbiter) => {
+                if let Some((_, t)) = masters.find(|&(i, _)| arbiter.slots_of(TileId(i)) == 0) {
+                    return Err(ArchError::Invalid(format!(
+                        "master tile `{}` has no slot in the peripheral TDM table",
+                        t.name()
+                    )));
+                }
+            }
         }
         if let Interconnect::Noc(noc) = &interconnect {
             if noc.router_count() < tiles.len() {
@@ -102,68 +143,7 @@ impl Architecture {
             tiles,
             interconnect,
             clock_mhz: 100,
-            peripheral_arbiter: None,
-        })
-    }
-
-    /// Builds an architecture in which several master tiles share the
-    /// peripherals through a predictable TDM arbiter. Every master tile
-    /// must own at least one slot of the table.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`Architecture::new`], plus [`ArchError::Invalid`] if
-    /// a master tile has no TDM slot.
-    pub fn with_peripheral_arbiter(
-        name: impl Into<String>,
-        tiles: Vec<TileConfig>,
-        interconnect: Interconnect,
-        arbiter: TdmArbiter,
-    ) -> Result<Architecture, ArchError> {
-        // Reuse the base validation with the single-master rule suspended:
-        // temporarily validate with all masters demoted is intrusive, so
-        // duplicate the relevant checks instead.
-        if tiles.is_empty() {
-            return Err(ArchError::Invalid("architecture has no tiles".into()));
-        }
-        let mut names = std::collections::HashSet::new();
-        for t in &tiles {
-            if !names.insert(t.name().to_string()) {
-                return Err(ArchError::Invalid(format!(
-                    "duplicate tile name `{}`",
-                    t.name()
-                )));
-            }
-            if t.imem_bytes() + t.dmem_bytes() > MAX_TILE_MEMORY_BYTES {
-                return Err(ArchError::Invalid(format!(
-                    "tile `{}` exceeds the {MAX_TILE_MEMORY_BYTES}-byte memory limit",
-                    t.name()
-                )));
-            }
-        }
-        if let Interconnect::Noc(noc) = &interconnect {
-            if noc.router_count() < tiles.len() {
-                return Err(ArchError::Invalid(format!(
-                    "mesh has {} routers for {} tiles",
-                    noc.router_count(),
-                    tiles.len()
-                )));
-            }
-        }
-        for (i, t) in tiles.iter().enumerate() {
-            if t.kind() == TileKind::Master && arbiter.slots_of(TileId(i)) == 0 {
-                return Err(ArchError::Invalid(format!(
-                    "master tile `{}` has no slot in the peripheral TDM table",
-                    t.name()
-                )));
-            }
-        }
-        Ok(Architecture {
-            name: name.into(),
-            tiles,
-            interconnect,
-            clock_mhz: 100,
-            peripheral_arbiter: Some(arbiter),
+            peripheral_arbiter,
         })
     }
 
@@ -252,28 +232,6 @@ impl Architecture {
         self.clock_mhz = mhz;
         self
     }
-
-    /// Tiles whose processor type is `pt`.
-    pub fn tiles_of_type(&self, pt: &ProcessorType) -> Vec<TileId> {
-        self.tiles
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| t.processor() == pt)
-            .map(|(i, _)| TileId(i))
-            .collect()
-    }
-}
-
-/// Suggests an architecture for an application with `actor_count` actors:
-/// one tile per actor capped at `max_tiles`, NoC mesh sized to fit. This is
-/// the template instantiation entry point of the automated flow.
-pub fn suggest_tile_count(actor_count: usize, max_tiles: usize) -> usize {
-    actor_count.clamp(1, max_tiles.max(1))
-}
-
-/// Reports the mesh that [`Interconnect::noc_for_tiles`] would build.
-pub fn suggested_mesh(tiles: usize) -> (u32, u32) {
-    mesh_dimensions(tiles)
 }
 
 #[cfg(test)]
@@ -319,7 +277,21 @@ mod tests {
             TileConfig::slave("b"),
             TileConfig::slave("c"),
         ];
-        assert!(Architecture::new("u", tiles, Interconnect::Noc(noc)).is_err());
+        let arbiter = TdmArbiter::round_robin(10, &[TileId(0)]);
+        let shared = Architecture::with_peripheral_arbiter(
+            "u",
+            tiles.clone(),
+            Interconnect::Noc(noc),
+            arbiter,
+        );
+        let err = Architecture::new("u", tiles, Interconnect::Noc(noc)).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("2x1 mesh has 2 routers for 3 tiles"),
+            "{err}"
+        );
+        // One validator behind both constructors: they fail alike.
+        assert_eq!(shared.unwrap_err(), err);
     }
 
     #[test]
@@ -329,21 +301,6 @@ mod tests {
             Interconnect::Noc(noc) => assert!(noc.router_count() >= 5),
             _ => panic!("expected NoC"),
         }
-    }
-
-    #[test]
-    fn tiles_of_type_query() {
-        let a = Architecture::homogeneous("a", 3, Interconnect::fsl()).unwrap();
-        assert_eq!(a.tiles_of_type(&ProcessorType::microblaze()).len(), 3);
-        assert_eq!(a.tiles_of_type(&ProcessorType::hardware_ip()).len(), 0);
-    }
-
-    #[test]
-    fn suggestion_helpers() {
-        assert_eq!(suggest_tile_count(5, 4), 4);
-        assert_eq!(suggest_tile_count(2, 4), 2);
-        assert_eq!(suggest_tile_count(0, 4), 1);
-        assert_eq!(suggested_mesh(5), (3, 2));
     }
 
     #[test]

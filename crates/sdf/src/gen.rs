@@ -385,11 +385,6 @@ pub mod strategies {
         config().prop_map(|c| generate(&c).expect("generated configs always build"))
     }
 
-    /// A generated application model from [`flow_config`].
-    pub fn flow_application() -> impl Strategy<Value = ApplicationModel> {
-        flow_config().prop_map(|c| generate(&c).expect("generated configs always build"))
-    }
-
     /// WCET vectors for [`super::pipeline_app`]-style tests.
     pub fn wcets(len: core::ops::Range<usize>) -> impl Strategy<Value = Vec<u64>> {
         proptest::collection::vec(5u64..300, len)

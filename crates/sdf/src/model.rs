@@ -182,31 +182,6 @@ impl ApplicationModel {
         self.implementation_for(actor, processor_type)
             .map(|i| i.wcet)
     }
-
-    /// Returns a copy of the graph with each actor's execution time replaced
-    /// by its WCET on the processor type chosen by `choose`.
-    ///
-    /// # Errors
-    ///
-    /// [`SdfError::InvalidGraph`] if an actor has no implementation for its
-    /// chosen processor type.
-    pub fn graph_with_wcet(
-        &self,
-        mut choose: impl FnMut(ActorId) -> String,
-    ) -> Result<SdfGraph, SdfError> {
-        let mut g = self.graph.clone();
-        for (aid, _) in self.graph.actors() {
-            let pt = choose(aid);
-            let wcet = self.wcet(aid, &pt).ok_or_else(|| {
-                SdfError::InvalidGraph(format!(
-                    "actor `{}` has no implementation for processor type `{pt}`",
-                    self.graph.actor(aid).name()
-                ))
-            })?;
-            g.actor_mut(aid).set_execution_time(wcet);
-        }
-        Ok(g)
-    }
 }
 
 /// Convenience builder for models where every actor has a single
@@ -448,8 +423,6 @@ mod tests {
         assert_eq!(m.wcet(a, "microblaze"), Some(10));
         assert_eq!(m.wcet(a, "accelerator"), Some(2));
         assert_eq!(m.wcet(a, "dsp"), None);
-        let gw = m.graph_with_wcet(|_| "accelerator".to_string()).unwrap();
-        assert_eq!(gw.actor(a).execution_time(), 2);
     }
 
     #[test]

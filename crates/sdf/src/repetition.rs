@@ -145,16 +145,6 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<RepetitionVector, SdfError>
     Ok(RepetitionVector { entries })
 }
 
-/// Checks sample-rate consistency (a thin wrapper around
-/// [`repetition_vector`] that discards the vector).
-///
-/// # Errors
-///
-/// Same as [`repetition_vector`].
-pub fn check_consistency(graph: &SdfGraph) -> Result<(), SdfError> {
-    repetition_vector(graph).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,10 +246,5 @@ mod tests {
         let g = b.build().unwrap();
         let q = repetition_vector(&g).unwrap();
         assert_eq!(q.entries(), &[1, 1]);
-    }
-
-    #[test]
-    fn consistency_wrapper() {
-        assert!(check_consistency(&fig2()).is_ok());
     }
 }

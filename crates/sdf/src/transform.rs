@@ -14,7 +14,7 @@
 //!   (paper §5.1/§5.2).
 
 use crate::error::SdfError;
-use crate::graph::{ActorId, ChannelId, SdfGraph, SdfGraphBuilder};
+use crate::graph::{ActorId, SdfGraph, SdfGraphBuilder};
 
 /// Returns a copy of `graph` with a single-token self-edge added to every
 /// actor that lacks one, excluding auto-concurrency.
@@ -46,9 +46,6 @@ pub fn add_missing_self_edges(graph: &SdfGraph) -> SdfGraph {
     }
     b.build().expect("adding self-edges preserves validity")
 }
-
-/// A buffer capacity assignment: `capacities[c]` bounds channel `c`.
-pub type BufferCapacities = Vec<u64>;
 
 /// Checks that `capacities` is a valid buffer assignment for `graph`: one
 /// entry per channel, each at least the channel's initial token count.
@@ -200,13 +197,6 @@ fn copy_into_builder(graph: &SdfGraph, name: String) -> SdfGraphBuilder {
     b
 }
 
-/// Identifies channels that are analysis artefacts (self-edges added by
-/// [`add_missing_self_edges`], capacity channels, static-order channels) by
-/// the naming convention `__`-prefix.
-pub fn is_artifact_channel(graph: &SdfGraph, id: ChannelId) -> bool {
-    graph.channel(id).name().starts_with("__")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,15 +300,5 @@ mod tests {
         let g = two_actor_graph();
         let a = g.actor_by_name("A").unwrap();
         assert!(with_static_orders(&g, &[vec![(a, 1), (a, 1)]]).is_err());
-    }
-
-    #[test]
-    fn artifact_channels_detected() {
-        let g = add_missing_self_edges(&two_actor_graph());
-        let artifacts: Vec<bool> = g
-            .channels()
-            .map(|(id, _)| is_artifact_channel(&g, id))
-            .collect();
-        assert_eq!(artifacts.iter().filter(|&&x| x).count(), 2);
     }
 }

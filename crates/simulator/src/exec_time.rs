@@ -55,18 +55,6 @@ impl TraceTimes {
         TraceTimes { traces, fallback }
     }
 
-    /// The mean execution time per actor (used to build the "expected"
-    /// analysis graph), rounded up to stay conservative in the comparison.
-    pub fn mean_cycles(&self, actor: ActorId) -> u64 {
-        let t = &self.traces[actor.0];
-        if t.is_empty() {
-            self.fallback[actor.0]
-        } else {
-            let sum: u128 = t.iter().map(|&x| x as u128).sum();
-            (sum.div_ceil(t.len() as u128)) as u64
-        }
-    }
-
     /// The maximum observed execution time per actor.
     pub fn max_cycles(&self, actor: ActorId) -> u64 {
         let t = &self.traces[actor.0];
@@ -109,13 +97,11 @@ mod tests {
     fn empty_trace_falls_back() {
         let t = TraceTimes::new(vec![vec![]], vec![42]);
         assert_eq!(t.cycles(ActorId(0), 7), 42);
-        assert_eq!(t.mean_cycles(ActorId(0)), 42);
     }
 
     #[test]
     fn statistics() {
         let t = TraceTimes::new(vec![vec![10, 20, 31]], vec![0]);
-        assert_eq!(t.mean_cycles(ActorId(0)), 21); // ceil(61/3)
         assert_eq!(t.max_cycles(ActorId(0)), 31);
     }
 }

@@ -231,39 +231,6 @@ impl Measurement {
         (n - 1 - k) as f64 / (t1 - t0) as f64
     }
 
-    /// Worst-case window throughput: the minimum over all consecutive
-    /// iteration gaps in the steady phase (a conservative "measured
-    /// worst-case" figure).
-    pub fn worst_window_throughput(&self) -> f64 {
-        let n = self.iteration_times.len();
-        if n < 2 {
-            return 0.0;
-        }
-        let k = n / 10;
-        let max_gap = self.iteration_times[k.max(1)..]
-            .windows(2)
-            .map(|w| w[1] - w[0])
-            .max()
-            .unwrap_or(0);
-        if max_gap == 0 {
-            0.0
-        } else {
-            1.0 / max_gap as f64
-        }
-    }
-
-    /// Throughput in iterations per MHz per second: iterations/cycle x 1e6
-    /// (the unit of the paper's Fig. 6, "MCUs per MHz per second").
-    pub fn throughput_per_mhz(&self) -> f64 {
-        self.steady_throughput() * 1e6
-    }
-
-    /// Latency of the first complete iteration in cycles (the transient
-    /// the paper's long-term-average throughput definition excludes, §5).
-    pub fn first_iteration_latency(&self) -> Option<u64> {
-        self.iteration_times.first().copied()
-    }
-
     /// Average cycles per iteration in the steady phase.
     pub fn cycles_per_iteration(&self) -> f64 {
         let t = self.steady_throughput();
@@ -289,7 +256,6 @@ mod tests {
         let m = meas((1..=100).map(|i| i * 10).collect());
         assert!((m.steady_throughput() - 0.1).abs() < 1e-9);
         assert!((m.cycles_per_iteration() - 10.0).abs() < 1e-6);
-        assert!((m.throughput_per_mhz() - 100_000.0).abs() < 1.0);
     }
 
     #[test]
@@ -304,29 +270,9 @@ mod tests {
     }
 
     #[test]
-    fn worst_window_sees_hiccup() {
-        let mut t: Vec<u64> = (1..=50).map(|i| i * 10).collect();
-        // Insert a 50-cycle gap in the steady phase.
-        t.push(550);
-        for i in 1..50 {
-            t.push(550 + i * 10);
-        }
-        let m = meas(t);
-        assert!(m.worst_window_throughput() <= 1.0 / 50.0 + 1e-9);
-        assert!(m.worst_window_throughput() > 0.0);
-    }
-
-    #[test]
-    fn first_iteration_latency() {
-        assert_eq!(meas(vec![42, 52]).first_iteration_latency(), Some(42));
-        assert_eq!(meas(vec![]).first_iteration_latency(), None);
-    }
-
-    #[test]
     fn degenerate_measurements() {
         assert_eq!(meas(vec![]).steady_throughput(), 0.0);
         assert_eq!(meas(vec![5]).steady_throughput(), 0.0);
-        assert_eq!(meas(vec![]).worst_window_throughput(), 0.0);
         assert!(meas(vec![]).cycles_per_iteration().is_infinite());
     }
 

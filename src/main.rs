@@ -1,36 +1,8 @@
 //! `mamps` — command-line front end of the automated design flow.
 //!
-//! Drives the flow from XML files in the common interchange format:
-//!
-//! ```text
-//! mamps gen       --out DIR [--seed S] [--family F|mixed] [--actors N]
-//!                 [--count K] [--arch fsl:N|mesh:WxH] [--max-rate R]
-//!                 [--slack K]                     # seeded scenario generation
-//! mamps analyze   <app.xml>                       # consistency + unbounded throughput
-//! mamps map       <app.xml> <arch.xml> [out.xml] [--binder <name>]
-//!                 [--cache-dir DIR] [--stats]
-//! mamps remap     <app.xml> <arch.xml> [out.xml] [--binder <name>]
-//!                 --cache-dir DIR [--stats]       # incremental re-map
-//! mamps map-multi <app.xml>... <arch.xml> [--binder <name>] [--iters N]
-//!                 [--engine event|lockstep] [--cache-dir DIR] [--stats]
-//! mamps generate  <app.xml> <arch.xml> <dir>      # full project generation
-//! mamps simulate  <app.xml> <arch.xml> [iters]    # flow + WCET platform run
-//!                 [--engine event|lockstep] [--gantt COLS] [--trace N]
-//!                 [--cache-dir DIR] [--stats]
-//! mamps dse       <app.xml> <max_tiles> [--jobs N] [--binders a,b,c]
-//!                 [--shard i/n --out points.jsonl] [--cache-dir DIR]
-//!                 [--resume points.jsonl]... [--stats]
-//! mamps dse       <max_tiles> --apps a.xml,b.xml [--jobs N] [--binders ...]
-//!                 [--shard i/n --out points.jsonl] [--cache-dir DIR]
-//!                 [--resume points.jsonl]... [--stats]
-//! mamps dse-merge <points.jsonl>...
-//! mamps dse-serve  --socket S [--state-dir DIR] [--cache-dir DIR]
-//!                  [--lease-timeout MS] [--chunk N]  # DSE coordinator service
-//! mamps dse-work   --socket S [--jobs N]             # DSE worker process
-//! mamps dse-submit <app.xml> <max_tiles> --socket S [--binders a,b,c] [--stats]
-//! mamps dse-submit <max_tiles> --apps a.xml,b.xml --socket S
-//!                  [--binders a,b,c] [--stats]
-//! ```
+//! Drives the flow from XML files in the common interchange format. The
+//! `COMMANDS` table lists every subcommand with its arguments and flags;
+//! `mamps` with no arguments prints it.
 //!
 //! `--engine` selects the simulator kernel: `event` (default, discrete-
 //! event) or `lockstep` (the reference oracle). Both are bit-identical by
@@ -107,12 +79,123 @@ use mamps::sdf::state_space::{throughput, AnalysisOptions};
 use mamps::sdf::xml::{application_from_xml, application_to_xml};
 use mamps::sim::{System, WcetTimes};
 
+/// Every accepted command shape, one row each. The synopsis is both the
+/// usage line and the flag spec: `--flag PLACEHOLDER` takes a value,
+/// `[--flag]` is a switch, and a flag absent from all of a command's rows
+/// is rejected.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &str)] = &[
+    ("gen", "--out DIR [--seed S] [--family chain|split-join|tree|cyclic|mixed] [--actors N] [--count K] [--arch fsl:N|mesh:WxH] [--max-rate R] [--slack K]"),
+    ("analyze", "<app.xml>"),
+    ("map", "<app.xml> <arch.xml> [mapping-out.xml] [--binder <name>] [--cache-dir DIR] [--stats]"),
+    ("remap", "<app.xml> <arch.xml> [mapping-out.xml] [--binder <name>] --cache-dir DIR [--stats]"),
+    ("map-multi", "<app.xml>... <arch.xml> [--binder <name>] [--iters N] [--gantt COLS] [--engine event|lockstep] [--cache-dir DIR] [--stats]"),
+    ("generate", "<app.xml> <arch.xml> <out-dir>"),
+    ("simulate", "<app.xml> <arch.xml> [iterations] [--engine event|lockstep] [--gantt COLS] [--trace N] [--cache-dir DIR] [--stats]"),
+    ("dse", "<app.xml> <max-tiles> [--jobs N] [--binders a,b,c] [--shard i/n --out f.jsonl] [--cache-dir DIR] [--resume f.jsonl]... [--stats]"),
+    ("dse", "<max-tiles> --apps a.xml,b.xml [--jobs N] [--binders a,b,c] [--shard i/n --out f.jsonl] [--cache-dir DIR] [--resume f.jsonl]... [--stats]"),
+    ("dse-merge", "<points.jsonl>..."),
+    ("dse-serve", "--socket S [--state-dir DIR] [--cache-dir DIR] [--lease-timeout MS] [--chunk N]"),
+    ("dse-work", "--socket S [--jobs N]"),
+    ("dse-submit", "<app.xml> <max-tiles> --socket S [--binders a,b,c] [--stats]"),
+    ("dse-submit", "<max-tiles> --apps a.xml,b.xml --socket S [--binders a,b,c] [--stats]"),
+];
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  mamps gen       --out DIR [--seed S] [--family chain|split-join|tree|cyclic|mixed] [--actors N] [--count K] [--arch fsl:N|mesh:WxH] [--max-rate R] [--slack K]\n  mamps analyze   <app.xml>\n  mamps map       <app.xml> <arch.xml> [mapping-out.xml] [--binder <name>] [--cache-dir DIR] [--stats]\n  mamps remap     <app.xml> <arch.xml> [mapping-out.xml] [--binder <name>] --cache-dir DIR [--stats]\n  mamps map-multi <app.xml>... <arch.xml> [--binder <name>] [--iters N] [--gantt COLS] [--engine event|lockstep] [--cache-dir DIR] [--stats]\n  mamps generate  <app.xml> <arch.xml> <out-dir>\n  mamps simulate  <app.xml> <arch.xml> [iterations] [--engine event|lockstep] [--gantt COLS] [--trace N] [--cache-dir DIR] [--stats]\n  mamps dse       <app.xml> <max-tiles> [--jobs N] [--binders a,b,c] [--shard i/n --out f.jsonl] [--cache-dir DIR] [--resume f.jsonl]... [--stats]\n  mamps dse       <max-tiles> --apps a.xml,b.xml [--jobs N] [--binders a,b,c] [--shard i/n --out f.jsonl] [--cache-dir DIR] [--resume f.jsonl]... [--stats]\n  mamps dse-merge <points.jsonl>...\n  mamps dse-serve  --socket S [--state-dir DIR] [--cache-dir DIR] [--lease-timeout MS] [--chunk N]\n  mamps dse-work   --socket S [--jobs N]\n  mamps dse-submit <app.xml> <max-tiles> --socket S [--binders a,b,c] [--stats]\n  mamps dse-submit <max-tiles> --apps a.xml,b.xml --socket S [--binders a,b,c] [--stats]\nbinders: {}",
-        strategy::names().join(", ")
-    );
+    eprintln!("usage:");
+    for (name, synopsis) in COMMANDS {
+        eprintln!("  mamps {name:<10} {synopsis}");
+    }
+    eprintln!("binders: {}", strategy::names().join(", "));
     ExitCode::from(2)
+}
+
+/// A command line parsed against its command's `COMMANDS` rows: the
+/// positional arguments, and every `--flag` with its value (empty for a
+/// switch) in command-line order.
+struct Args {
+    cmd: String,
+    pos: Vec<String>,
+    flags: Vec<(String, String)>,
+}
+
+impl Args {
+    /// Parses `args` against the rows of `cmd`; `Ok(None)` when `cmd` is
+    /// not a command. A flag outside the rows, or a value flag without a
+    /// value, is an error. A value never starts with `--`, so a missing
+    /// value does not swallow the next flag.
+    fn parse(cmd: &str, args: &[String]) -> Result<Option<Args>, String> {
+        let mut rows = COMMANDS.iter().filter(|(name, _)| *name == cmd).peekable();
+        if rows.peek().is_none() {
+            return Ok(None);
+        }
+        let specs: Vec<(&str, bool)> = rows
+            .flat_map(|(_, synopsis)| synopsis.split_whitespace())
+            .filter_map(|word| {
+                let flag = word.trim_start_matches('[').strip_prefix("--")?;
+                Some(match flag.strip_suffix(']') {
+                    Some(switch) => (switch, false),
+                    None => (flag, true),
+                })
+            })
+            .collect();
+        let mut parsed = Args {
+            cmd: cmd.to_string(),
+            pos: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            let Some(name) = arg.strip_prefix("--") else {
+                parsed.pos.push(arg.clone());
+                continue;
+            };
+            let &(_, takes_value) = specs
+                .iter()
+                .find(|(flag, _)| *flag == name)
+                .ok_or_else(|| format!("unknown flag `--{name}`"))?;
+            let value = if takes_value {
+                rest.next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("flag `--{name}` needs a value"))?
+                    .clone()
+            } else {
+                String::new()
+            };
+            parsed.flags.push((name.to_string(), value));
+        }
+        Ok(Some(parsed))
+    }
+
+    /// Every value of `--name`, in command-line order.
+    fn values(&self, name: &'static str) -> impl Iterator<Item = &str> {
+        self.flags
+            .iter()
+            .filter(move |(flag, _)| flag == name)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The last value of `--name`: a repeated flag overrides itself.
+    fn value(&self, name: &'static str) -> Option<&str> {
+        self.values(name).last()
+    }
+
+    /// The last value of a mandatory `--name`.
+    fn required(&self, name: &'static str, placeholder: &str) -> Result<&str, String> {
+        self.value(name)
+            .ok_or_else(|| format!("`mamps {}` requires `--{name} {placeholder}`", self.cmd))
+    }
+
+    /// The last value of `--name`, read by `read`. Every occurrence is
+    /// read, so a bad value fails even when a later one overrides it.
+    fn get<T, E: Into<Box<dyn std::error::Error>>>(
+        &self,
+        name: &'static str,
+        read: impl Fn(&str) -> Result<T, E>,
+    ) -> Result<Option<T>, Box<dyn std::error::Error>> {
+        let all = self.values(name).map(read).collect::<Result<Vec<_>, _>>();
+        Ok(all.map_err(Into::into)?.pop())
+    }
 }
 
 fn main() -> ExitCode {
@@ -156,41 +239,6 @@ fn parse_iters(value: &str) -> Result<u64, Box<dyn std::error::Error>> {
     Ok(iters)
 }
 
-/// Positional arguments plus `--flag value` pairs, as split by [`split_flags`].
-type ParsedArgs = (Vec<String>, Vec<(String, String)>);
-
-/// Splits `args` into positional arguments and `--flag value` pairs.
-/// Flags listed in `boolean` take no value and come back with an empty
-/// one. Unknown flags and value flags without a value produce an error.
-/// A flag may repeat; every occurrence is returned in order.
-fn split_flags(args: &[String], known: &[&str], boolean: &[&str]) -> Result<ParsedArgs, String> {
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if boolean.contains(&name) {
-                flags.push((name.to_string(), String::new()));
-                i += 1;
-                continue;
-            }
-            if !known.contains(&name) {
-                return Err(format!("unknown flag `--{name}`"));
-            }
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| format!("flag `--{name}` needs a value"))?;
-            flags.push((name.to_string(), value.clone()));
-            i += 2;
-        } else {
-            positional.push(a.clone());
-            i += 1;
-        }
-    }
-    Ok((positional, flags))
-}
-
 /// Writes a shard run's JSON lines and prints the one-line summary the
 /// report would otherwise occupy.
 fn write_shard(s: &shard::DseShard, path: &str) -> Result<(), Box<dyn std::error::Error>> {
@@ -217,6 +265,15 @@ struct RunCaches {
     started: std::time::Instant,
 }
 
+/// `--cache-dir DIR` and `--stats`: where the caches persist and whether
+/// to report them. The only reader of both flags.
+fn cache_flags(args: &Args) -> (Option<std::path::PathBuf>, bool) {
+    (
+        args.value("cache-dir").map(std::path::PathBuf::from),
+        args.values("stats").next().is_some(),
+    )
+}
+
 /// Wires the analysis cache, the whole-pass memo cache and the pass
 /// runner into `opts`, as requested by `--cache-dir` / `--stats`.
 ///
@@ -232,10 +289,10 @@ struct RunCaches {
 /// zero cache or accounting overhead.
 fn setup_caches(
     opts: &mut FlowOptions,
-    cache_dir: Option<std::path::PathBuf>,
-    show_stats: bool,
+    args: &Args,
     always_analysis: bool,
 ) -> Result<Option<RunCaches>, Box<dyn std::error::Error>> {
+    let (cache_dir, show_stats) = cache_flags(args);
     if cache_dir.is_none() && !show_stats && !always_analysis {
         return Ok(None);
     }
@@ -317,14 +374,25 @@ fn resolve_binder(name: &str) -> Result<StrategyHandle, String> {
     })
 }
 
-/// Parses `--jobs N`, where 0 means one worker per available core.
-fn parse_jobs(value: &str) -> Result<usize, Box<dyn std::error::Error>> {
-    let n: usize = value.parse()?;
-    Ok(if n == 0 {
-        mamps::flow::parallel::default_jobs()
-    } else {
-        n
-    })
+/// The options every flow run starts from, with `--binder`, `--engine`
+/// and `--jobs` applied (`--jobs 0` is one worker per available core).
+/// The only reader of the three flags.
+fn flow_options(args: &Args) -> Result<FlowOptions, Box<dyn std::error::Error>> {
+    let mut opts = FlowOptions::default();
+    if let Some(binder) = args.get("binder", resolve_binder)? {
+        opts.map.bind.strategy = binder;
+    }
+    if let Some(engine) = args.get("engine", str::parse)? {
+        opts.sim_engine = engine;
+    }
+    if let Some(jobs) = args.get("jobs", str::parse::<usize>)? {
+        opts.jobs = if jobs == 0 {
+            mamps::flow::parallel::default_jobs()
+        } else {
+            jobs
+        };
+    }
+    Ok(opts)
 }
 
 /// The sweep `dse` and `dse-submit` run: `<app.xml> <max-tiles>` is a
@@ -338,34 +406,24 @@ struct SweepShape {
 }
 
 /// Parses the sweep's shape from the positional arguments and the
-/// `--apps` / `--binders` flags; `None` is a usage error. Binder names
-/// are resolved here, so `dse-submit` fails locally with the registry's
-/// error instead of after a coordinator round trip.
-fn sweep_shape(
-    pos: &[String],
-    flags: &[(String, String)],
-) -> Result<Option<SweepShape>, Box<dyn std::error::Error>> {
+/// `--apps` / `--binders` flags, the only reader of both; `None` is a
+/// usage error. Binder names are resolved here, so `dse-submit` fails
+/// locally with the registry's error instead of after a coordinator round
+/// trip.
+fn sweep_shape(args: &Args) -> Result<Option<SweepShape>, Box<dyn std::error::Error>> {
     let list = |v: &str| -> Vec<String> {
         v.split(',')
             .filter(|s| !s.is_empty())
             .map(str::to_string)
             .collect()
     };
-    let mut apps = None;
-    let mut binders = Vec::new();
-    for (name, value) in flags {
-        match name.as_str() {
-            "apps" => apps = Some(list(value)),
-            "binders" => {
-                binders = list(value)
-                    .iter()
-                    .map(|b| resolve_binder(b))
-                    .collect::<Result<_, _>>()?
-            }
-            _ => {}
-        }
-    }
-    let (mode, app_paths, max) = match (apps, pos) {
+    let apps = args.value("apps").map(list);
+    let binders = args
+        .get("binders", |v| {
+            list(v).iter().map(|b| resolve_binder(b)).collect()
+        })?
+        .unwrap_or_default();
+    let (mode, app_paths, max) = match (apps, &args.pos[..]) {
         (Some(paths), [max]) => (shard::SweepMode::UseCases, paths, max),
         (None, [app, max]) => (shard::SweepMode::Binders, vec![app.clone()], max),
         _ => return Ok(None),
@@ -379,55 +437,42 @@ fn sweep_shape(
     }))
 }
 
-fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
-    let cmd = match args.first() {
-        Some(c) => c.as_str(),
-        None => return Ok(usage()),
+fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
+    let Some((cmd, rest)) = argv.split_first() else {
+        return Ok(usage());
     };
-    match (cmd, args.len()) {
+    let Some(args) = Args::parse(cmd, rest)? else {
+        return Ok(usage());
+    };
+    let pos = &args.pos;
+    match cmd.as_str() {
         // Seeded scenario generation: writes `--count` application XMLs
         // (plus one platform XML and a manifest) into `--out`. Fully
         // deterministic — equal flags produce byte-identical files — and
         // every emitted scenario is verified to round-trip the
         // interchange parser before it is written.
-        ("gen", _) => {
-            let (pos, flags) = split_flags(
-                &args[1..],
-                &[
-                    "seed", "family", "actors", "count", "arch", "out", "max-rate", "slack",
-                ],
-                &[],
-            )?;
+        "gen" => {
             if !pos.is_empty() {
                 return Ok(usage());
             }
-            let mut seed: u64 = 1;
-            let mut family: Option<Family> = None; // None = mixed
-            let mut actors: usize = 6;
-            let mut count: usize = 1;
-            let mut arch_spec: ArchSpec = ArchSpec::Fsl { tiles: 3 };
-            let mut out: Option<std::path::PathBuf> = None;
-            let mut max_rate: u64 = 3;
-            let mut slack: Option<u64> = None;
-            for (name, value) in &flags {
-                match name.as_str() {
-                    "seed" => seed = value.parse()?,
-                    "family" => {
-                        family = match value.as_str() {
-                            "mixed" => None,
-                            f => Some(f.parse::<Family>()?),
-                        }
-                    }
-                    "actors" => actors = value.parse()?,
-                    "count" => count = value.parse::<usize>()?.max(1),
-                    "arch" => arch_spec = value.parse()?,
-                    "out" => out = Some(value.into()),
-                    "max-rate" => max_rate = value.parse()?,
-                    "slack" => slack = Some(value.parse()?),
-                    _ => unreachable!("split_flags rejects unknown flags"),
-                }
-            }
-            let dir = out.ok_or("`mamps gen` requires `--out DIR`")?;
+            let seed: u64 = args.get("seed", str::parse)?.unwrap_or(1);
+            // None = mixed
+            let family: Option<Family> = args
+                .get("family", |v| match v {
+                    "mixed" => Ok(None),
+                    f => f.parse().map(Some),
+                })?
+                .flatten();
+            let actors: usize = args.get("actors", str::parse)?.unwrap_or(6);
+            let count = args
+                .get("count", str::parse::<usize>)?
+                .map_or(1, |c| c.max(1));
+            let arch_spec: ArchSpec = args
+                .get("arch", str::parse)?
+                .unwrap_or(ArchSpec::Fsl { tiles: 3 });
+            let max_rate: u64 = args.get("max-rate", str::parse)?.unwrap_or(3);
+            let slack: Option<u64> = args.get("slack", str::parse)?;
+            let dir = std::path::PathBuf::from(args.required("out", "DIR")?);
             std::fs::create_dir_all(&dir)?;
 
             let arch = synthesize(&arch_spec, &format!("gen_{}", arch_spec.slug()))?;
@@ -483,8 +528,11 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             );
             Ok(ExitCode::SUCCESS)
         }
-        ("analyze", 2) => {
-            let app = load_app(&args[1])?;
+        "analyze" => {
+            let [path] = &pos[..] else {
+                return Ok(usage());
+            };
+            let app = load_app(path)?;
             let q = mamps::sdf::repetition::repetition_vector(app.graph())?;
             println!(
                 "graph `{}` is consistent; repetition vector:",
@@ -504,30 +552,19 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         // `remap` is `map` with a mandatory `--cache-dir`: the incremental
         // re-mapping workflow. Identical code path, so its stdout is
         // byte-identical to `map`'s by construction.
-        ("map" | "remap", _) => {
-            let (pos, flags) = split_flags(&args[1..], &["binder", "cache-dir"], &["stats"])?;
+        "map" | "remap" => {
             if pos.len() < 2 || pos.len() > 3 {
                 return Ok(usage());
             }
             let app = load_app(&pos[0])?;
             let arch = load_arch(&pos[1])?;
-            let mut opts = FlowOptions::default();
-            let mut cache_dir: Option<std::path::PathBuf> = None;
-            let mut show_stats = false;
-            for (name, value) in &flags {
-                match name.as_str() {
-                    "binder" => opts.map.bind.strategy = resolve_binder(value)?,
-                    "cache-dir" => cache_dir = Some(value.into()),
-                    "stats" => show_stats = true,
-                    _ => unreachable!("split_flags rejects unknown flags"),
-                }
-            }
-            if cmd == "remap" && cache_dir.is_none() {
+            let mut opts = flow_options(&args)?;
+            if cmd == "remap" && cache_flags(&args).0.is_none() {
                 return Err("`mamps remap` requires `--cache-dir DIR` \
                             (the pass cache is what makes re-mapping incremental)"
                     .into());
             }
-            let caches = setup_caches(&mut opts, cache_dir, show_stats, false)?;
+            let caches = setup_caches(&mut opts, &args, false)?;
             let flow = run_flow_with_arch(&app, arch, &opts)?;
             println!(
                 "guaranteed worst-case throughput: {:.6e} iterations/cycle ({:.0} cycles/iteration)",
@@ -544,12 +581,7 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             }
             Ok(ExitCode::SUCCESS)
         }
-        ("map-multi", _) => {
-            let (pos, flags) = split_flags(
-                &args[1..],
-                &["binder", "iters", "gantt", "engine", "cache-dir"],
-                &["stats"],
-            )?;
+        "map-multi" => {
             if pos.len() < 2 {
                 return Ok(usage());
             }
@@ -559,23 +591,10 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 .map(|p| load_app(p))
                 .collect::<Result<Vec<_>, _>>()?;
             let arch = load_arch(&arch_path[0])?;
-            let mut opts = FlowOptions::default();
-            let mut iters: u64 = 100;
-            let mut gantt_cols: Option<usize> = None;
-            let mut cache_dir: Option<std::path::PathBuf> = None;
-            let mut show_stats = false;
-            for (name, value) in &flags {
-                match name.as_str() {
-                    "binder" => opts.map.bind.strategy = resolve_binder(value)?,
-                    "iters" => iters = parse_iters(value)?,
-                    "gantt" => gantt_cols = Some(value.parse()?),
-                    "engine" => opts.sim_engine = value.parse::<mamps::sim::Engine>()?,
-                    "cache-dir" => cache_dir = Some(value.into()),
-                    "stats" => show_stats = true,
-                    _ => unreachable!("split_flags rejects unknown flags"),
-                }
-            }
-            let caches = setup_caches(&mut opts, cache_dir, show_stats, false)?;
+            let mut opts = flow_options(&args)?;
+            let iters = args.get("iters", parse_iters)?.unwrap_or(100);
+            let gantt_cols: Option<usize> = args.get("gantt", str::parse)?;
+            let caches = setup_caches(&mut opts, &args, false)?;
             let result = run_multi_flow(apps, arch, &opts, iters)?;
             print!("{}", render_multi_report(&result));
             if let Some(cols) = gantt_cols {
@@ -619,11 +638,14 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 },
             )
         }
-        ("generate", 4) => {
-            let app = load_app(&args[1])?;
-            let arch = load_arch(&args[2])?;
+        "generate" => {
+            let [app, arch, dir] = &pos[..] else {
+                return Ok(usage());
+            };
+            let app = load_app(app)?;
+            let arch = load_arch(arch)?;
             let flow = run_flow_with_arch(&app, arch, &FlowOptions::default())?;
-            let dir = std::path::Path::new(&args[3]);
+            let dir = std::path::Path::new(dir);
             flow.project.write_to(dir)?;
             println!(
                 "project ({} files, {} bytes) written to {}",
@@ -633,34 +655,17 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             );
             Ok(ExitCode::SUCCESS)
         }
-        ("simulate", _) => {
-            let (pos, flags) = split_flags(
-                &args[1..],
-                &["engine", "gantt", "trace", "cache-dir"],
-                &["stats"],
-            )?;
+        "simulate" => {
             if pos.len() < 2 || pos.len() > 3 {
                 return Ok(usage());
             }
             let app = load_app(&pos[0])?;
             let arch = load_arch(&pos[1])?;
             let iters = pos.get(2).map_or(Ok(200), |s| parse_iters(s))?;
-            let mut opts = FlowOptions::default();
-            let mut gantt_cols: Option<usize> = None;
-            let mut trace_events: Option<usize> = None;
-            let mut cache_dir: Option<std::path::PathBuf> = None;
-            let mut show_stats = false;
-            for (name, value) in &flags {
-                match name.as_str() {
-                    "engine" => opts.sim_engine = value.parse::<mamps::sim::Engine>()?,
-                    "gantt" => gantt_cols = Some(value.parse()?),
-                    "trace" => trace_events = Some(value.parse()?),
-                    "cache-dir" => cache_dir = Some(value.into()),
-                    "stats" => show_stats = true,
-                    _ => unreachable!("split_flags rejects unknown flags"),
-                }
-            }
-            let caches = setup_caches(&mut opts, cache_dir, show_stats, false)?;
+            let mut opts = flow_options(&args)?;
+            let gantt_cols: Option<usize> = args.get("gantt", str::parse)?;
+            let trace_events: Option<usize> = args.get("trace", str::parse)?;
+            let caches = setup_caches(&mut opts, &args, false)?;
             let flow = run_flow_with_arch(&app, arch, &opts)?;
             let times = WcetTimes::new(flow.mapped.mapping.binding.wcet_of.clone());
             let system = System::new(app.graph(), &flow.mapped.mapping, &flow.arch, &times)?
@@ -708,41 +713,13 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 ExitCode::FAILURE
             })
         }
-        ("dse", _) => {
-            let (pos, flags) = split_flags(
-                &args[1..],
-                &[
-                    "jobs",
-                    "binders",
-                    "apps",
-                    "shard",
-                    "out",
-                    "cache-dir",
-                    "resume",
-                ],
-                &["stats"],
-            )?;
-            let Some(shape) = sweep_shape(&pos, &flags)? else {
+        "dse" => {
+            let Some(shape) = sweep_shape(&args)? else {
                 return Ok(usage());
             };
-            let mut opts = FlowOptions::default();
-            let mut spec: Option<shard::ShardSpec> = None;
-            let mut out_path: Option<String> = None;
-            let mut cache_dir: Option<std::path::PathBuf> = None;
-            let mut resume_paths: Vec<String> = Vec::new();
-            let mut show_stats = false;
-            for (name, value) in &flags {
-                match name.as_str() {
-                    "jobs" => opts.jobs = parse_jobs(value)?,
-                    "shard" => spec = Some(value.parse()?),
-                    "out" => out_path = Some(value.clone()),
-                    "cache-dir" => cache_dir = Some(value.into()),
-                    "resume" => resume_paths.push(value.clone()),
-                    "stats" => show_stats = true,
-                    "apps" | "binders" => {} // parsed by sweep_shape
-                    _ => unreachable!("split_flags rejects unknown flags"),
-                }
-            }
+            let mut opts = flow_options(&args)?;
+            let spec: Option<shard::ShardSpec> = args.get("shard", str::parse)?;
+            let out_path = args.value("out");
             if spec.is_some() && out_path.is_none() {
                 return Err("flag `--shard` requires `--out <file.jsonl>` \
                             (sharded runs emit JSON lines, not a report)"
@@ -759,13 +736,13 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             // The global analysis cache backs every dse run; --cache-dir
             // additionally warms it (and the whole-pass memo cache) from
             // disk and persists both afterwards.
-            let caches = setup_caches(&mut opts, cache_dir, show_stats, true)?
+            let caches = setup_caches(&mut opts, &args, true)?
                 .expect("dse always attaches the analysis cache");
 
             // Partial shard files of a crashed run of this same sweep:
             // their design points are reused, not re-evaluated.
-            let mut resume_shards = Vec::with_capacity(resume_paths.len());
-            for path in &resume_paths {
+            let mut resume_shards = Vec::new();
+            for path in args.values("resume") {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read resume file `{path}`: {e}"))?;
                 let (s, dropped) =
@@ -779,15 +756,18 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             let spec = spec.unwrap_or_else(shard::ShardSpec::full);
             let s = sweep.run(spec, &resume_shards, &opts)?;
             match out_path {
-                Some(path) => write_shard(&s, &path)?,
+                Some(path) => write_shard(&s, path)?,
                 None => print!("{}", s.render()),
             }
             finish_caches(&caches, spec)?;
             Ok(ExitCode::SUCCESS)
         }
-        ("dse-merge", n) if n >= 2 => {
-            let mut shards = Vec::with_capacity(n - 1);
-            for path in &args[1..] {
+        "dse-merge" => {
+            if pos.is_empty() {
+                return Ok(usage());
+            }
+            let mut shards = Vec::with_capacity(pos.len());
+            for path in pos {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read shard file `{path}`: {e}"))?;
                 shards
@@ -798,33 +778,25 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         }
         // The DSE coordinator service: runs until SIGTERM/SIGINT, then
         // shuts down gracefully (spools flushed, caches persisted).
-        ("dse-serve", _) => {
-            let (pos, flags) = split_flags(
-                &args[1..],
-                &["socket", "state-dir", "cache-dir", "lease-timeout", "chunk"],
-                &[],
-            )?;
+        "dse-serve" => {
             if !pos.is_empty() {
                 return Ok(usage());
             }
             let mut cfg = serve::ServeConfig::default();
-            let mut socket: Option<std::path::PathBuf> = None;
-            let mut state_dir: Option<std::path::PathBuf> = None;
-            for (name, value) in &flags {
-                match name.as_str() {
-                    "socket" => socket = Some(value.into()),
-                    "state-dir" => state_dir = Some(value.into()),
-                    "cache-dir" => cfg.cache_dir = Some(value.into()),
-                    "lease-timeout" => cfg.lease_timeout_ms = value.parse()?,
-                    "chunk" => cfg.chunk = value.parse::<u64>()?.max(1),
-                    _ => unreachable!("split_flags rejects unknown flags"),
-                }
+            if let Some(ms) = args.get("lease-timeout", str::parse)? {
+                cfg.lease_timeout_ms = ms;
             }
-            let socket = socket.ok_or("`mamps dse-serve` requires `--socket PATH`")?;
+            if let Some(chunk) = args.get("chunk", str::parse::<u64>)? {
+                cfg.chunk = chunk.max(1);
+            }
+            (cfg.cache_dir, _) = cache_flags(&args);
+            let socket = std::path::PathBuf::from(args.required("socket", "PATH")?);
             // State defaults next to the socket, so coordinator restarts
             // with the same `--socket` find their spools without extra flags.
-            cfg.state_dir = state_dir
-                .unwrap_or_else(|| std::path::PathBuf::from(format!("{}.state", socket.display())));
+            cfg.state_dir = args.value("state-dir").map_or_else(
+                || std::path::PathBuf::from(format!("{}.state", socket.display())),
+                std::path::PathBuf::from,
+            );
             cfg.socket = socket;
             serve::run_coordinator(cfg)?;
             Ok(ExitCode::SUCCESS)
@@ -832,22 +804,13 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         // A worker process: fetches leased seq ranges from the coordinator
         // and evaluates them until told to shut down (or the coordinator
         // disappears — an expected event, exit 0 either way).
-        ("dse-work", _) => {
-            let (pos, flags) = split_flags(&args[1..], &["socket", "jobs"], &[])?;
+        "dse-work" => {
             if !pos.is_empty() {
                 return Ok(usage());
             }
-            let mut socket: Option<std::path::PathBuf> = None;
-            let mut jobs: usize = 1;
-            for (name, value) in &flags {
-                match name.as_str() {
-                    "socket" => socket = Some(value.into()),
-                    "jobs" => jobs = parse_jobs(value)?,
-                    _ => unreachable!("split_flags rejects unknown flags"),
-                }
-            }
+            let jobs = flow_options(&args)?.jobs;
             let cfg = serve::WorkerConfig {
-                socket: socket.ok_or("`mamps dse-work` requires `--socket PATH`")?,
+                socket: args.required("socket", "PATH")?.into(),
                 jobs,
             };
             let summary = serve::run_worker(&cfg)?;
@@ -860,22 +823,12 @@ fn run(args: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
         // Submit a sweep to a running coordinator: same sweep shape as
         // `dse` (app XML shipped inline), report on stdout byte-identical
         // to single-process `mamps dse` on the same inputs.
-        ("dse-submit", _) => {
-            let (pos, flags) = split_flags(&args[1..], &["socket", "binders", "apps"], &["stats"])?;
-            let Some(shape) = sweep_shape(&pos, &flags)? else {
+        "dse-submit" => {
+            let Some(shape) = sweep_shape(&args)? else {
                 return Ok(usage());
             };
-            let mut socket: Option<std::path::PathBuf> = None;
-            let mut show_stats = false;
-            for (name, value) in &flags {
-                match name.as_str() {
-                    "socket" => socket = Some(value.into()),
-                    "stats" => show_stats = true,
-                    "apps" | "binders" => {} // parsed by sweep_shape
-                    _ => unreachable!("split_flags rejects unknown flags"),
-                }
-            }
-            let socket = socket.ok_or("`mamps dse-submit` requires `--socket PATH`")?;
+            let socket = std::path::PathBuf::from(args.required("socket", "PATH")?);
+            let (_, show_stats) = cache_flags(&args);
             let spec = serve::SweepSpec {
                 mode: shape.mode,
                 apps_xml: shape

@@ -12,12 +12,7 @@ use mamps::platform::xml::architecture_to_xml;
 use mamps::sdf::xml::application_to_xml;
 
 fn bin() -> PathBuf {
-    // target/{debug,release}/mamps next to the test executable's dir.
-    let mut p = std::env::current_exe().unwrap();
-    p.pop(); // deps/
-    p.pop(); // debug|release/
-    p.push(format!("mamps{}", std::env::consts::EXE_SUFFIX));
-    p
+    PathBuf::from(env!("CARGO_BIN_EXE_mamps"))
 }
 
 fn setup_dir() -> PathBuf {
@@ -36,13 +31,6 @@ fn setup_dir() -> PathBuf {
 
 #[test]
 fn cli_subcommands_work_end_to_end() {
-    if !bin().exists() {
-        // The binary is only present when the package's bins were built
-        // (cargo test builds them for integration tests of the same
-        // package, but guard against exotic invocations).
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     let dir = setup_dir();
     let app = dir.join("app.xml");
     let arch = dir.join("arch.xml");
@@ -225,10 +213,6 @@ fn cli_subcommands_work_end_to_end() {
 
 #[test]
 fn cli_rejects_runs_shorter_than_two_iterations() {
-    if !bin().exists() {
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     // A steady-state throughput needs two iteration completions: shorter
     // runs must fail up front instead of reporting a violated guarantee.
     let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data");
@@ -260,10 +244,6 @@ fn cli_rejects_runs_shorter_than_two_iterations() {
 
 #[test]
 fn cli_remap_replays_from_the_pass_cache() {
-    if !bin().exists() {
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     let dir = std::env::temp_dir().join(format!("mamps_cli_remap_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = StreamConfig {
@@ -346,10 +326,6 @@ fn cli_remap_replays_from_the_pass_cache() {
 
 #[test]
 fn cli_gen_is_deterministic_across_processes_and_round_trips() {
-    if !bin().exists() {
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     let dir = std::env::temp_dir().join(format!("mamps_cli_gen_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -433,10 +409,6 @@ fn cli_gen_is_deterministic_across_processes_and_round_trips() {
 
 #[test]
 fn cli_xml_errors_name_the_file_and_line() {
-    if !bin().exists() {
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     let dir = std::env::temp_dir().join(format!("mamps_cli_xmlerr_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     // Corrupt a real scenario: drop the `name` attribute from the first
@@ -480,10 +452,6 @@ fn cli_xml_errors_name_the_file_and_line() {
 
 #[test]
 fn cli_sharded_dse_merges_to_the_unsharded_report() {
-    if !bin().exists() {
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     let dir = std::env::temp_dir().join(format!("mamps_cli_shard_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = StreamConfig {
@@ -566,10 +534,6 @@ fn cli_sharded_dse_merges_to_the_unsharded_report() {
 /// list is an error, not a sweep of empty use-cases.
 #[test]
 fn cli_dse_rejects_an_empty_app_list() {
-    if !bin().exists() {
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     let out = Command::new(bin())
         .args(["dse", "2", "--apps", ","])
         .output()
@@ -578,6 +542,93 @@ fn cli_dse_rejects_an_empty_app_list() {
     assert!(out.stdout.is_empty(), "no report for an empty sweep");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("sweep has no applications"), "{err}");
+}
+
+/// A value flag never takes the next flag as its value: `--cache-dir
+/// --stats` is a missing value, not a cache directory named `--stats`.
+#[test]
+fn cli_value_flag_does_not_swallow_the_next_flag() {
+    let dir = std::env::temp_dir().join(format!("mamps_cli_swallow_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let app =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data/mjpeg_small_app.xml");
+    let out = Command::new(bin())
+        .current_dir(&dir)
+        .arg("dse")
+        .arg(&app)
+        .args(["2", "--cache-dir", "--stats"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("flag `--cache-dir` needs a value"), "{err}");
+    assert!(
+        !dir.join("--stats").exists(),
+        "no cache dir named `--stats`"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "wrote nothing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The usage text and the parser agree: every flag a usage row shows is
+/// accepted by that command, with a value exactly when the row gives it
+/// one. Each run ends in an unknown flag, so parsing fails before the
+/// command does anything; with its value the error names the unknown
+/// flag, never the shown one, and a value flag given none is the error.
+#[test]
+fn cli_usage_text_and_parser_agree() {
+    let dir = std::env::temp_dir().join(format!("mamps_cli_usage_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let usage = Command::new(bin()).output().unwrap();
+    assert_eq!(usage.status.code(), Some(2));
+    let usage = String::from_utf8(usage.stderr).unwrap();
+    let fails = |args: &[&str]| {
+        let out = Command::new(bin())
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        err
+    };
+    let mut checked = 0;
+    for row in usage.lines().filter_map(|l| l.strip_prefix("  mamps ")) {
+        let mut words = row.split_whitespace();
+        let cmd = words.next().unwrap();
+        while let Some(word) = words.next() {
+            let Some(flag) = word.trim_start_matches('[').strip_prefix("--") else {
+                continue;
+            };
+            let shown = format!("--{}", flag.trim_end_matches(']'));
+            let value = (!flag.ends_with(']')).then(|| {
+                let value = words.next().expect("a value flag shows its value");
+                value.trim_end_matches("...").trim_end_matches(']')
+            });
+            let mut args = vec![cmd, shown.as_str()];
+            args.extend(value);
+            args.push("--no-such-flag");
+            let err = fails(&args);
+            assert!(
+                err.contains("unknown flag `--no-such-flag`"),
+                "{args:?}: {err}"
+            );
+            assert!(!err.contains(&format!("`{shown}`")), "{args:?}: {err}");
+            if value.is_some() {
+                let err = fails(&[cmd, &shown, "--no-such-flag"]);
+                let want = format!("flag `{shown}` needs a value");
+                assert!(err.contains(&want), "{cmd} {shown}: {err}");
+            }
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 40,
+        "only {checked} flags found in the usage text"
+    );
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "a command ran");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Kills a spawned service process on drop, so a failing assertion does
@@ -600,10 +651,6 @@ impl Drop for Reap {
 #[cfg(unix)]
 #[test]
 fn dse_serve_cli_round_trip() {
-    if !bin().exists() {
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     let dir = std::env::temp_dir().join(format!("mamps_cli_serve_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let cfg = StreamConfig {

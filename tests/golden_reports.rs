@@ -12,11 +12,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> PathBuf {
-    let mut p = std::env::current_exe().unwrap();
-    p.pop(); // deps/
-    p.pop(); // debug|release/
-    p.push(format!("mamps{}", std::env::consts::EXE_SUFFIX));
-    p
+    PathBuf::from(env!("CARGO_BIN_EXE_mamps"))
 }
 
 const DATA: &str = "examples/data";
@@ -29,10 +25,6 @@ const BINDERS: &str = "--binders greedy,spiral,genetic";
 /// whitespace, paths relative to the repository root — and asserts its
 /// stdout equals `tests/golden/<name>.txt`.
 fn check_all(cases: &[(String, String)]) {
-    if !bin().exists() {
-        eprintln!("skipping: {} not built", bin().display());
-        return;
-    }
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut failures = Vec::new();
     for (name, cmd) in cases {
