@@ -47,7 +47,7 @@ use mamps_platform::interconnect::CommParams;
 use mamps_platform::tile::TileKind;
 use mamps_platform::types::words_per_token;
 use mamps_sdf::graph::{ActorId, ChannelId, SdfGraph, SdfGraphBuilder};
-use mamps_sdf::transform::with_static_orders;
+use mamps_sdf::transform::add_static_orders;
 
 use crate::error::MapError;
 use crate::mapping::{ChannelAlloc, Mapping, ScheduleEntry};
@@ -277,9 +277,8 @@ pub fn expand(
         b.add_channel_with_tokens(format!("{name}__srate"), rate, 1, rate, 1, 1);
     }
 
-    let expanded = b.build().map_err(MapError::Sdf)?;
-
-    // Static-order chains from the schedule entries.
+    // Static-order chains from the schedule entries, gated in the same
+    // builder so the expanded graph is validated once.
     let mut chains: Vec<Vec<(ActorId, u64)>> = Vec::new();
     for round in &mapping.schedules {
         if round.len() <= 1 {
@@ -299,7 +298,8 @@ pub fn expand(
         }
         chains.push(chain);
     }
-    let graph = with_static_orders(&expanded, &chains).map_err(MapError::Sdf)?;
+    add_static_orders(&mut b, &chains).map_err(MapError::Sdf)?;
+    let graph = b.build().map_err(MapError::Sdf)?;
 
     Ok(ExpandedGraph {
         graph,

@@ -401,8 +401,11 @@ pub fn map_application(
     // Buffer sizing: the dominant pass (phase-1 deadlock growth plus the
     // phase-2 greedy search, each step one expand + throughput analysis).
     // On a replay only the final allocation and analysis come back; the
-    // expanded graph is rebuilt below — expansion is deterministic and
-    // costs one graph construction, far below a single analysis.
+    // expanded graph is rebuilt below. Expansion is deterministic, and
+    // one rebuild per replayed mapping is cheap next to the search it
+    // replays, though not next to one analysis: every probe pays for an
+    // expansion, hit or miss, and a cold sweep spends about two fifths as
+    // long expanding as analysing (ARCHITECTURE.md, performance notes).
     let mut expanded = None;
     let (sized_channels, analysis) = run_pass(
         &opts.passes,

@@ -10,10 +10,12 @@
 //!
 //! * a **canonical-JSON graph hash** ([`GraphFingerprint`]): the graph is
 //!   canonicalized (actors and channels sorted by name, channel endpoints
-//!   expressed as canonical actor ranks) into a [`serde::Value`] tree and
-//!   hashed with the pinned [`serde::stable_hash`] — so two structurally
-//!   identical graphs hash equal regardless of insertion order, and the
-//!   64-bit key is stable across processes and can be persisted;
+//!   expressed as canonical actor ranks) and the byte stream of
+//!   [`serde::stable_hash`] over that canonical tree is fed straight into
+//!   a [`serde::StableHasher`], without building the tree — so two
+//!   structurally identical graphs hash equal regardless of insertion
+//!   order, and the 64-bit key is stable across processes and can be
+//!   persisted;
 //! * the **analysis options** (every [`AnalysisOptions`] field), so a
 //!   result computed under one configuration is never served to another —
 //!   invalidation-by-options falls out of the key derivation.
@@ -31,10 +33,10 @@
 //! is ~n²/2⁶⁵ — accepted, as SDF3-style flows accept it for memoized
 //! analyses.
 
-use serde::{stable_hash, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize, StableHasher};
 
 use crate::error::SdfError;
-use crate::graph::{ActorId, ChannelId, SdfGraph};
+use crate::graph::SdfGraph;
 use crate::memo::{MemoEntry, MemoStore};
 use crate::state_space::{throughput, AnalysisOptions, ThroughputResult};
 
@@ -52,68 +54,61 @@ pub struct GraphFingerprint {
 }
 
 impl GraphFingerprint {
-    /// Computes the fingerprint of `graph`. Cost is one O(V log V +
-    /// E log E) sort plus a linear hash walk — far below one state-space
-    /// analysis of the same graph.
+    /// Computes the fingerprint of `graph`: [`serde::stable_hash`] of the
+    /// canonical tree `[[[name, wcet], ..], [[name, src, dst, p, c,
+    /// tokens, size], ..]]`, streamed from sorted keys that borrow the
+    /// names.
+    ///
+    /// Cost is one O(V log V + E log E) sort plus a byte-serial FNV walk,
+    /// with two key vectors allocated. Every expand-then-analyse probe pays
+    /// it, cache hit or miss, so it is not negligible next to the analysis
+    /// it saves (ARCHITECTURE.md, performance notes).
     pub fn of(graph: &SdfGraph) -> GraphFingerprint {
-        let mut actor_order: Vec<usize> = (0..graph.actor_count()).collect();
-        actor_order.sort_by(|&a, &b| {
-            let (a, b) = (graph.actor(ActorId(a)), graph.actor(ActorId(b)));
-            (a.name(), a.execution_time()).cmp(&(b.name(), b.execution_time()))
-        });
-        let mut actor_rank = vec![0usize; graph.actor_count()];
-        for (rank, &orig) in actor_order.iter().enumerate() {
-            actor_rank[orig] = rank;
+        // The original index breaks ties exactly as the stable sort by
+        // (name, wcet) this key order was defined by, and tied keys stream
+        // the same bytes.
+        let mut actors: Vec<(&str, u64, usize)> = graph
+            .actors()
+            .map(|(id, a)| (a.name(), a.execution_time(), id.0))
+            .collect();
+        actors.sort_unstable();
+        let mut rank = vec![0u64; actors.len()];
+        for (r, &(_, _, orig)) in actors.iter().enumerate() {
+            rank[orig] = r as u64;
         }
+        let mut channels: Vec<(&str, [u64; 6])> = graph
+            .channels()
+            .map(|(_, c)| {
+                let fields = [
+                    rank[c.src().0],
+                    rank[c.dst().0],
+                    c.production_rate(),
+                    c.consumption_rate(),
+                    c.initial_tokens(),
+                    c.token_size(),
+                ];
+                (c.name(), fields)
+            })
+            .collect();
+        channels.sort_unstable();
 
-        let channel_key = |i: usize| {
-            let c = graph.channel(ChannelId(i));
-            (
-                c.name().to_string(),
-                actor_rank[c.src().0],
-                actor_rank[c.dst().0],
-                c.production_rate(),
-                c.consumption_rate(),
-                c.initial_tokens(),
-                c.token_size(),
-            )
-        };
-        let mut channel_order: Vec<usize> = (0..graph.channel_count()).collect();
-        channel_order.sort_by_key(|&i| channel_key(i));
-
-        let int = |v: u64| Value::Int(i128::from(v));
-        let actors = Value::Seq(
-            actor_order
-                .iter()
-                .map(|&i| {
-                    let a = graph.actor(ActorId(i));
-                    Value::Seq(vec![
-                        Value::Str(a.name().to_string()),
-                        int(a.execution_time()),
-                    ])
-                })
-                .collect(),
-        );
-        let channels = Value::Seq(
-            channel_order
-                .iter()
-                .map(|&i| {
-                    let (name, src, dst, p, c, tokens, size) = channel_key(i);
-                    Value::Seq(vec![
-                        Value::Str(name),
-                        Value::Int(src as i128),
-                        Value::Int(dst as i128),
-                        int(p),
-                        int(c),
-                        int(tokens),
-                        int(size),
-                    ])
-                })
-                .collect(),
-        );
-        GraphFingerprint {
-            hash: stable_hash(&Value::Seq(vec![actors, channels])),
+        let mut h = StableHasher::new();
+        h.seq(2);
+        h.seq(actors.len());
+        for &(name, wcet, _) in &actors {
+            h.seq(2);
+            h.str(name);
+            h.int(wcet.into());
         }
+        h.seq(channels.len());
+        for (name, fields) in &channels {
+            h.seq(1 + fields.len());
+            h.str(name);
+            for &v in fields {
+                h.int(v.into());
+            }
+        }
+        GraphFingerprint { hash: h.finish() }
     }
 
     /// The stable 64-bit canonical-JSON hash.
@@ -250,7 +245,9 @@ impl MemoStore<CacheEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::SdfGraphBuilder;
+    use crate::graph::{ActorId, SdfGraphBuilder};
+    use proptest::prelude::*;
+    use serde::{stable_hash, Value};
     use std::collections::HashMap;
 
     fn two_actor_graph(order: &[&str]) -> SdfGraph {
@@ -264,6 +261,106 @@ mod tests {
         }
         b.add_channel("e", ids["A"], 2, ids["B"], 1);
         b.build().unwrap()
+    }
+
+    /// The canonical tree whose `stable_hash` byte stream
+    /// `GraphFingerprint::of` feeds to its hasher, built as a tree: the
+    /// oracle for the streamed fingerprint.
+    fn canonical_tree(graph: &SdfGraph) -> Value {
+        let mut actors: Vec<&crate::graph::Actor> = graph.actors().map(|(_, a)| a).collect();
+        actors.sort_by_key(|a| (a.name().to_string(), a.execution_time()));
+        let rank = |id: ActorId| {
+            let a = graph.actor(id);
+            actors.iter().position(|b| std::ptr::eq(*b, a)).unwrap() as i128
+        };
+        let int = |v: u64| Value::Int(i128::from(v));
+        let mut channels: Vec<Vec<Value>> = graph
+            .channels()
+            .map(|(_, c)| {
+                vec![
+                    Value::Str(c.name().to_string()),
+                    Value::Int(rank(c.src())),
+                    Value::Int(rank(c.dst())),
+                    int(c.production_rate()),
+                    int(c.consumption_rate()),
+                    int(c.initial_tokens()),
+                    int(c.token_size()),
+                ]
+            })
+            .collect();
+        channels.sort_by(|a, b| {
+            let key = |v: &[Value]| -> (String, Vec<i128>) {
+                let name = v[0].as_str().unwrap().to_string();
+                (name, v[1..].iter().map(|x| x.as_int().unwrap()).collect())
+            };
+            key(a).cmp(&key(b))
+        });
+        Value::Seq(vec![
+            Value::Seq(
+                actors
+                    .iter()
+                    .map(|a| {
+                        Value::Seq(vec![
+                            Value::Str(a.name().to_string()),
+                            int(a.execution_time()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            Value::Seq(channels.into_iter().map(Value::Seq).collect()),
+        ])
+    }
+
+    /// Insertion order unlike name order, a zero and a 2^40 WCET, a
+    /// `u64::MAX` token count, a 128-byte token and a self-edge.
+    fn hand_built() -> SdfGraph {
+        let mut b = SdfGraphBuilder::new("pinned");
+        let c = b.add_actor("C", 7);
+        let a = b.add_actor("A", 10);
+        let bb = b.add_actor("B", 1 << 40);
+        let z = b.add_actor("Z0", 0);
+        b.add_channel("b2c", bb, 1, c, 2);
+        b.add_channel("a2b", a, 2, bb, 1);
+        b.add_channel_full("a2c", a, 1, c, 1, 3, 128);
+        b.add_channel_with_tokens("selfA", a, 1, a, 1, 1);
+        b.add_channel_with_tokens("c2z", c, 1, z, 1, u64::MAX);
+        b.build().unwrap()
+    }
+
+    /// The MJPEG example (`examples/data/mjpeg_small_app.xml`) mapped by
+    /// the default flow onto a 2-tile FSL platform, Fig. 4-expanded:
+    /// 43 actors (11 static-order gates) and 84 channels with long names.
+    /// `tests/golden_reports.rs` checks that the flow still builds it.
+    fn mjpeg_expansion() -> SdfGraph {
+        let json = include_str!("../tests/data/mjpeg_fsl2_expanded.json");
+        let mut g: SdfGraph = serde::json::from_str(json).unwrap();
+        g.rebuild_adjacency();
+        g
+    }
+
+    #[test]
+    fn fingerprints_are_pinned() {
+        // Recorded before the fingerprint was streamed: every persisted
+        // analysis-cache key depends on these bytes.
+        let mjpeg = mjpeg_expansion();
+        assert_eq!((mjpeg.actor_count(), mjpeg.channel_count()), (43, 84));
+        for (g, want) in [
+            (hand_built(), 0x169e_6bf2_0946_2c56),
+            (mjpeg, 0x155b_cb71_2913_32b4),
+        ] {
+            assert_eq!(GraphFingerprint::of(&g).hash(), want, "{}", g.name());
+            assert_eq!(stable_hash(&canonical_tree(&g)), want, "{}", g.name());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn streamed_fingerprint_equals_the_tree_hash(
+            app in crate::gen::strategies::application()
+        ) {
+            let g = app.graph();
+            prop_assert_eq!(GraphFingerprint::of(g).hash(), stable_hash(&canonical_tree(g)));
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::error::SdfError;
 use crate::graph::{ActorId, SdfGraph};
-use crate::liveness::check_liveness;
+use crate::liveness::simulate_iteration;
 use crate::ratio::{gcd, Ratio};
 use crate::repetition::repetition_vector;
 
@@ -164,8 +164,9 @@ pub(crate) fn throughput_with(
     if graph.actor_count() == 0 {
         return Err(SdfError::InvalidGraph("empty graph".into()));
     }
-    // Exact deadlock detection on the whole graph (cheap, untimed).
-    check_liveness(graph)?;
+    // Exact deadlock detection on the whole graph (untimed), reusing `q`
+    // rather than recomputing it as `check_liveness` would.
+    simulate_iteration(graph, &q)?;
 
     let sccs = strongly_connected_components(graph);
     let mut best: Option<ThroughputResult> = None;

@@ -1,7 +1,10 @@
 //! Graph transformations used by the analysis and mapping flows.
 //!
-//! All transformations are pure: they build a new graph, leaving the input
-//! untouched. Three transformations recur throughout the paper's flow:
+//! The graph-to-graph transformations are pure: they build a new graph,
+//! leaving the input untouched. Static orders instead extend a graph under
+//! construction (an [`SdfGraphBuilder`]), because their one caller, the
+//! Fig. 4 expansion, is building the graph they order. Three
+//! transformations recur throughout the paper's flow:
 //!
 //! * **Self-edges** model the exclusion of auto-concurrency (each actor is a
 //!   single task; paper §3 also uses them for actor state as in Fig. 2).
@@ -109,8 +112,9 @@ pub fn with_buffer_capacities(graph: &SdfGraph, capacities: &[u64]) -> Result<Sd
     b.build()
 }
 
-/// Returns a copy of `graph` with static-order constraint actors/channels
-/// forcing each listed batch sequence to execute round-robin.
+/// Appends to the graph under construction in `b` static-order
+/// constraint actors/channels forcing each listed batch sequence to execute
+/// round-robin, and appends `:ordered` to its name.
 ///
 /// A schedule is a list of *batches* `(actor, reps)`: the actor fires `reps`
 /// times, then control passes to the next batch; after the last batch the
@@ -126,22 +130,44 @@ pub fn with_buffer_capacities(graph: &SdfGraph, capacities: &[u64]) -> Result<Sd
 /// must be proportional to the actors' repetition-vector entries for the
 /// result to stay consistent.
 ///
+/// Working on the builder lets the Fig. 4 expansion add its gates before
+/// its single [`SdfGraphBuilder::build`] instead of copying and
+/// re-validating a finished graph.
+///
 /// # Errors
 ///
 /// Returns [`SdfError::InvalidGraph`] if a schedule references an actor out
-/// of range, lists an actor twice, or has a zero repetition count.
-pub fn with_static_orders(
-    graph: &SdfGraph,
+/// of range (of the actors `b` held on entry), lists an actor twice, or has
+/// a zero repetition count. Every schedule is checked before anything is
+/// added, so `b` is unchanged on error.
+///
+/// # Examples
+///
+/// ```
+/// use mamps_sdf::graph::SdfGraphBuilder;
+/// use mamps_sdf::transform::add_static_orders;
+///
+/// let mut b = SdfGraphBuilder::new("g");
+/// let a = b.add_actor("A", 2);
+/// let c = b.add_actor("B", 3);
+/// b.add_channel("e", a, 1, c, 1);
+/// add_static_orders(&mut b, &[vec![(a, 1), (c, 1)]]).unwrap();
+/// let g = b.build().unwrap();
+/// assert_eq!(g.name(), "g:ordered");
+/// assert_eq!((g.actor_count(), g.channel_count()), (4, 5));
+/// ```
+pub fn add_static_orders(
+    b: &mut SdfGraphBuilder,
     schedules: &[Vec<(ActorId, u64)>],
-) -> Result<SdfGraph, SdfError> {
-    let mut b = copy_into_builder(graph, format!("{}:ordered", graph.name()));
+) -> Result<(), SdfError> {
+    let actor_count = b.actors.len();
     for (tile, sched) in schedules.iter().enumerate() {
         if sched.len() <= 1 {
             continue; // a single actor needs no ordering
         }
         let mut seen = std::collections::HashSet::new();
         for &(a, reps) in sched {
-            if a.0 >= graph.actor_count() {
+            if a.0 >= actor_count {
                 return Err(SdfError::InvalidGraph(format!(
                     "schedule {tile} references unknown actor {a}"
                 )));
@@ -156,6 +182,12 @@ pub fn with_static_orders(
                     "schedule {tile} lists actor {a} twice; emit batched orders"
                 )));
             }
+        }
+    }
+    b.name.push_str(":ordered");
+    for (tile, sched) in schedules.iter().enumerate() {
+        if sched.len() <= 1 {
+            continue;
         }
         for (idx, &(a, reps_a)) in sched.iter().enumerate() {
             let (next, reps_next) = sched[(idx + 1) % sched.len()];
@@ -175,7 +207,7 @@ pub fn with_static_orders(
             );
         }
     }
-    b.build()
+    Ok(())
 }
 
 fn copy_into_builder(graph: &SdfGraph, name: String) -> SdfGraphBuilder {
@@ -280,25 +312,46 @@ mod tests {
         assert_eq!(bounded.channel_count(), 1);
     }
 
+    /// [`two_actor_graph`] with `schedules` added as static orders.
+    fn ordered(schedules: &[Vec<(ActorId, u64)>]) -> Result<SdfGraph, SdfError> {
+        let mut b = copy_into_builder(&two_actor_graph(), "g".into());
+        add_static_orders(&mut b, schedules)?;
+        b.build()
+    }
+
     #[test]
     fn static_order_serializes_tile() {
         // A and B on one tile, same repetition count: order A then B.
-        let g = two_actor_graph();
-        let a = g.actor_by_name("A").unwrap();
-        let c = g.actor_by_name("B").unwrap();
-        let ordered = with_static_orders(&g, &[vec![(a, 1), (c, 1)]]).unwrap();
+        let (a, c) = (ActorId(0), ActorId(1));
+        let ordered = ordered(&[vec![(a, 1), (c, 1)]]).unwrap();
+        assert_eq!(ordered.name(), "g:ordered");
         // Original channel + 2 gate actors with 2 channels each.
         assert_eq!(ordered.actor_count(), 4);
         assert_eq!(ordered.channel_count(), 5);
+        assert_eq!(ordered.actor(ActorId(3)).name(), "__sog0_1");
+        let wrap = ordered.channel_by_name("__sob0_1").unwrap();
+        assert_eq!(ordered.channel(wrap).initial_tokens(), 1);
         let t = throughput(&ordered, &AnalysisOptions::default()).unwrap();
         // Sequential execution on one processor: 2 + 3 cycles per iteration.
         assert_eq!(t.cycles_per_iteration(), 5.0);
     }
 
     #[test]
-    fn static_order_duplicate_actor_rejected() {
-        let g = two_actor_graph();
-        let a = g.actor_by_name("A").unwrap();
-        assert!(with_static_orders(&g, &[vec![(a, 1), (a, 1)]]).is_err());
+    fn static_order_errors_leave_the_builder_unchanged() {
+        let (a, c) = (ActorId(0), ActorId(1));
+        let err = |schedules: &[Vec<(ActorId, u64)>]| {
+            let mut b = copy_into_builder(&two_actor_graph(), "g".into());
+            let e = add_static_orders(&mut b, schedules).unwrap_err();
+            assert_eq!(b.build().unwrap(), two_actor_graph());
+            e.to_string()
+        };
+        assert!(err(&[vec![(a, 1), (a, 1)]]).contains("schedule 0 lists actor a0 twice"));
+        assert!(err(&[vec![(a, 0), (c, 1)]]).contains("zero repetition count for a0"));
+        // Actor a2 would exist once the first schedule's gates were added:
+        // ids are checked against the actors present on entry.
+        assert!(err(&[vec![(a, 1), (c, 1)], vec![(ActorId(2), 1), (c, 1)]])
+            .contains("schedule 1 references unknown actor a2"));
+        // A one-batch schedule orders nothing and is not checked.
+        assert_eq!(ordered(&[vec![(ActorId(9), 0)]]).unwrap().actor_count(), 2);
     }
 }

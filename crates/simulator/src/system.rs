@@ -572,6 +572,49 @@ mod tests {
         }
     }
 
+    /// The receive-side NI queue is unbounded in both models: the
+    /// simulator returns a word's credit when it arrives
+    /// ([`CrossChannelState::deliver_word`]), and the analysis drains
+    /// `__drn -> __des` with no capacity edge back. So a cross-tile
+    /// producer twice as fast as its consumer keeps running ahead — its
+    /// lead over `N·q` firings grows with `N` — while the measured
+    /// throughput still meets the analysed one. Bounding the NI queue must
+    /// change both models and this test together.
+    #[test]
+    fn fast_cross_tile_producer_runs_ahead_of_its_consumer() {
+        let app = pipeline_app(&[50, 100], 4);
+        let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();
+        let mapped = map_application(&app, &arch, &MapOptions::default()).unwrap();
+        let tile_of = &mapped.mapping.binding.tile_of;
+        assert_ne!(tile_of[0], tile_of[1], "the channel must cross tiles");
+        let g = &mapped.expanded.graph;
+        let drn = g.actor_by_name("e0__drn").unwrap();
+        let des = g.actor_by_name("e0__des").unwrap();
+        assert!(g.channels().all(|(_, c)| (c.src(), c.dst()) != (des, drn)));
+
+        let times = WcetTimes::new(mapped.mapping.binding.wcet_of.clone());
+        let mut leads = Vec::new();
+        for n in [100, 200, 400] {
+            let run = |engine| {
+                System::new(app.graph(), &mapped.mapping, &arch, &times)
+                    .unwrap()
+                    .with_engine(engine)
+                    .run(n, 10_000_000)
+                    .unwrap()
+            };
+            let m = run(Engine::Event);
+            assert_eq!(m, run(Engine::Lockstep));
+            assert!(m.steady_throughput() >= mapped.analysis.as_f64() * (1.0 - 1e-9));
+            // q = [1, 1]: after n iterations the consumer fired n times.
+            assert_eq!(m.firings[1], n);
+            leads.push(m.firings[0] - n);
+        }
+        // The lead grows in proportion to the run (47, 92, 183 firings):
+        // the producer's tile also serializes, so it is not quite 2x.
+        assert!(leads.windows(2).all(|w| w[1] > w[0]), "leads {leads:?}");
+        assert!(leads[2] > 400 / 3, "leads {leads:?}");
+    }
+
     /// Two applications admitted onto shared tiles: the union graph is
     /// disconnected, so the simulator takes the members' concatenated
     /// repetition vectors, runs both apps concurrently under the

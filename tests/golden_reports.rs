@@ -1,5 +1,7 @@
 //! Golden reports: the stdout of `mamps dse` and `mamps map-multi` over
-//! the checked-in examples, pinned byte for byte in `tests/golden/`.
+//! the checked-in examples, pinned byte for byte in `tests/golden/`, plus
+//! two artefacts no report shows: the cache files a cold `dse` persists
+//! (pinned by length and digest) and one Fig. 4-expanded analysis graph.
 //!
 //! The other byte-identity oracles (`shard_dse.sh`, `incremental_equiv.sh`,
 //! the warm/cold and sharded tests) compare two runs of one binary, so a
@@ -87,4 +89,84 @@ fn map_multi_matches_golden() {
         "map_multi".into(),
         format!("map-multi {USE_CASE} {DATA}/fsl_3tile_arch.xml --iters 60"),
     )]);
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The analysis- and pass-cache files of a cold single-worker sweep. Their
+/// keys hash every expanded graph's actor and channel names, and deadlock
+/// results list pending actors in insertion order, so a change to the
+/// expansion's names or order shows here even when every report stays
+/// equal. Recorded by an earlier commit; a change that means to alter a
+/// cache file re-records the lengths and digests printed on failure.
+#[test]
+fn dse_cache_files_match_golden() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = std::env::temp_dir().join(format!("mamps_golden_cache_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = Command::new(bin())
+        .current_dir(root)
+        .args(format!("dse {DATA}/mjpeg_small_app.xml 4 {BINDERS} --jobs 1").split_whitespace())
+        .arg("--cache-dir")
+        .arg(&dir)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got: Vec<(&str, usize, u64)> = ["analysis-cache-0-of-1.jsonl", "pass-cache-0-of-1.jsonl"]
+        .into_iter()
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(name)).unwrap();
+            (name, bytes.len(), fnv1a(&bytes))
+        })
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(
+        got,
+        [
+            (
+                "analysis-cache-0-of-1.jsonl",
+                204_022,
+                0xf858_507d_8fa9_2ae3
+            ),
+            ("pass-cache-0-of-1.jsonl", 28_158, 0x0140_22d7_9426_08e0),
+        ]
+    );
+}
+
+/// The MJPEG example mapped by the default flow onto a 2-tile FSL
+/// platform: its expanded graph — Fig. 4 helpers, static-order gates, actor
+/// and channel order, and the `:comm:ordered` name — equals the recorded
+/// one, whose fingerprint `mamps_sdf::cache` pins. A change that means to
+/// alter the expansion re-records the fixture from this test's `got`
+/// bytes, and that pinned hash with it.
+#[test]
+fn mjpeg_expansion_matches_golden() {
+    use mamps::mapping::{map_application, MapOptions};
+    use mamps::platform::arch::Architecture;
+    use mamps::platform::interconnect::Interconnect;
+    use mamps::sdf::xml::application_from_xml;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let xml = std::fs::read_to_string(root.join(DATA).join("mjpeg_small_app.xml")).unwrap();
+    let app = application_from_xml(&xml).unwrap();
+    let arch = Architecture::homogeneous("fsl2", 2, Interconnect::fsl()).unwrap();
+    let mapped = map_application(&app, &arch, &MapOptions::default()).unwrap();
+    let want = std::fs::read(root.join("crates/sdf/tests/data/mjpeg_fsl2_expanded.json")).unwrap();
+    let got = serde::json::to_string(&mapped.expanded.graph).into_bytes();
+    let at = got.iter().zip(&want).take_while(|(a, b)| a == b).count();
+    let near = &got[at.saturating_sub(80)..(at + 40).min(got.len())];
+    assert!(
+        got == want,
+        "expanded graph differs from the fixture at byte {at}: …{}",
+        String::from_utf8_lossy(near)
+    );
 }
