@@ -1,17 +1,18 @@
 //! Ablation: guaranteed throughput as a function of buffer capacity.
 //!
 //! SDF3's buffer distributions trade memory for throughput (paper §5.1).
-//! This bench sweeps the capacity of a producer-consumer channel, printing
-//! the throughput staircase, and times the demand-driven buffer-sizing
-//! search on a multirate graph.
+//! This bench sweeps the capacity of a producer-consumer channel upward
+//! from its isolated lower bound, printing the throughput staircase, and
+//! times one analysis of the capacity-bounded graph.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use mamps_bench::short_criterion;
-use mamps_sdf::buffer::{minimal_live_capacities, size_for_throughput};
-use mamps_sdf::graph::{SdfGraph, SdfGraphBuilder};
+use mamps_sdf::buffer::capacity_lower_bound;
+use mamps_sdf::graph::{ChannelId, SdfGraph, SdfGraphBuilder};
 use mamps_sdf::ratio::Ratio;
-use mamps_sdf::state_space::{throughput_bounded, AnalysisOptions};
+use mamps_sdf::state_space::{throughput, AnalysisOptions, ThroughputResult};
+use mamps_sdf::transform::with_buffer_capacities;
 
 fn producer_consumer() -> SdfGraph {
     let mut b = SdfGraphBuilder::new("pc");
@@ -21,35 +22,34 @@ fn producer_consumer() -> SdfGraph {
     b.build().unwrap()
 }
 
+/// The throughput of `g` with its one channel bounded to `cap` tokens.
+fn bounded(g: &SdfGraph, cap: u64, opts: &AnalysisOptions) -> ThroughputResult {
+    throughput(&with_buffer_capacities(g, &[cap]).unwrap(), opts).unwrap()
+}
+
 fn bench(c: &mut Criterion) {
     let g = producer_consumer();
     let opts = AnalysisOptions::default();
 
     println!("\nbuffer capacity vs guaranteed throughput (2->3 rates):");
     println!("{:<10} {:>16} {:>16}", "capacity", "it/cycle", "cycles/it");
-    let min_caps = minimal_live_capacities(&g).unwrap();
-    for extra in 0..6u64 {
-        let caps = vec![min_caps[0] + extra];
-        let t = throughput_bounded(&g, &caps, &opts).unwrap();
+    let lower = capacity_lower_bound(&g, ChannelId(0));
+    for cap in lower..lower + 6 {
+        let t = bounded(&g, cap, &opts);
         println!(
             "{:<10} {:>16} {:>16.1}",
-            caps[0],
+            cap,
             format!("{}", t.iterations_per_cycle),
             t.cycles_per_iteration()
         );
     }
     // Saturation: large buffers hit the producer bound — q = (3, 2), so
     // one iteration needs 3 producer firings of 7 cycles = 21 cycles.
-    let saturated = throughput_bounded(&g, &[min_caps[0] + 32], &opts).unwrap();
+    let saturated = bounded(&g, lower + 32, &opts);
     assert_eq!(saturated.iterations_per_cycle, Ratio::new(1, 21));
 
-    c.bench_function("buffer/minimal_live_capacities", |b| {
-        b.iter(|| std::hint::black_box(minimal_live_capacities(&g).unwrap()))
-    });
-    c.bench_function("buffer/size_for_target", |b| {
-        b.iter(|| {
-            std::hint::black_box(size_for_throughput(&g, Ratio::new(1, 21), &opts).unwrap().0)
-        })
+    c.bench_function("buffer/bounded_analysis", |b| {
+        b.iter(|| std::hint::black_box(bounded(&g, lower, &opts)))
     });
 }
 

@@ -582,6 +582,16 @@ mod tests {
     }
 
     #[test]
+    fn oversized_tokens_fail_without_panicking() {
+        // The Fig. 4 expansion of a cross-tile channel with u64::MAX-byte
+        // tokens has an iteration whose firing count overflows u64.
+        let app = pipeline_app(&[100, 100], u64::MAX);
+        let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();
+        let mapped = map_application(&app, &arch, &MapOptions::default());
+        assert!(matches!(mapped, Err(MapError::Sdf(SdfError::Overflow(_)))));
+    }
+
+    #[test]
     fn strategy_recorded_in_mapped_application() {
         let app = pipeline_app(&[100, 100], 16);
         let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();

@@ -187,7 +187,7 @@ pub fn mapping_from_xml(
     for el in root.find_all("channel") {
         let cid = channel_of(el.req("name")?)?;
         channels[cid.0] = ChannelAlloc {
-            wires: el.req_u64("wires")? as u32,
+            wires: el.req_int("wires")?,
             alpha_src: el.req_u64("alphaSrc")?,
             alpha_dst: el.req_u64("alphaDst")?,
             local_capacity: el.req_u64("localCapacity")?,

@@ -65,7 +65,7 @@ impl NocConfig {
 
     /// Number of routers.
     pub fn router_count(&self) -> usize {
-        (self.width * self.height) as usize
+        self.width as usize * self.height as usize
     }
 
     /// Coordinate of the router attached to `tile` (row-major placement).
@@ -74,16 +74,17 @@ impl NocConfig {
     ///
     /// Panics if the tile index does not fit the mesh.
     pub fn tile_coord(&self, tile: TileId) -> Coord {
-        let idx = tile.0 as u32;
         assert!(
-            idx < self.width * self.height,
+            tile.0 < self.router_count(),
             "tile {tile} does not fit a {}x{} mesh",
             self.width,
             self.height
         );
+        let idx = tile.0 as u64;
+        let width = u64::from(self.width);
         Coord {
-            x: idx % self.width,
-            y: idx / self.width,
+            x: (idx % width) as u32,
+            y: (idx / width) as u32,
         }
     }
 

@@ -118,9 +118,9 @@ pub fn architecture_from_xml(xml: &str) -> Result<Architecture, XmlError> {
             fifo_depth: ic_el.req_u64("fifoDepth")?,
         },
         "noc" => Interconnect::Noc(NocConfig {
-            width: ic_el.req_u64("width")? as u32,
-            height: ic_el.req_u64("height")? as u32,
-            wires_per_link: ic_el.req_u64("wires")? as u32,
+            width: ic_el.req_int("width")?,
+            height: ic_el.req_int("height")?,
+            wires_per_link: ic_el.req_int("wires")?,
             router_latency: ic_el.req_u64("routerLatency")?,
             buffer_words_per_hop: ic_el.req_u64("bufferWordsPerHop")?,
             flow_control: ic_el.req_u64("flowControl")? != 0,
@@ -197,5 +197,33 @@ mod tests {
             architecture_from_xml(xml),
             Err(XmlError::Semantic(_))
         ));
+    }
+
+    /// The XML of a two-tile architecture on a `width` x `height` mesh.
+    fn mesh_xml(width: u32, height: u32) -> String {
+        let mut noc = NocConfig::for_tiles(2);
+        (noc.width, noc.height) = (width, height);
+        architecture_to_xml(&Architecture::homogeneous("m", 2, Interconnect::Noc(noc)).unwrap())
+    }
+
+    #[test]
+    fn out_of_range_mesh_width_is_named_not_truncated() {
+        // 2^32 + 2 would wrap to a 2-wide mesh.
+        let xml = mesh_xml(2, 1).replace(r#"width="2""#, r#"width="4294967298""#);
+        let err = architecture_from_xml(&xml).unwrap_err();
+        assert!(
+            matches!(err, XmlError::BadValue(_, ref a, _) if a == "width"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn mesh_of_two_to_the_32_routers_is_counted() {
+        let arch = architecture_from_xml(&mesh_xml(65536, 65536)).unwrap();
+        let Interconnect::Noc(noc) = arch.interconnect() else {
+            panic!("expected a NoC");
+        };
+        assert_eq!(noc.router_count(), 1 << 32);
+        assert_eq!(noc.tile_coord(crate::types::TileId(1)).x, 1);
     }
 }

@@ -331,6 +331,22 @@ pub fn pipeline_app(
         .expect("homogeneous pipeline model is always valid")
 }
 
+/// The shared faster-than-WCET generator of the conservativeness tests:
+/// 17 deterministic pseudo-random execution times per actor, those of
+/// actor `i` in `[1, wcets[i]]`, to be cycled through by its firings.
+pub fn actual_times(seed: u64, wcets: &[u64]) -> Vec<Vec<u64>> {
+    let lcg = seed.wrapping_mul(6364136223846793005);
+    wcets
+        .iter()
+        .enumerate()
+        .map(|(i, &w)| {
+            (0..17)
+                .map(|k| 1 + (lcg.wrapping_add(i as u64 * 31 + k) >> 33) % w.max(1))
+                .collect()
+        })
+        .collect()
+}
+
 /// Proptest strategies over the generator, for property tests across the
 /// workspace (`testkit` feature).
 #[cfg(feature = "testkit")]

@@ -69,7 +69,7 @@ fn modulo(a: i64, b: i64) -> i64 {
 /// ```
 pub fn to_hsdf(graph: &SdfGraph) -> Result<Hsdf, SdfError> {
     let q = repetition_vector(graph)?;
-    let total: u64 = q.entries().iter().sum();
+    let total = q.total_firings().unwrap_or(u64::MAX);
     if total > (1 << 22) {
         return Err(SdfError::Overflow(format!(
             "HSDF expansion would create {total} actors"

@@ -11,7 +11,7 @@
 //!   exploration (the SDF3 algorithm used by the paper).
 //! * [`hsdf`] / [`mcr`] — HSDF conversion and exact max-cycle-ratio
 //!   analysis, an independent cross-check of the state-space results.
-//! * [`buffer`] — deadlock-free and throughput-constrained buffer sizing.
+//! * [`buffer`] — the capacity lower bound and growth step of buffer sizing.
 //! * [`transform`] — self-edges, buffer-capacity reverse channels and
 //!   static-order constraint encodings.
 //! * [`memo`] — the sharded, counted memo store behind the analysis

@@ -38,6 +38,10 @@ impl IterationOrder {
 /// * Propagates consistency errors from [`repetition_vector`].
 /// * [`SdfError::Deadlock`] naming the actors that still have pending
 ///   firings when execution stalls.
+/// * [`SdfError::Overflow`] if the iteration's firing count or a channel's
+///   token count overflows `u64`.
+/// * [`SdfError::AnalysisLimit`] if the iteration's firing order does not
+///   fit in memory.
 ///
 /// # Examples
 ///
@@ -60,6 +64,7 @@ pub fn check_liveness(graph: &SdfGraph) -> Result<IterationOrder, SdfError> {
 }
 
 /// Abstractly executes one iteration, returning the firing order.
+/// Errors as [`check_liveness`].
 pub(crate) fn simulate_iteration(
     graph: &SdfGraph,
     q: &RepetitionVector,
@@ -67,7 +72,18 @@ pub(crate) fn simulate_iteration(
     let n = graph.actor_count();
     let mut tokens: Vec<u64> = graph.channels().map(|(_, c)| c.initial_tokens()).collect();
     let mut remaining: Vec<u64> = (0..n).map(|i| q.of(ActorId(i))).collect();
-    let mut firings = Vec::with_capacity(q.total_firings() as usize);
+    let total = q
+        .total_firings()
+        .ok_or_else(|| SdfError::Overflow("firings of one iteration".into()))?;
+    let mut firings = Vec::new();
+    if firings
+        .try_reserve_exact(usize::try_from(total).unwrap_or(usize::MAX))
+        .is_err()
+    {
+        return Err(SdfError::AnalysisLimit(format!(
+            "one iteration of {total} firings exceeds memory"
+        )));
+    }
 
     let is_ready = |tokens: &[u64], remaining: &[u64], a: usize| -> bool {
         if remaining[a] == 0 {
@@ -89,7 +105,11 @@ pub(crate) fn simulate_iteration(
                     tokens[cid.0] -= graph.channel(cid).consumption_rate();
                 }
                 for &cid in graph.outgoing(ActorId(a)) {
-                    tokens[cid.0] += graph.channel(cid).production_rate();
+                    let ch = graph.channel(cid);
+                    let fill = &mut tokens[cid.0];
+                    *fill = fill.checked_add(ch.production_rate()).ok_or_else(|| {
+                        SdfError::Overflow(format!("tokens on channel `{}`", ch.name()))
+                    })?;
                 }
                 remaining[a] -= 1;
                 firings.push(ActorId(a));
@@ -183,6 +203,25 @@ mod tests {
         b.add_channel("r", c, 2, a, 1);
         let g = b.build().unwrap();
         assert!(matches!(check_liveness(&g), Err(SdfError::Deadlock(_))));
+    }
+
+    #[test]
+    fn oversized_iterations_are_errors_not_panics() {
+        let pair = |p, c, tokens| {
+            let mut b = SdfGraphBuilder::new("pair");
+            let (a, d) = (b.add_actor("A", 1), b.add_actor("B", 1));
+            b.add_channel_with_tokens("e", a, p, d, c, tokens);
+            check_liveness(&b.build().unwrap())
+        };
+        // q = (c, p): a firing count that fits u64 but not memory.
+        let huge = pair(9223372036854775783, 9223372036854775643, 0);
+        assert!(matches!(huge, Err(SdfError::AnalysisLimit(_))));
+        // The first firing of `A` overflows the token count of `e`.
+        let full = pair(1, 1, u64::MAX);
+        assert_eq!(
+            full,
+            Err(SdfError::Overflow("tokens on channel `e`".into()))
+        );
     }
 
     #[test]

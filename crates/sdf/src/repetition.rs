@@ -27,9 +27,12 @@ impl RepetitionVector {
         &self.entries
     }
 
-    /// Total number of firings in one iteration (useful as a work measure).
-    pub fn total_firings(&self) -> u64 {
-        self.entries.iter().sum()
+    /// Total number of firings in one iteration (useful as a work measure),
+    /// or `None` when it overflows `u64`.
+    pub fn total_firings(&self) -> Option<u64> {
+        self.entries
+            .iter()
+            .try_fold(0u64, |sum, &r| sum.checked_add(r))
     }
 }
 
@@ -172,7 +175,7 @@ mod tests {
         assert_eq!(q.of(g.actor_by_name("A").unwrap()), 1);
         assert_eq!(q.of(g.actor_by_name("B").unwrap()), 2);
         assert_eq!(q.of(g.actor_by_name("C").unwrap()), 1);
-        assert_eq!(q.total_firings(), 4);
+        assert_eq!(q.total_firings(), Some(4));
     }
 
     #[test]
@@ -204,7 +207,7 @@ mod tests {
         let g = SdfGraphBuilder::new("empty").build().unwrap();
         let q = repetition_vector(&g).unwrap();
         assert_eq!(q.entries().len(), 0);
-        assert_eq!(q.total_firings(), 0);
+        assert_eq!(q.total_firings(), Some(0));
     }
 
     #[test]

@@ -28,11 +28,10 @@
 //! sizing, mapping and DSE all bottom out here), so the kernel is written to
 //! be allocation-free per time instant:
 //!
-//! * The graph (or the SCC-induced subgraph, or the capacity-bounded variant
-//!   of a graph) is flattened into a `KernelGraph`: CSR-style incoming and
-//!   outgoing adjacency with the per-channel consumption/production rate
-//!   stored inline next to the channel index, so the ready check touches one
-//!   contiguous slice per actor.
+//! * The SCC-induced subgraph is flattened into a `KernelGraph`: CSR-style
+//!   incoming and outgoing adjacency with the per-channel
+//!   consumption/production rate stored inline next to the channel index,
+//!   so the ready check touches one contiguous slice per actor.
 //! * Instead of rescanning every actor after every firing (O(actors ×
 //!   channels) per instant), a *ready worklist* revisits only actors whose
 //!   input channels gained tokens or whose processor became free. Because
@@ -46,9 +45,8 @@
 //!   ongoing firings) and interned in a `HashMap<Box<[u64]>, _>` looked up
 //!   by slice, so a revisited state costs zero allocations and a new state
 //!   costs exactly one (its interned storage).
-//! * All scratch buffers live in a `Scratch` value that is reused across
-//!   SCC runs and, within one search of [`crate::buffer`], across the many
-//!   re-analyses of greedy buffer growth.
+//! * All scratch buffers live in a `Scratch` value that one analysis
+//!   reuses across its SCC runs.
 //!
 //! The pre-optimization implementation is retained verbatim in
 //! [`mod@reference`] as the oracle for property tests and the before/after
@@ -149,17 +147,6 @@ impl ThroughputResult {
 /// assert_eq!(t.as_f64(), 0.1);
 /// ```
 pub fn throughput(graph: &SdfGraph, opts: &AnalysisOptions) -> Result<ThroughputResult, SdfError> {
-    let mut scratch = Scratch::default();
-    throughput_with(graph, opts, &mut scratch)
-}
-
-/// [`throughput`] with caller-provided scratch space, so repeated analyses
-/// (greedy buffer growth, DSE) reuse every internal allocation.
-pub(crate) fn throughput_with(
-    graph: &SdfGraph,
-    opts: &AnalysisOptions,
-    scratch: &mut Scratch,
-) -> Result<ThroughputResult, SdfError> {
     let q = repetition_vector(graph)?;
     if graph.actor_count() == 0 {
         return Err(SdfError::InvalidGraph("empty graph".into()));
@@ -169,6 +156,7 @@ pub(crate) fn throughput_with(
     simulate_iteration(graph, &q)?;
 
     let sccs = strongly_connected_components(graph);
+    let mut scratch = Scratch::default();
     let mut best: Option<ThroughputResult> = None;
 
     for scc in &sccs {
@@ -179,7 +167,7 @@ pub(crate) fn throughput_with(
                 .iter()
                 .any(|&c| graph.channel(c).is_self_edge());
             if has_self_edge {
-                scc_throughput(graph, scc, &q, opts, scratch)?
+                scc_throughput(graph, scc, &q, opts, &mut scratch)?
             } else {
                 let exec = graph.actor(a).execution_time();
                 if exec == 0 || opts.auto_concurrency {
@@ -197,7 +185,7 @@ pub(crate) fn throughput_with(
                 })
             }
         } else {
-            scc_throughput(graph, scc, &q, opts, scratch)?
+            scc_throughput(graph, scc, &q, opts, &mut scratch)?
         };
         if let Some(c) = candidate {
             best = Some(match best {
@@ -224,83 +212,6 @@ pub(crate) fn throughput_with(
             "throughput unbounded: no component constrains the firing rate".into(),
         )
     })
-}
-
-/// Computes the throughput of `graph` bounded by per-channel buffer
-/// `capacities`, equivalent to
-/// `throughput(&with_buffer_capacities(graph, capacities)?, opts)` but
-/// without materializing the bounded graph: the reverse channels are built
-/// directly into the flattened kernel representation, and the SCC
-/// decomposition is skipped because a connected graph becomes strongly
-/// connected once every channel is back-pressured.
-///
-/// # Errors
-///
-/// * Capacity-vector validation errors from
-///   [`crate::transform::validate_buffer_capacities`].
-/// * The same analysis errors as [`throughput`] (deadlock is detected when
-///   the self-timed execution stalls rather than by the untimed pre-check,
-///   so only the message wording differs).
-pub fn throughput_bounded(
-    graph: &SdfGraph,
-    capacities: &[u64],
-    opts: &AnalysisOptions,
-) -> Result<ThroughputResult, SdfError> {
-    let mut scratch = Scratch::default();
-    throughput_bounded_with(graph, capacities, opts, &mut scratch)
-}
-
-/// [`throughput_bounded`] with caller-provided scratch space.
-pub(crate) fn throughput_bounded_with(
-    graph: &SdfGraph,
-    capacities: &[u64],
-    opts: &AnalysisOptions,
-    scratch: &mut Scratch,
-) -> Result<ThroughputResult, SdfError> {
-    crate::transform::validate_buffer_capacities(graph, capacities)?;
-    // The reverse channels are balanced by the same repetition vector, so
-    // the bounded graph shares `q` with the unbounded one.
-    let q = repetition_vector(graph)?;
-    if graph.actor_count() == 0 {
-        return Err(SdfError::InvalidGraph("empty graph".into()));
-    }
-
-    scratch.kg.clear();
-    for (_, a) in graph.actors() {
-        scratch.kg.add_actor(a.execution_time());
-    }
-    for (_, ch) in graph.channels() {
-        scratch.kg.add_channel(
-            ch.src().0 as u32,
-            ch.dst().0 as u32,
-            ch.production_rate(),
-            ch.consumption_rate(),
-            ch.initial_tokens(),
-        );
-    }
-    // Reverse channels in the same order `with_buffer_capacities` appends
-    // them, so the explored state space is identical.
-    for (cid, ch) in graph.channels() {
-        if ch.is_self_edge() {
-            continue;
-        }
-        scratch.kg.add_channel(
-            ch.dst().0 as u32,
-            ch.src().0 as u32,
-            ch.consumption_rate(),
-            ch.production_rate(),
-            capacities[cid.0] - ch.initial_tokens(),
-        );
-    }
-    scratch.kg.build_adjacency();
-
-    let q_ref = q.of(ActorId(0));
-    match run_kernel(scratch, q_ref, opts)? {
-        Some(r) => Ok(r),
-        None => Err(SdfError::AnalysisLimit(
-            "throughput unbounded: no component constrains the firing rate".into(),
-        )),
-    }
 }
 
 /// Runs the kernel on the subgraph induced by one SCC and converts its local
@@ -361,9 +272,8 @@ struct OutEdge {
     prod: u64,
 }
 
-/// Flattened CSR-style graph view consumed by the kernel. Built from a whole
-/// graph, an SCC-induced subgraph, or a capacity-bounded variant, without
-/// going through [`crate::graph::SdfGraphBuilder`] (no name strings, no
+/// Flattened CSR-style graph view consumed by the kernel. Built from an
+/// SCC-induced subgraph without going through [`crate::graph::SdfGraphBuilder`] (no name strings, no
 /// validation re-runs).
 #[derive(Debug, Default)]
 struct KernelGraph {
@@ -552,9 +462,9 @@ impl std::hash::Hasher for IdentityHasher {
 }
 
 /// Reusable buffers of the kernel. One `Scratch` amortizes every allocation
-/// of the exploration across SCC runs and across repeated analyses.
+/// of the exploration across the SCC runs of one analysis.
 #[derive(Debug, Default)]
-pub(crate) struct Scratch {
+struct Scratch {
     kg: KernelGraph,
     global_to_local: Vec<u32>,
     tokens: Vec<u64>,
@@ -1097,7 +1007,6 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::graph::SdfGraphBuilder;
-    use crate::transform::with_buffer_capacities;
 
     fn opts() -> AnalysisOptions {
         AnalysisOptions::default()
@@ -1347,52 +1256,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn bounded_fast_path_matches_materialized_graph() {
-        let mut b = SdfGraphBuilder::new("pc");
-        let p = b.add_actor("producer", 7);
-        let c = b.add_actor("consumer", 5);
-        b.add_channel("data", p, 2, c, 3);
-        let g = b.build().unwrap();
-        for cap in 4..10u64 {
-            let fast = throughput_bounded(&g, &[cap], &opts()).unwrap();
-            let slow = throughput(&with_buffer_capacities(&g, &[cap]).unwrap(), &opts()).unwrap();
-            assert_eq!(fast, slow, "capacity {cap}");
-        }
-    }
-
-    #[test]
-    fn bounded_fast_path_validates_capacities() {
-        let mut b = SdfGraphBuilder::new("g");
-        let a = b.add_actor("A", 1);
-        let c = b.add_actor("B", 1);
-        b.add_channel_with_tokens("e", a, 1, c, 1, 3);
-        let g = b.build().unwrap();
-        assert!(matches!(
-            throughput_bounded(&g, &[2], &opts()),
-            Err(SdfError::InvalidGraph(_))
-        ));
-        assert!(matches!(
-            throughput_bounded(&g, &[3, 3], &opts()),
-            Err(SdfError::InvalidGraph(_))
-        ));
-    }
-
-    #[test]
-    fn bounded_fast_path_reports_deadlock() {
-        // Capacity 1 on a 2->3-rate channel can never hold the 3 tokens the
-        // consumer needs, but validation only requires cap >= initial
-        // tokens, so the deadlock surfaces in the execution.
-        let mut b = SdfGraphBuilder::new("tight");
-        let a = b.add_actor("A", 1);
-        let c = b.add_actor("B", 1);
-        b.add_channel("e", a, 2, c, 3);
-        let g = b.build().unwrap();
-        assert!(matches!(
-            throughput_bounded(&g, &[1], &opts()),
-            Err(SdfError::Deadlock(_))
-        ));
     }
 }

@@ -50,15 +50,17 @@ pub fn add_missing_self_edges(graph: &SdfGraph) -> SdfGraph {
     b.build().expect("adding self-edges preserves validity")
 }
 
-/// Checks that `capacities` is a valid buffer assignment for `graph`: one
-/// entry per channel, each at least the channel's initial token count.
-/// Shared by [`with_buffer_capacities`] and the materialization-free bounded
-/// analysis ([`crate::state_space::throughput_bounded`]).
+/// Returns a copy of `graph` where every channel `c` is back-pressured by a
+/// reverse channel modelling a buffer of `capacities[c]` tokens.
+///
+/// Self-edges are skipped: their capacity is fixed by their own tokens.
 ///
 /// # Errors
 ///
-/// Returns [`SdfError::InvalidGraph`] naming the first violation.
-pub fn validate_buffer_capacities(graph: &SdfGraph, capacities: &[u64]) -> Result<(), SdfError> {
+/// Returns [`SdfError::InvalidGraph`] if `capacities.len()` does not match
+/// the channel count, or if some capacity is smaller than the channel's
+/// initial tokens (the buffer could not even hold the initial state).
+pub fn with_buffer_capacities(graph: &SdfGraph, capacities: &[u64]) -> Result<SdfGraph, SdfError> {
     if capacities.len() != graph.channel_count() {
         return Err(SdfError::InvalidGraph(format!(
             "expected {} capacities, got {}",
@@ -66,6 +68,7 @@ pub fn validate_buffer_capacities(graph: &SdfGraph, capacities: &[u64]) -> Resul
             capacities.len()
         )));
     }
+    let mut b = copy_into_builder(graph, format!("{}:bounded", graph.name()));
     for (cid, ch) in graph.channels() {
         if ch.is_self_edge() {
             continue;
@@ -78,28 +81,6 @@ pub fn validate_buffer_capacities(graph: &SdfGraph, capacities: &[u64]) -> Resul
                 ch.initial_tokens()
             )));
         }
-    }
-    Ok(())
-}
-
-/// Returns a copy of `graph` where every channel `c` is back-pressured by a
-/// reverse channel modelling a buffer of `capacities[c]` tokens.
-///
-/// Self-edges are skipped: their capacity is fixed by their own tokens.
-///
-/// # Errors
-///
-/// Returns [`SdfError::InvalidGraph`] if `capacities.len()` does not match
-/// the channel count, or if some capacity is smaller than the channel's
-/// initial tokens (the buffer could not even hold the initial state).
-pub fn with_buffer_capacities(graph: &SdfGraph, capacities: &[u64]) -> Result<SdfGraph, SdfError> {
-    validate_buffer_capacities(graph, capacities)?;
-    let mut b = copy_into_builder(graph, format!("{}:bounded", graph.name()));
-    for (cid, ch) in graph.channels() {
-        if ch.is_self_edge() {
-            continue;
-        }
-        let cap = capacities[cid.0];
         b.add_channel_with_tokens(
             format!("__cap_{}", ch.name()),
             ch.dst(),

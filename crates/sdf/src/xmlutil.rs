@@ -78,6 +78,12 @@ impl Element {
     ///
     /// [`XmlError::MissingAttr`] / [`XmlError::BadValue`].
     pub fn req_u64(&self, key: &str) -> Result<u64, XmlError> {
+        self.req_int(key)
+    }
+
+    /// [`Element::req_u64`] for any integer type `T`: a value out of `T`'s
+    /// range is a [`XmlError::BadValue`], never a truncation.
+    pub fn req_int<T: std::str::FromStr>(&self, key: &str) -> Result<T, XmlError> {
         self.req(key)?
             .parse()
             .map_err(|_| XmlError::BadValue(self.name.clone(), key.to_string(), self.line))

@@ -100,31 +100,6 @@ proptest! {
         }
     }
 
-    /// The materialization-free bounded analysis must match analysing the
-    /// reverse-channel graph built by `with_buffer_capacities`, for both
-    /// the fast kernel and the reference.
-    #[test]
-    fn bounded_fast_path_equals_materialized_bounded_graph(
-        (q, exec, tokens) in ring_strategy(),
-        extra_cap in 0u64..6,
-    ) {
-        let g = ring_graph(&q, &exec, &tokens);
-        prop_assume!(exec.iter().any(|&e| e > 0));
-        let caps: Vec<u64> = g
-            .channels()
-            .map(|(id, _)| mamps_sdf::buffer::capacity_lower_bound(&g, id) + extra_cap)
-            .collect();
-        let opts = AnalysisOptions::default();
-        let fast = mamps_sdf::state_space::throughput_bounded(&g, &caps, &opts);
-        let bounded_graph = with_buffer_capacities(&g, &caps).unwrap();
-        let slow = mamps_sdf::state_space::reference::throughput(&bounded_graph, &opts);
-        match (fast, slow) {
-            (Ok(f), Ok(s)) => prop_assert_eq!(f, s),
-            (Err(_), Err(_)) => {}
-            (f, s) => prop_assert!(false, "bounded fast/reference disagree: {f:?} vs {s:?}"),
-        }
-    }
-
     #[test]
     fn adding_tokens_never_decreases_throughput(
         (q, exec, mut tokens) in ring_strategy(),
@@ -169,7 +144,7 @@ proptest! {
         let g = ring_graph(&q, &exec, &tokens);
         let rv = repetition_vector(&g).unwrap();
         let h = mamps_sdf::hsdf::to_hsdf(&g).unwrap();
-        prop_assert_eq!(h.graph().actor_count() as u64, rv.total_firings());
+        prop_assert_eq!(Some(h.graph().actor_count() as u64), rv.total_firings());
         for (_, ch) in h.graph().channels() {
             prop_assert_eq!(ch.production_rate(), 1);
             prop_assert_eq!(ch.consumption_rate(), 1);
@@ -182,16 +157,5 @@ proptest! {
             let hs: u64 = h.graph().channels().map(|(_, c)| c.initial_tokens()).sum();
             prop_assert_eq!(orig, hs);
         }
-    }
-
-    #[test]
-    fn minimal_live_capacities_are_live(
-        (q, exec, tokens) in ring_strategy()
-    ) {
-        let g = ring_graph(&q, &exec, &tokens);
-        prop_assume!(check_liveness(&g).is_ok());
-        let caps = mamps_sdf::buffer::minimal_live_capacities(&g).unwrap();
-        let bounded = with_buffer_capacities(&g, &caps).unwrap();
-        prop_assert!(check_liveness(&bounded).is_ok());
     }
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use mamps_mapping::flow::{map_application, MapOptions};
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::Interconnect;
-use mamps_sdf::gen::{pipeline_app, strategies};
+use mamps_sdf::gen::{actual_times, pipeline_app, strategies};
 use mamps_sim::{System, TraceTimes, WcetTimes};
 
 fn strategy() -> impl Strategy<Value = (Vec<u64>, u64, usize, bool, Vec<u64>)> {
@@ -70,25 +70,8 @@ proptest! {
             Ok(m) => m,
             Err(_) => return Ok(()),
         };
-        // Deterministic pseudo-random per-firing times in [1, wcet].
-        let traces: Vec<Vec<u64>> = mapped
-            .mapping
-            .binding
-            .wcet_of
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                (0..17)
-                    .map(|k| {
-                        let x = seed
-                            .wrapping_mul(6364136223846793005)
-                            .wrapping_add((i as u64) * 31 + k);
-                        1 + (x >> 33) % w.max(1)
-                    })
-                    .collect()
-            })
-            .collect();
-        let times = TraceTimes::new(traces, mapped.mapping.binding.wcet_of.clone());
+        let wcets = &mapped.mapping.binding.wcet_of;
+        let times = TraceTimes::new(actual_times(seed, wcets), wcets.clone());
         let sys = System::new(app.graph(), &mapped.mapping, &arch, &times).unwrap();
         let m = sys.run(300, 500_000_000).unwrap();
         let bound = mapped.analysis.as_f64();

@@ -450,6 +450,71 @@ fn cli_xml_errors_name_the_file_and_line() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Well-formed applications whose one iteration overflows `u64` or
+/// memory — huge rates, a full initial token count, a token size whose
+/// Fig. 4 expansion explodes — fail with an error line, never a panic.
+#[test]
+fn cli_oversized_iterations_fail_cleanly() {
+    let dir = std::env::temp_dir().join(format!("mamps_cli_oversized_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let arch = dir.join("arch.xml");
+    let fsl = Architecture::homogeneous("cli", 3, Interconnect::fsl()).unwrap();
+    std::fs::write(&arch, architecture_to_xml(&fsl)).unwrap();
+    let actor = |name: &str, direction: &str| {
+        format!(
+            r#"<actor executionTime="10" name="{name}"><implementation dmem="1024" function="f_{name}" imem="1024" processorType="microblaze" wcet="10"><arg channel="e" direction="{direction}" index="0"/></implementation></actor>"#
+        )
+    };
+    let app = |rates: (&str, &str), tokens: &str, token_size: &str| {
+        format!(
+            r#"<applicationGraph name="h">{}{}<channel name="e" srcActor="a" srcRate="{}" dstActor="b" dstRate="{}" initialTokens="{tokens}" tokenSize="{token_size}"/></applicationGraph>"#,
+            actor("a", "out"),
+            actor("b", "in"),
+            rates.0,
+            rates.1
+        )
+    };
+    let max = u64::MAX.to_string();
+    // Each case names its input, its command and the error it must give:
+    // a wrapped token count used to read as a false deadlock.
+    let cases = [
+        (
+            "rates",
+            app(("9223372036854775783", "9223372036854775643"), "0", "4"),
+            "analyze",
+            "exceeds memory",
+        ),
+        (
+            "tokens",
+            app(("1", "1"), &max, "4"),
+            "analyze",
+            "arithmetic overflow: tokens on channel `e`",
+        ),
+        (
+            "token_size",
+            app(("1", "1"), "0", &max),
+            "map",
+            "arithmetic overflow",
+        ),
+    ];
+    for (name, xml, cmd, error) in cases {
+        let path = dir.join(format!("{name}.xml"));
+        std::fs::write(&path, xml).unwrap();
+        let mut run = Command::new(bin());
+        run.arg(cmd).arg(&path);
+        if cmd == "map" {
+            run.arg(&arch);
+        }
+        let out = run.output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("error:"), "{name}: {stderr}");
+        assert!(stderr.contains(error), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn cli_sharded_dse_merges_to_the_unsharded_report() {
     let dir = std::env::temp_dir().join(format!("mamps_cli_shard_{}", std::process::id()));

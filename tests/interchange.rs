@@ -57,6 +57,10 @@ fn full_interchange_pipeline_is_lossless() {
     let map2 = mapping_from_xml(&map_xml, app2.graph(), arch2.tile_count()).unwrap();
     assert_eq!(arch2, arch);
     assert_eq!(map2, mapped.mapping);
+    // A wire count past u32 is an error, not a truncation to 2 wires.
+    let wide = map_xml.replacen(r#"wires="2""#, r#"wires="4294967298""#, 1);
+    assert_ne!(wide, map_xml);
+    assert!(mapping_from_xml(&wide, app2.graph(), arch2.tile_count()).is_err());
 
     // ...and generate + simulate from the parsed copies: identical project,
     // identical measured throughput.
