@@ -14,6 +14,10 @@
 //! [`dse::explore_use_cases`] sweeps which application subsets fit each
 //! platform configuration.
 //!
+//! Tiles share no peripheral (paper §4), so no actor's WCET carries the
+//! access latency of a shared one; the predictable arbiter of §7 is
+//! future work.
+//!
 //! ## Example
 //!
 //! ```
@@ -36,7 +40,6 @@
 //! assert!(result.project.files.contains_key("system.tcl"));
 //! ```
 
-pub mod arbitration;
 pub mod dse;
 pub mod experiments;
 pub mod flow;
@@ -46,7 +49,6 @@ pub mod report;
 pub mod serve;
 pub mod validate;
 
-pub use arbitration::{apply_peripheral_arbitration, ArbitrationError, PeripheralAccesses};
 pub use dse::{
     explore_report, explore_use_cases, pareto_front, DsePoint, DseReport, SkippedPoint,
     UseCaseDseReport, UseCasePoint,

@@ -1,8 +1,8 @@
 //! Actor-to-tile binding: options and strategy dispatch.
 //!
 //! The binding algorithm is pluggable (see [`crate::strategy`]): the
-//! [`BindOptions`] carry a [`StrategyHandle`] alongside the cost weights
-//! and pinning constraints, and [`bind`] dispatches to it. The default
+//! [`BindOptions`] carry a [`StrategyHandle`] alongside the pinning
+//! constraints and the occupancy, and [`bind`] dispatches to it. The default
 //! strategy is the deterministic greedy list binder
 //! ([`crate::strategy::GreedyBinder`]) — actors placed in order of
 //! decreasing work (WCET x repetitions), each on the feasible tile with
@@ -22,7 +22,6 @@ use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::repetition::repetition_vector;
 use serde::Serialize as _;
 
-use crate::cost::CostWeights;
 use crate::error::MapError;
 use crate::mapping::{Binding, Mapping};
 use crate::strategy::StrategyHandle;
@@ -161,9 +160,6 @@ impl Occupancy {
 /// Options for the binder.
 #[derive(Debug, Clone, Default)]
 pub struct BindOptions {
-    /// Cost weights (defaults favour processing balance). Used by the
-    /// greedy strategy; other strategies may ignore them.
-    pub weights: CostWeights,
     /// Force specific actors onto specific tiles (e.g. peripherals-needing
     /// actors onto the master tile). Honoured by every strategy.
     pub pinned: Vec<(ActorId, TileId)>,
@@ -191,16 +187,15 @@ impl BindOptions {
     }
 
     /// The binding-relevant options as a serde value, for pass
-    /// fingerprinting: strategy name, weights, pins and occupancy. The
-    /// analysis cache is deliberately excluded — it memoizes, never
-    /// changes results.
+    /// fingerprinting: strategy name, pins and occupancy. The analysis
+    /// cache is deliberately excluded — it memoizes, never changes
+    /// results.
     pub fn fingerprint_value(&self) -> serde::Value {
         serde::Value::Map(vec![
             (
                 "strategy".to_string(),
                 serde::Value::Str(self.strategy.name().to_string()),
             ),
-            ("weights".to_string(), self.weights.to_value()),
             ("pinned".to_string(), self.pinned.to_value()),
             ("occupancy".to_string(), self.occupancy.to_value()),
         ])

@@ -3,13 +3,9 @@
 //! architecture based on processing, memory usage, communication, and
 //! latency").
 
-use serde::{Deserialize, Serialize};
-
 /// Weights of the four binding cost dimensions. All costs are normalized to
-/// roughly comparable magnitudes before weighting; the defaults favour
-/// processing balance with a significant communication penalty, which is the
-/// SDF3 default behaviour for throughput-constrained mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// roughly comparable magnitudes before weighting.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostWeights {
     /// Weight of per-tile processing load (WCET x repetitions).
     pub processing: f64,
@@ -21,16 +17,15 @@ pub struct CostWeights {
     pub latency: f64,
 }
 
-impl Default for CostWeights {
-    fn default() -> Self {
-        CostWeights {
-            processing: 1.0,
-            memory: 0.05,
-            communication: 0.25,
-            latency: 0.02,
-        }
-    }
-}
+/// The weights the greedy binder scores with: they favour processing
+/// balance with a significant communication penalty, which is the SDF3
+/// default behaviour for throughput-constrained mapping.
+pub const WEIGHTS: CostWeights = CostWeights {
+    processing: 1.0,
+    memory: 0.05,
+    communication: 0.25,
+    latency: 0.02,
+};
 
 /// The raw cost components of placing an actor on a candidate tile.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -76,12 +71,5 @@ mod tests {
             latency: 4.0,
         };
         assert!((b.weighted(&w) - (1.0 + 1.0 + 1.0 + 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn default_weights_emphasize_processing() {
-        let w = CostWeights::default();
-        assert!(w.processing > w.memory);
-        assert!(w.processing > w.latency);
     }
 }

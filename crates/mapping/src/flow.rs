@@ -59,7 +59,7 @@ pub(crate) const DEADLOCK_GROWTH_ATTEMPTS: usize = 12;
 /// Options of the mapping flow.
 #[derive(Debug, Clone, Default)]
 pub struct MapOptions {
-    /// Binder options (strategy, cost weights, pinning).
+    /// Binder options (strategy, pinning, occupancy).
     pub bind: BindOptions,
     /// Throughput target in iterations/cycle; `None` uses the application's
     /// constraint, and if that is absent too, buffers grow until saturation.

@@ -51,6 +51,7 @@ use std::fmt;
 use std::ops::Range;
 
 use mamps_platform::arch::Architecture;
+use mamps_platform::tile::TileKind;
 use mamps_platform::types::TileId;
 use mamps_sdf::graph::{ActorId, ChannelId, SdfGraph, SdfGraphBuilder};
 use mamps_sdf::model::ApplicationModel;
@@ -341,18 +342,7 @@ pub fn map_use_case(uc: &UseCase, arch: &Architecture, opts: &MapOptions) -> Use
         let cand_buf = mapped
             .mapping
             .buffer_bytes_per_tile(app.graph(), arch.tile_count());
-        let overflow = (0..arch.tile_count()).find_map(|t| {
-            let tile = TileId(t);
-            if !matches!(
-                arch.tile(tile).kind(),
-                mamps_platform::tile::TileKind::Master | mamps_platform::tile::TileKind::Slave
-            ) {
-                return None;
-            }
-            let need = occupancy.buf_on(tile) + cand_buf[t];
-            let dmem = arch.tile(tile).dmem_bytes();
-            (need > dmem).then_some((t, need, dmem))
-        });
+        let overflow = dmem_overflow(arch, |t| occupancy.buf_on(TileId(t)) + cand_buf[t]);
         if let Some((t, need, dmem)) = overflow {
             rejected.push(RejectedApp {
                 index,
@@ -396,19 +386,7 @@ pub fn map_use_case(uc: &UseCase, arch: &Architecture, opts: &MapOptions) -> Use
                         grown[t] += b;
                     }
                 }
-                let overflow = (0..arch.tile_count()).find_map(|t| {
-                    let tile = TileId(t);
-                    if !matches!(
-                        arch.tile(tile).kind(),
-                        mamps_platform::tile::TileKind::Master
-                            | mamps_platform::tile::TileKind::Slave
-                    ) {
-                        return None;
-                    }
-                    let dmem = arch.tile(tile).dmem_bytes();
-                    (grown[t] > dmem).then_some((t, grown[t], dmem))
-                });
-                if let Some((t, need, dmem)) = overflow {
+                if let Some((t, need, dmem)) = dmem_overflow(arch, |t| grown[t]) {
                     rejected.push(RejectedApp {
                         index,
                         name,
@@ -581,6 +559,19 @@ fn verify_shared(
         });
     }
     Ok(groups)
+}
+
+/// The first PE tile (master or slave) whose data memory cannot hold the
+/// `need(tile index)` bytes of channel buffers, as `(tile index, need,
+/// dmem)`. CA and IP tiles buffer in dedicated NI/CA RAM and are exempt.
+fn dmem_overflow(arch: &Architecture, need: impl Fn(usize) -> u64) -> Option<(usize, u64, u64)> {
+    arch.tiles().iter().enumerate().find_map(|(t, tile)| {
+        if !matches!(tile.kind(), TileKind::Master | TileKind::Slave) {
+            return None;
+        }
+        let (need, dmem) = (need(t), tile.dmem_bytes());
+        (need > dmem).then_some((t, need, dmem))
+    })
 }
 
 /// The throughput an application must sustain: the global

@@ -52,12 +52,13 @@ use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::ActorId;
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::repetition::repetition_vector;
+use mamps_sdf::SdfError;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::binding::BindOptions;
-use crate::cost::CostBreakdown;
+use crate::cost::{CostBreakdown, WEIGHTS};
 use crate::error::MapError;
 use crate::flow::{allocate_wires, expand_and_analyse, initial_mapping, wcet_graph};
 use crate::mapping::Binding;
@@ -207,6 +208,40 @@ fn infeasible_actor(app: &ApplicationModel, a: ActorId) -> MapError {
     ))
 }
 
+/// The placement heuristics greedy and spiral share, per iteration: each
+/// actor's work (its largest WCET over its implementations x its
+/// repetitions) and each channel's volume in words (source repetitions x
+/// production rate x words per token), indexed by actor and channel id.
+///
+/// # Errors
+///
+/// * [`MapError::Sdf`] if the graph is inconsistent.
+/// * [`MapError::Sdf`] with [`SdfError::Overflow`] if a product leaves
+///   `u64`.
+fn work_and_volumes(app: &ApplicationModel) -> Result<(Vec<u64>, Vec<u64>), MapError> {
+    let graph = app.graph();
+    let q = repetition_vector(graph)?;
+    let work = graph
+        .actors()
+        .map(|(a, actor)| {
+            let wcet = app.implementations(a).iter().map(|im| im.wcet).max();
+            wcet.unwrap_or(0)
+                .checked_mul(q.of(a))
+                .ok_or_else(|| SdfError::Overflow(format!("work of actor `{}`", actor.name())))
+        })
+        .collect::<Result<_, _>>()?;
+    let volume = graph
+        .channels()
+        .map(|(_, ch)| {
+            q.of(ch.src())
+                .checked_mul(ch.production_rate())
+                .and_then(|v| v.checked_mul(words_per_token(ch.token_size())))
+                .ok_or_else(|| SdfError::Overflow(format!("words on channel `{}`", ch.name())))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((work, volume))
+}
+
 // ---------------------------------------------------------------------------
 // Greedy
 // ---------------------------------------------------------------------------
@@ -232,37 +267,18 @@ impl BindingStrategy for GreedyBinder {
         opts: &BindOptions,
     ) -> Result<Binding, MapError> {
         let graph = app.graph();
-        let q = repetition_vector(graph)?;
         let n = graph.actor_count();
+        let (work, volume) = work_and_volumes(app)?;
 
-        // Work per actor: max WCET over its implementations x repetitions
-        // (placement order heuristic only).
         let mut order: Vec<ActorId> = (0..n).map(ActorId).collect();
-        let work = |a: ActorId| -> u64 {
-            app.implementations(a)
-                .iter()
-                .map(|im| im.wcet)
-                .max()
-                .unwrap_or(0)
-                * q.of(a)
-        };
-        order.sort_by_key(|&a| std::cmp::Reverse((work(a), std::cmp::Reverse(a.0))));
+        order.sort_by_key(|&a| std::cmp::Reverse((work[a.0], std::cmp::Reverse(a.0))));
 
         // Include the occupancy's work so the processing cost stays on the
         // same normalized scale as the other cost components when tiles
         // are pre-loaded by previously admitted applications.
-        let total_work: f64 = (0..n)
-            .map(|i| work(ActorId(i)) as f64)
-            .sum::<f64>()
-            .max(1.0)
+        let total_work: f64 = work.iter().map(|&w| w as f64).sum::<f64>().max(1.0)
             + opts.occupancy.total_work() as f64;
-        let total_comm: f64 = graph
-            .channels()
-            .map(|(_, c)| {
-                (q.of(c.src()) * c.production_rate() * words_per_token(c.token_size())) as f64
-            })
-            .sum::<f64>()
-            .max(1.0);
+        let total_comm: f64 = volume.iter().map(|&v| v as f64).sum::<f64>().max(1.0);
         let mesh_diameter = match arch.interconnect() {
             Interconnect::Noc(noc) => (noc.width + noc.height - 2).max(1) as f64,
             Interconnect::Fsl { .. } => 1.0,
@@ -298,21 +314,11 @@ impl BindingStrategy for GreedyBinder {
                 let mut comm = 0f64;
                 let mut lat = 0f64;
                 let mut neighbours = 0u32;
-                for (_, ch) in graph.channels() {
-                    let (other, volume) = if ch.src() == a {
-                        (
-                            ch.dst(),
-                            (q.of(a) * ch.production_rate() * words_per_token(ch.token_size()))
-                                as f64,
-                        )
+                for (cid, ch) in graph.channels() {
+                    let other = if ch.src() == a {
+                        ch.dst()
                     } else if ch.dst() == a {
-                        (
-                            ch.src(),
-                            (q.of(ch.src())
-                                * ch.production_rate()
-                                * words_per_token(ch.token_size()))
-                                as f64,
-                        )
+                        ch.src()
                     } else {
                         continue;
                     };
@@ -325,14 +331,14 @@ impl BindingStrategy for GreedyBinder {
                                 Interconnect::Noc(noc) => noc.hops(t, ot).max(1) as f64,
                                 Interconnect::Fsl { .. } => 1.0,
                             };
-                            comm += volume * hops;
+                            comm += volume[cid.0] as f64 * hops;
                             lat += hops;
                             neighbours += 1;
                         }
                     }
                 }
                 let breakdown = CostBreakdown {
-                    processing: (tile_load[t.0] + work(a) as f64) / total_work,
+                    processing: (tile_load[t.0] + work[a.0] as f64) / total_work,
                     memory: (tile_mem[t.0] + mem_needed) as f64
                         / (tile.imem_bytes() + tile.dmem_bytes()).max(1) as f64,
                     communication: comm / total_comm,
@@ -342,7 +348,7 @@ impl BindingStrategy for GreedyBinder {
                         0.0
                     },
                 };
-                let cost = breakdown.weighted(&opts.weights);
+                let cost = breakdown.weighted(&WEIGHTS);
                 let better = match best {
                     None => true,
                     // Tie-break on tile id for determinism.
@@ -355,7 +361,7 @@ impl BindingStrategy for GreedyBinder {
             match best {
                 Some((_, t)) => {
                     placed[a.0] = Some(t);
-                    tile_load[t.0] += work(a) as f64;
+                    tile_load[t.0] += work[a.0] as f64;
                     let im = app
                         .implementation_for(a, arch.tile(t).processor().name())
                         .expect("feasibility checked above");
@@ -407,28 +413,18 @@ impl BindingStrategy for SpiralBinder {
         opts: &BindOptions,
     ) -> Result<Binding, MapError> {
         let graph = app.graph();
-        let q = repetition_vector(graph)?;
         let n = graph.actor_count();
         let tiles = arch.tile_count();
-
-        let work = |a: ActorId| -> u64 {
-            app.implementations(a)
-                .iter()
-                .map(|im| im.wcet)
-                .max()
-                .unwrap_or(0)
-                * q.of(a)
-        };
+        let (work, volume) = work_and_volumes(app)?;
 
         // Channel volumes aggregated per undirected actor pair.
         let mut adj: Vec<Vec<(ActorId, u64)>> = vec![Vec::new(); n];
-        for (_, ch) in graph.channels() {
+        for (cid, ch) in graph.channels() {
             if ch.is_self_edge() {
                 continue;
             }
-            let vol = q.of(ch.src()) * ch.production_rate() * words_per_token(ch.token_size());
-            adj[ch.src().0].push((ch.dst(), vol));
-            adj[ch.dst().0].push((ch.src(), vol));
+            adj[ch.src().0].push((ch.dst(), volume[cid.0]));
+            adj[ch.dst().0].push((ch.src(), volume[cid.0]));
         }
         for neighbours in &mut adj {
             // Highest volume first; ties on actor id for determinism.
@@ -439,7 +435,7 @@ impl BindingStrategy for SpiralBinder {
         // of each (possibly disconnected) component, expanding along the
         // highest-volume channels first.
         let mut heaviest_first: Vec<ActorId> = (0..n).map(ActorId).collect();
-        heaviest_first.sort_by_key(|&a| (std::cmp::Reverse(work(a)), a.0));
+        heaviest_first.sort_by_key(|&a| (std::cmp::Reverse(work[a.0]), a.0));
         let mut visited = vec![false; n];
         let mut order: Vec<ActorId> = Vec::with_capacity(n);
         for &root in &heaviest_first {
@@ -471,10 +467,7 @@ impl BindingStrategy for SpiralBinder {
 
         // Fair share counts the work of previously admitted applications
         // too, so the spiral walks past already-busy tiles earlier.
-        let total_work: f64 = (0..n)
-            .map(|i| work(ActorId(i)) as f64)
-            .sum::<f64>()
-            .max(1.0)
+        let total_work: f64 = work.iter().map(|&w| w as f64).sum::<f64>().max(1.0)
             + opts.occupancy.total_work() as f64;
         let fair_share = total_work / tiles.max(1) as f64;
 
@@ -494,7 +487,7 @@ impl BindingStrategy for SpiralBinder {
                          tile_mem: &mut Vec<u64>,
                          need: u64| {
             placed[a.0] = Some(t);
-            tile_load[t.0] += work(a) as f64;
+            tile_load[t.0] += work[a.0] as f64;
             tile_mem[t.0] += need;
         };
 
@@ -995,6 +988,36 @@ mod tests {
                 b.tile_of.iter().all(|&t| t == TileId(0)),
                 "{name} strayed off the only tile"
             );
+        }
+    }
+
+    #[test]
+    fn greedy_and_spiral_report_overflowing_work_and_volume() {
+        // Repetition counts near u64::MAX overflow WCET x repetitions; a
+        // token of u64::MAX bytes overflows the words one iteration moves.
+        let cases = [
+            (
+                (9_223_372_036_854_775_783, 9_223_372_036_854_775_643),
+                4,
+                "work of actor `a`",
+            ),
+            ((4, 4), u64::MAX, "words on channel `e`"),
+        ];
+        let arch = Architecture::homogeneous("a", 2, Interconnect::fsl()).unwrap();
+        for ((p, c), token_size, what) in cases {
+            let mut b = SdfGraphBuilder::new("h");
+            let (a, z) = (b.add_actor("a", 10), b.add_actor("b", 10));
+            b.add_channel_full("e", a, p, z, c, 0, token_size);
+            let mut mb = HomogeneousModelBuilder::new("microblaze");
+            mb.actor("a", 10, 1024, 1024).actor("b", 10, 1024, 1024);
+            let app = mb.finish(b.build().unwrap(), None).unwrap();
+            for binder in [
+                StrategyHandle::new(GreedyBinder),
+                StrategyHandle::new(SpiralBinder),
+            ] {
+                let err = binder.bind(&app, &arch, &BindOptions::default());
+                assert_eq!(err, Err(MapError::Sdf(SdfError::Overflow(what.into()))));
+            }
         }
     }
 }

@@ -4,7 +4,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::arbiter::TdmArbiter;
 use crate::interconnect::Interconnect;
 use crate::tile::{TileConfig, TileKind, MAX_TILE_MEMORY_BYTES};
 use crate::types::TileId;
@@ -35,11 +34,6 @@ pub struct Architecture {
     /// Platform clock in MHz (the ML605 designs run at 100 MHz). Only used
     /// to convert cycle counts into wall-clock figures for reports.
     clock_mhz: u64,
-    /// Predictable TDM arbiter for shared peripherals (the paper's §7
-    /// future-work item, after Predator [1]). When present, multiple
-    /// peripheral-owning tiles are allowed; their peripheral-access WCETs
-    /// must be inflated with the arbiter's worst-case latency.
-    peripheral_arbiter: Option<TdmArbiter>,
 }
 
 impl Architecture {
@@ -55,36 +49,6 @@ impl Architecture {
         name: impl Into<String>,
         tiles: Vec<TileConfig>,
         interconnect: Interconnect,
-    ) -> Result<Architecture, ArchError> {
-        Architecture::validated(name.into(), tiles, interconnect, None)
-    }
-
-    /// Builds an architecture in which several master tiles share the
-    /// peripherals through a predictable TDM arbiter. Every master tile
-    /// must own at least one slot of the table.
-    ///
-    /// # Errors
-    ///
-    /// The errors of [`Architecture::new`], except that several master
-    /// tiles are allowed, plus [`ArchError::Invalid`] if a master tile has
-    /// no TDM slot.
-    pub fn with_peripheral_arbiter(
-        name: impl Into<String>,
-        tiles: Vec<TileConfig>,
-        interconnect: Interconnect,
-        arbiter: TdmArbiter,
-    ) -> Result<Architecture, ArchError> {
-        Architecture::validated(name.into(), tiles, interconnect, Some(arbiter))
-    }
-
-    /// The one validator behind both constructors. Without an arbiter at
-    /// most one tile may be a master; with one, every master tile must own
-    /// a TDM slot.
-    fn validated(
-        name: String,
-        tiles: Vec<TileConfig>,
-        interconnect: Interconnect,
-        peripheral_arbiter: Option<TdmArbiter>,
     ) -> Result<Architecture, ArchError> {
         if tiles.is_empty() {
             return Err(ArchError::Invalid("architecture has no tiles".into()));
@@ -104,28 +68,15 @@ impl Architecture {
                 )));
             }
         }
-        let mut masters = tiles
+        let masters = tiles
             .iter()
-            .enumerate()
-            .filter(|(_, t)| t.kind() == TileKind::Master);
-        match &peripheral_arbiter {
-            None => {
-                let count = masters.count();
-                if count > 1 {
-                    return Err(ArchError::Invalid(format!(
-                        "{count} master tiles; peripherals must not be shared \
-                         (add a predictable arbiter via with_peripheral_arbiter)"
-                    )));
-                }
-            }
-            Some(arbiter) => {
-                if let Some((_, t)) = masters.find(|&(i, _)| arbiter.slots_of(TileId(i)) == 0) {
-                    return Err(ArchError::Invalid(format!(
-                        "master tile `{}` has no slot in the peripheral TDM table",
-                        t.name()
-                    )));
-                }
-            }
+            .filter(|t| t.kind() == TileKind::Master)
+            .count();
+        if masters > 1 {
+            return Err(ArchError::Invalid(format!(
+                "{masters} master tiles; peripherals must not be shared, \
+                 so at most one tile may be a master"
+            )));
         }
         if let Interconnect::Noc(noc) = &interconnect {
             if noc.router_count() < tiles.len() {
@@ -139,17 +90,11 @@ impl Architecture {
             }
         }
         Ok(Architecture {
-            name,
+            name: name.into(),
             tiles,
             interconnect,
             clock_mhz: 100,
-            peripheral_arbiter,
         })
-    }
-
-    /// The shared-peripheral arbiter, when configured.
-    pub fn peripheral_arbiter(&self) -> Option<&TdmArbiter> {
-        self.peripheral_arbiter.as_ref()
     }
 
     /// Generates a homogeneous architecture of `n` MicroBlaze tiles (one
@@ -266,7 +211,12 @@ mod tests {
     #[test]
     fn two_masters_rejected() {
         let tiles = vec![TileConfig::master("a"), TileConfig::master("b")];
-        assert!(Architecture::new("m", tiles, Interconnect::fsl()).is_err());
+        let err = Architecture::new("m", tiles, Interconnect::fsl()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid architecture: 2 master tiles; peripherals must not be shared, \
+             so at most one tile may be a master"
+        );
     }
 
     #[test]
@@ -277,21 +227,12 @@ mod tests {
             TileConfig::slave("b"),
             TileConfig::slave("c"),
         ];
-        let arbiter = TdmArbiter::round_robin(10, &[TileId(0)]);
-        let shared = Architecture::with_peripheral_arbiter(
-            "u",
-            tiles.clone(),
-            Interconnect::Noc(noc),
-            arbiter,
-        );
         let err = Architecture::new("u", tiles, Interconnect::Noc(noc)).unwrap_err();
         assert!(
             err.to_string()
                 .contains("2x1 mesh has 2 routers for 3 tiles"),
             "{err}"
         );
-        // One validator behind both constructors: they fail alike.
-        assert_eq!(shared.unwrap_err(), err);
     }
 
     #[test]

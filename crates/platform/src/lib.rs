@@ -8,6 +8,11 @@
 //! overhead of NoC flow control), and validated architecture construction
 //! with automated template instantiation.
 //!
+//! Peripherals are never shared: an architecture has at most one master
+//! tile, the one that owns them, which keeps every tile's timing
+//! independent of the others' (§4). The predictable peripheral arbiter
+//! the paper names as future work (§7) is not modelled.
+//!
 //! ## Example
 //!
 //! ```
@@ -21,7 +26,6 @@
 //! # Ok::<(), mamps_platform::arch::ArchError>(())
 //! ```
 
-pub mod arbiter;
 pub mod arch;
 pub mod area;
 pub mod gen;
@@ -31,7 +35,6 @@ pub mod tile;
 pub mod types;
 pub mod xml;
 
-pub use arbiter::TdmArbiter;
 pub use arch::{ArchError, Architecture};
 pub use area::{platform_area, Area, AreaReport};
 pub use gen::ArchSpec;

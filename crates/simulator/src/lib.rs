@@ -22,7 +22,7 @@
 //! [`System::new_with_repetitions`] executes the (disconnected) union
 //! graph of all admitted applications concurrently on the shared tiles,
 //! with each shared PE walking the concatenated static-order rounds — the
-//! platform's arbitration — so every per-application bound can be
+//! platform's only sharing rule — so every per-application bound can be
 //! validated in one run.
 //!
 //! ## Engines

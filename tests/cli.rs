@@ -485,6 +485,12 @@ fn cli_oversized_iterations_fail_cleanly() {
             "exceeds memory",
         ),
         (
+            "rates",
+            app(("9223372036854775783", "9223372036854775643"), "0", "4"),
+            "map",
+            "arithmetic overflow",
+        ),
+        (
             "tokens",
             app(("1", "1"), &max, "4"),
             "analyze",
@@ -507,10 +513,10 @@ fn cli_oversized_iterations_fail_cleanly() {
         }
         let out = run.output().unwrap();
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
-        assert!(stderr.contains("error:"), "{name}: {stderr}");
-        assert!(stderr.contains(error), "{name}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{name} {cmd}: {stderr}");
+        assert!(stderr.contains("error:"), "{name} {cmd}: {stderr}");
+        assert!(stderr.contains(error), "{name} {cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name} {cmd}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
