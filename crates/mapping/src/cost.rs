@@ -2,30 +2,20 @@
 //! generic cost functions to steer the binding of the application to the
 //! architecture based on processing, memory usage, communication, and
 //! latency").
+//!
+//! All costs are normalized to roughly comparable magnitudes before
+//! weighting. The weights favour processing balance with a significant
+//! communication penalty, which is the SDF3 default behaviour for
+//! throughput-constrained mapping.
 
-/// Weights of the four binding cost dimensions. All costs are normalized to
-/// roughly comparable magnitudes before weighting.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostWeights {
-    /// Weight of per-tile processing load (WCET x repetitions).
-    pub processing: f64,
-    /// Weight of per-tile memory usage.
-    pub memory: f64,
-    /// Weight of inter-tile communication volume (words x hops).
-    pub communication: f64,
-    /// Weight of connection latency (hops).
-    pub latency: f64,
-}
-
-/// The weights the greedy binder scores with: they favour processing
-/// balance with a significant communication penalty, which is the SDF3
-/// default behaviour for throughput-constrained mapping.
-pub const WEIGHTS: CostWeights = CostWeights {
-    processing: 1.0,
-    memory: 0.05,
-    communication: 0.25,
-    latency: 0.02,
-};
+/// Weight of per-tile processing load (WCET x repetitions).
+const PROCESSING_WEIGHT: f64 = 1.0;
+/// Weight of per-tile memory usage.
+const MEMORY_WEIGHT: f64 = 0.05;
+/// Weight of inter-tile communication volume (words x hops).
+const COMMUNICATION_WEIGHT: f64 = 0.25;
+/// Weight of connection latency (hops).
+const LATENCY_WEIGHT: f64 = 0.02;
 
 /// The raw cost components of placing an actor on a candidate tile.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -43,12 +33,12 @@ pub struct CostBreakdown {
 }
 
 impl CostBreakdown {
-    /// Scalarizes the breakdown with the given weights.
-    pub fn weighted(&self, w: &CostWeights) -> f64 {
-        w.processing * self.processing
-            + w.memory * self.memory
-            + w.communication * self.communication
-            + w.latency * self.latency
+    /// Scalarizes the breakdown with the binder's fixed weights.
+    pub fn weighted(&self) -> f64 {
+        PROCESSING_WEIGHT * self.processing
+            + MEMORY_WEIGHT * self.memory
+            + COMMUNICATION_WEIGHT * self.communication
+            + LATENCY_WEIGHT * self.latency
     }
 }
 
@@ -60,16 +50,24 @@ mod tests {
     fn weighted_combination() {
         let b = CostBreakdown {
             processing: 1.0,
-            memory: 0.5,
-            communication: 2.0,
-            latency: 0.25,
+            memory: 20.0,
+            communication: 4.0,
+            latency: 50.0,
         };
-        let w = CostWeights {
-            processing: 1.0,
-            memory: 2.0,
-            communication: 0.5,
-            latency: 4.0,
+        assert!((b.weighted() - (1.0 + 1.0 + 1.0 + 1.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn default_weights_emphasize_processing() {
+        // The weighted cost of one unit of a single component.
+        let unit = |field: fn(&mut CostBreakdown) -> &mut f64| {
+            let mut b = CostBreakdown::default();
+            *field(&mut b) = 1.0;
+            b.weighted()
         };
-        assert!((b.weighted(&w) - (1.0 + 1.0 + 1.0 + 1.0)).abs() < 1e-12);
+        let processing = unit(|b| &mut b.processing);
+        assert!(processing > unit(|b| &mut b.memory));
+        assert!(processing > unit(|b| &mut b.communication));
+        assert!(processing > unit(|b| &mut b.latency));
     }
 }

@@ -58,7 +58,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::binding::BindOptions;
-use crate::cost::{CostBreakdown, WEIGHTS};
+use crate::cost::CostBreakdown;
 use crate::error::MapError;
 use crate::flow::{allocate_wires, expand_and_analyse, initial_mapping, wcet_graph};
 use crate::mapping::Binding;
@@ -348,7 +348,7 @@ impl BindingStrategy for GreedyBinder {
                         0.0
                     },
                 };
-                let cost = breakdown.weighted(&WEIGHTS);
+                let cost = breakdown.weighted();
                 let better = match best {
                     None => true,
                     // Tie-break on tile id for determinism.
