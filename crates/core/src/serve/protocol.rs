@@ -248,7 +248,10 @@ mod tests {
             ..spec
         };
         let err = unknown.resolve().expect_err("unknown binder");
-        assert!(err.starts_with("unknown binder `quantum`"), "{err}");
+        assert_eq!(
+            err,
+            "unknown binder `quantum` (available: greedy, spiral, genetic)"
+        );
     }
 
     #[test]

@@ -86,7 +86,9 @@ fn cli_subcommands_work_end_to_end() {
     assert!(text.contains("binder: spiral"), "summary: {text}");
     assert!(text.contains("tile"), "per-tile load table missing: {text}");
 
-    // unknown binder fails with the available names.
+    // An unknown binder fails with the available names, for `map` and for
+    // a `dse` sweep alike.
+    let unknown = "error: unknown binder `bogus` (available: greedy, spiral, genetic)\n";
     let out = Command::new(bin())
         .args(["map"])
         .arg(&app)
@@ -95,7 +97,15 @@ fn cli_subcommands_work_end_to_end() {
         .output()
         .unwrap();
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("greedy"));
+    assert_eq!(String::from_utf8_lossy(&out.stderr), unknown);
+    let out = Command::new(bin())
+        .arg("dse")
+        .arg(&app)
+        .args(["2", "--binders", "greedy,bogus"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    assert_eq!(String::from_utf8_lossy(&out.stderr), unknown);
 
     // dse with a strategy sweep: every point is attributed to a binder.
     let out = Command::new(bin())
@@ -320,6 +330,51 @@ fn cli_remap_replays_from_the_pass_cache() {
         .unwrap();
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("--cache-dir"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cli_map_multi_cache_dir_is_keyed_by_platform() {
+    // The `verify-shared` pass grows and analyses the combined system of
+    // one platform: a bound persisted for a 4x1 mesh must not replay on a
+    // 2x2 mesh, where the same applications share tiles differently.
+    let dir = std::env::temp_dir().join(format!("mamps_cli_shared_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data");
+    let apps = [
+        data.join("mjpeg_small_app.xml"),
+        data.join("pipeline_small_app.xml"),
+    ];
+    let platform = |mesh: &str| {
+        let out = dir.join(mesh.replace(':', "_"));
+        let gen = Command::new(bin())
+            .args(["gen", "--arch", mesh, "--out"])
+            .arg(&out)
+            .output()
+            .unwrap();
+        assert!(
+            gen.status.success(),
+            "{}",
+            String::from_utf8_lossy(&gen.stderr)
+        );
+        out.join(format!("arch_{}.xml", mesh.replace(':', "")))
+    };
+    let map_multi = |arch: &std::path::Path, cache: Option<&std::path::Path>| {
+        let mut cmd = Command::new(bin());
+        cmd.arg("map-multi").args(&apps).arg(arch);
+        if let Some(cache) = cache {
+            cmd.arg("--cache-dir").arg(cache);
+        }
+        let out = cmd.output().unwrap();
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert!(out.status.success(), "{stdout}");
+        stdout
+    };
+    let (wide, square) = (platform("mesh:4x1"), platform("mesh:2x2"));
+    let cache = dir.join("cache");
+    map_multi(&wide, Some(&cache));
+    assert_eq!(map_multi(&square, Some(&cache)), map_multi(&square, None));
 
     std::fs::remove_dir_all(&dir).ok();
 }
