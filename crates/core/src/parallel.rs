@@ -11,9 +11,7 @@
 //! workers ([`crate::serve`]) use it.
 //!
 //! Results come back in input order and are identical for any job count.
-//! `mamps_sdf::buffer` uses the same scoped-worker pattern internally for
-//! concurrent buffer-growth candidates (it sits below this crate in the
-//! dependency graph); everything at flow level should use this helper.
+//! Everything at flow level should use this helper.
 
 use std::ops::Range;
 use std::sync::Mutex;

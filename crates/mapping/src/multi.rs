@@ -519,8 +519,8 @@ fn verify_shared(
             // phase 1. The simulator deploys the same grown allocation, so
             // the bound stays exact for the shared system. Memoized as the
             // `verify-shared` pass: an unchanged group (same combined graph
-            // incl. WCETs, same mapping) replays its grown allocation and
-            // analysis.
+            // incl. WCETs, same mapping, same platform) replays its grown
+            // allocation and analysis.
             let (grown_channels, analysis) = run_pass(
                 &opts.passes,
                 "verify-shared",
@@ -528,6 +528,7 @@ fn verify_shared(
                     fingerprint(vec![
                         serde::Value::Int(i128::from(GraphFingerprint::of(&graph).hash())),
                         mapping.to_value(),
+                        arch.to_value(),
                         serde::Value::Int(MAX_STATES as i128),
                     ])
                 },
