@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use mamps_bench::{bench_stream_config, short_criterion};
 use mamps_mapping::flow::{map_application, MapOptions};
-use mamps_mapping::strategy;
+use mamps_mapping::Binder;
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::Interconnect;
 
@@ -31,9 +31,10 @@ fn bench(c: &mut Criterion) {
     // per strategy. Every strategy must produce a verified mapping.
     println!("\nbinding strategies on the MJPEG decoder, 4-tile NoC");
     println!("{:<10} {:>16} {:>7}", "binder", "it/cycle", "wires");
-    for (name, make) in strategy::registry() {
+    for binder in Binder::ALL {
+        let name = binder.name();
         let a = arch();
-        let opts = MapOptions::with_strategy(make());
+        let opts = MapOptions::with_strategy(binder);
         let mapped = map_application(&app, &a, &opts).unwrap();
         assert!(
             mapped.analysis.as_f64() > 0.0,
@@ -47,10 +48,10 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    for (name, make) in strategy::registry() {
+    for binder in Binder::ALL {
         let a = arch();
-        let opts = MapOptions::with_strategy(make());
-        c.bench_function(&format!("binders/{name}"), |b| {
+        let opts = MapOptions::with_strategy(binder);
+        c.bench_function(&format!("binders/{}", binder.name()), |b| {
             b.iter(|| std::hint::black_box(map_application(&app, &a, &opts).unwrap()))
         });
     }

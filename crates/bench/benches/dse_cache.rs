@@ -24,6 +24,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mamps_bench::{quick_mode, short_criterion};
 use mamps_core::dse::{explore_report, DseReport};
 use mamps_core::flow::FlowOptions;
+use mamps_mapping::Binder;
 use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::xml::application_from_xml;
@@ -38,10 +39,7 @@ fn sweep_app() -> ApplicationModel {
 
 fn sweep_opts(cache: &Arc<GlobalAnalysisCache>) -> FlowOptions {
     let mut opts = FlowOptions {
-        binders: vec![
-            mamps_mapping::strategy::by_name("greedy").unwrap(),
-            mamps_mapping::strategy::by_name("spiral").unwrap(),
-        ],
+        binders: vec![Binder::Greedy, Binder::Spiral],
         ..FlowOptions::default()
     };
     opts.map.cache = Some(Arc::clone(cache));

@@ -67,7 +67,7 @@ pub mod cache;
 pub mod lease;
 pub mod shard;
 
-use mamps_mapping::StrategyHandle;
+use mamps_mapping::Binder;
 use mamps_platform::area::platform_area;
 use mamps_platform::interconnect::Interconnect;
 use mamps_sdf::model::ApplicationModel;
@@ -122,7 +122,7 @@ pub struct DseReport {
 
 /// One platform configuration of a sweep: tile count, interconnect kind
 /// and its instantiation, and the binding strategy.
-pub(crate) type SweepConfig = (usize, &'static str, Interconnect, StrategyHandle);
+pub(crate) type SweepConfig = (usize, &'static str, Interconnect, Binder);
 
 /// Runs the full flow for one sweep configuration.
 pub(crate) fn evaluate_dse_config(
@@ -131,7 +131,7 @@ pub(crate) fn evaluate_dse_config(
     opts: &FlowOptions,
 ) -> Result<DsePoint, SkippedPoint> {
     let mut point_opts = opts.clone();
-    point_opts.map.bind.strategy = strategy.clone();
+    point_opts.map.bind.strategy = *strategy;
     match run_flow(app, *tiles, *ic, &point_opts) {
         Ok(flow) => {
             let cross_links = app
@@ -181,10 +181,10 @@ pub(crate) fn sort_dse_points(points: &mut [DsePoint]) {
 
 /// Sweeps tile counts × interconnects × binding strategies, recording both
 /// feasible and skipped design points. The strategies come from
-/// [`FlowOptions::binders`]; when that is empty the single configured
-/// `opts.map.bind.strategy` is swept. `opts.jobs > 1` evaluates
-/// independent design points concurrently with identical results. To
-/// shard or resume the sweep, run it through [`shard::Sweep::run`].
+/// [`FlowOptions::binders`]; when that is empty greedy alone is swept.
+/// `opts.jobs > 1` evaluates independent design points concurrently with
+/// identical results. To shard or resume the sweep, run it through
+/// [`shard::Sweep::run`].
 ///
 /// # Panics
 ///
@@ -292,7 +292,7 @@ pub(crate) fn evaluate_use_case_config(
         }
     };
     let mut map_opts = opts.map.clone();
-    map_opts.bind.strategy = strategy.clone();
+    map_opts.bind.strategy = *strategy;
     let outcome = map_use_case(uc, &arch, &map_opts);
     point.admitted = outcome.admitted.iter().map(|a| a.name.clone()).collect();
     point.rejected = outcome
@@ -344,9 +344,9 @@ pub(crate) fn sort_use_case_points(points: &mut [UseCasePoint]) {
 /// count × interconnect × binding strategy, the admission loop
 /// ([`mamps_mapping::multi::map_use_case`]) decides which subset of
 /// `apps` fits with every per-application guarantee intact. Strategies
-/// come from [`FlowOptions::binders`] (falling back to the configured
-/// `map.bind.strategy`), and `opts.jobs > 1` evaluates configurations
-/// concurrently with identical results.
+/// come from [`FlowOptions::binders`] (greedy alone when empty), and
+/// `opts.jobs > 1` evaluates configurations concurrently with identical
+/// results.
 ///
 /// # Panics
 ///
@@ -554,10 +554,7 @@ mod tests {
     fn parallel_use_case_sweep_matches_sequential() {
         let apps = vec![named_app("pa", &[70, 70]), named_app("pb", &[35, 35])];
         let opts = FlowOptions {
-            binders: vec![
-                mamps_mapping::strategy::by_name("greedy").unwrap(),
-                mamps_mapping::strategy::by_name("spiral").unwrap(),
-            ],
+            binders: vec![Binder::Greedy, Binder::Spiral],
             ..FlowOptions::default()
         };
         let seq = explore_use_cases(&apps, &[1, 2, 3], true, &opts);
@@ -609,10 +606,7 @@ mod tests {
     #[test]
     fn strategy_sweep_attributes_every_point() {
         let opts = FlowOptions {
-            binders: vec![
-                mamps_mapping::strategy::by_name("greedy").unwrap(),
-                mamps_mapping::strategy::by_name("spiral").unwrap(),
-            ],
+            binders: vec![Binder::Greedy, Binder::Spiral],
             ..FlowOptions::default()
         };
         // Tile count 0 fails for every strategy: skips are attributed too.
@@ -629,13 +623,9 @@ mod tests {
     #[test]
     fn parallel_explore_matches_sequential() {
         let a = app();
-        let binders: Vec<_> = mamps_mapping::strategy::registry()
-            .iter()
-            .filter(|(n, _)| *n != "genetic") // keep the test fast
-            .map(|(_, make)| make())
-            .collect();
         let opts = FlowOptions {
-            binders,
+            // Genetic is left out to keep the test fast.
+            binders: vec![Binder::Greedy, Binder::Spiral],
             ..FlowOptions::default()
         };
         let seq = explore_report(&a, &[0, 1, 2, 3], true, &opts);

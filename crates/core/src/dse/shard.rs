@@ -30,7 +30,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use mamps_mapping::StrategyHandle;
+use mamps_mapping::Binder;
 use mamps_platform::interconnect::Interconnect;
 use mamps_sdf::model::ApplicationModel;
 use serde::{Deserialize, Serialize};
@@ -699,7 +699,7 @@ impl Sweep {
         apps: Vec<ApplicationModel>,
         tile_counts: &[usize],
         include_noc: bool,
-        mut strategies: Vec<StrategyHandle>,
+        mut strategies: Vec<Binder>,
     ) -> Result<Sweep, String> {
         if apps.is_empty() {
             return Err("sweep has no applications".into());
@@ -714,7 +714,7 @@ impl Sweep {
             return Err("sweep has no tile counts".into());
         }
         if strategies.is_empty() {
-            strategies.push(StrategyHandle::default());
+            strategies.push(Binder::default());
         }
         // The canonical order — strategy outermost, then tile count, FSL
         // before NoC — is part of the shard-file contract: shards own
@@ -722,10 +722,10 @@ impl Sweep {
         let mut configs: Vec<SweepConfig> = Vec::new();
         for strategy in &strategies {
             for &tiles in tile_counts {
-                configs.push((tiles, "fsl", Interconnect::fsl(), strategy.clone()));
+                configs.push((tiles, "fsl", Interconnect::fsl(), *strategy));
                 if include_noc {
                     let noc = Interconnect::noc_for_tiles(tiles);
-                    configs.push((tiles, "noc", noc, strategy.clone()));
+                    configs.push((tiles, "noc", noc, *strategy));
                 }
             }
         }
@@ -822,8 +822,7 @@ impl Sweep {
 }
 
 /// Runs the whole sweep of `apps` over the strategies of
-/// [`FlowOptions::binders`], or the single `opts.map.bind.strategy` when
-/// that is empty: the body of the library entry points.
+/// [`FlowOptions::binders`]: the body of the library entry points.
 ///
 /// # Panics
 ///
@@ -835,12 +834,7 @@ pub(crate) fn explore_sweep(
     include_noc: bool,
     opts: &FlowOptions,
 ) -> DseShard {
-    let strategies = if opts.binders.is_empty() {
-        vec![opts.map.bind.strategy.clone()]
-    } else {
-        opts.binders.clone()
-    };
-    Sweep::new(mode, apps, tile_counts, include_noc, strategies)
+    Sweep::new(mode, apps, tile_counts, include_noc, opts.binders.clone())
         .unwrap_or_else(|e| panic!("invalid sweep: {e}"))
         .run(ShardSpec::full(), &[], opts)
         .expect("an empty resume set cannot mismatch")
@@ -879,7 +873,7 @@ mod tests {
 
     /// One sweep per mode: the properties below hold for both.
     fn both_modes() -> [Sweep; 2] {
-        let binders = ["greedy", "spiral"].map(|n| mamps_mapping::strategy::by_name(n).unwrap());
+        let binders = [Binder::Greedy, Binder::Spiral];
         let apps = vec![named_app("sa", &[70, 70]), named_app("sb", &[35, 35])];
         [
             Sweep::new(

@@ -96,9 +96,9 @@ pub struct FlowOptions {
     pub jobs: usize,
     /// Binding strategies for the DSE sweep ([`crate::dse::explore_report`]
     /// evaluates every tile count × interconnect × strategy combination).
-    /// Empty means "just the strategy configured in `map.bind.strategy`".
-    /// A single flow run always uses `map.bind.strategy`.
-    pub binders: Vec<mamps_mapping::StrategyHandle>,
+    /// Empty means greedy alone. A single flow run uses
+    /// `map.bind.strategy` instead.
+    pub binders: Vec<mamps_mapping::Binder>,
     /// Simulator engine for every verification run of the flow (the
     /// synthesis boot run, the multi-flow validation runs, traced group
     /// re-runs). Both engines are bit-identical by contract; `lockstep`

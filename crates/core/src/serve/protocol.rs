@@ -16,7 +16,7 @@
 
 use std::io::{self, BufRead, Write};
 
-use mamps_mapping::strategy;
+use mamps_mapping::Binder;
 use mamps_sdf::cache::CacheEntry;
 use mamps_sdf::passes::PassEntry;
 use mamps_sdf::xml::application_from_xml;
@@ -27,7 +27,7 @@ use crate::dse::shard::{ShardRecord, Sweep, SweepMode};
 
 /// A sweep as submitted over the wire: everything a worker needs to
 /// evaluate design points, self-contained (XML text inline, binder
-/// *names* — resolved against the strategy registry on each end).
+/// *names* — parsed into a [`Binder`] on each end).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SweepSpec {
     /// Sweep kind. [`SweepMode::Binders`] requires exactly one
@@ -46,7 +46,7 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// Parses the applications out of their XML and the binders out of
-    /// the registry, and validates the result with [`Sweep::new`]. The
+    /// their names, and validates the result with [`Sweep::new`]. The
     /// coordinator builds its job header from the resolved sweep — the
     /// header `mamps dse` builds for the same inputs — and workers
     /// evaluate their leased ranges with it.
@@ -67,14 +67,7 @@ impl SweepSpec {
         let binders = self
             .binders
             .iter()
-            .map(|name| {
-                strategy::by_name(name).ok_or_else(|| {
-                    format!(
-                        "unknown binder `{name}` (available: {})",
-                        strategy::names().join(", ")
-                    )
-                })
-            })
+            .map(|name| name.parse::<Binder>())
             .collect::<Result<Vec<_>, String>>()?;
         Sweep::new(
             self.mode,

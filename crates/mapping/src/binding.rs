@@ -1,16 +1,13 @@
-//! Actor-to-tile binding: options and strategy dispatch.
+//! Actor-to-tile binding: options and binder dispatch.
 //!
-//! The binding algorithm is pluggable (see [`crate::strategy`]): the
-//! [`BindOptions`] carry a [`StrategyHandle`] alongside the pinning
-//! constraints and the occupancy, and [`bind`] dispatches to it. The default
-//! strategy is the deterministic greedy list binder
-//! ([`crate::strategy::GreedyBinder`]) — actors placed in order of
-//! decreasing work (WCET x repetitions), each on the feasible tile with
-//! the lowest weighted cost ([`crate::cost`]) — mirroring the
-//! load-balancing binder of SDF3 (paper §5.1 keeps "the algorithms used
-//! during mapping ... from \[14\]").
-
-use std::sync::Arc;
+//! The [`BindOptions`] carry a [`Binder`] (see [`crate::strategy`])
+//! alongside the pinning constraints and the occupancy, and [`bind`]
+//! dispatches on it. The default is the deterministic greedy list binder
+//! ([`Binder::Greedy`]) — actors placed in order of decreasing work
+//! (WCET x repetitions), each on the feasible tile with the lowest
+//! weighted cost ([`crate::cost`]) — mirroring the load-balancing binder
+//! of SDF3 (paper §5.1 keeps "the algorithms used during mapping ... from
+//! \[14\]").
 
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::Interconnect;
@@ -24,7 +21,7 @@ use serde::Serialize as _;
 
 use crate::error::MapError;
 use crate::mapping::{Binding, Mapping};
-use crate::strategy::StrategyHandle;
+use crate::strategy::{self, Binder};
 
 /// Resources already committed on a partially occupied platform.
 ///
@@ -161,25 +158,20 @@ impl Occupancy {
 #[derive(Debug, Clone, Default)]
 pub struct BindOptions {
     /// Force specific actors onto specific tiles (e.g. peripherals-needing
-    /// actors onto the master tile). Honoured by every strategy.
+    /// actors onto the master tile). Honoured by every binder.
     pub pinned: Vec<(ActorId, TileId)>,
-    /// The binding strategy to dispatch to (default: greedy).
-    pub strategy: StrategyHandle,
+    /// The binder to dispatch to (default: greedy).
+    pub strategy: Binder,
     /// Resources already committed by previously admitted applications
     /// (multi-application use-cases); empty for single-application flows.
-    /// Honoured by every strategy: binding happens against the residual
+    /// Honoured by every binder: binding happens against the residual
     /// tile memory and, on NoCs, the residual wires.
     pub occupancy: Occupancy,
-    /// Shared throughput-analysis cache, consulted by strategies whose
-    /// cost function runs the state-space analysis (currently the genetic
-    /// binder's fitness). [`crate::flow::map_application`] propagates its
-    /// own [`MapOptions::cache`](crate::flow::MapOptions) here when unset.
-    pub cache: Option<Arc<GlobalAnalysisCache>>,
 }
 
 impl BindOptions {
-    /// The default options with a specific strategy.
-    pub fn with_strategy(strategy: StrategyHandle) -> BindOptions {
+    /// The default options with a specific binder.
+    pub fn with_strategy(strategy: Binder) -> BindOptions {
         BindOptions {
             strategy,
             ..BindOptions::default()
@@ -187,9 +179,7 @@ impl BindOptions {
     }
 
     /// The binding-relevant options as a serde value, for pass
-    /// fingerprinting: strategy name, pins and occupancy. The analysis
-    /// cache is deliberately excluded — it memoizes, never changes
-    /// results.
+    /// fingerprinting: binder name, pins and occupancy.
     pub fn fingerprint_value(&self) -> serde::Value {
         serde::Value::Map(vec![
             (
@@ -202,8 +192,9 @@ impl BindOptions {
     }
 }
 
-/// Binds the application's actors to the architecture's tiles by
-/// dispatching to `opts.strategy`.
+/// Binds the application's actors to the architecture's tiles with
+/// `opts.strategy`. The genetic binder's fitness analyses consult
+/// `cache`, which memoizes and never changes the binding.
 ///
 /// # Errors
 ///
@@ -214,8 +205,13 @@ pub fn bind(
     app: &ApplicationModel,
     arch: &Architecture,
     opts: &BindOptions,
+    cache: Option<&GlobalAnalysisCache>,
 ) -> Result<Binding, MapError> {
-    opts.strategy.bind(app, arch, opts)
+    match opts.strategy {
+        Binder::Greedy => strategy::greedy(app, arch, opts),
+        Binder::Spiral => strategy::spiral(app, arch, opts),
+        Binder::Genetic => strategy::genetic(app, arch, opts, cache),
+    }
 }
 
 #[cfg(test)]
@@ -243,7 +239,7 @@ mod tests {
     fn heavy_actors_spread_over_tiles() {
         let app = pipeline_app(4, &[100, 100, 100, 100]);
         let arch = Architecture::homogeneous("a", 4, Interconnect::fsl()).unwrap();
-        let b = bind(&app, &arch, &BindOptions::default()).unwrap();
+        let b = bind(&app, &arch, &BindOptions::default(), None).unwrap();
         // Equal heavy work: every actor gets its own tile.
         let mut tiles: Vec<usize> = b.tile_of.iter().map(|t| t.0).collect();
         tiles.sort_unstable();
@@ -257,7 +253,7 @@ mod tests {
         // co-locate with their communication partners rather than spreading.
         let app = pipeline_app(4, &[1000, 1, 1, 1000]);
         let arch = Architecture::homogeneous("a", 2, Interconnect::fsl()).unwrap();
-        let b = bind(&app, &arch, &BindOptions::default()).unwrap();
+        let b = bind(&app, &arch, &BindOptions::default(), None).unwrap();
         let g = app.graph();
         let a0 = g.actor_by_name("a0").unwrap();
         let a3 = g.actor_by_name("a3").unwrap();
@@ -276,7 +272,7 @@ mod tests {
             pinned: vec![(a2, TileId(0))],
             ..Default::default()
         };
-        let b = bind(&app, &arch, &opts).unwrap();
+        let b = bind(&app, &arch, &opts, None).unwrap();
         assert_eq!(b.tile_of[a2.0], TileId(0));
     }
 
@@ -289,7 +285,7 @@ mod tests {
             .with_processor(mamps_platform::types::ProcessorType::custom("dsp"));
         let arch = Architecture::new("a", tiles, Interconnect::fsl()).unwrap();
         assert!(matches!(
-            bind(&app, &arch, &BindOptions::default()),
+            bind(&app, &arch, &BindOptions::default(), None),
             Err(MapError::Infeasible(_))
         ));
     }
@@ -307,7 +303,7 @@ mod tests {
         let app = mb.finish(g, None).unwrap();
         let arch = Architecture::homogeneous("a", 1, Interconnect::fsl()).unwrap();
         assert!(matches!(
-            bind(&app, &arch, &BindOptions::default()),
+            bind(&app, &arch, &BindOptions::default(), None),
             Err(MapError::Infeasible(_))
         ));
     }
@@ -316,21 +312,18 @@ mod tests {
     fn binding_is_deterministic() {
         let app = pipeline_app(5, &[7, 3, 9, 4, 6]);
         let arch = Architecture::homogeneous("a", 3, Interconnect::noc_for_tiles(3)).unwrap();
-        let b1 = bind(&app, &arch, &BindOptions::default()).unwrap();
-        let b2 = bind(&app, &arch, &BindOptions::default()).unwrap();
+        let b1 = bind(&app, &arch, &BindOptions::default(), None).unwrap();
+        let b2 = bind(&app, &arch, &BindOptions::default(), None).unwrap();
         assert_eq!(b1, b2);
     }
 
     #[test]
     fn dispatch_uses_the_configured_strategy() {
-        use crate::strategy::BindingStrategy as _;
         let app = pipeline_app(4, &[50, 50, 50, 50]);
         let arch = Architecture::homogeneous("a", 4, Interconnect::noc_for_tiles(4)).unwrap();
-        let spiral = BindOptions::with_strategy(crate::strategy::by_name("spiral").unwrap());
-        let via_dispatch = bind(&app, &arch, &spiral).unwrap();
-        let direct = crate::strategy::SpiralBinder
-            .bind(&app, &arch, &spiral)
-            .unwrap();
+        let spiral = BindOptions::with_strategy(Binder::Spiral);
+        let via_dispatch = bind(&app, &arch, &spiral, None).unwrap();
+        let direct = strategy::spiral(&app, &arch, &spiral).unwrap();
         assert_eq!(via_dispatch, direct);
     }
 }

@@ -1,10 +1,10 @@
 //! The complete mapping step of the design flow (paper §5.1), structured
-//! as named passes: **bind** (with the strategy configured in
+//! as named passes: **bind** (with the binder configured in
 //! [`BindOptions`], see [`crate::strategy`]), **wire-alloc** (NoC SDM
 //! wires), **schedule** (static order per tile), and **buffer-size**
 //! (deadlock-driven then greedy growth toward the throughput target).
-//! Whatever strategy produced the binding, the verification pipeline is
-//! identical — so the worst-case guarantee holds for every strategy.
+//! Whatever binder produced the binding, the verification pipeline is
+//! identical — so the worst-case guarantee holds for every binder.
 //!
 //! Each pass is driven through a [`PassRunner`] (see
 //! [`mamps_sdf::passes`]): its inputs are reduced to a stable
@@ -59,16 +59,17 @@ pub(crate) const DEADLOCK_GROWTH_ATTEMPTS: usize = 12;
 /// Options of the mapping flow.
 #[derive(Debug, Clone, Default)]
 pub struct MapOptions {
-    /// Binder options (strategy, pinning, occupancy).
+    /// Binder options (binder, pinning, occupancy).
     pub bind: BindOptions,
     /// Throughput target in iterations/cycle; `None` uses the application's
     /// constraint, and if that is absent too, buffers grow until saturation.
     pub target: Option<Ratio>,
     /// Shared throughput-analysis cache. When set, every expand + analyse
-    /// probe of the buffer-growth search consults the cache before falling
-    /// back to the state-space kernel, so structurally identical candidate
-    /// allocations — common across the points of a DSE sweep — are analysed
-    /// once per process (or once ever, with a persistent cache directory).
+    /// probe of the buffer-growth search (and of the genetic binder's
+    /// fitness) consults the cache before falling back to the state-space
+    /// kernel, so structurally identical candidate allocations — common
+    /// across the points of a DSE sweep — are analysed once per process
+    /// (or once ever, with a persistent cache directory).
     pub cache: Option<Arc<GlobalAnalysisCache>>,
     /// Pass runner: per-pass wall-time accounting and (when the runner
     /// carries a [`mamps_sdf::passes::PassCache`]) whole-pass
@@ -78,8 +79,8 @@ pub struct MapOptions {
 }
 
 impl MapOptions {
-    /// The default options with a specific binding strategy.
-    pub fn with_strategy(strategy: crate::strategy::StrategyHandle) -> MapOptions {
+    /// The default options with a specific binder.
+    pub fn with_strategy(strategy: crate::strategy::Binder) -> MapOptions {
         MapOptions {
             bind: BindOptions::with_strategy(strategy),
             ..MapOptions::default()
@@ -337,15 +338,6 @@ pub fn map_application(
     arch: &Architecture,
     opts: &MapOptions,
 ) -> Result<MappedApplication, MapError> {
-    // Analysing binders (the genetic fitness function) share the flow's
-    // cache unless the caller configured a dedicated one.
-    let bind_opts = if opts.cache.is_some() && opts.bind.cache.is_none() {
-        let mut bind_opts = opts.bind.clone();
-        bind_opts.cache.clone_from(&opts.cache);
-        bind_opts
-    } else {
-        opts.bind.clone()
-    };
     let binding = run_pass(
         &opts.passes,
         "bind",
@@ -353,10 +345,10 @@ pub fn map_application(
             fingerprint(vec![
                 app.to_value(),
                 arch.to_value(),
-                bind_opts.fingerprint_value(),
+                opts.bind.fingerprint_value(),
             ])
         },
-        || bind(app, arch, &bind_opts),
+        || bind(app, arch, &opts.bind, opts.cache.as_deref()),
     )?;
     let graph = app.graph();
     let wcet_graph = wcet_graph(graph, &binding);
@@ -597,7 +589,7 @@ mod tests {
         let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();
         let mapped = map_application(&app, &arch, &MapOptions::default()).unwrap();
         assert_eq!(mapped.strategy, "greedy");
-        let spiral = MapOptions::with_strategy(crate::strategy::by_name("spiral").unwrap());
+        let spiral = MapOptions::with_strategy(crate::strategy::Binder::Spiral);
         let mapped = map_application(&app, &arch, &spiral).unwrap();
         assert_eq!(mapped.strategy, "spiral");
     }

@@ -12,9 +12,9 @@
 //! platform generator and the simulator, eliminating the manual translation
 //! step the paper criticizes in prior flows (§2).
 //!
-//! Binding is pluggable: [`strategy`] defines the [`BindingStrategy`]
-//! trait with three built-in binders (`greedy`, `spiral`, `genetic`), all
-//! verified through the same scheduling/buffer-sizing/throughput pipeline.
+//! Binding offers three binders, the variants of [`strategy::Binder`]
+//! (`greedy`, `spiral`, `genetic`), all verified through the same
+//! scheduling/buffer-sizing/throughput pipeline.
 //!
 //! Several applications can share one platform: [`multi`] admits the
 //! applications of a [`multi::UseCase`] one at a time onto the residual
@@ -97,4 +97,4 @@ pub use multi::{
     map_use_case, AdmittedApp, RejectReason, RejectedApp, SharedSystem, UseCase, UseCaseMapping,
 };
 pub use schedule::build_schedules;
-pub use strategy::{BindingStrategy, GeneticBinder, GreedyBinder, SpiralBinder, StrategyHandle};
+pub use strategy::Binder;

@@ -10,10 +10,10 @@
 //!
 //! 1. Applications of a [`UseCase`] are admitted **one at a time**, in
 //!    order. Each is bound by the configured
-//!    [`BindingStrategy`](crate::strategy::BindingStrategy) against
-//!    the *residual* resources ([`Occupancy`]) left by the applications
-//!    admitted before it — remaining tile memory, remaining SDM NoC wires —
-//!    and carried through the unchanged wire-allocation / scheduling /
+//!    [`Binder`](crate::strategy::Binder) against the *residual*
+//!    resources ([`Occupancy`]) left by the applications admitted before
+//!    it — remaining tile memory, remaining SDM NoC wires — and carried
+//!    through the unchanged wire-allocation / scheduling /
 //!    buffer-sizing pipeline of [`map_application`].
 //! 2. Tiles shared between applications are arbitrated by **static-order
 //!    round concatenation**: a shared tile executes application A's round,

@@ -1,37 +1,34 @@
-//! Pluggable actor-to-tile binding strategies.
+//! The three actor-to-tile binders.
 //!
 //! The paper fixes one greedy list binder ("the algorithms used during
 //! mapping ... from \[14\]"), but the quality of the whole flow — and of
 //! the DSE sweep built on top of it — is bounded by the mappings it can
-//! express. This module turns the binder into an extension point:
+//! express. This module offers three binders as the closed [`Binder`]
+//! enum, which [`BindOptions`] carries and [`crate::binding::bind`]
+//! dispatches on:
 //!
-//! * [`BindingStrategy`] — the object-safe (`Send + Sync`) trait every
-//!   binder implements, so strategies thread through the parallel DSE
-//!   fan-out unchanged.
-//! * [`StrategyHandle`] — a cheaply-cloneable shared handle carried by
-//!   [`BindOptions`]; its [`Default`] is the greedy binder, keeping the
-//!   pre-existing flow behaviour bit-identical.
-//! * [`GreedyBinder`] — the paper's deterministic cost-weighted list
-//!   binder, extracted verbatim from the previous hard-coded `bind()`.
-//! * [`SpiralBinder`] — NoC-distance-aware placement: actors are visited
+//! * [`Binder::Greedy`] — the paper's deterministic cost-weighted list
+//!   binder, and the [`Default`].
+//! * [`Binder::Spiral`] — NoC-distance-aware placement: actors are visited
 //!   in communication order and filled onto tiles along a spiral of
 //!   increasing hop distance from a load-chosen seed tile (after the
 //!   run-time spiral mapping heuristics of Benhaoua et al.).
-//! * [`GeneticBinder`] — a seeded bias-elitist genetic algorithm over
+//! * [`Binder::Genetic`] — a seeded bias-elitist genetic algorithm over
 //!   actor→tile assignment vectors (after Quan & Pimentel), whose fitness
 //!   is the guaranteed throughput of the candidate binding computed with
 //!   the existing state-space analysis and memoized per assignment;
 //!   infeasible assignments are penalized instead of discarded.
-//! * [`registry`] / [`by_name`] — name → constructor table used by the
-//!   CLI (`mamps map --binder`, `mamps dse --binders`) and the DSE
-//!   strategy sweep.
 //!
-//! Every strategy returns a [`Binding`] that flows through the unchanged
+//! [`Binder::name`] and its [`FromStr`] inverse are the names the CLI
+//! (`mamps map --binder`, `mamps dse --binders`), the DSE service and the
+//! reports use.
+//!
+//! Every binder returns a [`Binding`] that flows through the unchanged
 //! wire-allocation / scheduling / buffer-sizing / throughput-verification
 //! pipeline of [`crate::flow::map_application`], so the worst-case
 //! guarantee holds for all of them.
 //!
-//! ## Picking a strategy
+//! ## Picking a binder
 //!
 //! * `greedy` — the default; fast, balances load with a communication
 //!   penalty. Best all-rounder and the paper-faithful choice.
@@ -40,10 +37,11 @@
 //!   and contention) matters more than perfect load balance.
 //! * `genetic` — searches the assignment space with the throughput
 //!   analysis in the loop; slowest, but can escape greedy's local optima
-//!   on irregular graphs. Deterministic for a fixed [`GeneticBinder::seed`].
+//!   on irregular graphs. Deterministic: its random generator has a fixed
+//!   seed.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::str::FromStr;
 
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::Interconnect;
@@ -66,100 +64,113 @@ use crate::schedule::build_schedules;
 
 /// An actor-to-tile binding heuristic.
 ///
-/// Implementations must be deterministic: the same inputs must produce the
-/// same [`Binding`], so DSE results are reproducible and independent of the
-/// job count. `Send + Sync` lets handles fan out across the parallel DSE
-/// workers.
-pub trait BindingStrategy: Send + Sync {
-    /// Stable identifier of the strategy (CLI name, report column).
-    fn name(&self) -> &'static str;
-
-    /// Binds the application's actors to the architecture's tiles.
+/// Every binder is deterministic: the same inputs produce the same
+/// [`Binding`], so DSE results are reproducible and independent of the
+/// job count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Binder {
+    /// The deterministic greedy list binder: actors are placed in order of
+    /// decreasing work (WCET x repetitions); each actor goes to the
+    /// feasible tile with the lowest weighted cost ([`crate::cost`]).
+    /// Feasibility requires an implementation for the tile's processor
+    /// type and sufficient tile memory. The algorithm mirrors the
+    /// load-balancing binder of SDF3 (paper §5.1).
+    #[default]
+    Greedy,
+    /// NoC-distance-aware spiral binder.
     ///
-    /// # Errors
+    /// Actors are visited in *communication order*: a breadth-first
+    /// traversal of the application graph that starts at the heaviest
+    /// actor and expands along the highest-volume channels first, so
+    /// communicating actors are adjacent in the visit sequence. Tiles are
+    /// visited along a *spiral*: the seed tile is the feasible tile for
+    /// the heaviest actor closest to the mesh centre (the load chooses the
+    /// seed), and the remaining tiles are ordered by increasing hop
+    /// distance from it — concentric rings around the seed. The binder
+    /// walks the actor sequence and fills the current spiral tile up to
+    /// its fair share of the total work before moving outward, which keeps
+    /// communicating actors on the same or on physically adjacent tiles
+    /// and minimizes allocated NoC wire length.
     ///
-    /// * [`MapError::Sdf`] if the graph is inconsistent.
-    /// * [`MapError::Infeasible`] if no feasible placement exists.
-    fn bind(
-        &self,
-        app: &ApplicationModel,
-        arch: &Architecture,
-        opts: &BindOptions,
-    ) -> Result<Binding, MapError>;
-}
-
-/// Shared, cheaply-cloneable handle to a [`BindingStrategy`].
-///
-/// Carried by [`BindOptions::strategy`]; the default is [`GreedyBinder`],
-/// which keeps the pre-strategy flow behaviour bit-identical.
-#[derive(Clone)]
-pub struct StrategyHandle(Arc<dyn BindingStrategy>);
-
-impl StrategyHandle {
-    /// Wraps a strategy into a handle.
-    pub fn new(strategy: impl BindingStrategy + 'static) -> StrategyHandle {
-        StrategyHandle(Arc::new(strategy))
-    }
-
-    /// The wrapped strategy's name.
-    pub fn name(&self) -> &'static str {
-        self.0.name()
-    }
-
-    /// Dispatches to the wrapped strategy's [`BindingStrategy::bind`].
+    /// On FSL interconnects every tile pair is one hop apart, so the
+    /// spiral degenerates to tile-id order and the binder becomes a plain
+    /// communication-ordered first-fit — still useful as a fast,
+    /// contention-free alternative to the cost-driven greedy search.
+    Spiral,
+    /// Bias-elitist genetic binder (after Quan & Pimentel).
     ///
-    /// # Errors
+    /// Chromosomes are actor→tile assignment vectors. The initial
+    /// population of 16 seeds the greedy and spiral solutions (when they
+    /// exist) alongside random feasibility-aware assignments; each of 8
+    /// generations copies the 4 best chromosomes (the elite) unchanged and
+    /// breeds the rest by uniform crossover between parents drawn with
+    /// probability 0.7 from the elite pool (the *bias-elitist*
+    /// selection), followed by per-gene mutation with probability
+    /// `1/actors`.
     ///
-    /// Propagates the strategy's binding errors.
-    pub fn bind(
-        &self,
-        app: &ApplicationModel,
-        arch: &Architecture,
-        opts: &BindOptions,
-    ) -> Result<Binding, MapError> {
-        self.0.bind(app, arch, opts)
+    /// The fitness of a chromosome is the **guaranteed throughput** of the
+    /// candidate binding, evaluated with the mapping flow's own helpers:
+    /// NoC wires allocated and schedules built as the `wire-alloc` and
+    /// `schedule` passes do, channels at the `buffer-size` pass's initial
+    /// allocation, and the same expand-then-analyse step. Fitness values
+    /// are memoized per assignment so repeated chromosomes cost nothing.
+    /// Assignments that violate tile memory get a large negative penalty,
+    /// ones that fail wire allocation, scheduling or expansion a smaller
+    /// one, and ones whose analysis fails (typically a deadlock at the
+    /// initial buffer allocation) a token penalty (the downstream flow can
+    /// often still grow buffers to liveness).
+    ///
+    /// Because it skips buffer growth, the fitness is a heuristic ranking,
+    /// not the final verdict: a binding that only shines after growth can
+    /// rank below its final numbers. The winning binding is always
+    /// re-verified by the unchanged pipeline.
+    ///
+    /// All randomness comes from a [`StdRng`] with a fixed seed: the same
+    /// inputs always yield the same binding.
+    Genetic,
+}
+
+/// The earlier name of [`Binder`], kept because the end-to-end benchmark
+/// imports it.
+pub type StrategyHandle = Binder;
+
+impl Binder {
+    /// Every binder, in the order the CLI lists them.
+    pub const ALL: [Binder; 3] = [Binder::Greedy, Binder::Spiral, Binder::Genetic];
+
+    /// Stable identifier of the binder (CLI name, report column, pass
+    /// key).
+    pub fn name(self) -> &'static str {
+        match self {
+            Binder::Greedy => "greedy",
+            Binder::Spiral => "spiral",
+            Binder::Genetic => "genetic",
+        }
     }
 }
 
-impl std::fmt::Debug for StrategyHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "StrategyHandle({})", self.name())
+impl FromStr for Binder {
+    type Err = String;
+
+    /// The binder called `name`, or an error that lists every name.
+    fn from_str(name: &str) -> Result<Binder, String> {
+        let available = names().join(", ");
+        Binder::ALL
+            .into_iter()
+            .find(|b| b.name() == name)
+            .ok_or_else(|| format!("unknown binder `{name}` (available: {available})"))
     }
 }
 
-impl Default for StrategyHandle {
-    fn default() -> Self {
-        StrategyHandle::new(GreedyBinder)
-    }
+/// The binder called `name`; kept because the end-to-end benchmark
+/// imports it (everything else parses a [`Binder`]).
+pub fn by_name(name: &str) -> Option<Binder> {
+    name.parse().ok()
 }
 
-/// One registry entry: the strategy's name and its constructor.
-pub type StrategyEntry = (&'static str, fn() -> StrategyHandle);
-
-/// The built-in name → constructor table.
-///
-/// The CLI and the DSE strategy sweep resolve `--binder` / `--binders`
-/// names through this registry, so adding a strategy here makes it
-/// available everywhere at once.
-pub fn registry() -> &'static [StrategyEntry] {
-    &[
-        ("greedy", || StrategyHandle::new(GreedyBinder)),
-        ("spiral", || StrategyHandle::new(SpiralBinder)),
-        ("genetic", || StrategyHandle::new(GeneticBinder::default())),
-    ]
-}
-
-/// Resolves a strategy by registry name.
-pub fn by_name(name: &str) -> Option<StrategyHandle> {
-    registry()
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, make)| make())
-}
-
-/// The registered strategy names, in registry order.
+/// The binder names, in [`Binder::ALL`] order.
 pub fn names() -> Vec<&'static str> {
-    registry().iter().map(|(n, _)| *n).collect()
+    Binder::ALL.map(Binder::name).to_vec()
 }
 
 /// Completes a tile assignment into a full [`Binding`] by choosing each
@@ -246,296 +257,251 @@ fn work_and_volumes(app: &ApplicationModel) -> Result<(Vec<u64>, Vec<u64>), MapE
 // Greedy
 // ---------------------------------------------------------------------------
 
-/// The deterministic greedy list binder (the previous hard-coded `bind()`,
-/// extracted verbatim): actors are placed in order of decreasing work
-/// (WCET x repetitions); each actor goes to the feasible tile with the
-/// lowest weighted cost ([`crate::cost`]). Feasibility requires an
-/// implementation for the tile's processor type and sufficient tile memory.
-/// The algorithm mirrors the load-balancing binder of SDF3 (paper §5.1).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyBinder;
+/// Binds with [`Binder::Greedy`].
+pub(crate) fn greedy(
+    app: &ApplicationModel,
+    arch: &Architecture,
+    opts: &BindOptions,
+) -> Result<Binding, MapError> {
+    let graph = app.graph();
+    let n = graph.actor_count();
+    let (work, volume) = work_and_volumes(app)?;
 
-impl BindingStrategy for GreedyBinder {
-    fn name(&self) -> &'static str {
-        "greedy"
-    }
+    let mut order: Vec<ActorId> = (0..n).map(ActorId).collect();
+    order.sort_by_key(|&a| std::cmp::Reverse((work[a.0], std::cmp::Reverse(a.0))));
 
-    fn bind(
-        &self,
-        app: &ApplicationModel,
-        arch: &Architecture,
-        opts: &BindOptions,
-    ) -> Result<Binding, MapError> {
-        let graph = app.graph();
-        let n = graph.actor_count();
-        let (work, volume) = work_and_volumes(app)?;
+    // Include the occupancy's work so the processing cost stays on the
+    // same normalized scale as the other cost components when tiles
+    // are pre-loaded by previously admitted applications.
+    let total_work: f64 =
+        work.iter().map(|&w| w as f64).sum::<f64>().max(1.0) + opts.occupancy.total_work() as f64;
+    let total_comm: f64 = volume.iter().map(|&v| v as f64).sum::<f64>().max(1.0);
+    let mesh_diameter = match arch.interconnect() {
+        Interconnect::Noc(noc) => (noc.width + noc.height - 2).max(1) as f64,
+        Interconnect::Fsl { .. } => 1.0,
+    };
 
-        let mut order: Vec<ActorId> = (0..n).map(ActorId).collect();
-        order.sort_by_key(|&a| std::cmp::Reverse((work[a.0], std::cmp::Reverse(a.0))));
+    let pinned: HashMap<ActorId, TileId> = opts.pinned.iter().copied().collect();
+    // Residual-resource start state: tiles begin at the occupancy of
+    // previously admitted applications (all zero for single-app flows).
+    let mut tile_load: Vec<f64> = (0..arch.tile_count())
+        .map(|t| opts.occupancy.work_on(TileId(t)) as f64)
+        .collect();
+    let mut tile_mem: Vec<u64> = (0..arch.tile_count())
+        .map(|t| opts.occupancy.mem_on(TileId(t)))
+        .collect();
+    let mut placed: Vec<Option<TileId>> = vec![None; n];
 
-        // Include the occupancy's work so the processing cost stays on the
-        // same normalized scale as the other cost components when tiles
-        // are pre-loaded by previously admitted applications.
-        let total_work: f64 = work.iter().map(|&w| w as f64).sum::<f64>().max(1.0)
-            + opts.occupancy.total_work() as f64;
-        let total_comm: f64 = volume.iter().map(|&v| v as f64).sum::<f64>().max(1.0);
-        let mesh_diameter = match arch.interconnect() {
-            Interconnect::Noc(noc) => (noc.width + noc.height - 2).max(1) as f64,
-            Interconnect::Fsl { .. } => 1.0,
+    for &a in &order {
+        let candidates: Vec<TileId> = match pinned.get(&a) {
+            Some(&t) => vec![t],
+            None => (0..arch.tile_count()).map(TileId).collect(),
         };
-
-        let pinned: HashMap<ActorId, TileId> = opts.pinned.iter().copied().collect();
-        // Residual-resource start state: tiles begin at the occupancy of
-        // previously admitted applications (all zero for single-app flows).
-        let mut tile_load: Vec<f64> = (0..arch.tile_count())
-            .map(|t| opts.occupancy.work_on(TileId(t)) as f64)
-            .collect();
-        let mut tile_mem: Vec<u64> = (0..arch.tile_count())
-            .map(|t| opts.occupancy.mem_on(TileId(t)))
-            .collect();
-        let mut placed: Vec<Option<TileId>> = vec![None; n];
-
-        for &a in &order {
-            let candidates: Vec<TileId> = match pinned.get(&a) {
-                Some(&t) => vec![t],
-                None => (0..arch.tile_count()).map(TileId).collect(),
+        let mut best: Option<(f64, TileId)> = None;
+        for t in candidates {
+            let tile = arch.tile(t);
+            let im = match app.implementation_for(a, tile.processor().name()) {
+                Some(im) => im,
+                None => continue,
             };
-            let mut best: Option<(f64, TileId)> = None;
-            for t in candidates {
-                let tile = arch.tile(t);
-                let im = match app.implementation_for(a, tile.processor().name()) {
-                    Some(im) => im,
-                    None => continue,
+            let mem_needed = im.instruction_memory + im.data_memory;
+            if tile_mem[t.0] + mem_needed > tile.imem_bytes() + tile.dmem_bytes() {
+                continue;
+            }
+            let mut comm = 0f64;
+            let mut lat = 0f64;
+            let mut neighbours = 0u32;
+            for (cid, ch) in graph.channels() {
+                let other = if ch.src() == a {
+                    ch.dst()
+                } else if ch.dst() == a {
+                    ch.src()
+                } else {
+                    continue;
                 };
-                let mem_needed = im.instruction_memory + im.data_memory;
-                if tile_mem[t.0] + mem_needed > tile.imem_bytes() + tile.dmem_bytes() {
+                if other == a {
                     continue;
                 }
-                let mut comm = 0f64;
-                let mut lat = 0f64;
-                let mut neighbours = 0u32;
-                for (cid, ch) in graph.channels() {
-                    let other = if ch.src() == a {
-                        ch.dst()
-                    } else if ch.dst() == a {
-                        ch.src()
-                    } else {
-                        continue;
-                    };
-                    if other == a {
-                        continue;
+                if let Some(ot) = placed[other.0] {
+                    if ot != t {
+                        let hops = match arch.interconnect() {
+                            Interconnect::Noc(noc) => noc.hops(t, ot).max(1) as f64,
+                            Interconnect::Fsl { .. } => 1.0,
+                        };
+                        comm += volume[cid.0] as f64 * hops;
+                        lat += hops;
+                        neighbours += 1;
                     }
-                    if let Some(ot) = placed[other.0] {
-                        if ot != t {
-                            let hops = match arch.interconnect() {
-                                Interconnect::Noc(noc) => noc.hops(t, ot).max(1) as f64,
-                                Interconnect::Fsl { .. } => 1.0,
-                            };
-                            comm += volume[cid.0] as f64 * hops;
-                            lat += hops;
-                            neighbours += 1;
-                        }
-                    }
-                }
-                let breakdown = CostBreakdown {
-                    processing: (tile_load[t.0] + work[a.0] as f64) / total_work,
-                    memory: (tile_mem[t.0] + mem_needed) as f64
-                        / (tile.imem_bytes() + tile.dmem_bytes()).max(1) as f64,
-                    communication: comm / total_comm,
-                    latency: if neighbours > 0 {
-                        lat / neighbours as f64 / mesh_diameter
-                    } else {
-                        0.0
-                    },
-                };
-                let cost = breakdown.weighted();
-                let better = match best {
-                    None => true,
-                    // Tie-break on tile id for determinism.
-                    Some((bc, bt)) => cost < bc - 1e-12 || (cost <= bc + 1e-12 && t.0 < bt.0),
-                };
-                if better {
-                    best = Some((cost, t));
                 }
             }
-            match best {
-                Some((_, t)) => {
-                    placed[a.0] = Some(t);
-                    tile_load[t.0] += work[a.0] as f64;
-                    let im = app
-                        .implementation_for(a, arch.tile(t).processor().name())
-                        .expect("feasibility checked above");
-                    tile_mem[t.0] += im.instruction_memory + im.data_memory;
-                }
-                None => return Err(infeasible_actor(app, a)),
+            let breakdown = CostBreakdown {
+                processing: (tile_load[t.0] + work[a.0] as f64) / total_work,
+                memory: (tile_mem[t.0] + mem_needed) as f64
+                    / (tile.imem_bytes() + tile.dmem_bytes()).max(1) as f64,
+                communication: comm / total_comm,
+                latency: if neighbours > 0 {
+                    lat / neighbours as f64 / mesh_diameter
+                } else {
+                    0.0
+                },
+            };
+            let cost = breakdown.weighted();
+            let better = match best {
+                None => true,
+                // Tie-break on tile id for determinism.
+                Some((bc, bt)) => cost < bc - 1e-12 || (cost <= bc + 1e-12 && t.0 < bt.0),
+            };
+            if better {
+                best = Some((cost, t));
             }
         }
-
-        let tile_of: Vec<TileId> = placed.into_iter().map(|p| p.expect("all placed")).collect();
-        Ok(finish_binding(app, arch, tile_of))
+        match best {
+            Some((_, t)) => {
+                placed[a.0] = Some(t);
+                tile_load[t.0] += work[a.0] as f64;
+                let im = app
+                    .implementation_for(a, arch.tile(t).processor().name())
+                    .expect("feasibility checked above");
+                tile_mem[t.0] += im.instruction_memory + im.data_memory;
+            }
+            None => return Err(infeasible_actor(app, a)),
+        }
     }
+
+    let tile_of: Vec<TileId> = placed.into_iter().map(|p| p.expect("all placed")).collect();
+    Ok(finish_binding(app, arch, tile_of))
 }
 
 // ---------------------------------------------------------------------------
 // Spiral
 // ---------------------------------------------------------------------------
 
-/// NoC-distance-aware spiral binder.
-///
-/// Actors are visited in *communication order*: a breadth-first traversal
-/// of the application graph that starts at the heaviest actor and expands
-/// along the highest-volume channels first, so communicating actors are
-/// adjacent in the visit sequence. Tiles are visited along a *spiral*: the
-/// seed tile is the feasible tile for the heaviest actor closest to the
-/// mesh centre (the load chooses the seed), and the remaining tiles are
-/// ordered by increasing hop distance from it — concentric rings around
-/// the seed. The binder walks the actor sequence and fills the current
-/// spiral tile up to its fair share of the total work before moving
-/// outward, which keeps communicating actors on the same or on physically
-/// adjacent tiles and minimizes allocated NoC wire length.
-///
-/// On FSL interconnects every tile pair is one hop apart, so the spiral
-/// degenerates to tile-id order and the binder becomes a plain
-/// communication-ordered first-fit — still useful as a fast, contention-free
-/// alternative to the cost-driven greedy search.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SpiralBinder;
+/// Binds with [`Binder::Spiral`].
+pub(crate) fn spiral(
+    app: &ApplicationModel,
+    arch: &Architecture,
+    opts: &BindOptions,
+) -> Result<Binding, MapError> {
+    let graph = app.graph();
+    let n = graph.actor_count();
+    let tiles = arch.tile_count();
+    let (work, volume) = work_and_volumes(app)?;
 
-impl BindingStrategy for SpiralBinder {
-    fn name(&self) -> &'static str {
-        "spiral"
+    // Channel volumes aggregated per undirected actor pair.
+    let mut adj: Vec<Vec<(ActorId, u64)>> = vec![Vec::new(); n];
+    for (cid, ch) in graph.channels() {
+        if ch.is_self_edge() {
+            continue;
+        }
+        adj[ch.src().0].push((ch.dst(), volume[cid.0]));
+        adj[ch.dst().0].push((ch.src(), volume[cid.0]));
+    }
+    for neighbours in &mut adj {
+        // Highest volume first; ties on actor id for determinism.
+        neighbours.sort_by_key(|&(b, v)| (std::cmp::Reverse(v), b.0));
     }
 
-    fn bind(
-        &self,
-        app: &ApplicationModel,
-        arch: &Architecture,
-        opts: &BindOptions,
-    ) -> Result<Binding, MapError> {
-        let graph = app.graph();
-        let n = graph.actor_count();
-        let tiles = arch.tile_count();
-        let (work, volume) = work_and_volumes(app)?;
-
-        // Channel volumes aggregated per undirected actor pair.
-        let mut adj: Vec<Vec<(ActorId, u64)>> = vec![Vec::new(); n];
-        for (cid, ch) in graph.channels() {
-            if ch.is_self_edge() {
-                continue;
-            }
-            adj[ch.src().0].push((ch.dst(), volume[cid.0]));
-            adj[ch.dst().0].push((ch.src(), volume[cid.0]));
+    // Communication-ordered visit sequence: BFS from the heaviest actor
+    // of each (possibly disconnected) component, expanding along the
+    // highest-volume channels first.
+    let mut heaviest_first: Vec<ActorId> = (0..n).map(ActorId).collect();
+    heaviest_first.sort_by_key(|&a| (std::cmp::Reverse(work[a.0]), a.0));
+    let mut visited = vec![false; n];
+    let mut order: Vec<ActorId> = Vec::with_capacity(n);
+    for &root in &heaviest_first {
+        if visited[root.0] {
+            continue;
         }
-        for neighbours in &mut adj {
-            // Highest volume first; ties on actor id for determinism.
-            neighbours.sort_by_key(|&(b, v)| (std::cmp::Reverse(v), b.0));
-        }
-
-        // Communication-ordered visit sequence: BFS from the heaviest actor
-        // of each (possibly disconnected) component, expanding along the
-        // highest-volume channels first.
-        let mut heaviest_first: Vec<ActorId> = (0..n).map(ActorId).collect();
-        heaviest_first.sort_by_key(|&a| (std::cmp::Reverse(work[a.0]), a.0));
-        let mut visited = vec![false; n];
-        let mut order: Vec<ActorId> = Vec::with_capacity(n);
-        for &root in &heaviest_first {
-            if visited[root.0] {
-                continue;
-            }
-            let mut queue = std::collections::VecDeque::from([root]);
-            visited[root.0] = true;
-            while let Some(a) = queue.pop_front() {
-                order.push(a);
-                for &(b, _) in &adj[a.0] {
-                    if !visited[b.0] {
-                        visited[b.0] = true;
-                        queue.push_back(b);
-                    }
+        let mut queue = std::collections::VecDeque::from([root]);
+        visited[root.0] = true;
+        while let Some(a) = queue.pop_front() {
+            order.push(a);
+            for &(b, _) in &adj[a.0] {
+                if !visited[b.0] {
+                    visited[b.0] = true;
+                    queue.push_back(b);
                 }
             }
         }
+    }
 
-        // Spiral tile order from the load-chosen seed: among the tiles that
-        // can host the heaviest actor, the one closest to the mesh centre
-        // (ties on tile id); remaining tiles by increasing hop distance.
-        let spiral = match order.first() {
-            Some(&first) => {
-                spiral_tile_order(app, arch, first).ok_or_else(|| infeasible_actor(app, first))?
-            }
-            None => Vec::new(),
-        };
+    // Spiral tile order from the load-chosen seed: among the tiles that
+    // can host the heaviest actor, the one closest to the mesh centre
+    // (ties on tile id); remaining tiles by increasing hop distance.
+    let spiral = match order.first() {
+        Some(&first) => {
+            spiral_tile_order(app, arch, first).ok_or_else(|| infeasible_actor(app, first))?
+        }
+        None => Vec::new(),
+    };
 
-        // Fair share counts the work of previously admitted applications
-        // too, so the spiral walks past already-busy tiles earlier.
-        let total_work: f64 = work.iter().map(|&w| w as f64).sum::<f64>().max(1.0)
-            + opts.occupancy.total_work() as f64;
-        let fair_share = total_work / tiles.max(1) as f64;
+    // Fair share counts the work of previously admitted applications
+    // too, so the spiral walks past already-busy tiles earlier.
+    let total_work: f64 =
+        work.iter().map(|&w| w as f64).sum::<f64>().max(1.0) + opts.occupancy.total_work() as f64;
+    let fair_share = total_work / tiles.max(1) as f64;
 
-        let pinned: HashMap<ActorId, TileId> = opts.pinned.iter().copied().collect();
-        let mut tile_load: Vec<f64> = (0..tiles)
-            .map(|t| opts.occupancy.work_on(TileId(t)) as f64)
-            .collect();
-        let mut tile_mem: Vec<u64> = (0..tiles)
-            .map(|t| opts.occupancy.mem_on(TileId(t)))
-            .collect();
-        let mut placed: Vec<Option<TileId>> = vec![None; n];
-        let mut cursor = 0usize;
+    let pinned: HashMap<ActorId, TileId> = opts.pinned.iter().copied().collect();
+    let mut tile_load: Vec<f64> = (0..tiles)
+        .map(|t| opts.occupancy.work_on(TileId(t)) as f64)
+        .collect();
+    let mut tile_mem: Vec<u64> = (0..tiles)
+        .map(|t| opts.occupancy.mem_on(TileId(t)))
+        .collect();
+    let mut placed: Vec<Option<TileId>> = vec![None; n];
+    let mut cursor = 0usize;
 
-        let mut place = |a: ActorId,
-                         t: TileId,
-                         tile_load: &mut Vec<f64>,
-                         tile_mem: &mut Vec<u64>,
-                         need: u64| {
+    let mut place =
+        |a: ActorId, t: TileId, tile_load: &mut Vec<f64>, tile_mem: &mut Vec<u64>, need: u64| {
             placed[a.0] = Some(t);
             tile_load[t.0] += work[a.0] as f64;
             tile_mem[t.0] += need;
         };
 
-        for &a in &order {
-            let fits = |t: TileId, tile_mem: &[u64]| -> Option<u64> {
-                let need = mem_needed(app, arch, a, t)?;
-                let cap = arch.tile(t).imem_bytes() + arch.tile(t).dmem_bytes();
-                (tile_mem[t.0] + need <= cap).then_some(need)
-            };
-            if let Some(&t) = pinned.get(&a) {
-                match fits(t, &tile_mem) {
-                    Some(need) => place(a, t, &mut tile_load, &mut tile_mem, need),
-                    None => return Err(infeasible_actor(app, a)),
-                }
-                continue;
-            }
-            // The current spiral tile is full: move outward.
-            while cursor + 1 < spiral.len() && tile_load[spiral[cursor].0] >= fair_share {
-                cursor += 1;
-            }
-            // First feasible tile at or after the cursor, else the least
-            // loaded feasible tile anywhere (memory fallback).
-            let forward = spiral[cursor..]
-                .iter()
-                .find_map(|&t| fits(t, &tile_mem).map(|need| (t, need)));
-            let chosen = forward.or_else(|| {
-                spiral
-                    .iter()
-                    .filter_map(|&t| fits(t, &tile_mem).map(|need| (t, need)))
-                    .min_by(|(ta, _), (tb, _)| {
-                        tile_load[ta.0]
-                            .partial_cmp(&tile_load[tb.0])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(ta.0.cmp(&tb.0))
-                    })
-            });
-            match chosen {
-                Some((t, need)) => place(a, t, &mut tile_load, &mut tile_mem, need),
+    for &a in &order {
+        let fits = |t: TileId, tile_mem: &[u64]| -> Option<u64> {
+            let need = mem_needed(app, arch, a, t)?;
+            let cap = arch.tile(t).imem_bytes() + arch.tile(t).dmem_bytes();
+            (tile_mem[t.0] + need <= cap).then_some(need)
+        };
+        if let Some(&t) = pinned.get(&a) {
+            match fits(t, &tile_mem) {
+                Some(need) => place(a, t, &mut tile_load, &mut tile_mem, need),
                 None => return Err(infeasible_actor(app, a)),
             }
+            continue;
         }
-
-        let tile_of: Vec<TileId> = placed.into_iter().map(|p| p.expect("all placed")).collect();
-        Ok(finish_binding(app, arch, tile_of))
+        // The current spiral tile is full: move outward.
+        while cursor + 1 < spiral.len() && tile_load[spiral[cursor].0] >= fair_share {
+            cursor += 1;
+        }
+        // First feasible tile at or after the cursor, else the least
+        // loaded feasible tile anywhere (memory fallback).
+        let forward = spiral[cursor..]
+            .iter()
+            .find_map(|&t| fits(t, &tile_mem).map(|need| (t, need)));
+        let chosen = forward.or_else(|| {
+            spiral
+                .iter()
+                .filter_map(|&t| fits(t, &tile_mem).map(|need| (t, need)))
+                .min_by(|(ta, _), (tb, _)| {
+                    tile_load[ta.0]
+                        .partial_cmp(&tile_load[tb.0])
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                        .then(ta.0.cmp(&tb.0))
+                })
+        });
+        match chosen {
+            Some((t, need)) => place(a, t, &mut tile_load, &mut tile_mem, need),
+            None => return Err(infeasible_actor(app, a)),
+        }
     }
+
+    let tile_of: Vec<TileId> = placed.into_iter().map(|p| p.expect("all placed")).collect();
+    Ok(finish_binding(app, arch, tile_of))
 }
 
-/// Tile visit order for [`SpiralBinder`]: seed = feasible tile for `first`
+/// Tile visit order for [`Binder::Spiral`]: seed = feasible tile for `first`
 /// nearest the mesh centre, then all tiles by (hop distance from seed,
 /// tile id). Returns `None` when no tile can host `first` at all.
 fn spiral_tile_order(
@@ -575,63 +541,19 @@ fn spiral_tile_order(
 // Genetic
 // ---------------------------------------------------------------------------
 
-/// Bias-elitist genetic binder (after Quan & Pimentel).
-///
-/// Chromosomes are actor→tile assignment vectors. The initial population
-/// seeds the greedy and spiral solutions (when they exist) alongside random
-/// feasibility-aware assignments; each generation copies the `elite` best
-/// chromosomes unchanged and breeds the rest by uniform crossover between
-/// parents drawn with probability `bias` from the elite pool (the
-/// *bias-elitist* selection), followed by per-gene mutation with
-/// probability `1/actors`.
-///
-/// The fitness of a chromosome is the **guaranteed throughput** of the
-/// candidate binding, evaluated with the mapping flow's own helpers: NoC
-/// wires allocated and schedules built as the `wire-alloc` and `schedule`
-/// passes do, channels at the `buffer-size` pass's initial allocation,
-/// and the same expand-then-analyse step. Fitness values are memoized per
-/// assignment so repeated chromosomes cost nothing. Assignments that
-/// violate tile memory get a large negative penalty, ones that fail wire
-/// allocation, scheduling or expansion a smaller one, and ones whose
-/// analysis fails (typically a deadlock at the initial buffer allocation)
-/// a token penalty (the downstream flow can often still grow buffers to
-/// liveness).
-///
-/// Because it skips buffer growth, the fitness is a heuristic ranking, not
-/// the final verdict: a binding that only shines after growth can rank
-/// below its final numbers. The winning binding is always re-verified by
-/// the unchanged pipeline.
-///
-/// All randomness comes from a [`StdRng`] seeded with [`GeneticBinder::seed`]:
-/// the same seed always yields the same binding.
-#[derive(Debug, Clone, Copy)]
-pub struct GeneticBinder {
-    /// RNG seed; fixed default for reproducible flows.
-    pub seed: u64,
-    /// Chromosomes per generation.
-    pub population: usize,
-    /// Number of generations bred after the initial evaluation.
-    pub generations: usize,
-    /// Best chromosomes copied unchanged into the next generation.
-    pub elite: usize,
-    /// Probability of drawing a parent from the elite pool.
-    pub bias: f64,
-}
+/// Seed of the genetic binder's random generator.
+const SEED: u64 = 0x5DF3_2011;
+/// Chromosomes per generation.
+const POPULATION: usize = 16;
+/// Generations bred after the initial evaluation.
+const GENERATIONS: usize = 8;
+/// Best chromosomes copied unchanged into the next generation.
+const ELITE: usize = 4;
+/// Probability of drawing a parent from the elite pool.
+const BIAS: f64 = 0.7;
 
-impl Default for GeneticBinder {
-    fn default() -> Self {
-        GeneticBinder {
-            seed: 0x5DF3_2011,
-            population: 16,
-            generations: 8,
-            elite: 4,
-            bias: 0.7,
-        }
-    }
-}
-
-/// Penalized guaranteed-throughput fitness of one assignment of the
-/// [`GeneticBinder`], evaluated against the residual resources left by
+/// Penalized guaranteed-throughput fitness of one assignment of
+/// [`Binder::Genetic`], evaluated against the residual resources left by
 /// `occ`.
 fn fitness(
     app: &ApplicationModel,
@@ -682,142 +604,131 @@ fn fitness(
     }
 }
 
-impl BindingStrategy for GeneticBinder {
-    fn name(&self) -> &'static str {
-        "genetic"
+/// Binds with [`Binder::Genetic`]; `cache` memoizes the fitness
+/// analyses.
+pub(crate) fn genetic(
+    app: &ApplicationModel,
+    arch: &Architecture,
+    opts: &BindOptions,
+    cache: Option<&GlobalAnalysisCache>,
+) -> Result<Binding, MapError> {
+    let graph = app.graph();
+    // Surface graph inconsistency exactly like the other binders.
+    let _ = repetition_vector(graph)?;
+    let n = graph.actor_count();
+    if n == 0 {
+        return Ok(finish_binding(app, arch, Vec::new()));
     }
 
-    fn bind(
-        &self,
-        app: &ApplicationModel,
-        arch: &Architecture,
-        opts: &BindOptions,
-    ) -> Result<Binding, MapError> {
-        let graph = app.graph();
-        // Surface graph inconsistency exactly like the other binders.
-        let _ = repetition_vector(graph)?;
-        let n = graph.actor_count();
-        if n == 0 {
-            return Ok(finish_binding(app, arch, Vec::new()));
+    let pinned: HashMap<ActorId, TileId> = opts.pinned.iter().copied().collect();
+    // Per-gene candidate tiles (implementation exists; pinning fixes
+    // the gene to one tile).
+    let mut candidates: Vec<Vec<TileId>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let a = ActorId(i);
+        let cands: Vec<TileId> = match pinned.get(&a) {
+            Some(&t) => (mem_needed(app, arch, a, t).is_some())
+                .then_some(t)
+                .into_iter()
+                .collect(),
+            None => (0..arch.tile_count())
+                .map(TileId)
+                .filter(|&t| mem_needed(app, arch, a, t).is_some())
+                .collect(),
+        };
+        if cands.is_empty() {
+            return Err(infeasible_actor(app, a));
         }
+        candidates.push(cands);
+    }
 
-        let pinned: HashMap<ActorId, TileId> = opts.pinned.iter().copied().collect();
-        // Per-gene candidate tiles (implementation exists; pinning fixes
-        // the gene to one tile).
-        let mut candidates: Vec<Vec<TileId>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let a = ActorId(i);
-            let cands: Vec<TileId> = match pinned.get(&a) {
-                Some(&t) => (mem_needed(app, arch, a, t).is_some())
-                    .then_some(t)
-                    .into_iter()
-                    .collect(),
-                None => (0..arch.tile_count())
-                    .map(TileId)
-                    .filter(|&t| mem_needed(app, arch, a, t).is_some())
-                    .collect(),
-            };
-            if cands.is_empty() {
-                return Err(infeasible_actor(app, a));
+    let mut rng = StdRng::seed_from_u64(SEED);
+
+    // Seed the population with the deterministic heuristics (standard
+    // practice for bias-elitist mapping GAs), then random assignments.
+    let mut pop: Vec<Vec<TileId>> = Vec::with_capacity(POPULATION);
+    for heuristic in [greedy, spiral] {
+        if let Ok(b) = heuristic(app, arch, opts) {
+            if !pop.contains(&b.tile_of) {
+                pop.push(b.tile_of);
             }
-            candidates.push(cands);
         }
+    }
+    while pop.len() < POPULATION {
+        let chrom: Vec<TileId> = candidates
+            .iter()
+            .map(|c| c[rng.gen_range(0..c.len())])
+            .collect();
+        pop.push(chrom);
+    }
 
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let population = self.population.max(2);
-        // At least one elite survives, and at least one slot is bred —
-        // elite == population would silently disable the search.
-        let elite = self.elite.clamp(1, population - 1);
+    // Memoized fitness: chromosomes recur across generations (elitism,
+    // converging populations) and each evaluation is a full state-space
+    // analysis, so the cache carries most of the GA's cost.
+    let mut memo: HashMap<Vec<TileId>, f64> = HashMap::new();
+    let score = |chrom: &Vec<TileId>, memo: &mut HashMap<Vec<TileId>, f64>| -> f64 {
+        if let Some(&f) = memo.get(chrom) {
+            return f;
+        }
+        let f = fitness(app, arch, &opts.occupancy, cache, chrom);
+        memo.insert(chrom.clone(), f);
+        f
+    };
+    // Deterministic ranking: fitness descending, chromosome ascending.
+    let rank = |pop: &mut Vec<Vec<TileId>>, memo: &mut HashMap<Vec<TileId>, f64>| {
+        pop.sort_by(|a, b| {
+            let (fa, fb) = (memo[a], memo[b]);
+            fb.total_cmp(&fa).then_with(|| a.cmp(b))
+        });
+    };
 
-        // Seed the population with the deterministic heuristics (standard
-        // practice for bias-elitist mapping GAs), then random assignments.
-        let mut pop: Vec<Vec<TileId>> = Vec::with_capacity(population);
-        for handle in [
-            StrategyHandle::new(GreedyBinder),
-            StrategyHandle::new(SpiralBinder),
-        ] {
-            if let Ok(b) = handle.bind(app, arch, opts) {
-                if !pop.contains(&b.tile_of) {
-                    pop.push(b.tile_of);
+    for chrom in &pop {
+        score(chrom, &mut memo);
+    }
+    rank(&mut pop, &mut memo);
+
+    for _ in 0..GENERATIONS {
+        let mut next: Vec<Vec<TileId>> = pop[..ELITE].to_vec();
+        while next.len() < POPULATION {
+            let pick = |rng: &mut StdRng| -> usize {
+                if rng.gen::<f64>() < BIAS {
+                    rng.gen_range(0..ELITE)
+                } else {
+                    rng.gen_range(0..pop.len())
+                }
+            };
+            let (pa, pb) = (pick(&mut rng), pick(&mut rng));
+            let mut child: Vec<TileId> = (0..n)
+                .map(|i| {
+                    if rng.gen::<bool>() {
+                        pop[pa][i]
+                    } else {
+                        pop[pb][i]
+                    }
+                })
+                .collect();
+            for (i, gene) in child.iter_mut().enumerate() {
+                if rng.gen_range(0..n) == 0 {
+                    let c = &candidates[i];
+                    *gene = c[rng.gen_range(0..c.len())];
                 }
             }
+            next.push(child);
         }
-        while pop.len() < population {
-            let chrom: Vec<TileId> = candidates
-                .iter()
-                .map(|c| c[rng.gen_range(0..c.len())])
-                .collect();
-            pop.push(chrom);
-        }
-
-        // Memoized fitness: chromosomes recur across generations (elitism,
-        // converging populations) and each evaluation is a full state-space
-        // analysis, so the cache carries most of the GA's cost.
-        let mut memo: HashMap<Vec<TileId>, f64> = HashMap::new();
-        let score = |chrom: &Vec<TileId>, memo: &mut HashMap<Vec<TileId>, f64>| -> f64 {
-            if let Some(&f) = memo.get(chrom) {
-                return f;
-            }
-            let f = fitness(app, arch, &opts.occupancy, opts.cache.as_deref(), chrom);
-            memo.insert(chrom.clone(), f);
-            f
-        };
-        // Deterministic ranking: fitness descending, chromosome ascending.
-        let rank = |pop: &mut Vec<Vec<TileId>>, memo: &mut HashMap<Vec<TileId>, f64>| {
-            pop.sort_by(|a, b| {
-                let (fa, fb) = (memo[a], memo[b]);
-                fb.total_cmp(&fa).then_with(|| a.cmp(b))
-            });
-        };
-
+        pop = next;
         for chrom in &pop {
             score(chrom, &mut memo);
         }
         rank(&mut pop, &mut memo);
-
-        for _ in 0..self.generations {
-            let mut next: Vec<Vec<TileId>> = pop[..elite].to_vec();
-            while next.len() < population {
-                let pick = |rng: &mut StdRng| -> usize {
-                    if rng.gen::<f64>() < self.bias {
-                        rng.gen_range(0..elite)
-                    } else {
-                        rng.gen_range(0..pop.len())
-                    }
-                };
-                let (pa, pb) = (pick(&mut rng), pick(&mut rng));
-                let mut child: Vec<TileId> = (0..n)
-                    .map(|i| {
-                        if rng.gen::<bool>() {
-                            pop[pa][i]
-                        } else {
-                            pop[pb][i]
-                        }
-                    })
-                    .collect();
-                for (i, gene) in child.iter_mut().enumerate() {
-                    if rng.gen_range(0..n) == 0 {
-                        let c = &candidates[i];
-                        *gene = c[rng.gen_range(0..c.len())];
-                    }
-                }
-                next.push(child);
-            }
-            pop = next;
-            for chrom in &pop {
-                score(chrom, &mut memo);
-            }
-            rank(&mut pop, &mut memo);
-        }
-
-        let best = pop.into_iter().next().expect("population is non-empty");
-        if memo[&best] <= -1e8 {
-            return Err(MapError::Infeasible(
-                "genetic binder found no memory-feasible assignment".into(),
-            ));
-        }
-        Ok(finish_binding(app, arch, best))
     }
+
+    let best = pop.into_iter().next().expect("population is non-empty");
+    if memo[&best] <= -1e8 {
+        return Err(MapError::Infeasible(
+            "genetic binder found no memory-feasible assignment".into(),
+        ));
+    }
+    Ok(finish_binding(app, arch, best))
 }
 
 #[cfg(test)]
@@ -842,41 +753,23 @@ mod tests {
     }
 
     #[test]
-    fn registry_resolves_all_built_ins() {
-        for name in ["greedy", "spiral", "genetic"] {
-            let h = by_name(name).expect("registered");
-            assert_eq!(h.name(), name);
+    fn every_binder_round_trips_through_its_name() {
+        for binder in Binder::ALL {
+            assert_eq!(binder.name().parse(), Ok(binder));
         }
-        assert!(by_name("nope").is_none());
-        assert_eq!(names(), vec!["greedy", "spiral", "genetic"]);
-    }
-
-    #[test]
-    fn default_handle_is_greedy() {
-        assert_eq!(StrategyHandle::default().name(), "greedy");
         assert_eq!(
-            format!("{:?}", StrategyHandle::default()),
-            "StrategyHandle(greedy)"
+            "nope".parse::<Binder>(),
+            Err("unknown binder `nope` (available: greedy, spiral, genetic)".to_string())
         );
-    }
-
-    #[test]
-    fn greedy_strategy_matches_free_function() {
-        let app = pipeline_app(&[7, 3, 9, 4, 6]);
-        let arch = Architecture::homogeneous("a", 3, Interconnect::noc_for_tiles(3)).unwrap();
-        let opts = BindOptions::default();
-        let via_trait = GreedyBinder.bind(&app, &arch, &opts).unwrap();
-        let via_fn = crate::binding::bind(&app, &arch, &opts).unwrap();
-        assert_eq!(via_trait, via_fn);
+        assert_eq!(names(), vec!["greedy", "spiral", "genetic"]);
+        assert_eq!(Binder::default(), Binder::Greedy);
     }
 
     #[test]
     fn spiral_places_all_actors_and_respects_pinning() {
         let app = pipeline_app(&[100, 1, 1, 100]);
         let arch = Architecture::homogeneous("a", 4, Interconnect::noc_for_tiles(4)).unwrap();
-        let b = SpiralBinder
-            .bind(&app, &arch, &BindOptions::default())
-            .unwrap();
+        let b = spiral(&app, &arch, &BindOptions::default()).unwrap();
         assert_eq!(b.tile_of.len(), 4);
 
         let a3 = app.graph().actor_by_name("a3").unwrap();
@@ -884,7 +777,7 @@ mod tests {
             pinned: vec![(a3, TileId(2))],
             ..BindOptions::default()
         };
-        let b = SpiralBinder.bind(&app, &arch, &opts).unwrap();
+        let b = spiral(&app, &arch, &opts).unwrap();
         assert_eq!(b.tile_of[a3.0], TileId(2));
     }
 
@@ -894,9 +787,7 @@ mod tests {
         // cross-tile channel within 2 hops.
         let app = pipeline_app(&[50, 50, 50, 50, 50, 50]);
         let arch = Architecture::homogeneous("a", 6, Interconnect::noc_for_tiles(6)).unwrap();
-        let b = SpiralBinder
-            .bind(&app, &arch, &BindOptions::default())
-            .unwrap();
+        let b = spiral(&app, &arch, &BindOptions::default()).unwrap();
         if let Interconnect::Noc(noc) = arch.interconnect() {
             for (_, ch) in app.graph().channels() {
                 let hops = noc.hops(b.tile_of[ch.src().0], b.tile_of[ch.dst().0]);
@@ -909,12 +800,8 @@ mod tests {
     fn spiral_is_deterministic() {
         let app = pipeline_app(&[7, 3, 9, 4, 6]);
         let arch = Architecture::homogeneous("a", 4, Interconnect::noc_for_tiles(4)).unwrap();
-        let b1 = SpiralBinder
-            .bind(&app, &arch, &BindOptions::default())
-            .unwrap();
-        let b2 = SpiralBinder
-            .bind(&app, &arch, &BindOptions::default())
-            .unwrap();
+        let b1 = spiral(&app, &arch, &BindOptions::default()).unwrap();
+        let b2 = spiral(&app, &arch, &BindOptions::default()).unwrap();
         assert_eq!(b1, b2);
     }
 
@@ -922,12 +809,8 @@ mod tests {
     fn genetic_same_seed_same_binding() {
         let app = pipeline_app(&[40, 10, 25, 5]);
         let arch = Architecture::homogeneous("a", 2, Interconnect::fsl()).unwrap();
-        let g = GeneticBinder {
-            seed: 42,
-            ..GeneticBinder::default()
-        };
-        let b1 = g.bind(&app, &arch, &BindOptions::default()).unwrap();
-        let b2 = g.bind(&app, &arch, &BindOptions::default()).unwrap();
+        let b1 = genetic(&app, &arch, &BindOptions::default(), None).unwrap();
+        let b2 = genetic(&app, &arch, &BindOptions::default(), None).unwrap();
         assert_eq!(b1, b2);
     }
 
@@ -937,33 +820,15 @@ mod tests {
         // the GA's best fitness is at least the greedy binding's fitness.
         let app = pipeline_app(&[40, 10, 25, 5]);
         let arch = Architecture::homogeneous("a", 2, Interconnect::fsl()).unwrap();
-        let ga = GeneticBinder::default();
-        let greedy = GreedyBinder
-            .bind(&app, &arch, &BindOptions::default())
-            .unwrap();
-        let best = ga.bind(&app, &arch, &BindOptions::default()).unwrap();
+        let seed = greedy(&app, &arch, &BindOptions::default()).unwrap();
+        let best = genetic(&app, &arch, &BindOptions::default(), None).unwrap();
         let occ = crate::binding::Occupancy::default();
-        let f_greedy = fitness(&app, &arch, &occ, None, &greedy.tile_of);
+        let f_greedy = fitness(&app, &arch, &occ, None, &seed.tile_of);
         let f_best = fitness(&app, &arch, &occ, None, &best.tile_of);
         assert!(
             f_best >= f_greedy,
             "GA best {f_best} below greedy {f_greedy}"
         );
-    }
-
-    #[test]
-    fn genetic_small_population_clamps_elite_and_still_breeds() {
-        // elite (default 4) exceeds the population: it must clamp below
-        // the population size so crossover/mutation still run.
-        let app = pipeline_app(&[40, 10, 25]);
-        let arch = Architecture::homogeneous("a", 2, Interconnect::fsl()).unwrap();
-        let ga = GeneticBinder {
-            population: 2,
-            generations: 2,
-            ..GeneticBinder::default()
-        };
-        let b = ga.bind(&app, &arch, &BindOptions::default()).unwrap();
-        assert_eq!(b.tile_of.len(), 3);
     }
 
     #[test]
@@ -973,7 +838,7 @@ mod tests {
             .with_processor(mamps_platform::types::ProcessorType::custom("dsp"))];
         let arch = Architecture::new("a", tiles, Interconnect::fsl()).unwrap();
         assert!(matches!(
-            GeneticBinder::default().bind(&app, &arch, &BindOptions::default()),
+            genetic(&app, &arch, &BindOptions::default(), None),
             Err(MapError::Infeasible(_))
         ));
     }
@@ -982,11 +847,12 @@ mod tests {
     fn all_strategies_handle_single_tile() {
         let app = pipeline_app(&[10, 20, 30]);
         let arch = Architecture::homogeneous("a", 1, Interconnect::fsl()).unwrap();
-        for (name, make) in registry() {
-            let b = make().bind(&app, &arch, &BindOptions::default()).unwrap();
+        for binder in Binder::ALL {
+            let opts = BindOptions::with_strategy(binder);
+            let b = crate::binding::bind(&app, &arch, &opts, None).unwrap();
             assert!(
                 b.tile_of.iter().all(|&t| t == TileId(0)),
-                "{name} strayed off the only tile"
+                "{binder:?} strayed off the only tile"
             );
         }
     }
@@ -1011,11 +877,8 @@ mod tests {
             let mut mb = HomogeneousModelBuilder::new("microblaze");
             mb.actor("a", 10, 1024, 1024).actor("b", 10, 1024, 1024);
             let app = mb.finish(b.build().unwrap(), None).unwrap();
-            for binder in [
-                StrategyHandle::new(GreedyBinder),
-                StrategyHandle::new(SpiralBinder),
-            ] {
-                let err = binder.bind(&app, &arch, &BindOptions::default());
+            for binder in [greedy, spiral] {
+                let err = binder(&app, &arch, &BindOptions::default());
                 assert_eq!(err, Err(MapError::Sdf(SdfError::Overflow(what.into()))));
             }
         }

@@ -13,7 +13,7 @@
 use mamps::flow::dse::explore_report;
 use mamps::flow::report::render_dse_report;
 use mamps::flow::FlowOptions;
-use mamps::mapping::strategy;
+use mamps::mapping::Binder;
 use mamps::mjpeg::app_model::mjpeg_application;
 use mamps::mjpeg::encoder::StreamConfig;
 
@@ -21,13 +21,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cfg = StreamConfig::small();
     let app = mjpeg_application(&cfg, None)?;
 
-    // Sweep every registered binding strategy over 1..=5 tiles, both
-    // interconnects, with one worker per core.
+    // Sweep every binder over 1..=5 tiles, both interconnects, with one
+    // worker per core.
     let opts = FlowOptions {
-        binders: strategy::registry()
-            .iter()
-            .map(|(_, make)| make())
-            .collect(),
+        binders: Binder::ALL.to_vec(),
         jobs: mamps::flow::parallel::default_jobs(),
         ..FlowOptions::default()
     };

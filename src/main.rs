@@ -59,9 +59,8 @@
 //! `mamps dse` — `scripts/serve_fault.sh` enforces that under injected
 //! worker kills and a coordinator restart.
 //!
-//! Binding strategies (`--binder` / `--binders`) are resolved through
-//! [`mamps::mapping::strategy::registry`]: `greedy` (default), `spiral`,
-//! `genetic`.
+//! Binding strategies (`--binder` / `--binders`) parse into a
+//! [`mamps::mapping::Binder`]: `greedy` (default), `spiral`, `genetic`.
 
 use std::process::ExitCode;
 
@@ -70,7 +69,7 @@ use mamps::flow::dse::shard;
 use mamps::flow::report::{render_mapping_summary, render_multi_report};
 use mamps::flow::serve;
 use mamps::flow::{run_flow_with_arch, run_multi_flow, FlowOptions, GuaranteeReport};
-use mamps::mapping::strategy::{self, StrategyHandle};
+use mamps::mapping::strategy::{self, Binder};
 use mamps::mapping::xml::mapping_to_xml;
 use mamps::platform::gen::{synthesize, ArchSpec};
 use mamps::platform::xml::{architecture_from_xml, architecture_to_xml};
@@ -365,21 +364,12 @@ fn finish_caches(c: &RunCaches, spec: shard::ShardSpec) -> Result<(), Box<dyn st
     Ok(())
 }
 
-fn resolve_binder(name: &str) -> Result<StrategyHandle, String> {
-    strategy::by_name(name).ok_or_else(|| {
-        format!(
-            "unknown binder `{name}` (available: {})",
-            strategy::names().join(", ")
-        )
-    })
-}
-
 /// The options every flow run starts from, with `--binder`, `--engine`
 /// and `--jobs` applied (`--jobs 0` is one worker per available core).
 /// The only reader of the three flags.
 fn flow_options(args: &Args) -> Result<FlowOptions, Box<dyn std::error::Error>> {
     let mut opts = FlowOptions::default();
-    if let Some(binder) = args.get("binder", resolve_binder)? {
+    if let Some(binder) = args.get("binder", str::parse::<Binder>)? {
         opts.map.bind.strategy = binder;
     }
     if let Some(engine) = args.get("engine", str::parse)? {
@@ -402,14 +392,14 @@ struct SweepShape {
     mode: shard::SweepMode,
     app_paths: Vec<String>,
     tile_counts: Vec<usize>,
-    binders: Vec<StrategyHandle>,
+    binders: Vec<Binder>,
 }
 
 /// Parses the sweep's shape from the positional arguments and the
 /// `--apps` / `--binders` flags, the only reader of both; `None` is a
-/// usage error. Binder names are resolved here, so `dse-submit` fails
-/// locally with the registry's error instead of after a coordinator round
-/// trip.
+/// usage error. Binder names are parsed here, so `dse-submit` fails
+/// locally with the unknown-binder error instead of after a coordinator
+/// round trip.
 fn sweep_shape(args: &Args) -> Result<Option<SweepShape>, Box<dyn std::error::Error>> {
     let list = |v: &str| -> Vec<String> {
         v.split(',')
@@ -420,7 +410,7 @@ fn sweep_shape(args: &Args) -> Result<Option<SweepShape>, Box<dyn std::error::Er
     let apps = args.value("apps").map(list);
     let binders = args
         .get("binders", |v| {
-            list(v).iter().map(|b| resolve_binder(b)).collect()
+            list(v).iter().map(|b| b.parse::<Binder>()).collect()
         })?
         .unwrap_or_default();
     let (mode, app_paths, max) = match (apps, &args.pos[..]) {

@@ -1,30 +1,17 @@
-//! Cross-strategy integration tests: every registered binding strategy
-//! must produce mappings that validate structurally, are verified by the
-//! unchanged throughput pipeline, and behave identically whether invoked
-//! through `map_application` directly or through the end-to-end flow.
+//! Cross-strategy integration tests: every binder must produce mappings
+//! that validate structurally, are verified by the unchanged throughput
+//! pipeline, and behave identically whether invoked through
+//! `map_application` directly or through the end-to-end flow.
 
 use proptest::prelude::*;
 
 use mamps::flow::{run_flow_with_arch, FlowOptions};
 use mamps::mapping::flow::{map_application, MapOptions};
-use mamps::mapping::strategy::{self, GeneticBinder, StrategyHandle};
-use mamps::mapping::MapError;
+use mamps::mapping::{Binder, MapError};
 use mamps::platform::arch::Architecture;
 use mamps::platform::interconnect::Interconnect;
 use mamps::sdf::gen::{pipeline_app, strategies as genstrat};
 use mamps::sdf::ratio::Ratio;
-
-/// A fast genetic configuration so the property test stays quick while
-/// still exercising the full GA code path.
-fn quick_genetic(seed: u64) -> StrategyHandle {
-    StrategyHandle::new(GeneticBinder {
-        seed,
-        population: 6,
-        generations: 3,
-        elite: 2,
-        ..GeneticBinder::default()
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -45,15 +32,10 @@ proptest! {
         } else {
             Interconnect::fsl()
         };
-        let strategies: Vec<StrategyHandle> = vec![
-            strategy::by_name("greedy").unwrap(),
-            strategy::by_name("spiral").unwrap(),
-            quick_genetic(1),
-        ];
-        for handle in strategies {
-            let name = handle.name();
+        for binder in Binder::ALL {
+            let name = binder.name();
             let arch = Architecture::homogeneous("p", tiles, interconnect).unwrap();
-            let opts = MapOptions::with_strategy(handle);
+            let opts = MapOptions::with_strategy(binder);
             let direct = map_application(&app, &arch, &opts).unwrap();
             prop_assert_eq!(direct.strategy, name);
             if let Err(e) = direct.mapping.validate(&app, &arch) {
@@ -93,19 +75,15 @@ proptest! {
 #[test]
 fn genetic_same_seed_same_mapping_end_to_end() {
     let app = pipeline_app("pipe", &[40, 10, 25, 5], 16, &[1], None);
-    let run = |seed: u64| {
+    let run = || {
         let arch = Architecture::homogeneous("g", 2, Interconnect::noc_for_tiles(2)).unwrap();
-        let opts = MapOptions::with_strategy(quick_genetic(seed));
+        let opts = MapOptions::with_strategy(Binder::Genetic);
         map_application(&app, &arch, &opts).unwrap()
     };
-    let a = run(7);
-    let b = run(7);
+    let a = run();
+    let b = run();
     assert_eq!(a.mapping, b.mapping, "same seed must give the same mapping");
     assert_eq!(a.analysis, b.analysis);
-    // A different seed still yields a valid, verified mapping.
-    let c = run(8);
-    let arch = Architecture::homogeneous("g", 2, Interconnect::noc_for_tiles(2)).unwrap();
-    c.mapping.validate(&app, &arch).unwrap();
 }
 
 #[test]
@@ -118,14 +96,14 @@ fn spiral_never_uses_more_noc_wires_than_greedy_on_mjpeg() {
         ..mamps::mjpeg::encoder::StreamConfig::small()
     };
     let app = mamps::mjpeg::app_model::mjpeg_application(&cfg, None).unwrap();
-    let wires_of = |binder: &str| {
+    let wires_of = |binder: Binder| {
         let arch = Architecture::homogeneous("w", 3, Interconnect::noc_for_tiles(3)).unwrap();
-        let opts = MapOptions::with_strategy(strategy::by_name(binder).unwrap());
+        let opts = MapOptions::with_strategy(binder);
         let mapped = map_application(&app, &arch, &opts).unwrap();
         mapped.mapping.noc_wire_units(app.graph(), &arch)
     };
-    let greedy = wires_of("greedy");
-    let spiral = wires_of("spiral");
+    let greedy = wires_of(Binder::Greedy);
+    let spiral = wires_of(Binder::Spiral);
     assert!(
         spiral <= greedy,
         "spiral allocated {spiral} wire-links, greedy {greedy}"
@@ -138,20 +116,16 @@ fn strategies_surface_infeasibility_identically() {
     let app = pipeline_app("pipe", &[1, 1], 16, &[1], None);
     let tiles = vec![mamps::platform::tile::TileConfig::master("t0")
         .with_processor(mamps::platform::types::ProcessorType::custom("dsp"))];
-    for handle in [
-        strategy::by_name("greedy").unwrap(),
-        strategy::by_name("spiral").unwrap(),
-        quick_genetic(1),
-    ] {
+    for binder in Binder::ALL {
         let arch = Architecture::new("bad", tiles.clone(), Interconnect::fsl()).unwrap();
-        let opts = MapOptions::with_strategy(handle.clone());
+        let opts = MapOptions::with_strategy(binder);
         assert!(
             matches!(
                 map_application(&app, &arch, &opts),
                 Err(MapError::Infeasible(_))
             ),
             "{} did not report infeasibility",
-            handle.name()
+            binder.name()
         );
     }
 }
@@ -159,15 +133,11 @@ fn strategies_surface_infeasibility_identically() {
 #[test]
 fn unmeetable_target_fails_for_every_strategy() {
     let app = pipeline_app("pipe", &[100, 100], 16, &[1], None);
-    for handle in [
-        strategy::by_name("greedy").unwrap(),
-        strategy::by_name("spiral").unwrap(),
-        quick_genetic(1),
-    ] {
+    for binder in Binder::ALL {
         let arch = Architecture::homogeneous("t", 2, Interconnect::fsl()).unwrap();
         let opts = MapOptions {
             target: Some(Ratio::new(1, 10)),
-            ..MapOptions::with_strategy(handle.clone())
+            ..MapOptions::with_strategy(binder)
         };
         assert!(
             matches!(
@@ -175,7 +145,7 @@ fn unmeetable_target_fails_for_every_strategy() {
                 Err(MapError::ConstraintUnmet(_))
             ),
             "{} accepted an impossible target",
-            handle.name()
+            binder.name()
         );
     }
 }
