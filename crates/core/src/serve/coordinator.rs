@@ -9,17 +9,23 @@
 //!    lease the connection held — the ranges go back to pending
 //!    immediately, no timeout wait.
 //! 2. **Worker hang** (alive but stuck): the lease deadline passes and
-//!    the accept-loop tick reverts the range. If the stuck worker revives
-//!    and completes after all, the seq-keyed [`MergeLedger`] drops the
-//!    duplicates — at-least-once execution is safe because design-point
-//!    outcomes are deterministic.
+//!    the next fetch reverts the range; waiting fetchers look again at
+//!    least every 200 ms. If the stuck worker revives and completes after
+//!    all, the seq-keyed [`MergeLedger`] drops the duplicates —
+//!    at-least-once execution is safe because design-point outcomes are
+//!    deterministic.
 //! 3. **Coordinator death**: every accepted record is appended to the
 //!    job's *spool* (`job-<fingerprint>.jsonl` under `--state-dir`, in
 //!    shard-file format) before the lease completes, so even `kill -9`
-//!    leaves a file `from_jsonl_lossy` can resume. A graceful SIGTERM
+//!    leaves a file `from_jsonl_lossy` can resume. A graceful stop
 //!    additionally compacts the spools and persists the warm caches.
 //!    A restarted coordinator seeds a resubmitted sweep from its spool
 //!    and only evaluates what is missing.
+//!
+//! The coordinator runs until its caller sets the stop flag passed to
+//! [`run_coordinator`]; `mamps dse-serve` sets it on SIGTERM/SIGINT. The
+//! module holds no process-global state, so one process can run several
+//! coordinators, one after another or side by side on distinct sockets.
 //!
 //! The coordinator owns one warm [`GlobalAnalysisCache`] + [`PassCache`]
 //! across all submissions (loaded from `--cache-dir` at startup,
@@ -32,8 +38,8 @@ use std::collections::HashMap;
 use std::io::{BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use mamps_sdf::{GlobalAnalysisCache, PassCache};
@@ -113,6 +119,8 @@ struct Shared {
     passes: Arc<PassCache>,
     cfg: ServeConfig,
     started: Instant,
+    /// Connection identity for lease ownership; never reused.
+    next_conn: AtomicU64,
 }
 
 impl Shared {
@@ -120,47 +128,36 @@ impl Shared {
     fn now(&self) -> u64 {
         self.started.elapsed().as_millis() as u64
     }
-}
 
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+    /// Locks the state. A connection thread that panicked while holding
+    /// the lock poisons it, and every later lock then panics too.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("serve state poisoned")
+    }
 
-extern "C" fn on_signal(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-extern "C" {
-    fn signal(signum: i32, handler: usize) -> usize;
-}
-
-const SIGINT: i32 = 2;
-const SIGPIPE: i32 = 13;
-const SIGTERM: i32 = 15;
-const SIG_IGN: usize = 1;
-
-/// SIGTERM/SIGINT request a graceful shutdown (flush spools, persist
-/// caches, exit 0); SIGPIPE is ignored so a vanished peer surfaces as a
-/// `BrokenPipe` write error on its own connection instead of killing the
-/// whole service.
-fn install_signals() {
-    unsafe {
-        signal(SIGTERM, on_signal as *const () as usize);
-        signal(SIGINT, on_signal as *const () as usize);
-        signal(SIGPIPE, SIG_IGN);
+    /// Releases `guard` until the condvar is notified or `ms` elapse.
+    fn wait<'a>(&self, guard: MutexGuard<'a, State>, ms: u64) -> MutexGuard<'a, State> {
+        self.cv
+            .wait_timeout(guard, Duration::from_millis(ms))
+            .expect("serve state poisoned")
+            .0
     }
 }
 
-/// Runs the coordinator until SIGTERM/SIGINT. Returns only after the
-/// graceful shutdown finished (spools compacted, caches persisted,
-/// socket removed).
+/// Runs the coordinator until `stop` is set; the accept loop checks it
+/// every 50 ms. Returns only after the graceful shutdown finished
+/// (spools compacted, caches persisted, socket removed).
 ///
 /// # Errors
 ///
 /// Socket/bind and state-directory I/O errors; per-connection errors are
 /// logged to stderr and close that connection only.
-pub fn run_coordinator(cfg: ServeConfig) -> Result<(), Box<dyn std::error::Error>> {
+pub fn run_coordinator(
+    cfg: ServeConfig,
+    stop: &AtomicBool,
+) -> Result<(), Box<dyn std::error::Error>> {
     std::fs::create_dir_all(&cfg.state_dir)
         .map_err(|e| format!("cannot create state dir `{}`: {e}", cfg.state_dir.display()))?;
-    install_signals();
 
     // Replace a stale socket file (left by a killed coordinator); bind
     // fails with AddrInUse only if removal raced a live listener.
@@ -189,6 +186,7 @@ pub fn run_coordinator(cfg: ServeConfig) -> Result<(), Box<dyn std::error::Error
         passes,
         cfg,
         started: Instant::now(),
+        next_conn: AtomicU64::new(1),
     });
     eprintln!(
         "dse-serve: listening on {} (state {}, lease timeout {} ms, chunk {})",
@@ -198,20 +196,14 @@ pub fn run_coordinator(cfg: ServeConfig) -> Result<(), Box<dyn std::error::Error
         shared.cfg.chunk
     );
 
-    while !SHUTDOWN.load(Ordering::SeqCst) {
+    while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = Arc::clone(&shared);
-                shared
-                    .state
-                    .lock()
-                    .expect("serve state poisoned")
-                    .connections += 1;
+                shared.lock().connections += 1;
                 std::thread::spawn(move || {
                     let res = handle_connection(&shared, stream);
-                    let mut st = shared.state.lock().expect("serve state poisoned");
-                    st.connections -= 1;
-                    drop(st);
+                    shared.lock().connections -= 1;
                     shared.cv.notify_all();
                     if let Err(e) = res {
                         eprintln!("dse-serve: connection closed: {e}");
@@ -219,19 +211,6 @@ pub fn run_coordinator(cfg: ServeConfig) -> Result<(), Box<dyn std::error::Error
                 });
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                // Idle tick: revert expired leases so hung workers do not
-                // stall the sweep, then sleep a beat.
-                let now = shared.now();
-                let mut st = shared.state.lock().expect("serve state poisoned");
-                let mut reverted = 0;
-                for job in &mut st.jobs {
-                    reverted += job.table.expire(now).len();
-                }
-                drop(st);
-                if reverted > 0 {
-                    eprintln!("dse-serve: reverted {reverted} expired lease(s)");
-                    shared.cv.notify_all();
-                }
                 std::thread::sleep(Duration::from_millis(50));
             }
             Err(e) => return Err(format!("accept failed: {e}").into()),
@@ -248,7 +227,7 @@ pub fn run_coordinator(cfg: ServeConfig) -> Result<(), Box<dyn std::error::Error
 /// caches, and removes the socket.
 fn graceful_shutdown(shared: &Shared) {
     eprintln!("dse-serve: shutting down");
-    let mut st = shared.state.lock().expect("serve state poisoned");
+    let mut st = shared.lock();
     st.shutting_down = true;
     for job in &st.jobs {
         if let Err(e) = compact_spool(job) {
@@ -269,11 +248,7 @@ fn graceful_shutdown(shared: &Shared) {
     shared.cv.notify_all();
     let deadline = Instant::now() + Duration::from_secs(3);
     while st.connections > 0 && Instant::now() < deadline {
-        let (guard, _) = shared
-            .cv
-            .wait_timeout(st, Duration::from_millis(100))
-            .expect("serve state poisoned");
-        st = guard;
+        st = shared.wait(st, 100);
         shared.cv.notify_all();
     }
     drop(st);
@@ -310,9 +285,7 @@ fn handle_connection(shared: &Shared, stream: UnixStream) -> std::io::Result<()>
     stream.set_nonblocking(false)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
-    // Connection identity for lease ownership; never reused.
-    static NEXT_CONN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-    let conn = NEXT_CONN.fetch_add(1, Ordering::Relaxed);
+    let conn = shared.next_conn.fetch_add(1, Ordering::Relaxed);
     let mut shipped_cache = false;
     let result = loop {
         match read_msg::<ClientMsg>(&mut reader) {
@@ -342,7 +315,7 @@ fn handle_connection(shared: &Shared, stream: UnixStream) -> std::io::Result<()>
         }
     };
     // Whatever happened, this connection holds no leases any more.
-    let mut st = shared.state.lock().expect("serve state poisoned");
+    let mut st = shared.lock();
     let mut reverted = 0;
     for job in &mut st.jobs {
         reverted += job.table.release_owner(conn).len();
@@ -366,7 +339,7 @@ fn handle_submit(shared: &Shared, writer: &mut UnixStream, spec: SweepSpec) -> s
     let fingerprint = serde::stable_hash_of(&header);
     let total = header.total_configs;
 
-    let mut st = shared.state.lock().expect("serve state poisoned");
+    let mut st = shared.lock();
     if st.shutting_down {
         return write_msg(
             writer,
@@ -498,14 +471,10 @@ fn handle_submit(shared: &Shared, writer: &mut UnixStream, spec: SweepSpec) -> s
             };
             drop(st);
             write_msg(writer, &msg)?;
-            st = shared.state.lock().expect("serve state poisoned");
+            st = shared.lock();
             continue;
         }
-        let (guard, _) = shared
-            .cv
-            .wait_timeout(st, Duration::from_millis(200))
-            .expect("serve state poisoned");
-        st = guard;
+        st = shared.wait(st, 200);
     }
 }
 
@@ -518,22 +487,28 @@ fn handle_fetch(
     worker: u64,
     shipped_cache: &mut bool,
 ) -> std::io::Result<bool> {
-    let mut st = shared.state.lock().expect("serve state poisoned");
+    let mut st = shared.lock();
     loop {
         if st.shutting_down {
             drop(st);
             write_msg(writer, &ServerMsg::Shutdown)?;
             return Ok(false);
         }
+        // Expired leases revert here, before each acquire: a hung
+        // worker's range goes to the next fetch.
         let now = shared.now();
         let timeout = shared.cfg.lease_timeout_ms;
         let mut assigned = None;
+        let mut reverted = 0;
         for job in &mut st.jobs {
-            job.table.expire(now);
+            reverted += job.table.expire(now).len();
             if let Some((lease, range)) = job.table.acquire(conn, now, timeout) {
                 assigned = Some((job.fingerprint, lease, range, job.spec.clone()));
                 break;
             }
+        }
+        if reverted > 0 {
+            eprintln!("dse-serve: reverted {reverted} expired lease(s)");
         }
         if let Some((job, lease, range, spec)) = assigned {
             drop(st);
@@ -559,11 +534,7 @@ fn handle_fetch(
             )?;
             return Ok(true);
         }
-        let (guard, _) = shared
-            .cv
-            .wait_timeout(st, Duration::from_millis(200))
-            .expect("serve state poisoned");
-        st = guard;
+        st = shared.wait(st, 200);
     }
 }
 
@@ -583,7 +554,7 @@ fn handle_complete(
     shared.analysis.import(analysis);
     shared.passes.import(passes);
 
-    let mut st = shared.state.lock().expect("serve state poisoned");
+    let mut st = shared.lock();
     let Some(idx) = st.jobs.iter().position(|j| j.fingerprint == job_fp) else {
         // Stale completion of an already-finalized job; nothing to merge.
         return;

@@ -13,7 +13,10 @@
 //!   canonical seq space into leased ranges
 //!   ([`crate::dse::lease::LeaseTable`]), merges completed records
 //!   incrementally ([`crate::dse::lease::MergeLedger`]), and keeps one
-//!   warm analysis + pass cache across all submissions.
+//!   warm analysis + pass cache across all submissions. It runs until
+//!   its caller sets a stop flag: `mamps dse-serve` sets it on
+//!   SIGTERM/SIGINT, and tests run coordinators in-process, since the
+//!   module keeps no process-global state.
 //! * [`worker::run_worker`] (`mamps dse-work`) fetches leased ranges and
 //!   evaluates them with [`Sweep::evaluate`](crate::dse::shard::Sweep::evaluate),
 //!   the evaluation path of single-process `mamps dse`.

@@ -63,6 +63,7 @@
 //! [`mamps::mapping::Binder`]: `greedy` (default), `spiral`, `genetic`.
 
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use mamps::flow::dse::cache as dse_cache;
 use mamps::flow::dse::shard;
@@ -205,6 +206,32 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Set on SIGTERM/SIGINT; `dse-serve` runs its coordinator until it is.
+static STOP: AtomicBool = AtomicBool::new(false);
+
+extern "C" fn request_stop(_signum: i32) {
+    STOP.store(true, Ordering::SeqCst);
+}
+
+/// Routes SIGTERM and SIGINT to [`request_stop`], so `dse-serve` shuts
+/// down gracefully (spools flushed, caches persisted, exit 0). SIGPIPE
+/// needs nothing: the Rust runtime ignores it, so a vanished peer is a
+/// `BrokenPipe` error on its own connection only.
+fn stop_on_signals() {
+    extern "C" {
+        fn signal(signum: i32, handler: usize) -> usize;
+    }
+    const SIGINT: i32 = 2;
+    const SIGTERM: i32 = 15;
+    // SAFETY: `signal` is the C library's, called with valid signal
+    // numbers and a handler that only stores to an atomic, which is
+    // async-signal-safe.
+    unsafe {
+        signal(SIGTERM, request_stop as *const () as usize);
+        signal(SIGINT, request_stop as *const () as usize);
     }
 }
 
@@ -766,8 +793,8 @@ fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             print!("{}", shard::merge_reports(&shards)?.render());
             Ok(ExitCode::SUCCESS)
         }
-        // The DSE coordinator service: runs until SIGTERM/SIGINT, then
-        // shuts down gracefully (spools flushed, caches persisted).
+        // The DSE coordinator service: runs until SIGTERM/SIGINT sets
+        // `STOP`, then shuts down gracefully.
         "dse-serve" => {
             if !pos.is_empty() {
                 return Ok(usage());
@@ -788,7 +815,8 @@ fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                 std::path::PathBuf::from,
             );
             cfg.socket = socket;
-            serve::run_coordinator(cfg)?;
+            stop_on_signals();
+            serve::run_coordinator(cfg, &STOP)?;
             Ok(ExitCode::SUCCESS)
         }
         // A worker process: fetches leased seq ranges from the coordinator

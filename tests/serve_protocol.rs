@@ -1,15 +1,29 @@
 //! DSE-service contract tests: under arbitrary worker join/leave/timeout
 //! event sequences the lease table keeps leased ranges disjoint, drains
 //! to exhaustive coverage, and treats duplicate completions as no-ops;
-//! the merge ledger dedups by seq regardless of arrival order; and every
-//! protocol message round-trips the canonical JSON encoding.
+//! the merge ledger dedups by seq regardless of arrival order; every
+//! protocol message round-trips the canonical JSON encoding; and
+//! coordinators run in this process, stopped by their flag, serve the
+//! report of a plain sweep, also when a worker drops its lease.
+
+use std::io::BufReader;
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use mamps::flow::dse::lease::{ItemState, LeaseTable, MergeLedger, SeqRange};
 use mamps::flow::dse::shard::{
     ShardHeader, ShardOutcome, ShardRecord, ShardSpec, SweepMode, SweepSignature,
 };
 use mamps::flow::dse::SkippedPoint;
-use mamps::flow::serve::{ClientMsg, JobStats, ServerMsg, SweepSpec};
+use mamps::flow::serve::protocol::{read_msg, write_msg};
+use mamps::flow::serve::{
+    run_coordinator, run_submit, run_worker, ClientMsg, JobStats, ServeConfig, ServerMsg,
+    SweepSpec, WorkerConfig,
+};
+use mamps::flow::FlowOptions;
+use mamps::sdf::gen::pipeline_app;
+use mamps::sdf::xml::application_to_xml;
 use proptest::prelude::*;
 
 fn header(total: u64) -> ShardHeader {
@@ -254,4 +268,130 @@ fn complete_ledger_renders_like_the_plain_report() {
     let shard = ledger.to_shard();
     let direct = mamps::flow::report::render_dse_report(&shard.clone().into_dse_report());
     assert_eq!(shard.render(), direct);
+}
+
+/// A four-point binder sweep (1 and 2 tiles, FSL and NoC) of a small
+/// pipeline, and the report single-process `mamps dse` prints for it.
+fn small_sweep() -> (SweepSpec, String) {
+    let app = pipeline_app("pipe", &[40, 10, 25], 16, &[1], None);
+    let spec = SweepSpec {
+        mode: SweepMode::Binders,
+        apps_xml: vec![application_to_xml(&app)],
+        tile_counts: vec![1, 2],
+        include_noc: true,
+        binders: Vec::new(),
+    };
+    let sweep = spec.resolve().unwrap();
+    let report = sweep
+        .run(ShardSpec::full(), &[], &FlowOptions::default())
+        .unwrap()
+        .render();
+    (spec, report)
+}
+
+/// A fresh directory for one test's sockets and spools.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("mamps_serve_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Connects to the coordinator at `socket`, retrying until it listens.
+fn connect(socket: &Path) -> UnixStream {
+    for _ in 0..1000 {
+        if let Ok(stream) = UnixStream::connect(socket) {
+            return stream;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    panic!("no coordinator came up at {}", socket.display());
+}
+
+/// Runs a coordinator with `cfg` on a scoped thread and calls `body`
+/// with its socket and a closure that starts one more `run_worker`
+/// thread. Then it sets the stop flag, checks that the coordinator and
+/// every worker returned `Ok`, and that the socket is gone.
+fn with_coordinator<T>(cfg: ServeConfig, body: impl FnOnce(&Path, &mut dyn FnMut()) -> T) -> T {
+    let stop = AtomicBool::new(false);
+    let socket = cfg.socket.clone();
+    let worker = WorkerConfig {
+        socket: socket.clone(),
+        jobs: 1,
+    };
+    std::thread::scope(|s| {
+        let coordinator = s.spawn(|| run_coordinator(cfg, &stop).map_err(|e| e.to_string()));
+        drop(connect(&socket));
+        let mut workers = Vec::new();
+        let out = body(&socket, &mut || {
+            workers.push(s.spawn(|| run_worker(&worker).map(drop).map_err(|e| e.to_string())));
+        });
+        stop.store(true, Ordering::SeqCst);
+        coordinator.join().unwrap().unwrap();
+        for w in workers {
+            w.join().unwrap().unwrap();
+        }
+        assert!(!socket.exists(), "the stopped coordinator left its socket");
+        out
+    })
+}
+
+/// Two coordinators run one after the other in this process, each
+/// stopped by its own flag, on the same socket path. Each serves the
+/// plain report and removes its socket when stopped.
+#[test]
+fn served_sweeps_run_and_stop_in_process() {
+    let dir = scratch_dir("sweeps");
+    let (spec, expected) = small_sweep();
+    for round in 0..2 {
+        let cfg = ServeConfig {
+            socket: dir.join("serve.sock"),
+            state_dir: dir.join(format!("state-{round}")),
+            ..ServeConfig::default()
+        };
+        let outcome = with_coordinator(cfg, |socket, start_worker| {
+            start_worker();
+            run_submit(socket, &spec, |_, _| {}).unwrap()
+        });
+        assert_eq!(outcome.report, expected, "round {round}");
+        assert_eq!(outcome.stats.evaluated, 4, "round {round}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker that takes a lease and disconnects before completing it: the
+/// coordinator reverts the range once, a real worker finishes the sweep,
+/// and the report is still the plain one. The in-process counterpart of
+/// the kill phase of `scripts/serve_fault.sh`.
+#[test]
+fn a_dropped_lease_is_reassigned_in_process() {
+    let dir = scratch_dir("drop");
+    let (spec, expected) = small_sweep();
+    let cfg = ServeConfig {
+        socket: dir.join("serve.sock"),
+        state_dir: dir.join("state"),
+        chunk: 1,
+        ..ServeConfig::default()
+    };
+    let outcome = with_coordinator(cfg, |socket, start_worker| {
+        std::thread::scope(|s| {
+            let submit =
+                s.spawn(|| run_submit(socket, &spec, |_, _| {}).map_err(|e| e.to_string()));
+            let stream = connect(socket);
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            write_msg(&mut writer, &ClientMsg::Fetch { worker: 0 }).unwrap();
+            let assign = read_msg::<ServerMsg>(&mut reader).unwrap();
+            assert!(
+                matches!(assign, Some(ServerMsg::Assign { .. })),
+                "{assign:?}"
+            );
+            drop((reader, writer));
+            start_worker();
+            submit.join().unwrap().unwrap()
+        })
+    });
+    assert_eq!(outcome.report, expected);
+    assert_eq!(outcome.stats.reassigned, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
