@@ -435,14 +435,9 @@ pub fn run_multi_flow(
                 admitted: false,
                 strategy: None,
                 tiles: Vec::new(),
-                // Same fallback the admission decision used: a global
-                // target override takes precedence over the model's own
-                // constraint, so the report matches the rejection reason.
-                constraint: opts.map.target.map(|t| t.to_f64()).or_else(|| {
-                    uc.apps()[r.index]
-                        .throughput_constraint()
-                        .map(|c| c.as_ratio().to_f64())
-                }),
+                constraint: uc.apps()[r.index]
+                    .throughput_constraint()
+                    .map(|c| c.as_ratio().to_f64()),
                 isolated_bound: None,
                 shared_bound: None,
                 measured: None,

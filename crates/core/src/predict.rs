@@ -31,7 +31,7 @@ pub fn predicted_throughput(
     }
     let expanded = expand(&g, mapping, arch)?;
     let t = throughput(
-        &expanded.graph,
+        &expanded,
         &AnalysisOptions {
             auto_concurrency: true,
             max_states: 4_000_000,

@@ -40,8 +40,6 @@
 //!
 //! [`AnalysisOptions::auto_concurrency`]: mamps_sdf::state_space::AnalysisOptions
 
-use std::collections::HashMap;
-
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::CommParams;
 use mamps_platform::tile::TileKind;
@@ -52,19 +50,6 @@ use mamps_sdf::transform::add_static_orders;
 use crate::error::MapError;
 use crate::mapping::{ChannelAlloc, Mapping, ScheduleEntry};
 
-/// The expanded analysis graph with bookkeeping to locate helper actors.
-#[derive(Debug, Clone)]
-pub struct ExpandedGraph {
-    /// The analysis-ready graph (static orders and self-edges included).
-    pub graph: SdfGraph,
-    /// Per cross-tile channel: the serialization word-loop actor.
-    pub ser_of: HashMap<ChannelId, ActorId>,
-    /// Per cross-tile channel: the de-serialization word-loop actor.
-    pub des_of: HashMap<ChannelId, ActorId>,
-    /// Words per token, per channel.
-    pub words_of: HashMap<ChannelId, u64>,
-}
-
 /// Per-word execution time of a word loop with `setup` amortized over `n`
 /// words, rounded up (conservative).
 fn per_word_cycles(setup: u64, cycles_per_word: u64, n: u64) -> u64 {
@@ -72,7 +57,8 @@ fn per_word_cycles(setup: u64, cycles_per_word: u64, n: u64) -> u64 {
 }
 
 /// Expands `graph` (application graph with bound WCETs) according to
-/// `mapping` on `arch`.
+/// `mapping` on `arch` into the analysis-ready graph, static orders and
+/// self-edges included.
 ///
 /// # Errors
 ///
@@ -83,7 +69,7 @@ pub fn expand(
     graph: &SdfGraph,
     mapping: &Mapping,
     arch: &Architecture,
-) -> Result<ExpandedGraph, MapError> {
+) -> Result<SdfGraph, MapError> {
     let binding = &mapping.binding;
     let mut b = SdfGraphBuilder::new(format!("{}:comm", graph.name()));
 
@@ -128,9 +114,9 @@ pub fn expand(
         }
     }
 
-    let mut ser_of = HashMap::new();
-    let mut des_of = HashMap::new();
-    let mut words_of = HashMap::new();
+    // Per cross-tile channel: its serialization and de-serialization
+    // word-loop actors and its words per token, for the static orders.
+    let mut word_loops: Vec<Option<(ActorId, ActorId, u64)>> = vec![None; graph.channel_count()];
 
     for (cid, ch) in graph.channels() {
         let src = actor_ids[ch.src().0];
@@ -226,9 +212,7 @@ pub fn expand(
         let des = b.add_actor(format!("{name}__des"), des_word);
         let asm = b.add_actor(format!("{name}__asm"), 0);
         let drel = b.add_actor(format!("{name}__drel"), 0);
-        ser_of.insert(cid, ser);
-        des_of.insert(cid, des);
-        words_of.insert(cid, n_words);
+        word_loops[cid.0] = Some((ser, des, n_words));
 
         // Forward path.
         b.add_channel_full(format!("{name}__tok"), src, p, frag, 1, d0, ch.token_size());
@@ -279,6 +263,9 @@ pub fn expand(
 
     // Static-order chains from the schedule entries, gated in the same
     // builder so the expanded graph is validated once.
+    let word_loop = |channel: ChannelId| {
+        word_loops[channel.0].expect("send and receive entries name cross-tile channels")
+    };
     let mut chains: Vec<Vec<(ActorId, u64)>> = Vec::new();
     for round in &mapping.schedules {
         if round.len() <= 1 {
@@ -286,27 +273,22 @@ pub fn expand(
         }
         let mut chain = Vec::with_capacity(round.len());
         for entry in round {
-            match *entry {
-                ScheduleEntry::Fire { actor, reps } => chain.push((actor_ids[actor.0], reps)),
+            chain.push(match *entry {
+                ScheduleEntry::Fire { actor, reps } => (actor_ids[actor.0], reps),
                 ScheduleEntry::Send { channel, reps } => {
-                    chain.push((ser_of[&channel], reps * words_of[&channel]))
+                    let (ser, _, words) = word_loop(channel);
+                    (ser, reps * words)
                 }
                 ScheduleEntry::Receive { channel, reps } => {
-                    chain.push((des_of[&channel], reps * words_of[&channel]))
+                    let (_, des, words) = word_loop(channel);
+                    (des, reps * words)
                 }
-            }
+            });
         }
         chains.push(chain);
     }
     add_static_orders(&mut b, &chains).map_err(MapError::Sdf)?;
-    let graph = b.build().map_err(MapError::Sdf)?;
-
-    Ok(ExpandedGraph {
-        graph,
-        ser_of,
-        des_of,
-        words_of,
-    })
+    b.build().map_err(MapError::Sdf)
 }
 
 #[cfg(test)]
@@ -370,9 +352,8 @@ mod tests {
         let arch = Architecture::homogeneous("x", 1, Interconnect::fsl()).unwrap();
         let e = expand(&g, &m, &arch).unwrap();
         // Two actors + self edges + forward + capacity channel.
-        assert_eq!(e.graph.actor_count(), 2);
-        assert!(e.ser_of.is_empty());
-        assert_eq!(e.graph.channel_count(), 4);
+        assert_eq!(e.actor_count(), 2);
+        assert_eq!(e.channel_count(), 4);
     }
 
     #[test]
@@ -382,11 +363,11 @@ mod tests {
         let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();
         let e = expand(&g, &m, &arch).unwrap();
         // 2 original + 9 helpers.
-        assert_eq!(e.graph.actor_count(), 11);
-        assert_eq!(e.ser_of.len(), 1);
-        assert_eq!(e.des_of.len(), 1);
+        assert_eq!(e.actor_count(), 11);
+        assert!(e.actor_by_name("e__ser").is_some());
+        assert!(e.actor_by_name("e__des").is_some());
         // The expansion stays consistent and live.
-        let t = analyse(&e.graph);
+        let t = analyse(&e);
         assert!(t > 0.0);
     }
 
@@ -400,8 +381,8 @@ mod tests {
         let m = simple_mapping(&g, &[0, 1]);
         let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();
         let e = expand(&g, &m, &arch).unwrap();
-        assert!(mamps_sdf::repetition::repetition_vector(&e.graph).is_ok());
-        assert!(analyse(&e.graph) > 0.0);
+        assert!(mamps_sdf::repetition::repetition_vector(&e).is_ok());
+        assert!(analyse(&e) > 0.0);
     }
 
     #[test]
@@ -416,7 +397,7 @@ mod tests {
         // Local: actors pipeline at 1/10. Cross: serialization word loops
         // run on the PEs... but with empty schedules they are concurrent
         // helpers; the wire itself adds delay, so throughput <= local.
-        assert!(analyse(&cross.graph) <= analyse(&local.graph) + 1e-12);
+        assert!(analyse(&cross) <= analyse(&local) + 1e-12);
     }
 
     #[test]
@@ -424,16 +405,8 @@ mod tests {
         let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();
         let small = two_actor_graph(4);
         let big = two_actor_graph(256);
-        let ts = analyse(
-            &expand(&small, &simple_mapping(&small, &[0, 1]), &arch)
-                .unwrap()
-                .graph,
-        );
-        let tb = analyse(
-            &expand(&big, &simple_mapping(&big, &[0, 1]), &arch)
-                .unwrap()
-                .graph,
-        );
+        let ts = analyse(&expand(&small, &simple_mapping(&small, &[0, 1]), &arch).unwrap());
+        let tb = analyse(&expand(&big, &simple_mapping(&big, &[0, 1]), &arch).unwrap());
         assert!(tb < ts);
     }
 
@@ -445,7 +418,7 @@ mod tests {
         let far = expand(&g, &simple_mapping(&g, &[0, 8]), &arch).unwrap();
         // More hops -> more latency but also more pipelining; the guaranteed
         // bound must not improve with distance.
-        assert!(analyse(&far.graph) <= analyse(&near.graph) + 1e-12);
+        assert!(analyse(&far) <= analyse(&near) + 1e-12);
     }
 
     #[test]
@@ -494,8 +467,8 @@ mod tests {
         let m2 = simple_mapping(&g, &[0, 1]); // no schedules
         let without = expand(&g, &m2, &arch).unwrap();
         // Scheduling the word loops on the PE can only reduce throughput.
-        assert!(analyse(&with_sched.graph) <= analyse(&without.graph) + 1e-12);
-        assert!(analyse(&with_sched.graph) > 0.0);
+        assert!(analyse(&with_sched) <= analyse(&without) + 1e-12);
+        assert!(analyse(&with_sched) > 0.0);
     }
 
     #[test]
@@ -534,12 +507,12 @@ mod tests {
         let mut m_plain = simple_mapping(&g, &[0, 1]);
         m_plain.schedules = mk_sched(true);
         let arch_plain = Architecture::homogeneous("p", 2, Interconnect::fsl()).unwrap();
-        let t_plain = analyse(&expand(&g, &m_plain, &arch_plain).unwrap().graph);
+        let t_plain = analyse(&expand(&g, &m_plain, &arch_plain).unwrap());
 
         let mut m_ca = simple_mapping(&g, &[0, 1]);
         m_ca.schedules = mk_sched(false);
         let arch_ca = Architecture::homogeneous_with_ca("c", 2, Interconnect::fsl()).unwrap();
-        let t_ca = analyse(&expand(&g, &m_ca, &arch_ca).unwrap().graph);
+        let t_ca = analyse(&expand(&g, &m_ca, &arch_ca).unwrap());
 
         assert!(
             t_ca > t_plain,

@@ -32,13 +32,13 @@ use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::SdfGraph;
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::passes::{fingerprint, PassRunner};
-use mamps_sdf::ratio::{gcd, Ratio};
+use mamps_sdf::ratio::gcd;
 use mamps_sdf::state_space::{throughput, AnalysisOptions, ThroughputResult};
 use mamps_sdf::SdfError;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::binding::{bind, BindOptions, Occupancy};
-use crate::comm_expand::{expand, ExpandedGraph};
+use crate::comm_expand::expand;
 use crate::error::MapError;
 use crate::mapping::{Binding, ChannelAlloc, Mapping, ScheduleEntry};
 use crate::schedule::build_schedules;
@@ -61,9 +61,6 @@ pub(crate) const DEADLOCK_GROWTH_ATTEMPTS: usize = 12;
 pub struct MapOptions {
     /// Binder options (binder, pinning, occupancy).
     pub bind: BindOptions,
-    /// Throughput target in iterations/cycle; `None` uses the application's
-    /// constraint, and if that is absent too, buffers grow until saturation.
-    pub target: Option<Ratio>,
     /// Shared throughput-analysis cache. When set, every expand + analyse
     /// probe of the buffer-growth search (and of the genetic binder's
     /// fitness) consults the cache before falling back to the state-space
@@ -95,7 +92,7 @@ pub struct MappedApplication {
     /// The mapping (common input format for platform generation).
     pub mapping: Mapping,
     /// The Fig. 4-expanded, statically-ordered analysis graph.
-    pub expanded: ExpandedGraph,
+    pub expanded: SdfGraph,
     /// The worst-case throughput analysis of `expanded`.
     pub analysis: ThroughputResult,
     /// Name of the binding strategy that produced the mapping.
@@ -219,7 +216,7 @@ pub(crate) fn expand_and_analyse(
     mapping: &Mapping,
     arch: &Architecture,
     cache: Option<&GlobalAnalysisCache>,
-) -> Result<(ExpandedGraph, Result<ThroughputResult, SdfError>), MapError> {
+) -> Result<(SdfGraph, Result<ThroughputResult, SdfError>), MapError> {
     let e = expand(graph, mapping, arch)?;
     let opts = AnalysisOptions {
         auto_concurrency: true,
@@ -227,8 +224,8 @@ pub(crate) fn expand_and_analyse(
         ..AnalysisOptions::default()
     };
     let r = match cache {
-        Some(cache) => cache.throughput(&e.graph, &opts),
-        None => throughput(&e.graph, &opts),
+        Some(cache) => cache.throughput(&e, &opts),
+        None => throughput(&e, &opts),
     };
     Ok((e, r))
 }
@@ -239,7 +236,7 @@ fn analyse(
     mapping: &Mapping,
     arch: &Architecture,
     cache: Option<&GlobalAnalysisCache>,
-) -> Result<(ExpandedGraph, ThroughputResult), MapError> {
+) -> Result<(SdfGraph, ThroughputResult), MapError> {
     let (e, r) = expand_and_analyse(graph, mapping, arch, cache)?;
     Ok((e, r?))
 }
@@ -260,7 +257,7 @@ pub(crate) fn grow_to_liveness(
     m: &mut Mapping,
     arch: &Architecture,
     cache: Option<&GlobalAnalysisCache>,
-) -> Result<(ExpandedGraph, ThroughputResult), MapError> {
+) -> Result<(SdfGraph, ThroughputResult), MapError> {
     let mut attempt = 0;
     loop {
         match analyse(graph, m, arch, cache) {
@@ -385,9 +382,9 @@ pub fn map_application(
         || build_schedules(graph, &binding, arch),
     )?;
 
-    let target = opts
-        .target
-        .or_else(|| app.throughput_constraint().map(|c| c.as_ratio()));
+    // The throughput target; without a model constraint, buffers grow
+    // until saturation.
+    let target = app.throughput_constraint().map(|c| c.as_ratio());
     let mut mapping = initial_mapping(graph, binding, schedules, &wires);
 
     // Buffer sizing: the dominant pass (phase-1 deadlock growth plus the
@@ -480,6 +477,7 @@ mod tests {
     use mamps_sdf::graph::SdfGraphBuilder;
     use mamps_sdf::model::{HomogeneousModelBuilder, ThroughputConstraint};
     use mamps_sdf::passes::PassCache;
+    use mamps_sdf::ratio::Ratio;
 
     fn pipeline_app(wcets: &[u64], token_size: u64) -> ApplicationModel {
         let n = wcets.len();
@@ -537,15 +535,15 @@ mod tests {
 
     #[test]
     fn constraint_met_or_error() {
-        let app = pipeline_app(&[100, 100], 4);
-        let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();
-        // Unreachable target: 1 iteration per 10 cycles.
-        let opts = MapOptions {
-            target: Some(Ratio::new(1, 10)),
-            ..MapOptions::default()
+        // Unreachable constraint: 1 iteration per 10 cycles.
+        let constraint = ThroughputConstraint {
+            iterations: 1,
+            cycles: 10,
         };
+        let app = mamps_sdf::gen::pipeline_app("pipe", &[100, 100], 4, &[], Some(constraint));
+        let arch = Architecture::homogeneous("x", 2, Interconnect::fsl()).unwrap();
         assert!(matches!(
-            map_application(&app, &arch, &opts),
+            map_application(&app, &arch, &MapOptions::default()),
             Err(MapError::ConstraintUnmet(_))
         ));
     }

@@ -88,7 +88,7 @@ pub mod strategy;
 pub mod xml;
 
 pub use binding::{bind, BindOptions, Occupancy};
-pub use comm_expand::{expand, ExpandedGraph};
+pub use comm_expand::expand;
 pub use error::MapError;
 pub use flow::{map_application, MapOptions, MappedApplication};
 pub use mamps_sdf::passes::{PassCache, PassReport, PassRunner};

@@ -306,8 +306,8 @@ impl UseCaseMapping {
 /// all per-application guarantees under sharing after each admission.
 ///
 /// `opts` configures the per-application mapping step (binding strategy,
-/// caches); each application's throughput target comes from
-/// its own model constraint unless `opts.target` overrides it for all.
+/// caches); each application's throughput target is its own model
+/// constraint.
 /// Applications that cannot be admitted are recorded in
 /// [`UseCaseMapping::rejected`] — the loop continues with the remaining
 /// ones, so a use-case result is always produced.
@@ -363,7 +363,7 @@ pub fn map_use_case(uc: &UseCase, arch: &Architecture, opts: &MapOptions) -> Use
         members.push((app, &mapped));
         match verify_shared(&members, &groups, arch, opts) {
             Ok(trial_groups) => {
-                if let Some(reason) = first_violation(&members, &trial_groups, opts) {
+                if let Some(reason) = first_violation(&members, &trial_groups) {
                     rejected.push(RejectedApp {
                         index,
                         name,
@@ -409,12 +409,11 @@ pub fn map_use_case(uc: &UseCase, arch: &Architecture, opts: &MapOptions) -> Use
                 // grown totals replace the isolation-sized buffer charges
                 // `occupy` just recorded.
                 occupancy.tile_buf = grown;
-                let constraint = effective_constraint(app, opts);
                 admitted.push(AdmittedApp {
                     index,
                     name,
                     mapped,
-                    constraint,
+                    constraint: app.throughput_constraint().map(|c| c.as_ratio()),
                     shared_guarantee: Ratio::ZERO, // refreshed below
                     group: 0,                      // refreshed below
                 });
@@ -575,27 +574,16 @@ fn dmem_overflow(arch: &Architecture, need: impl Fn(usize) -> u64) -> Option<(us
     })
 }
 
-/// The throughput an application must sustain: the global
-/// [`MapOptions::target`] override when set, else the application's own
-/// model constraint. Must match what [`map_application`] enforced in
-/// isolation, so the shared verification and the recorded
-/// [`AdmittedApp::constraint`] agree.
-fn effective_constraint(app: &ApplicationModel, opts: &MapOptions) -> Option<Ratio> {
-    opts.target
-        .or_else(|| app.throughput_constraint().map(|c| c.as_ratio()))
-}
-
 /// The first per-application constraint the grouped guarantees violate,
 /// in deterministic (group, member) order.
 fn first_violation(
     members: &[(&ApplicationModel, &MappedApplication)],
     groups: &[SharedSystem],
-    opts: &MapOptions,
 ) -> Option<RejectReason> {
     for g in groups {
         for m in &g.members {
             let (app, _) = members[m.admitted];
-            if let Some(required) = effective_constraint(app, opts) {
+            if let Some(required) = app.throughput_constraint().map(|c| c.as_ratio()) {
                 if g.analysis.iterations_per_cycle < required {
                     return Some(RejectReason::GuaranteeViolated {
                         victim: app.graph().name().to_string(),
@@ -884,34 +872,6 @@ mod tests {
                 victim, required, ..
             } => {
                 assert_eq!(victim, "tight");
-                assert_eq!(*required, Ratio::new(1, 100));
-            }
-            other => panic!("expected GuaranteeViolated, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn global_target_override_enforced_under_sharing() {
-        // Neither app carries a model constraint; the global target is
-        // exactly the first app's isolated bound on the single tile, so
-        // the first is admitted and the second must be rejected because
-        // sharing would push everybody below the override.
-        let uc = UseCase::new(vec![
-            pipeline_app("lead", &[50, 50], None),
-            pipeline_app("late", &[10, 10], None),
-        ])
-        .unwrap();
-        let arch = Architecture::homogeneous("x", 1, Interconnect::fsl()).unwrap();
-        let opts = MapOptions {
-            target: Some(Ratio::new(1, 100)),
-            ..MapOptions::default()
-        };
-        let r = map_use_case(&uc, &arch, &opts);
-        assert_eq!(r.admitted.len(), 1);
-        assert_eq!(r.admitted[0].name, "lead");
-        assert_eq!(r.admitted[0].constraint, Some(Ratio::new(1, 100)));
-        match &r.rejected[0].reason {
-            RejectReason::GuaranteeViolated { required, .. } => {
                 assert_eq!(*required, Ratio::new(1, 100));
             }
             other => panic!("expected GuaranteeViolated, got {other:?}"),

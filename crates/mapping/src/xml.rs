@@ -289,6 +289,6 @@ mod tests {
         let back = mapping_from_xml(&xml, app.graph(), arch.tile_count()).unwrap();
         let e1 = crate::comm_expand::expand(app.graph(), &mapping, &arch).unwrap();
         let e2 = crate::comm_expand::expand(app.graph(), &back, &arch).unwrap();
-        assert_eq!(e1.graph, e2.graph);
+        assert_eq!(e1, e2);
     }
 }

@@ -39,11 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = Architecture::homogeneous("demo", 2, Interconnect::fsl())?;
     let mapped = map_application(&app, &arch, &MapOptions::default())?;
     println!("--- Fig. 4 expansion of channel `link` (DOT) ---");
-    println!("{}", to_dot(&mapped.expanded.graph));
+    println!("{}", to_dot(&mapped.expanded));
     println!(
         "expanded graph: {} actors, {} channels (from 2 actors, 1 channel)",
-        mapped.expanded.graph.actor_count(),
-        mapped.expanded.graph.channel_count()
+        mapped.expanded.actor_count(),
+        mapped.expanded.channel_count()
     );
 
     // Fig. 4 parameters per interconnect.

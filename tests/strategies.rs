@@ -11,7 +11,7 @@ use mamps::mapping::{Binder, MapError};
 use mamps::platform::arch::Architecture;
 use mamps::platform::interconnect::Interconnect;
 use mamps::sdf::gen::{pipeline_app, strategies as genstrat};
-use mamps::sdf::ratio::Ratio;
+use mamps::sdf::ThroughputConstraint;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -58,16 +58,18 @@ proptest! {
             );
             prop_assert_eq!(flow.guaranteed_throughput(), direct.analysis.as_f64());
 
-            // Re-running with the achieved throughput as the target must
-            // succeed and report the same bound: every strategy meets the
-            // target exactly like the direct call.
-            let targeted = MapOptions {
-                target: Some(direct.analysis.iterations_per_cycle),
-                ..opts
+            // Re-running with the achieved throughput as the model's
+            // constraint must succeed and report the same bound: every
+            // strategy meets the target exactly like the direct call.
+            let achieved = direct.analysis.iterations_per_cycle;
+            let constraint = ThroughputConstraint {
+                iterations: achieved.numer() as u64,
+                cycles: achieved.denom() as u64,
             };
+            let targeted = pipeline_app("pipe", &wcets, 16, &[1], Some(constraint));
             let arch2 = Architecture::homogeneous("p", tiles, interconnect).unwrap();
-            let t = map_application(&app, &arch2, &targeted).unwrap();
-            prop_assert!(t.analysis.iterations_per_cycle >= direct.analysis.iterations_per_cycle);
+            let t = map_application(&targeted, &arch2, &opts).unwrap();
+            prop_assert!(t.analysis.iterations_per_cycle >= achieved);
         }
     }
 }
@@ -132,13 +134,14 @@ fn strategies_surface_infeasibility_identically() {
 
 #[test]
 fn unmeetable_target_fails_for_every_strategy() {
-    let app = pipeline_app("pipe", &[100, 100], 16, &[1], None);
+    let constraint = ThroughputConstraint {
+        iterations: 1,
+        cycles: 10,
+    };
+    let app = pipeline_app("pipe", &[100, 100], 16, &[1], Some(constraint));
     for binder in Binder::ALL {
         let arch = Architecture::homogeneous("t", 2, Interconnect::fsl()).unwrap();
-        let opts = MapOptions {
-            target: Some(Ratio::new(1, 10)),
-            ..MapOptions::with_strategy(binder)
-        };
+        let opts = MapOptions::with_strategy(binder);
         assert!(
             matches!(
                 map_application(&app, &arch, &opts),
