@@ -43,6 +43,8 @@
 //! assert!(opts.auto_concurrency);
 //! ```
 
+#![forbid(unsafe_code)]
+
 use criterion::Criterion;
 
 /// A Criterion configuration short enough for the full suite to run in a

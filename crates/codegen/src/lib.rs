@@ -33,6 +33,8 @@
 //! assert!(project.files.contains_key("system.tcl"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cwrap;
 pub mod memmap;
 pub mod netlist;

@@ -40,6 +40,8 @@
 //! assert!(result.project.files.contains_key("system.tcl"));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dse;
 pub mod experiments;
 pub mod flow;

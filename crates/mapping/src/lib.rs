@@ -76,6 +76,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod binding;
 pub mod comm_expand;
 pub mod cost;

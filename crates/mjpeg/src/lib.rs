@@ -27,6 +27,8 @@
 //! assert_eq!(result.profile.vld.len(), cfg.total_mcus());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod actors;
 pub mod app_model;
 pub mod bitstream;

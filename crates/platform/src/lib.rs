@@ -26,6 +26,8 @@
 //! # Ok::<(), mamps_platform::arch::ArchError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod arch;
 pub mod area;
 pub mod gen;

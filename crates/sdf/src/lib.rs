@@ -9,8 +9,11 @@
 //! * [`liveness`] — deadlock-freedom via abstract iteration execution.
 //! * [`state_space`] — worst-case throughput by self-timed state-space
 //!   exploration (the SDF3 algorithm used by the paper).
-//! * [`hsdf`] / [`mcr`] — HSDF conversion and exact max-cycle-ratio
+//! * `hsdf` / `mcr` — HSDF conversion and exact max-cycle-ratio
 //!   analysis, an independent cross-check of the state-space results.
+//!   Like `state_space::reference`, they are oracles for tests and
+//!   benches and are built only with `cfg(test)` or the `testkit`
+//!   feature.
 //! * [`buffer`] — the capacity lower bound and growth step of buffer sizing.
 //! * [`transform`] — self-edges, buffer-capacity reverse channels and
 //!   static-order constraint encodings.
@@ -40,14 +43,18 @@
 //! # Ok::<(), mamps_sdf::error::SdfError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod cache;
 pub mod dot;
 pub mod error;
 pub mod gen;
 pub mod graph;
+#[cfg(any(test, feature = "testkit"))]
 pub mod hsdf;
 pub mod liveness;
+#[cfg(any(test, feature = "testkit"))]
 pub mod mcr;
 pub mod memo;
 pub mod model;

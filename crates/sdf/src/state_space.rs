@@ -39,7 +39,7 @@
 //!   firing), the worklist exactly reaches the maximal firing set of each
 //!   instant, and because that set is unique (confluence of dataflow
 //!   firing), the explored states — and therefore throughput, transient and
-//!   period — are bit-identical to the naive rescan in [`mod@reference`].
+//!   period — are bit-identical to the naive rescan in `reference`.
 //! * State snapshots are encoded into a reused scratch buffer (`Vec<u64>`:
 //!   channel fills followed by the sorted `(actor, remaining-time)` pairs of
 //!   ongoing firings) and interned in a `HashMap<Box<[u64]>, _>` looked up
@@ -49,8 +49,9 @@
 //!   reuses across its SCC runs.
 //!
 //! The pre-optimization implementation is retained verbatim in
-//! [`mod@reference`] as the oracle for property tests and the before/after
+//! `reference` as the oracle for property tests and the before/after
 //! kernel benchmark (`cargo bench -p mamps_bench --bench state_space`).
+//! It is built only with `cfg(test)` or the `testkit` feature.
 
 use std::collections::{BinaryHeap, HashMap};
 
@@ -716,6 +717,7 @@ pub fn strongly_connected_components(graph: &SdfGraph) -> Vec<Vec<ActorId>> {
 /// materialized through [`crate::graph::SdfGraphBuilder`], every time instant rescans all
 /// actors against all channels, and every snapshot allocates a fresh
 /// [`StateKey`](self) with a sorted copy of the ongoing-firing multiset.
+#[cfg(any(test, feature = "testkit"))]
 pub mod reference {
     use std::collections::hash_map::Entry;
     use std::collections::{BinaryHeap, HashMap};

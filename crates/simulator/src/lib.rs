@@ -66,6 +66,8 @@
 //! assert!(measurement.steady_throughput() >= mapped.analysis.as_f64() * (1.0 - 1e-9));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod exec_time;
 pub mod fifo;

@@ -42,6 +42,8 @@
 //! println!("guaranteed: {} iterations/cycle", result.guaranteed_throughput());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use mamps_codegen as codegen;
 pub use mamps_core as flow;
 pub use mamps_mapping as mapping;
