@@ -226,9 +226,10 @@ fn stop_on_signals() {
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
-    // SAFETY: `signal` is the C library's, called with valid signal
-    // numbers and a handler that only stores to an atomic, which is
-    // async-signal-safe.
+    // SAFETY: the declaration matches C's `signal(int, sighandler_t)`
+    // (`int` is `i32` and a handler is pointer-sized on every Unix
+    // target), both signal numbers are valid, and the handler only
+    // stores to an atomic, which is async-signal-safe.
     unsafe {
         signal(SIGTERM, request_stop as *const () as usize);
         signal(SIGINT, request_stop as *const () as usize);

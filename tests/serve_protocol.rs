@@ -308,6 +308,16 @@ fn connect(socket: &Path) -> UnixStream {
     panic!("no coordinator came up at {}", socket.display());
 }
 
+/// Sets its flag when dropped, also while a failed check unwinds, so a
+/// failing test stops its coordinator instead of waiting on it forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 /// Runs a coordinator with `cfg` on a scoped thread and calls `body`
 /// with its socket and a closure that starts one more `run_worker`
 /// thread. Then it sets the stop flag, checks that the coordinator and
@@ -321,12 +331,13 @@ fn with_coordinator<T>(cfg: ServeConfig, body: impl FnOnce(&Path, &mut dyn FnMut
     };
     std::thread::scope(|s| {
         let coordinator = s.spawn(|| run_coordinator(cfg, &stop).map_err(|e| e.to_string()));
-        drop(connect(&socket));
+        let stop_on_drop = StopOnDrop(&stop);
+        drop(connect(&socket)); // returns once the coordinator listens
         let mut workers = Vec::new();
         let out = body(&socket, &mut || {
             workers.push(s.spawn(|| run_worker(&worker).map(drop).map_err(|e| e.to_string())));
         });
-        stop.store(true, Ordering::SeqCst);
+        drop(stop_on_drop);
         coordinator.join().unwrap().unwrap();
         for w in workers {
             w.join().unwrap().unwrap();
@@ -374,22 +385,24 @@ fn a_dropped_lease_is_reassigned_in_process() {
         ..ServeConfig::default()
     };
     let outcome = with_coordinator(cfg, |socket, start_worker| {
-        std::thread::scope(|s| {
-            let submit =
-                s.spawn(|| run_submit(socket, &spec, |_, _| {}).map_err(|e| e.to_string()));
-            let stream = connect(socket);
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let mut writer = stream;
-            write_msg(&mut writer, &ClientMsg::Fetch { worker: 0 }).unwrap();
-            let assign = read_msg::<ServerMsg>(&mut reader).unwrap();
-            assert!(
-                matches!(assign, Some(ServerMsg::Assign { .. })),
-                "{assign:?}"
-            );
-            drop((reader, writer));
-            start_worker();
-            submit.join().unwrap().unwrap()
-        })
+        // Not scoped: when a check below fails, the stopped coordinator
+        // rejects this submission and the thread ends on its own.
+        let submit = std::thread::spawn({
+            let (socket, spec) = (socket.to_path_buf(), spec.clone());
+            move || run_submit(&socket, &spec, |_, _| {}).map_err(|e| e.to_string())
+        });
+        let stream = connect(socket);
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        write_msg(&mut writer, &ClientMsg::Fetch { worker: 0 }).unwrap();
+        let assign = read_msg::<ServerMsg>(&mut reader).unwrap();
+        assert!(
+            matches!(assign, Some(ServerMsg::Assign { .. })),
+            "{assign:?}"
+        );
+        drop((reader, writer));
+        start_worker();
+        submit.join().unwrap().unwrap()
     });
     assert_eq!(outcome.report, expected);
     assert_eq!(outcome.stats.reassigned, 1);
