@@ -1,109 +1,58 @@
 //! `sim::event` — the discrete-event execution kernel.
 //!
 //! The lockstep reference engine ([`crate::reference`]) rescans every
-//! worker at every interesting instant, which is `O(workers)` per instant
-//! and makes large meshes (the `mesh_scaling` bench) interactively
-//! unusable. This kernel replaces the rescan with a sleeping/waking
-//! scheme:
+//! worker at every interesting instant and moves one word per operation:
+//! `O(workers)` per instant, and three instants (send, delivery, receive)
+//! per word. This kernel computes the same results with two changes:
 //!
-//! * Every active entity — each tile PE, CA/NI engine, hardware-IP actor
-//!   (the [`Worker`]s) and each NoC/FSL link (`LinkComponent`) — is a
-//!   [`Component`]: it knows when it next has something to do
-//!   ([`Component::next_tick`]) and what happens then
-//!   ([`Component::advance`]).
-//! * A binary-heap event queue keyed by `(next_tick, component_id)`
-//!   drives the system: links get ids `0..C` (one per channel) and
-//!   workers `C..C+W`, so at equal times word deliveries apply before
-//!   worker completions and completions apply in worker-index order —
-//!   the reference engine's exact order.
-//! * Idle components hold no queue entry at all: a blocked worker sleeps
-//!   until a *wake* — a state change on a channel it watches (token
-//!   arrival, freed space, returned credit) or its own completion (its
-//!   schedule position advanced). Each channel's watcher set is the at
-//!   most four workers whose admission can depend on it: the producer's
-//!   and consumer's firing workers and, for cross-tile channels, the
-//!   serializing and de-serializing workers. Wakes are conservative
-//!   (spurious wakes just fail admission again); completeness is what
-//!   guarantees equivalence with the reference's exhaustive rescan.
+//! * **Sleeping workers.** The event queue holds only worker completions,
+//!   one entry per busy worker keyed by `(completion time, worker index)`,
+//!   so completions at one instant apply in worker order — the reference
+//!   engine's order, which fixes the order of trace events. An idle worker
+//!   holds no entry: it sleeps until a *wake*, a state change on a channel
+//!   it watches or its own completion. Each channel's watchers are the at
+//!   most four workers whose starts can depend on it: the producer's and
+//!   consumer's firing workers and, for cross-tile channels, the
+//!   serializing and de-serializing workers. Wakes are conservative (a
+//!   spurious wake just fails to start again).
+//! * **Word bursts.** One serialize or de-serialize operation moves every
+//!   word the worker can take at its start, up to the next token boundary
+//!   and, on a PE, the end of its schedule entry. The burst computes each
+//!   word's start: a sent word waits for the previous word and for its
+//!   credit, the delivery of the word `alpha_n` places before it; a
+//!   received word waits for the previous word and for its own delivery. A
+//!   send burst pushes its words' delivery times when it starts and wakes
+//!   the channel's watchers, so deliveries are never queue events: each
+//!   [`Connection`](crate::noc_sim::Connection) keeps the delivery times
+//!   still ahead and counts the rest.
+//!
+//! A burst is exact because every pool a start consumes (tokens, space,
+//! `send_words`, credits, delivered words, `dst_word_space`, `assembled`,
+//! `src_space`) has exactly one consuming worker, so once a word's
+//! resources are there nothing can take them away; and the pools other
+//! workers wait on (`assembled`, `src_space`) change only when a token
+//! completes, which is where a burst ends. The same argument makes the
+//! order of starts at one instant irrelevant. Two outcomes of a
+//! word-by-word run need explicit care: a run that ends mid-burst takes
+//! back the busy cycles of the words starting at or after the final
+//! instant, and a run whose queue empties reports the latest pushed
+//! delivery as its last instant. Traced runs cap bursts at one word, so
+//! every word is a trace event in the word-by-word order.
 //!
 //! Channel FIFOs themselves are passive state ([`crate::fifo`]): they
-//! change only as an effect of worker/link events, so they never appear
-//! in the queue — they are reached through the wake lists instead.
+//! change only as an effect of worker starts and completions, so they never
+//! appear in the queue — they are reached through the wake lists instead.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-use mamps_mapping::mapping::ScheduleEntry;
+use mamps_mapping::mapping::{Mapping, ScheduleEntry};
 use mamps_sdf::graph::{ActorId, ChannelId};
 
 use crate::fifo::ChannelState;
 use crate::processor::{Op, Worker, WorkerKind};
 use crate::system::SimState;
 use crate::trace::{Measurement, SimError};
-
-/// A schedulable unit of the event kernel: something that knows when it
-/// next has an effect due and can apply it when the clock reaches that
-/// instant.
-pub trait Component {
-    /// The time of this component's next scheduled effect, if any. Idle
-    /// components return `None` and hold no event-queue entry.
-    fn next_tick(&self) -> Option<u64>;
-
-    /// Advances the component to `now`, returning the effect that is due
-    /// (or `None` when nothing is due at `now` — a spurious pop, which
-    /// the kernel treats as a no-op). The kernel commits the returned
-    /// effect against the shared `SimState`.
-    fn advance(&mut self, now: u64) -> Option<Effect>;
-}
-
-/// The effect a component applies when the kernel advances it. The
-/// affected channel or worker is identified by the component's queue id,
-/// so the effect itself only names the kind of state change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Effect {
-    /// A word reached the receiving NI: its flow-control credit returns
-    /// to the sender and the word becomes available for de-serialization.
-    Deliver,
-    /// The component's current operation completes (firing effects,
-    /// serialization progress, schedule-position advance).
-    Complete,
-}
-
-/// One channel's interconnect link as a component: the delivery times of
-/// its in-flight words. [`crate::noc_sim::Connection::push_word`]
-/// guarantees per-connection delivery times are non-decreasing, so a
-/// plain FIFO queue suffices.
-struct LinkComponent {
-    pending: VecDeque<u64>,
-}
-
-impl Component for LinkComponent {
-    fn next_tick(&self) -> Option<u64> {
-        self.pending.front().copied()
-    }
-
-    fn advance(&mut self, now: u64) -> Option<Effect> {
-        if self.pending.front() == Some(&now) {
-            self.pending.pop_front();
-            Some(Effect::Deliver)
-        } else {
-            None
-        }
-    }
-}
-
-impl Component for Worker {
-    fn next_tick(&self) -> Option<u64> {
-        Worker::next_tick(self)
-    }
-
-    fn advance(&mut self, now: u64) -> Option<Effect> {
-        if !self.is_idle() && self.busy_until == now {
-            Some(Effect::Complete)
-        } else {
-            None
-        }
-    }
-}
 
 /// Runs `st` with the event-driven kernel.
 pub(crate) fn run(
@@ -116,19 +65,19 @@ pub(crate) fn run(
 
 struct EventKernel<'s, 'a> {
     st: &'s mut SimState<'a>,
-    /// Link components, indexed by channel id (empty for non-cross
-    /// channels, which have no interconnect link).
-    links: Vec<LinkComponent>,
-    /// Event queue: `Reverse((next_tick, component_id))` with links at
-    /// ids `0..C` and workers at `C..C+W`. Exactly one entry per
-    /// outstanding worker operation and per in-flight word, so no entry
-    /// is ever stale.
-    queue: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
-    /// Per channel: the workers whose admission can depend on its state.
+    /// Worker completions, `Reverse((busy_until, worker))`: exactly one
+    /// entry per busy worker, so no entry is ever stale.
+    queue: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Per channel: the workers whose starts can depend on its state.
     watchers: Vec<Vec<usize>>,
-    /// Wake flags and list (sorted before use) of workers to re-try.
+    /// Wake flags and list of workers to re-try.
     woken: Vec<bool>,
     wake_list: Vec<usize>,
+    /// Per worker: the start cycle of each word of its current burst.
+    word_starts: Vec<Vec<u64>>,
+    /// Words per burst at most: one while tracing, so that every word is a
+    /// trace event.
+    max_burst: u64,
 }
 
 impl<'s, 'a> EventKernel<'s, 'a> {
@@ -162,81 +111,66 @@ impl<'s, 'a> EventKernel<'s, 'a> {
             ws.dedup();
             watchers.push(ws);
         }
-        let links = (0..st.channels.len())
-            .map(|_| LinkComponent {
-                pending: VecDeque::new(),
-            })
-            .collect();
         // Every worker starts woken: cycle 0 admission is tried for all.
         let n = st.workers.len();
+        let max_burst = if st.trace.is_some() { 1 } else { u64::MAX };
         EventKernel {
             st,
-            links,
             queue: BinaryHeap::new(),
             watchers,
             woken: vec![true; n],
             wake_list: (0..n).collect(),
+            word_starts: vec![Vec::new(); n],
+            max_burst,
         }
     }
 
     fn run_inner(&mut self, iterations: u64, max_cycles: u64) -> Result<Measurement, SimError> {
-        let n_channels = self.st.channels.len();
-        loop {
-            if (self.st.iteration_times.len() as u64) >= iterations {
-                break;
-            }
+        while (self.st.iteration_times.len() as u64) < iterations {
             self.start_phase();
-            // Advance to the next event, or report the verdict.
-            let next = match self.queue.peek() {
-                Some(&std::cmp::Reverse((t, _))) => t,
-                None => {
-                    return Err(SimError::Deadlock(format!(
-                        "no progress at cycle {} after {} iterations",
-                        self.st.now,
-                        self.st.iteration_times.len()
-                    )));
+            // Advance to the next completion, or report the verdict.
+            let Some(&Reverse((next, _))) = self.queue.peek() else {
+                // Nothing is busy. Deliveries are not queue events, so the
+                // last instant of the run is the latest pushed delivery
+                // when that comes after the last completion.
+                let last = self
+                    .st
+                    .channels
+                    .iter()
+                    .filter_map(|c| match c {
+                        ChannelState::Cross(c) => Some(c.conn.last_delivery()),
+                        _ => None,
+                    })
+                    .fold(self.st.now, u64::max);
+                if last > max_cycles {
+                    return Err(SimError::CycleLimit(max_cycles));
                 }
+                return Err(SimError::Deadlock(format!(
+                    "no progress at cycle {last} after {} iterations",
+                    self.st.iteration_times.len()
+                )));
             };
             if next > max_cycles {
                 return Err(SimError::CycleLimit(max_cycles));
             }
             self.st.now = next;
-            // Apply the whole batch at `next`: the heap pops deliveries
-            // (ids < C) before completions, completions in worker order.
-            while let Some(&std::cmp::Reverse((t, id))) = self.queue.peek() {
+            // Apply every completion at `next`, in worker order.
+            while let Some(&Reverse((t, w))) = self.queue.peek() {
                 if t != next {
                     break;
                 }
                 self.queue.pop();
-                if id < n_channels {
-                    let due = self.links[id].advance(t);
-                    debug_assert_eq!(due, Some(Effect::Deliver), "stale link event");
-                    if due.is_some() {
-                        if let ChannelState::Cross(c) = &mut self.st.channels[id] {
-                            c.deliver_word();
-                        }
-                        self.wake_watchers(id);
-                    }
-                } else {
-                    let w = id - n_channels;
-                    let due = self.st.workers[w].advance(t);
-                    debug_assert_eq!(due, Some(Effect::Complete), "stale worker event");
-                    if due.is_some() {
-                        self.complete(w);
-                    }
-                }
+                self.complete(w);
             }
         }
+        self.take_back_late_words();
         Ok(self.st.measurement())
     }
 
-    /// Tries to start every woken worker, in ascending worker index — the
-    /// reference engine's scan order. One pass suffices: starting an
-    /// operation only *consumes* channel pools, so no start can enable
-    /// another start at the same instant (pools grow only in deliveries
-    /// and completions, which wake their watchers for the next pass).
+    /// Tries to start every woken worker. The order does not matter: each
+    /// pool a start consumes has one consuming worker. A send burst wakes
+    /// its receiver, which this same pass then tries (again).
     fn start_phase(&mut self) {
-        self.wake_list.sort_unstable();
         let mut i = 0;
         while i < self.wake_list.len() {
             let w = self.wake_list[i];
@@ -263,36 +197,34 @@ impl<'s, 'a> EventKernel<'s, 'a> {
         }
     }
 
-    /// Schedules worker `w`'s just-started operation in the queue.
-    fn schedule_completion(&mut self, w: usize) {
-        let t = self.st.workers[w]
-            .next_tick()
-            .expect("just-started workers are busy");
-        let n_channels = self.st.channels.len();
-        self.queue.push(std::cmp::Reverse((t, n_channels + w)));
+    /// Marks worker `w` busy with `op` from `start` to `end`, charges it
+    /// `busy` cycles and queues its completion.
+    fn begin(&mut self, w: usize, op: Op, start: u64, end: u64, busy: u64) {
+        let worker = &mut self.st.workers[w];
+        worker.op = Some(op);
+        worker.op_started = start;
+        worker.busy_until = end;
+        worker.busy_cycles += busy;
+        self.queue.push(Reverse((end, w)));
     }
 
     /// Attempts to start the next operation of worker `w` at `now`.
-    fn try_start(&mut self, w: usize) -> bool {
+    fn try_start(&mut self, w: usize) {
         match self.st.workers[w].kind {
-            WorkerKind::Pe { tile } => {
-                let round = &self.st.mapping.schedules[tile];
-                let pc = self.st.workers[w].pc;
-                let entry = round[pc];
-                match entry {
-                    ScheduleEntry::Fire { actor, .. } => self.try_fire(w, actor),
-                    ScheduleEntry::Send { channel, .. } => self.try_send_word(w, channel),
-                    ScheduleEntry::Receive { channel, .. } => self.try_recv_word(w, channel),
-                }
-            }
-            WorkerKind::EngineSend { channel } => self.try_send_word(w, channel),
-            WorkerKind::EngineRecv { channel } => self.try_recv_word(w, channel),
+            WorkerKind::Pe { tile } => match self.st.mapping.schedules[tile][self.st.workers[w].pc]
+            {
+                ScheduleEntry::Fire { actor, .. } => self.try_fire(w, actor),
+                ScheduleEntry::Send { channel, .. } => self.try_send(w, channel),
+                ScheduleEntry::Receive { channel, .. } => self.try_receive(w, channel),
+            },
+            WorkerKind::EngineSend { channel } => self.try_send(w, channel),
+            WorkerKind::EngineRecv { channel } => self.try_receive(w, channel),
             WorkerKind::Ip { actor } => self.try_fire(w, actor),
         }
     }
 
     /// Firing admission: checks and consumes start-time resources.
-    fn try_fire(&mut self, w: usize, actor: ActorId) -> bool {
+    fn try_fire(&mut self, w: usize, actor: ActorId) {
         // Check every endpoint first (no partial consumption).
         for &cid in self.st.graph.incoming(actor) {
             let ok = match &self.st.channels[cid.0] {
@@ -301,7 +233,7 @@ impl<'s, 'a> EventKernel<'s, 'a> {
                 ChannelState::Cross(c) => c.assembled >= c.cons,
             };
             if !ok {
-                return false;
+                return;
             }
         }
         for &cid in self.st.graph.outgoing(actor) {
@@ -311,7 +243,7 @@ impl<'s, 'a> EventKernel<'s, 'a> {
                 ChannelState::Cross(c) => c.src_space >= c.prod,
             };
             if !ok {
-                return false;
+                return;
             }
         }
         // Consume.
@@ -332,55 +264,50 @@ impl<'s, 'a> EventKernel<'s, 'a> {
         let duration =
             self.st.times.cycles(actor, self.st.firings[actor.0]) + self.st.fire_overhead[actor.0];
         let now = self.st.now;
-        let worker = &mut self.st.workers[w];
-        worker.op = Some(Op::Fire { actor });
-        worker.op_started = now;
-        worker.busy_until = now + duration;
-        worker.busy_cycles += duration;
-        self.schedule_completion(w);
-        true
+        self.begin(w, Op::Fire { actor }, now, now + duration, duration);
     }
 
-    fn try_send_word(&mut self, w: usize, channel: ChannelId) -> bool {
-        let c = match &mut self.st.channels[channel.0] {
-            ChannelState::Cross(c) => c,
-            _ => return false,
-        };
-        if c.send_words == 0 || c.conn.credits == 0 {
-            return false;
-        }
-        c.send_words -= 1;
-        c.conn.credits -= 1;
-        let dur = c.ser_word;
+    /// Starts a send burst: the words produced so far, up to the next token
+    /// boundary.
+    fn try_send(&mut self, w: usize, channel: ChannelId) {
         let now = self.st.now;
-        let worker = &mut self.st.workers[w];
-        worker.op = Some(Op::SendWord { channel });
-        worker.op_started = now;
-        worker.busy_until = now + dur;
-        worker.busy_cycles += dur;
-        self.schedule_completion(w);
-        true
+        let ChannelState::Cross(c) = &mut self.st.channels[channel.0] else {
+            return;
+        };
+        let words = words_left_in_entry(&self.st.workers[w], self.st.mapping, c.n_words)
+            .min(self.max_burst)
+            .min(c.send_words)
+            .min(c.n_words - c.srel_progress);
+        let starts = &mut self.word_starts[w];
+        let Some(end) = c.conn.send_burst(now, words, c.ser_word, starts) else {
+            return;
+        };
+        c.send_words -= words;
+        let (first, busy) = (starts[0], words * c.ser_word);
+        self.begin(w, Op::SendWord { channel }, first, end, busy);
+        // The words are pushed: the receiver may take them now.
+        self.wake_watchers(channel.0);
     }
 
-    fn try_recv_word(&mut self, w: usize, channel: ChannelId) -> bool {
-        let c = match &mut self.st.channels[channel.0] {
-            ChannelState::Cross(c) => c,
-            _ => return false,
-        };
-        if c.conn.delivered == 0 || c.dst_word_space == 0 {
-            return false;
-        }
-        c.conn.delivered -= 1;
-        c.dst_word_space -= 1;
-        let dur = c.des_word;
+    /// Starts a receive burst: the words pushed so far, up to the next
+    /// token boundary and the free destination space.
+    fn try_receive(&mut self, w: usize, channel: ChannelId) {
         let now = self.st.now;
-        let worker = &mut self.st.workers[w];
-        worker.op = Some(Op::RecvWord { channel });
-        worker.op_started = now;
-        worker.busy_until = now + dur;
-        worker.busy_cycles += dur;
-        self.schedule_completion(w);
-        true
+        let ChannelState::Cross(c) = &mut self.st.channels[channel.0] else {
+            return;
+        };
+        let limit = words_left_in_entry(&self.st.workers[w], self.st.mapping, c.n_words)
+            .min(self.max_burst)
+            .min(c.dst_word_space)
+            .min(c.n_words - c.asm_progress);
+        let starts = &mut self.word_starts[w];
+        let Some(end) = c.conn.receive_burst(now, limit, c.des_word, starts) else {
+            return;
+        };
+        let words = starts.len() as u64;
+        c.dst_word_space -= words;
+        let (first, busy) = (starts[0], words * c.des_word);
+        self.begin(w, Op::RecvWord { channel }, first, end, busy);
     }
 
     /// Applies completion effects of worker `w` at `now`, waking the
@@ -389,7 +316,9 @@ impl<'s, 'a> EventKernel<'s, 'a> {
     fn complete(&mut self, w: usize) {
         let op = self.st.workers[w].op.take().expect("busy workers have ops");
         self.st.record_completion(w, op);
-        match op {
+        let words = self.word_starts[w].len() as u64;
+        self.word_starts[w].clear();
+        let units = match op {
             Op::Fire { actor } => {
                 for &cid in self.st.graph.outgoing(actor) {
                     match &mut self.st.channels[cid.0] {
@@ -426,34 +355,31 @@ impl<'s, 'a> EventKernel<'s, 'a> {
                 for &cid in graph.incoming(actor) {
                     self.wake_watchers(cid.0);
                 }
+                1
             }
             Op::SendWord { channel } => {
                 if let ChannelState::Cross(c) = &mut self.st.channels[channel.0] {
-                    let delivery = c.conn.push_word(self.st.now);
-                    // New in-flight word: the link component owns its
-                    // delivery. push_word keeps per-connection delivery
-                    // times non-decreasing, so back-of-queue is in order.
-                    self.links[channel.0].pending.push_back(delivery);
-                    self.queue.push(std::cmp::Reverse((delivery, channel.0)));
-                    c.srel_progress += 1;
+                    c.srel_progress += words;
                     if c.srel_progress == c.n_words {
                         c.srel_progress = 0;
                         c.src_space += 1;
                     }
                 }
                 self.wake_watchers(channel.0);
+                words
             }
             Op::RecvWord { channel } => {
                 if let ChannelState::Cross(c) = &mut self.st.channels[channel.0] {
-                    c.asm_progress += 1;
+                    c.asm_progress += words;
                     if c.asm_progress == c.n_words {
                         c.asm_progress = 0;
                         c.assembled += 1;
                     }
                 }
                 self.wake_watchers(channel.0);
+                words
             }
-        }
+        };
         self.wake(w);
         // Advance PE schedule position.
         if let WorkerKind::Pe { tile } = self.st.workers[w].kind {
@@ -461,58 +387,47 @@ impl<'s, 'a> EventKernel<'s, 'a> {
             let entry = round[self.st.workers[w].pc];
             let total_units = match entry {
                 ScheduleEntry::Fire { reps, .. } => reps,
-                ScheduleEntry::Send { channel, reps } => {
-                    let n = match &self.st.channels[channel.0] {
-                        ChannelState::Cross(c) => c.n_words,
-                        _ => 1,
-                    };
-                    reps * n
-                }
-                ScheduleEntry::Receive { channel, reps } => {
-                    let n = match &self.st.channels[channel.0] {
-                        ChannelState::Cross(c) => c.n_words,
-                        _ => 1,
-                    };
-                    reps * n
-                }
+                ScheduleEntry::Send { channel, reps }
+                | ScheduleEntry::Receive { channel, reps } => match &self.st.channels[channel.0] {
+                    ChannelState::Cross(c) => reps * c.n_words,
+                    _ => reps,
+                },
             };
             let worker = &mut self.st.workers[w];
-            worker.done_in_entry += 1;
+            worker.done_in_entry += units;
             if worker.done_in_entry >= total_units {
                 worker.done_in_entry = 0;
                 worker.pc = (worker.pc + 1) % round.len();
             }
         }
     }
+
+    /// Takes back the busy cycles of burst words that start at or after the
+    /// final instant: a word-by-word run stops before it starts them, and
+    /// [`Measurement::worker_busy`] counts only the operations started
+    /// before that instant.
+    fn take_back_late_words(&mut self) {
+        let now = self.st.now;
+        for (worker, starts) in self.st.workers.iter_mut().zip(&self.word_starts) {
+            // A burst ends one word's cycles after its last word starts.
+            if let Some(&last) = starts.last() {
+                let late = starts.iter().filter(|&&s| s >= now).count() as u64;
+                worker.busy_cycles -= late * (worker.busy_until - last);
+            }
+        }
+    }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn link_component_delivers_in_order() {
-        let mut link = LinkComponent {
-            pending: VecDeque::from([5, 5, 9]),
-        };
-        assert_eq!(link.next_tick(), Some(5));
-        assert_eq!(link.advance(5), Some(Effect::Deliver));
-        assert_eq!(link.advance(5), Some(Effect::Deliver));
-        // Nothing due at 5 anymore: spurious pops are no-ops.
-        assert_eq!(link.advance(5), None);
-        assert_eq!(link.next_tick(), Some(9));
-        assert_eq!(link.advance(9), Some(Effect::Deliver));
-        assert_eq!(link.next_tick(), None);
-    }
-
-    #[test]
-    fn worker_component_reports_completion() {
-        let mut w = Worker::new(WorkerKind::Pe { tile: 0 });
-        assert_eq!(Component::next_tick(&w), None);
-        w.op = Some(Op::Fire { actor: ActorId(0) });
-        w.busy_until = 42;
-        assert_eq!(Component::next_tick(&w), Some(42));
-        assert_eq!(w.advance(41), None);
-        assert_eq!(w.advance(42), Some(Effect::Complete));
+/// The words `worker` may still move in its schedule entry, a send or
+/// receive of `n_words`-word tokens: unbounded off a PE, and on a PE one at
+/// least, as a word-by-word run moves a word before it checks the entry's
+/// count.
+fn words_left_in_entry(worker: &Worker, mapping: &Mapping, n_words: u64) -> u64 {
+    match worker.kind {
+        WorkerKind::Pe { tile } => {
+            let reps = mapping.schedules[tile][worker.pc].reps();
+            (reps * n_words).saturating_sub(worker.done_in_entry).max(1)
+        }
+        _ => u64::MAX,
     }
 }

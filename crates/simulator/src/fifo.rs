@@ -73,17 +73,14 @@ pub struct CrossChannelState {
     pub src_tile: TileId,
     /// Receiving tile.
     pub dst_tile: TileId,
-    /// Serialization runs on a CA/NI engine instead of the source PE.
-    pub offload_src: bool,
-    /// De-serialization runs on a CA/NI engine instead of the sink PE.
-    pub offload_dst: bool,
 }
 
 impl CrossChannelState {
-    /// Applies the arrival of one word at the receiving NI: the flow-control
-    /// credit returns to the sender and the word becomes available to the
-    /// de-serializer. Shared by both engines so a delivery means exactly
-    /// the same state change under either.
+    /// Applies the arrival of one word at the receiving NI, as the lockstep
+    /// engine sees it: the flow-control credit returns to the sender and
+    /// the word becomes available to the de-serializer. The event kernel
+    /// never delivers single words; its [`Connection`] bursts account for
+    /// deliveries by time.
     pub(crate) fn deliver_word(&mut self) {
         self.conn.credits += 1;
         self.conn.delivered += 1;
@@ -139,8 +136,6 @@ mod tests {
             cons: 1,
             src_tile: TileId(0),
             dst_tile: TileId(1),
-            offload_src: false,
-            offload_dst: false,
         });
         assert!(matches!(s, ChannelState::SelfEdge(_)));
         assert!(matches!(l, ChannelState::Local(_)));

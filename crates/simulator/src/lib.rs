@@ -30,10 +30,12 @@
 //! Two interchangeable execution engines drive the simulation
 //! ([`Engine`], default [`Engine::Event`]):
 //!
-//! * [`event`] — a discrete-event kernel: components
-//!   ([`event::Component`]) sleep until a token arrival or timer wakes
-//!   them, driven by a binary-heap event queue. Interactive even on
-//!   64×64-tile meshes (see the `mesh_scaling` bench).
+//! * [`event`] — a discrete-event kernel: a binary-heap queue holds only
+//!   worker completions, idle workers sleep until a channel they watch
+//!   changes, and each serialize or de-serialize operation moves a burst
+//!   of words up to the next token boundary (one word while tracing).
+//!   Interactive even on 64×64-tile meshes (see the `mesh_scaling`
+//!   bench).
 //! * [`mod@reference`] — the original lockstep engine, kept intact as the
 //!   bit-exactness oracle: both engines must produce identical traces,
 //!   measurements, and error verdicts (enforced by tests, a proptest, and

@@ -8,18 +8,28 @@
 //! SDM NoC connections use this shape, with parameters from
 //! `CommParams`.
 
+use std::collections::VecDeque;
+
 use mamps_platform::interconnect::CommParams;
 
 /// One programmed connection of the interconnect.
 #[derive(Debug, Clone)]
 pub struct Connection {
-    /// Remaining in-connection credits (initially `alpha_n` words).
+    /// Remaining in-connection credits (initially `alpha_n` words). Kept
+    /// by the lockstep engine; the event kernel derives them from the
+    /// words still in flight.
     pub credits: u64,
     /// Words delivered to the receiving NI, not yet de-serialized.
     pub delivered: u64,
+    /// Event kernel: delivery times of pushed words not yet folded into
+    /// `delivered`, oldest first.
+    ahead: VecDeque<u64>,
+    /// Event kernel: words at the front of `ahead` that a receive burst
+    /// already took.
+    taken_ahead: usize,
     /// Latency-stage completion times of the last `w` words (FIFO); word
     /// `k` can enter the stage only after word `k - w` left it.
-    lat_done_history: std::collections::VecDeque<u64>,
+    lat_done_history: VecDeque<u64>,
     /// Completion time of the last word through the rate stage.
     last_rate_done: u64,
     params: CommParams,
@@ -31,7 +41,9 @@ impl Connection {
         Connection {
             credits: params.alpha_n,
             delivered: 0,
-            lat_done_history: std::collections::VecDeque::new(),
+            ahead: VecDeque::new(),
+            taken_ahead: 0,
+            lat_done_history: VecDeque::new(),
             last_rate_done: 0,
             params,
         }
@@ -50,9 +62,8 @@ impl Connection {
     /// start).
     ///
     /// Delivery times of one connection are non-decreasing across calls
-    /// (the serial rate stage is FIFO), which is what lets the event
-    /// kernel's link component keep its in-flight words in a plain queue
-    /// instead of a priority queue.
+    /// (the serial rate stage is FIFO), so the words in flight form a plain
+    /// queue ordered by delivery.
     pub fn push_word(&mut self, now: u64) -> u64 {
         let w = self.params.w.max(1) as usize;
         // Latency stage: word k starts once word k-w has left the stage.
@@ -73,6 +84,90 @@ impl Connection {
         );
         self.last_rate_done = rate_done;
         rate_done
+    }
+
+    /// The delivery time of the last word pushed (0 before the first).
+    pub(crate) fn last_delivery(&self) -> u64 {
+        self.last_rate_done
+    }
+
+    /// Folds the deliveries due by `now` into `delivered`; words a receive
+    /// burst already took are just dropped.
+    fn fold_deliveries(&mut self, now: u64) {
+        while self.ahead.front().is_some_and(|&d| d <= now) {
+            self.ahead.pop_front();
+            if self.taken_ahead > 0 {
+                self.taken_ahead -= 1;
+            } else {
+                self.delivered += 1;
+            }
+        }
+    }
+
+    /// Serializes `words` words as one burst of the event kernel, the first
+    /// no earlier than `now`, each taking `cycles`. A word starts once the
+    /// previous one ended and its credit returned: the delivery of the
+    /// word `alpha_n` places before it. Pushes every word at its end,
+    /// appends each start to `starts` and returns the burst's end, or
+    /// `None` when nothing can be sent (no words, or no credits at all).
+    pub(crate) fn send_burst(
+        &mut self,
+        now: u64,
+        words: u64,
+        cycles: u64,
+        starts: &mut Vec<u64>,
+    ) -> Option<u64> {
+        if words == 0 || self.params.alpha_n == 0 {
+            return None;
+        }
+        self.fold_deliveries(now);
+        // Every word left in `ahead` is in flight and holds a credit.
+        let free = (self.params.alpha_n as usize)
+            .checked_sub(self.ahead.len())
+            .expect("at most alpha_n words are in flight");
+        let mut t = now;
+        for j in 0..words as usize {
+            if j >= free {
+                t = t.max(self.ahead[j - free]);
+            }
+            starts.push(t);
+            t += cycles;
+            let delivery = self.push_word(t);
+            self.ahead.push_back(delivery);
+        }
+        Some(t)
+    }
+
+    /// De-serializes up to `limit` pushed words as one burst of the event
+    /// kernel, the first no earlier than `now`, each taking `cycles`. A
+    /// word starts once the previous one ended and it was delivered. Takes
+    /// the words, appends each start to `starts` and returns the burst's
+    /// end, or `None` when no word is pushed or `limit` is 0.
+    pub(crate) fn receive_burst(
+        &mut self,
+        now: u64,
+        limit: u64,
+        cycles: u64,
+        starts: &mut Vec<u64>,
+    ) -> Option<u64> {
+        self.fold_deliveries(now);
+        let pushed = self.delivered + (self.ahead.len() - self.taken_ahead) as u64;
+        let words = limit.min(pushed);
+        if words == 0 {
+            return None;
+        }
+        let ready = self.delivered.min(words);
+        let mut t = now;
+        for j in 0..words {
+            if j >= ready {
+                t = t.max(self.ahead[self.taken_ahead + (j - ready) as usize]);
+            }
+            starts.push(t);
+            t += cycles;
+        }
+        self.delivered -= ready;
+        self.taken_ahead += (words - ready) as usize;
+        Some(t)
     }
 }
 

@@ -19,12 +19,15 @@ pub enum Op {
         /// The actor being fired.
         actor: ActorId,
     },
-    /// Serializing one word of a channel into the interconnect.
+    /// Serializing words of a channel into the interconnect: one word in
+    /// the lockstep engine and in traced runs, a burst of words up to the
+    /// next token boundary in untraced event-kernel runs.
     SendWord {
         /// The channel being served.
         channel: ChannelId,
     },
-    /// De-serializing one word of a channel from the interconnect.
+    /// De-serializing words of a channel from the interconnect (one word or
+    /// a burst, as for [`Op::SendWord`]).
     RecvWord {
         /// The channel being served.
         channel: ChannelId,
@@ -63,7 +66,8 @@ pub struct Worker {
     pub kind: WorkerKind,
     /// Current operation, when busy.
     pub op: Option<Op>,
-    /// Start time of the current operation.
+    /// Start time of the current operation (of its first word, for a
+    /// burst).
     pub op_started: u64,
     /// Completion time of the current operation.
     pub busy_until: u64,
@@ -92,13 +96,6 @@ impl Worker {
     /// True when the worker can accept a new operation.
     pub fn is_idle(&self) -> bool {
         self.op.is_none()
-    }
-
-    /// The completion time of the current operation, if busy — the
-    /// worker's contribution to the event kernel's queue (see
-    /// [`crate::event::Component`]).
-    pub fn next_tick(&self) -> Option<u64> {
-        self.op.map(|_| self.busy_until)
     }
 }
 

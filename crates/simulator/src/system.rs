@@ -10,8 +10,9 @@
 //! Two execution engines drive the shared `SimState`:
 //!
 //! * [`crate::event`] — the default discrete-event kernel: a binary-heap
-//!   event queue keyed by `(next_tick, component_id)`; idle components
-//!   sleep until a token arrival or timer wakes them.
+//!   queue of worker completions; idle workers sleep until a channel they
+//!   watch changes, and cross-tile words move in bursts up to a token
+//!   boundary.
 //! * [`crate::reference`] — the original lockstep engine, kept intact as
 //!   the bit-exactness oracle the event kernel is validated against.
 //!
@@ -47,8 +48,9 @@ fn per_word_cycles(setup: u64, cycles_per_word: u64, n: u64) -> u64 {
 /// `Lockstep` is the original cycle-scanning engine kept as the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Discrete-event kernel ([`crate::event`]): binary-heap event queue,
-    /// idle components sleep until woken. `O(log n)` per event.
+    /// Discrete-event kernel ([`crate::event`]): binary-heap queue of
+    /// worker completions, idle workers sleep until woken, words move in
+    /// bursts. `O(log n)` per event.
     #[default]
     Event,
     /// Lockstep reference engine ([`crate::reference`]): advances to the
@@ -169,8 +171,6 @@ impl<'a> SimState<'a> {
                     dst_tile_id,
                     alloc.wires,
                 );
-                let offload_src = !matches!(src_tile.kind(), TileKind::Master | TileKind::Slave);
-                let offload_dst = !matches!(dst_tile.kind(), TileKind::Master | TileKind::Slave);
                 let (ser_setup, ser_cpw) = match src_tile.ca() {
                     Some(ca) => (ca.setup_cycles, ca.cycles_per_word),
                     None => (
@@ -200,8 +200,6 @@ impl<'a> SimState<'a> {
                     cons: ch.consumption_rate(),
                     src_tile: src_tile_id,
                     dst_tile: dst_tile_id,
-                    offload_src,
-                    offload_dst,
                 })
             };
             channels.push(state);
@@ -225,14 +223,15 @@ impl<'a> SimState<'a> {
                 }
             }
         }
+        let offloads = |t| !matches!(arch.tile(t).kind(), TileKind::Master | TileKind::Slave);
         for (cid, st) in channels.iter().enumerate() {
             if let ChannelState::Cross(c) = st {
-                if c.offload_src {
+                if offloads(c.src_tile) {
                     workers.push(Worker::new(WorkerKind::EngineSend {
                         channel: mamps_sdf::graph::ChannelId(cid),
                     }));
                 }
-                if c.offload_dst {
+                if offloads(c.dst_tile) {
                     workers.push(Worker::new(WorkerKind::EngineRecv {
                         channel: mamps_sdf::graph::ChannelId(cid),
                     }));

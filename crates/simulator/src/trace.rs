@@ -189,7 +189,9 @@ pub struct Measurement {
     pub total_cycles: u64,
     /// Completed firings per actor.
     pub firings: Vec<u64>,
-    /// Busy cycles per worker.
+    /// Busy cycles per worker: every operation started before the final
+    /// instant counts in full, even if it ends after it; one started at or
+    /// after it does not count.
     pub worker_busy: Vec<(WorkerKind, u64)>,
     /// Platform clock in MHz (for unit conversion in reports).
     pub clock_mhz: u64,

@@ -3,7 +3,10 @@
 # and the lockstep reference oracle (--engine lockstep) must produce
 # byte-for-byte identical output — guarantee verdicts, trace text, and
 # Gantt charts — over every checked-in example pair, single-app and
-# multi-app. Run by CI's "Simulator equivalence" step and by smoke.sh:
+# multi-app, and over a generated 2x2 mesh and a 3-tile CA platform.
+# Untraced rows reach the event kernel's multi-word bursts; traced rows
+# move one word per operation. Run by CI's "Simulator equivalence" step
+# and by smoke.sh:
 #
 #   cargo build --release && scripts/sim_equiv.sh
 set -euo pipefail
@@ -47,5 +50,30 @@ check "simulate mjpeg (trace only, long)" \
   simulate "$APP" "$ARCH" 50 --trace 200
 check "simulate pipeline (trace only, long)" \
   simulate "$APP2" "$ARCH" 50 --trace 200
+
+# Untraced runs: whole word bursts, compared through the verdicts.
+check "simulate mjpeg (untraced)" simulate "$APP" "$ARCH" 50
+check "simulate pipeline (untraced)" simulate "$APP2" "$ARCH" 50
+
+# A 2x2 NoC mesh and a 3-tile CA platform (CA engines serialize).
+"$BIN" gen --seed 7 --family chain --actors 4 --arch mesh:2x2 --count 1 \
+  --out "$tmp/mesh" >/dev/null
+MESH=$tmp/mesh/arch_mesh2x2.xml
+CA=$tmp/ca_3tile_arch.xml
+cat >"$CA" <<'XML'
+<?xml version="1.0"?>
+<architecture clockMhz="100" name="ca3">
+  <tile caPerWord="1" caSetup="10" dmem="131072" imem="131072" kind="ca" name="tile0" processor="microblaze" serPerWord="12" serSetup="48"/>
+  <tile caPerWord="1" caSetup="10" dmem="131072" imem="131072" kind="ca" name="tile1" processor="microblaze" serPerWord="12" serSetup="48"/>
+  <tile caPerWord="1" caSetup="10" dmem="131072" imem="131072" kind="ca" name="tile2" processor="microblaze" serPerWord="12" serSetup="48"/>
+  <interconnect fifoDepth="16" type="fsl"/>
+</architecture>
+XML
+for arch in "$MESH" "$CA"; do
+  name=$(basename "$arch" .xml)
+  check "simulate mjpeg on $name (untraced)" simulate "$APP" "$arch" 50
+  check "map-multi mjpeg + pipeline on $name" \
+    map-multi "$APP" "$APP2" "$arch" --iters 300
+done
 
 echo "sim_equiv: OK"

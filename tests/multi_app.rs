@@ -21,36 +21,45 @@ use mamps::sdf::model::{ApplicationModel, ThroughputConstraint};
 use mamps::sim::{FiringTimes, System, TraceTimes, WcetTimes};
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Admission soundness: whatever subset gets admitted, the concurrent
     /// WCET simulation of every interference group meets the lockstep
     /// bound, every member progresses at least at that rate, and every
     /// admitted application's constraint is honoured by the *measured*
     /// throughput — the paper's conservativeness claim lifted to shared
-    /// platforms. All of it holds again when every actor runs faster than
-    /// its WCET, at times drawn in `[1, WCET]`.
+    /// platforms, on FSL and NoC platforms with multirate members. All of
+    /// it holds again when every actor runs faster than its WCET, at times
+    /// drawn in `[1, WCET]`.
     #[test]
     fn admitted_use_case_meets_every_per_app_bound(
         wcets_a in proptest::collection::vec(20u64..150, 2..4),
         wcets_b in proptest::collection::vec(20u64..150, 2..4),
         tiles in 1usize..4,
+        noc in any::<bool>(),
+        token_size in prop_oneof![Just(16u64), Just(64), Just(200)],
+        (rates_a, rates_b) in (1u64..4, 1u64..4),
         // Constraint denominator for app B, scaled to stay feasible for
         // some seeds and infeasible for others.
         cycles in 300u64..40_000,
         seed in 0u64..1000,
     ) {
         let apps = vec![
-            pipeline_app("first", &wcets_a, 16, &[1], None),
+            pipeline_app("first", &wcets_a, token_size, &[rates_a], None),
             pipeline_app(
                 "second",
                 &wcets_b,
-                16,
-                &[1],
+                token_size,
+                &[rates_b],
                 Some(ThroughputConstraint { iterations: 1, cycles }),
             ),
         ];
-        let arch = Architecture::homogeneous("p", tiles, Interconnect::fsl()).unwrap();
+        let ic = if noc {
+            Interconnect::noc_for_tiles(tiles)
+        } else {
+            Interconnect::fsl()
+        };
+        let arch = Architecture::homogeneous("p", tiles, ic).unwrap();
         let uc = UseCase::new(apps).unwrap();
         let outcome = map_use_case(&uc, &arch, &MapOptions::default());
         prop_assert!(!outcome.admitted.is_empty(), "first app is unconstrained");
