@@ -770,7 +770,7 @@ impl Sweep {
             (self.header.mode == SweepMode::UseCases).then(|| use_case_context(&self.apps));
         // Design-point cost is heavily skewed, so points are scheduled
         // dynamically rather than split statically.
-        dynamic_map(opts.jobs, &todo, |_, &seq| {
+        dynamic_map(opts.jobs, &todo, |&seq| {
             let config = &self.configs[seq as usize];
             let outcome = match &use_case {
                 Some(ctx) => {

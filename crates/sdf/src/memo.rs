@@ -6,77 +6,30 @@
 //! cache ([`crate::passes::PassCache`]) are its two instantiations; each
 //! adds only the inherent methods that derive its key.
 //!
-//! Interior mutability is a fixed set of `Mutex`-protected shards (an
-//! FxHash map each), picked by key hash, so concurrent DSE workers rarely
-//! contend on the same lock. Shards are never locked while computing.
-//! Hit/miss/insert counters are relaxed atomics, surfaced per run via
+//! The store is one `Mutex` around a `BTreeMap` and its hit/miss/insert
+//! counters. The lock is never held while computing, and a lookup is
+//! cheap next to the analysis or pass it saves, so concurrent DSE workers
+//! rarely wait on it. The counters are surfaced per run via
 //! [`MemoStore::stats`] (`--stats`).
 //!
-//! Entries [`export`](MemoStore::export) sorted by key, so equal stores
-//! export byte-identical JSONL regardless of insertion or shard order, and
-//! [`import`](MemoStore::import) first-wins; `mamps_core::dse::cache`
-//! persists them under `--cache-dir` as `<E::PREFIX><i>-of-<n>.jsonl`.
+//! The map is ordered by key, so [`export`](MemoStore::export) walks it
+//! as it stands and equal stores export byte-identical JSONL regardless
+//! of insertion order. [`import`](MemoStore::import) is first-wins;
+//! `mamps_core::dse::cache` persists the entries under `--cache-dir` as
+//! `<E::PREFIX><i>-of-<n>.jsonl`.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use serde::{Deserialize, Serialize};
-
-/// FxHash (the rustc hash) as a `std::hash::Hasher`, for the in-memory
-/// shard maps. Quality is sufficient for table indexing and it is much
-/// cheaper than SipHash on the short keys used here. (Only the *stable*
-/// [`serde::stable_hash`] is persisted; this table hash never leaves the
-/// process.)
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type FxBuild = BuildHasherDefault<FxHasher>;
-type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
-type Shard<E> = Mutex<FxHashMap<<E as MemoEntry>::Key, <E as MemoEntry>::Value>>;
-
-/// Number of independently locked map shards. A small power of two:
-/// enough that a handful of DSE workers rarely collide, cheap enough to
-/// iterate for export.
-const SHARD_COUNT: usize = 16;
 
 /// The serializable on-disk entry of a [`MemoStore`]: it splits into the
 /// in-memory key and value, joins back on export, and names the file
 /// prefix of its persisted JSONL files.
 pub trait MemoEntry: Serialize + for<'de> Deserialize<'de> {
     /// The in-memory key. Its `Ord` is the export order.
-    type Key: Clone + Eq + Hash + Ord;
+    type Key: Clone + Ord;
     /// The memoized value.
     type Value: Clone;
     /// File-name prefix of this entry type's files under `--cache-dir`;
@@ -117,16 +70,20 @@ impl fmt::Display for CacheStats {
 /// A global, thread-safe memo table over the entries `E`. See the module
 /// docs.
 ///
-/// All methods take `&self`; shards are locked individually and never
-/// while computing, so concurrent workers only serialize on map access
+/// All methods take `&self` and hold the lock only for the map access
 /// itself. Two workers racing on one key both compute and both insert —
 /// the memoized functions are deterministic, so the duplicate is benign
 /// and counted once.
 pub struct MemoStore<E: MemoEntry> {
-    shards: [Shard<E>; SHARD_COUNT],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
+    table: Mutex<Table<E>>,
+}
+
+/// The map and its counters, guarded together by the store's one lock.
+struct Table<E: MemoEntry> {
+    map: BTreeMap<E::Key, E::Value>,
+    /// Hit, miss and insert counts; `entries` is left at 0 and filled in
+    /// from the map by [`MemoStore::stats`].
+    counts: CacheStats,
 }
 
 impl<E: MemoEntry> fmt::Debug for MemoStore<E> {
@@ -148,30 +105,28 @@ impl<E: MemoEntry> MemoStore<E> {
     /// An empty store.
     pub fn new() -> MemoStore<E> {
         MemoStore {
-            shards: std::array::from_fn(|_| Mutex::new(FxHashMap::default())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
+            table: Mutex::new(Table {
+                map: BTreeMap::new(),
+                counts: CacheStats::default(),
+            }),
         }
     }
 
-    fn shard(&self, key: &E::Key) -> &Shard<E> {
-        let h = FxBuild::default().hash_one(key);
-        &self.shards[(h as usize) % SHARD_COUNT]
+    /// Locks the table. Each method leaves it consistent after every
+    /// step, so a thread that panicked while holding the lock left
+    /// nothing half-done and the poison flag is ignored.
+    fn table(&self) -> MutexGuard<'_, Table<E>> {
+        self.table.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The memoized value under `key`, if any. Counts a hit or a miss.
     pub(crate) fn get(&self, key: &E::Key) -> Option<E::Value> {
-        let r = self
-            .shard(key)
-            .lock()
-            .expect("memo shard poisoned")
-            .get(key)
-            .cloned();
+        let mut t = self.table();
+        let r = t.map.get(key).cloned();
         match r {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
+            Some(_) => t.counts.hits += 1,
+            None => t.counts.misses += 1,
+        }
         r
     }
 
@@ -179,28 +134,24 @@ impl<E: MemoEntry> MemoStore<E> {
     /// stale entry that no longer decodes must give way to its
     /// recomputation). Counts an insert only when the key was vacant.
     pub(crate) fn put(&self, key: E::Key, value: E::Value) {
-        let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
-        if shard.insert(key, value).is_none() {
-            self.inserts.fetch_add(1, Ordering::Relaxed);
+        let mut t = self.table();
+        if t.map.insert(key, value).is_none() {
+            t.counts.inserts += 1;
         }
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
+        let t = self.table();
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            entries: self.len(),
+            entries: t.map.len(),
+            ..t.counts
         }
     }
 
     /// Entries currently stored.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").len())
-            .sum()
+        self.table().map.len()
     }
 
     /// True when nothing is memoized.
@@ -208,16 +159,14 @@ impl<E: MemoEntry> MemoStore<E> {
         self.len() == 0
     }
 
-    /// Every entry, sorted by key, so equal stores export byte-identical
-    /// JSONL regardless of insertion or shard order.
+    /// Every entry in key order, so equal stores export byte-identical
+    /// JSONL regardless of insertion order.
     pub fn export(&self) -> Vec<E> {
-        let mut pairs: Vec<(E::Key, E::Value)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            let shard = shard.lock().expect("memo shard poisoned");
-            pairs.extend(shard.iter().map(|(k, v)| (k.clone(), v.clone())));
-        }
-        pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        pairs.into_iter().map(|(k, v)| E::join(k, v)).collect()
+        let t = self.table();
+        t.map
+            .iter()
+            .map(|(k, v)| E::join(k.clone(), v.clone()))
+            .collect()
     }
 
     /// Loads entries (e.g. parsed from an on-disk cache file) into the
@@ -226,15 +175,12 @@ impl<E: MemoEntry> MemoStore<E> {
     /// touch no counter: the counters account for *this* run's lookups
     /// and inserts only.
     pub fn import<I: IntoIterator<Item = E>>(&self, entries: I) -> usize {
-        let mut added = 0;
+        let mut t = self.table();
+        let before = t.map.len();
         for e in entries {
             let (key, value) = e.split();
-            let mut shard = self.shard(&key).lock().expect("memo shard poisoned");
-            if let std::collections::hash_map::Entry::Vacant(slot) = shard.entry(key) {
-                slot.insert(value);
-                added += 1;
-            }
+            t.map.entry(key).or_insert(value);
         }
-        added
+        t.map.len() - before
     }
 }
