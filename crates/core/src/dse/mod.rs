@@ -8,9 +8,10 @@
 //! which strategy produced it, so Pareto fronts can be read per strategy —
 //! e.g. a `spiral` point that ties `greedy` throughput at fewer allocated
 //! NoC wire-links. Design points are independent full flow runs, so
-//! [`explore_report`] evaluates them concurrently via
-//! [`crate::parallel::dynamic_map`] when [`FlowOptions::jobs`] asks for
-//! it; the result is point-for-point identical to the sequential sweep.
+//! [`explore_report`] evaluates them concurrently when
+//! [`FlowOptions::jobs`] asks for it: [`crate::parallel::dynamic_map`]
+//! workers claim one point at a time, and the result is point-for-point
+//! identical to the sequential sweep.
 //! Infeasible points are not silently discarded: they come back as
 //! [`SkippedPoint`]s naming the strategy and the failing flow step,
 //! surfaced by `mamps dse` and [`crate::report::render_dse_report`].

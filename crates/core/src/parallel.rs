@@ -128,4 +128,22 @@ mod tests {
         assert_eq!(calls.load(Ordering::Relaxed), items.len());
         assert_eq!(r, items.iter().map(cost).collect::<Vec<_>>());
     }
+
+    #[test]
+    fn dynamic_map_propagates_a_panicking_item() {
+        let items: Vec<u32> = (0..16).collect();
+        let caught = std::panic::catch_unwind(|| {
+            dynamic_map(2, &items, |&x| {
+                assert_ne!(x, 5, "item five fails");
+                x
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(message.contains("item five fails"), "payload: {message:?}");
+    }
 }

@@ -30,9 +30,10 @@
 //! The coordinator owns one warm [`GlobalAnalysisCache`] + [`PassCache`]
 //! across all submissions (loaded from `--cache-dir` at startup,
 //! persisted back on job completion and at shutdown). Workers get the
-//! warm entries with their first assignment and ship their own growth
-//! back with each completion, so the Nth sweep over the same corpus is
-//! served mostly from memo.
+//! warm entries with their first assignment. With each completion after
+//! which one of its caches grew, a worker sends that cache's whole
+//! export back, and the coordinator imports it first-wins. The Nth
+//! sweep over the same corpus is therefore served mostly from memo.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -538,7 +539,7 @@ fn handle_fetch(
     }
 }
 
-/// Merges a completed range: imports the worker's cache growth, records
+/// Merges a completed range: imports the worker's cache exports, records
 /// the outcomes that belong to the lease (appending the fresh ones to the
 /// spool), and finalizes the job when the ledger is complete. A lease
 /// whose range the records do not cover stays open until it expires.

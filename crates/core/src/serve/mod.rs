@@ -6,7 +6,8 @@
 //! ingredients — sharded seq-tagged sweeps, crash `--resume`, the warm
 //! [`GlobalAnalysisCache`](mamps_sdf::GlobalAnalysisCache) /
 //! [`PassCache`](mamps_sdf::PassCache) with on-disk persistence, and
-//! work-stealing scheduling — and this module turns them into a service:
+//! dynamic scheduling of design points over threads — and this module
+//! turns them into a service:
 //!
 //! * [`coordinator::run_coordinator`] (`mamps dse-serve`) listens on a
 //!   Unix socket, accepts sweep submissions, partitions each sweep's

@@ -6,9 +6,9 @@
 //! The worker is stateless with respect to the sweep — everything it
 //! needs arrives in the [`Assign`](super::protocol::ServerMsg::Assign)
 //! message — but keeps warm local caches: the coordinator's analysis and
-//! pass-cache entries arrive with the first assignment, local growth is
-//! shipped back with each completion, and parsed sweeps are memoized per
-//! job fingerprint. A worker exits cleanly (0) when the coordinator
+//! pass-cache entries arrive with the first assignment, a cache that grew
+//! during a range is shipped back whole with that range's completion,
+//! and parsed sweeps are memoized per job fingerprint. A worker exits cleanly (0) when the coordinator
 //! tells it to shut down *or* simply disappears (EOF): a killed
 //! coordinator is an expected event, not a worker error.
 

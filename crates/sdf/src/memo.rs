@@ -184,3 +184,41 @@ impl<E: MemoEntry> MemoStore<E> {
         t.map.len() - before
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::passes::PassCache;
+    use serde::Value;
+
+    #[test]
+    fn racing_workers_insert_each_key_once_and_export_in_key_order() {
+        let cache = PassCache::new();
+        // Two threads walk overlapping key ranges (0..600 and 400..1000)
+        // in opposite directions, each looking every key up and inserting
+        // it on a miss, as a DSE worker does around an analysis.
+        std::thread::scope(|s| {
+            for keys in [(0..600).collect::<Vec<u64>>(), (400..1000).rev().collect()] {
+                let cache = &cache;
+                s.spawn(move || {
+                    for k in keys {
+                        let pass = if k % 2 == 0 { "bind" } else { "buffer-size" };
+                        if cache.lookup(pass, k).is_none() {
+                            cache.insert(pass, k, Value::Int(k.into()));
+                        }
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.inserts, stats.entries), (1000, 1000));
+        assert_eq!(stats.hits + stats.misses, 1200);
+        let exported = cache.export();
+        assert_eq!(exported.len(), 1000);
+        assert!(exported
+            .windows(2)
+            .all(|w| (w[0].pass.as_str(), w[0].input) < (w[1].pass.as_str(), w[1].input)));
+        assert!(exported
+            .iter()
+            .all(|e| e.output == Value::Int(e.input.into())));
+    }
+}
