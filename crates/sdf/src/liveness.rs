@@ -40,8 +40,8 @@ impl IterationOrder {
 ///   firings when execution stalls.
 /// * [`SdfError::Overflow`] if the iteration's firing count or a channel's
 ///   token count overflows `u64`.
-/// * [`SdfError::AnalysisLimit`] if the iteration's firing order does not
-///   fit in memory.
+/// * [`SdfError::AnalysisLimit`] if one iteration has more than
+///   2^24 firings.
 ///
 /// # Examples
 ///
@@ -63,6 +63,12 @@ pub fn check_liveness(graph: &SdfGraph) -> Result<IterationOrder, SdfError> {
     simulate_iteration(graph, &q)
 }
 
+/// The most firings one iteration may have. The abstract execution below
+/// runs and records every firing, so without a cap an iteration that
+/// still fits in memory (q = [2^27, 1] is a 1 GiB witness) would cost
+/// that much time and memory before any analysis starts.
+const MAX_ITERATION_FIRINGS: u64 = 1 << 24;
+
 /// Abstractly executes one iteration, returning the firing order.
 /// Errors as [`check_liveness`].
 pub(crate) fn simulate_iteration(
@@ -75,15 +81,13 @@ pub(crate) fn simulate_iteration(
     let total = q
         .total_firings()
         .ok_or_else(|| SdfError::Overflow("firings of one iteration".into()))?;
-    let mut firings = Vec::new();
-    if firings
-        .try_reserve_exact(usize::try_from(total).unwrap_or(usize::MAX))
-        .is_err()
-    {
+    if total > MAX_ITERATION_FIRINGS {
         return Err(SdfError::AnalysisLimit(format!(
-            "one iteration of {total} firings exceeds memory"
+            "one iteration of {total} firings exceeds the budget of \
+             {MAX_ITERATION_FIRINGS} firings"
         )));
     }
+    let mut firings = Vec::with_capacity(total as usize);
 
     let is_ready = |tokens: &[u64], remaining: &[u64], a: usize| -> bool {
         if remaining[a] == 0 {
@@ -213,9 +217,16 @@ mod tests {
             b.add_channel_with_tokens("e", a, p, d, c, tokens);
             check_liveness(&b.build().unwrap())
         };
-        // q = (c, p): a firing count that fits u64 but not memory.
+        // q = (c, p): a firing count that fits u64 but not the budget.
         let huge = pair(9223372036854775783, 9223372036854775643, 0);
         assert!(matches!(huge, Err(SdfError::AnalysisLimit(_))));
+        // q = (2^25, 1) fits in memory, but is over the firing budget.
+        assert_eq!(
+            pair(1, 1 << 25, 0),
+            Err(SdfError::AnalysisLimit(
+                "one iteration of 33554433 firings exceeds the budget of 16777216 firings".into()
+            ))
+        );
         // The first firing of `A` overflows the token count of `e`.
         let full = pair(1, 1, u64::MAX);
         assert_eq!(

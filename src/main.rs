@@ -425,9 +425,9 @@ struct SweepShape {
 
 /// Parses the sweep's shape from the positional arguments and the
 /// `--apps` / `--binders` flags, the only reader of both; `None` is a
-/// usage error. Binder names are parsed here, so `dse-submit` fails
-/// locally with the unknown-binder error instead of after a coordinator
-/// round trip.
+/// usage error. Binder names and max-tiles are checked here, so
+/// `dse-submit` fails locally on an unknown binder or an empty tile
+/// range instead of after a coordinator round trip.
 fn sweep_shape(args: &Args) -> Result<Option<SweepShape>, Box<dyn std::error::Error>> {
     let list = |v: &str| -> Vec<String> {
         v.split(',')
@@ -447,10 +447,13 @@ fn sweep_shape(args: &Args) -> Result<Option<SweepShape>, Box<dyn std::error::Er
         _ => return Ok(None),
     };
     let max: usize = max.parse()?;
+    if max == 0 {
+        return Err("<max-tiles> must be at least 1".into());
+    }
     Ok(Some(SweepShape {
         mode,
         app_paths,
-        tile_counts: (1..=max.max(1)).collect(),
+        tile_counts: (1..=max).collect(),
         binders,
     }))
 }

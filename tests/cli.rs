@@ -505,8 +505,8 @@ fn cli_xml_errors_name_the_file_and_line() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Well-formed applications whose one iteration overflows `u64` or
-/// memory — huge rates, a full initial token count, a token size whose
+/// Well-formed applications whose one iteration overflows `u64` or the
+/// firing budget — huge rates, a full initial token count, a token size whose
 /// Fig. 4 expansion explodes — fail with an error line, never a panic.
 #[test]
 fn cli_oversized_iterations_fail_cleanly() {
@@ -537,7 +537,7 @@ fn cli_oversized_iterations_fail_cleanly() {
             "rates",
             app(("9223372036854775783", "9223372036854775643"), "0", "4"),
             "analyze",
-            "exceeds memory",
+            "exceeds the budget of 16777216 firings",
         ),
         (
             "rates",
@@ -668,6 +668,46 @@ fn cli_dse_rejects_an_empty_app_list() {
     assert!(out.stdout.is_empty(), "no report for an empty sweep");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("sweep has no applications"), "{err}");
+}
+
+/// Max-tiles 0 is an empty tile range, so every sweep command rejects it
+/// before it reads an input: `dse` in both modes prints nothing and
+/// writes no shard or cache file, and `dse-submit` fails before it
+/// connects (no coordinator listens on its socket).
+#[test]
+fn cli_sweeps_reject_zero_max_tiles() {
+    let dir = std::env::temp_dir().join(format!("mamps_cli_zero_tiles_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let app =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/data/mjpeg_small_app.xml");
+    let app = app.to_str().unwrap();
+    let socket = dir.join("absent.sock");
+    let socket = socket.to_str().unwrap();
+    let cache = ["--cache-dir", "cache"];
+    let runs: [Vec<&str>; 5] = [
+        [&["dse", app, "0"][..], &cache].concat(),
+        [
+            &["dse", app, "0", "--shard", "0/2", "--out", "s.jsonl"][..],
+            &cache,
+        ]
+        .concat(),
+        [&["dse", "0", "--apps", app][..], &cache].concat(),
+        vec!["dse-submit", app, "0", "--socket", socket],
+        vec!["dse-submit", "0", "--apps", app, "--socket", socket],
+    ];
+    for args in runs {
+        let out = Command::new(bin())
+            .current_dir(&dir)
+            .args(&args)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(err, "error: <max-tiles> must be at least 1\n", "{args:?}");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "wrote nothing");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A value flag never takes the next flag as its value: `--cache-dir
