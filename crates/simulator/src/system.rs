@@ -65,7 +65,7 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Engine, String> {
         match s {
             "event" => Ok(Engine::Event),
-            "lockstep" | "reference" => Ok(Engine::Lockstep),
+            "lockstep" => Ok(Engine::Lockstep),
             other => Err(format!(
                 "unknown simulator engine `{other}` (expected `event` or `lockstep`)"
             )),
@@ -383,11 +383,6 @@ impl<'a> System<'a> {
     pub fn with_engine(mut self, engine: Engine) -> System<'a> {
         self.engine = engine;
         self
-    }
-
-    /// The selected execution engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Like [`run`](Self::run) but records up to `max_events` completed
@@ -708,7 +703,7 @@ mod tests {
     fn engine_parses_and_displays() {
         assert_eq!("event".parse::<Engine>().unwrap(), Engine::Event);
         assert_eq!("lockstep".parse::<Engine>().unwrap(), Engine::Lockstep);
-        assert_eq!("reference".parse::<Engine>().unwrap(), Engine::Lockstep);
+        assert!("reference".parse::<Engine>().is_err());
         assert!("cycle".parse::<Engine>().is_err());
         assert_eq!(Engine::Event.to_string(), "event");
         assert_eq!(Engine::Lockstep.to_string(), "lockstep");
