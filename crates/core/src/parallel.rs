@@ -55,18 +55,20 @@ where
     if jobs <= 1 {
         return items.iter().map(f).collect();
     }
+    // `Relaxed` suffices: the cursor only hands out indices, and the
+    // results reach this thread through the joins.
     let next = AtomicUsize::new(0);
     let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
         let workers: Vec<_> = (0..jobs)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut done = Vec::new();
+                    let mut mine = Vec::new();
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(item) = items.get(i) else {
-                            return done;
+                            return mine;
                         };
-                        done.push((i, f(item)));
+                        mine.push((i, f(item)));
                     }
                 })
             })

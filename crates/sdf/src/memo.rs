@@ -189,17 +189,21 @@ impl<E: MemoEntry> MemoStore<E> {
 mod tests {
     use crate::passes::PassCache;
     use serde::Value;
+    use std::sync::Barrier;
 
     #[test]
     fn racing_workers_insert_each_key_once_and_export_in_key_order() {
         let cache = PassCache::new();
         // Two threads walk overlapping key ranges (0..600 and 400..1000)
         // in opposite directions, each looking every key up and inserting
-        // it on a miss, as a DSE worker does around an analysis.
+        // it on a miss, as a DSE worker does around an analysis. The
+        // barrier starts both walks together.
+        let start = Barrier::new(2);
         std::thread::scope(|s| {
             for keys in [(0..600).collect::<Vec<u64>>(), (400..1000).rev().collect()] {
-                let cache = &cache;
+                let (cache, start) = (&cache, &start);
                 s.spawn(move || {
+                    start.wait();
                     for k in keys {
                         let pass = if k % 2 == 0 { "bind" } else { "buffer-size" };
                         if cache.lookup(pass, k).is_none() {
