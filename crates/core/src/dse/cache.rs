@@ -19,14 +19,22 @@
 //!   every `<PREFIX>*.jsonl` of its own entry type, whichever shard
 //!   produced it, and ignores every other file in the directory.
 //! * **Robustness.** The cache is advisory: a line that fails to parse
-//!   (torn tail of a killed run) is skipped and counted, never an error —
-//!   the worst case is re-analysing a design point. Files are written to
-//!   a temporary name unique to the writer and renamed into place, so a
+//!   or is not UTF-8 (torn tail of a killed run, cut even inside a
+//!   multi-byte character) is skipped and counted, never an error — the
+//!   worst case is re-analysing a design point. Files are written to a
+//!   temporary name unique to the writer and renamed into place, so a
 //!   reader never observes a half-written cache file and two writers of
 //!   one file never truncate each other's temporary.
+//! * **Unchanged files stay.** A persist whose rendered bytes equal the
+//!   file already in place writes nothing, so a warm run that added no
+//!   entry leaves its files (and their inodes) as they were. Next to
+//!   concurrent writers this is safe: files are only ever replaced whole
+//!   by a rename, never written in place, so the compared file is one
+//!   writer's complete output, and finding it equal is the same outcome
+//!   as writing it and having the rename land just before that writer's.
 
 use std::fs;
-use std::io;
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -42,7 +50,8 @@ pub struct CacheDirLoad {
     /// Entries imported into the in-memory cache (first occurrence of
     /// each key wins; later duplicates are not counted).
     pub imported: usize,
-    /// Lines skipped because they did not parse as a cache entry.
+    /// Lines skipped because they were not UTF-8 or did not parse as a
+    /// cache entry.
     pub skipped_lines: usize,
 }
 
@@ -69,8 +78,9 @@ impl std::fmt::Display for CacheDirLoad {
 ///
 /// # Errors
 ///
-/// Only real I/O errors (unreadable directory or file); parse failures
-/// are skipped and counted in [`CacheDirLoad::skipped_lines`].
+/// Only real I/O errors (unreadable directory or file); lines that are
+/// not UTF-8 or do not parse are skipped and counted in
+/// [`CacheDirLoad::skipped_lines`].
 pub fn load_cache_dir<E: MemoEntry>(cache: &MemoStore<E>, dir: &Path) -> io::Result<CacheDirLoad> {
     let mut load = CacheDirLoad::default();
     let entries = match fs::read_dir(dir) {
@@ -90,9 +100,19 @@ pub fn load_cache_dir<E: MemoEntry>(cache: &MemoStore<E>, dir: &Path) -> io::Res
         .collect();
     files.sort();
     for path in files {
-        let text = fs::read_to_string(&path)?;
+        // Bytes, not a string: a line cut inside a multi-byte character
+        // is one more torn line, not an error for the whole file.
+        let bytes = fs::read(&path)?;
         let mut parsed: Vec<E> = Vec::new();
-        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        for line in bytes.split(|&b| b == b'\n') {
+            let Ok(line) = std::str::from_utf8(line) else {
+                load.skipped_lines += 1;
+                continue;
+            };
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
             match serde::json::from_str::<E>(line) {
                 Ok(e) => parsed.push(e),
                 Err(_) => load.skipped_lines += 1,
@@ -105,11 +125,13 @@ pub fn load_cache_dir<E: MemoEntry>(cache: &MemoStore<E>, dir: &Path) -> io::Res
 }
 
 /// Persists `cache` to its shard-owned `<E::PREFIX><i>-of-<n>.jsonl` file
-/// in `dir` (creating the directory if needed) and returns the written
-/// path. The file is replaced atomically (write to a temporary name
-/// unique to this writer — process id plus a process-wide counter — then
-/// rename), so concurrent loaders see either the old or the new cache,
-/// never a torn one, and concurrent persists of one file all succeed.
+/// in `dir` (creating the directory if needed) and returns the file's
+/// path. When the file already holds exactly the rendered bytes it is
+/// left in place. Otherwise it is replaced atomically (write to a
+/// temporary name unique to this writer — process id plus a process-wide
+/// counter — then rename), so concurrent loaders see either the old or
+/// the new cache, never a torn one, and concurrent persists of one file
+/// all succeed.
 ///
 /// # Errors
 ///
@@ -127,14 +149,35 @@ pub fn persist_cache<E: MemoEntry>(
         serde::json::emit(&entry.to_value(), &mut out);
         out.push('\n');
     }
+    let path = dir.join(&name);
+    if holds(&path, out.as_bytes()) {
+        return Ok(path);
+    }
     let writer = WRITES.fetch_add(1, Ordering::Relaxed);
     let tmp = dir.join(format!(".{name}.{}-{writer}.tmp", std::process::id()));
-    let path = dir.join(name);
     let written = fs::write(&tmp, out).and_then(|()| fs::rename(&tmp, &path));
     if written.is_err() {
         let _ = fs::remove_file(&tmp);
     }
     written.map(|()| path)
+}
+
+/// Whether the file at `path` holds exactly `bytes`: the length first,
+/// then fixed-size chunks, so no second copy of the file is held. A file
+/// that cannot be opened or read counts as different.
+fn holds(path: &Path, bytes: &[u8]) -> bool {
+    let Ok(mut file) = fs::File::open(path) else {
+        return false;
+    };
+    match file.metadata() {
+        Ok(meta) if meta.len() == bytes.len() as u64 => {}
+        _ => return false,
+    }
+    let mut chunk = [0u8; 8 * 1024];
+    bytes.chunks(chunk.len()).all(|expected| {
+        let got = &mut chunk[..expected.len()];
+        file.read_exact(got).is_ok() && got == expected
+    })
 }
 
 /// [`load_cache_dir`] under the name callers of the pass cache know.
@@ -189,10 +232,16 @@ mod tests {
         dir
     }
 
+    fn inode(path: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        fs::metadata(path).unwrap().ino()
+    }
+
     /// The directory contract every entry type keeps: a persist → load →
-    /// persist byte fixpoint, torn lines skipped and counted, a missing
-    /// directory loading as an empty cache, and shard files that do not
-    /// collide.
+    /// persist byte fixpoint that leaves the file in place, a grown store
+    /// replacing the file, torn lines (non-UTF-8 ones too) skipped and
+    /// counted and rewritten by the next persist, a missing directory
+    /// loading as an empty cache, and shard files that do not collide.
     fn check_contract<E: MemoEntry + PartialEq + std::fmt::Debug>(
         cache: &MemoStore<E>,
         dir: &Path,
@@ -203,22 +252,41 @@ mod tests {
         let roundtrip = dir.join("roundtrip");
         let path = persist_cache(cache, &roundtrip, ShardSpec::full()).unwrap();
         assert!(path.ends_with(format!("{}0-of-1.jsonl", E::PREFIX)));
+        let canonical = fs::read(&path).unwrap();
+        let written = inode(&path);
         let warm = MemoStore::<E>::new();
         let load = load_cache_dir(&warm, &roundtrip).unwrap();
         assert_eq!((load.files, load.imported, load.skipped_lines), (1, n, 0));
         assert_eq!(warm.export(), cache.export());
         let again = persist_cache(&warm, &roundtrip, ShardSpec::full()).unwrap();
-        assert_eq!(fs::read(&again).unwrap(), fs::read(&path).unwrap());
+        assert_eq!(again, path);
+        assert_eq!(fs::read(&again).unwrap(), canonical);
+        assert_eq!(inode(&again), written, "an unchanged store left the file");
 
-        // Tear the last line mid-record and append garbage, as a killed
-        // writer (without the atomic rename) might have.
+        // A store that grew since the file was written replaces it.
+        let grown = dir.join("grown");
+        let partial = MemoStore::<E>::new();
+        partial.import(cache.export().into_iter().skip(1));
+        let path = persist_cache(&partial, &grown, ShardSpec::full()).unwrap();
+        let written = inode(&path);
+        persist_cache(cache, &grown, ShardSpec::full()).unwrap();
+        assert_ne!(inode(&path), written, "a grown store replaces the file");
+        assert_eq!(fs::read(&path).unwrap(), canonical);
+
+        // Tear the last line mid-record, append garbage and a pass-cache
+        // line cut inside a two-byte character, as a killed writer
+        // (without the atomic rename) might have.
         let torn = dir.join("torn");
         let path = persist_cache(cache, &torn, ShardSpec::new(1, 4).unwrap()).unwrap();
         assert!(path.ends_with(format!("{}1-of-4.jsonl", E::PREFIX)));
         let text = fs::read_to_string(&path).unwrap();
-        fs::write(&path, format!("{}\nnot json\n", &text[..text.len() - 9])).unwrap();
+        let mut bytes = format!("{}\nnot json\n", &text[..text.len() - 9]).into_bytes();
+        bytes.extend_from_slice(b"{\"pass\":\"bind\",\"input\":1,\"output\":\"caf\xc3");
+        fs::write(&path, bytes).unwrap();
         let load = load_cache_dir(&MemoStore::<E>::new(), &torn).unwrap();
-        assert_eq!((load.imported, load.skipped_lines), (n - 1, 2));
+        assert_eq!((load.imported, load.skipped_lines), (n - 1, 3));
+        persist_cache(cache, &torn, ShardSpec::new(1, 4).unwrap()).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), canonical, "torn file rewritten");
 
         let missing = MemoStore::<E>::new();
         let load = load_cache_dir(&missing, &dir.join("missing")).unwrap();

@@ -189,7 +189,7 @@ pub(crate) fn sort_dse_points(points: &mut [DsePoint]) {
 ///
 /// # Panics
 ///
-/// When `tile_counts` is empty.
+/// When `tile_counts` is empty or holds a count outside `1..=4096`.
 pub fn explore_report(
     app: &ApplicationModel,
     tile_counts: &[usize],
@@ -351,7 +351,8 @@ pub(crate) fn sort_use_case_points(points: &mut [UseCasePoint]) {
 ///
 /// # Panics
 ///
-/// When `apps` or `tile_counts` is empty.
+/// When `apps` or `tile_counts` is empty, or `tile_counts` holds a count
+/// outside `1..=4096`.
 pub fn explore_use_cases(
     apps: &[ApplicationModel],
     tile_counts: &[usize],
@@ -438,6 +439,22 @@ mod tests {
         let mut mb = HomogeneousModelBuilder::new("microblaze");
         for i in 0..3 {
             mb.actor(format!("a{i}"), 100, 2048, 256);
+        }
+        mb.finish(g, None).unwrap()
+    }
+
+    /// [`app`] with actors of 50 KiB instruction memory: two fit in a
+    /// tile's 128 KiB, three do not, so its 1-tile points are skipped.
+    pub(crate) fn app_needing_two_tiles() -> ApplicationModel {
+        let mut b = SdfGraphBuilder::new("a");
+        let ids: Vec<_> = (0..3).map(|i| b.add_actor(format!("a{i}"), 1)).collect();
+        for i in 0..2 {
+            b.add_channel_full(format!("e{i}"), ids[i], 1, ids[i + 1], 1, 0, 16);
+        }
+        let g = b.build().unwrap();
+        let mut mb = HomogeneousModelBuilder::new("microblaze");
+        for i in 0..3 {
+            mb.actor(format!("a{i}"), 100, 100 * 1024, 256);
         }
         mb.finish(g, None).unwrap()
     }
@@ -593,11 +610,16 @@ mod tests {
 
     #[test]
     fn infeasible_points_are_recorded_with_reasons() {
-        // 0 tiles cannot host any actor: the architecture step fails.
-        let report = explore_report(&app(), &[0, 2], false, &FlowOptions::default());
+        // One tile cannot hold all three actors: the binding step fails.
+        let report = explore_report(
+            &app_needing_two_tiles(),
+            &[1, 2],
+            false,
+            &FlowOptions::default(),
+        );
         assert_eq!(report.skipped.len(), 1);
         let s = &report.skipped[0];
-        assert_eq!((s.tiles, s.interconnect), (0, "fsl"));
+        assert_eq!((s.tiles, s.interconnect), (1, "fsl"));
         assert_eq!(s.strategy, "greedy");
         assert!(!s.reason.is_empty(), "reason must name the failing step");
         assert_eq!(report.points.len(), 1);
@@ -610,8 +632,8 @@ mod tests {
             binders: vec![Binder::Greedy, Binder::Spiral],
             ..FlowOptions::default()
         };
-        // Tile count 0 fails for every strategy: skips are attributed too.
-        let report = explore_report(&app(), &[0, 1, 2], true, &opts);
+        // One tile fails for every strategy: skips are attributed too.
+        let report = explore_report(&app_needing_two_tiles(), &[1, 2, 3], true, &opts);
         for strategy in ["greedy", "spiral"] {
             let kept = report.points.iter().filter(|p| p.strategy == strategy);
             let skipped = report.skipped.iter().filter(|s| s.strategy == strategy);
@@ -623,14 +645,14 @@ mod tests {
 
     #[test]
     fn parallel_explore_matches_sequential() {
-        let a = app();
+        let a = app_needing_two_tiles();
         let opts = FlowOptions {
             // Genetic is left out to keep the test fast.
             binders: vec![Binder::Greedy, Binder::Spiral],
             ..FlowOptions::default()
         };
-        let seq = explore_report(&a, &[0, 1, 2, 3], true, &opts);
-        let par = explore_report(&a, &[0, 1, 2, 3], true, &FlowOptions { jobs: 4, ..opts });
+        let seq = explore_report(&a, &[1, 2, 3], true, &opts);
+        let par = explore_report(&a, &[1, 2, 3], true, &FlowOptions { jobs: 4, ..opts });
         assert_eq!(seq.points, par.points, "points must match point-for-point");
         assert_eq!(seq.skipped, par.skipped);
     }

@@ -671,6 +671,35 @@ pub(crate) fn seed_outcomes(
     Ok(seeded)
 }
 
+/// Largest tile count a sweep may hold: the 64×64 mesh that
+/// `BENCH_mesh_scaling.json` measures. Tile counts arrive from the command
+/// line and from coordinator peers, and each one becomes an architecture
+/// of that many tiles.
+pub(crate) const MAX_SWEEP_TILES: usize = 4096;
+
+/// Checks that `tiles` lies in `1..=MAX_SWEEP_TILES`; the error is the
+/// end of a sentence whose subject the caller names.
+fn check_tile_count(tiles: usize) -> Result<(), String> {
+    if tiles == 0 {
+        Err("must be at least 1".into())
+    } else if tiles > MAX_SWEEP_TILES {
+        Err(format!("must be at most {MAX_SWEEP_TILES}"))
+    } else {
+        Ok(())
+    }
+}
+
+/// The tile counts `1..=max` that `mamps dse <app> <max>` sweeps.
+///
+/// # Errors
+///
+/// "must be at least 1" or "must be at most …" when [`Sweep::new`] would
+/// reject `max`, returned before anything is allocated.
+pub fn tile_counts_up_to(max: usize) -> Result<Vec<usize>, String> {
+    check_tile_count(max)?;
+    Ok((1..=max).collect())
+}
+
 /// A sweep resolved for evaluation: the applications, the design points
 /// in canonical order (a point's index is its seq) and the full-sweep
 /// header. [`Sweep::evaluate`] is the only place design points are
@@ -692,8 +721,9 @@ impl Sweep {
     ///
     /// A rendered reason when `apps` is empty, a [`SweepMode::Binders`]
     /// sweep does not have exactly one application, or `tile_counts` is
-    /// empty. Duplicate application names are not an error here: every
-    /// design point of such a use-case sweep reports them as a rejection.
+    /// empty or holds a count of 0 or more than 4,096 tiles. Duplicate
+    /// application names are not an error here: every design point of
+    /// such a use-case sweep reports them as a rejection.
     pub fn new(
         mode: SweepMode,
         apps: Vec<ApplicationModel>,
@@ -712,6 +742,9 @@ impl Sweep {
         }
         if tile_counts.is_empty() {
             return Err("sweep has no tile counts".into());
+        }
+        for &tiles in tile_counts {
+            check_tile_count(tiles).map_err(|e| format!("tile count {tiles} {e}"))?;
         }
         if strategies.is_empty() {
             strategies.push(Binder::default());
@@ -845,7 +878,7 @@ pub(crate) fn explore_sweep(
 ///
 /// # Panics
 ///
-/// When `tile_counts` is empty.
+/// When `tile_counts` is empty or holds a count outside `1..=4096`.
 pub fn explore_shard(
     app: &ApplicationModel,
     tile_counts: &[usize],
@@ -864,11 +897,13 @@ pub fn explore_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dse::tests::{app, named_app};
+    use crate::dse::tests::{app, app_needing_two_tiles, named_app};
 
-    /// The greedy binder sweep of the test app over `tiles` × FSL/NoC.
+    /// The greedy binder sweep over `tiles` × FSL/NoC of a test app whose
+    /// 1-tile points are skipped.
     fn sweep(tiles: &[usize]) -> Sweep {
-        Sweep::new(SweepMode::Binders, vec![app()], tiles, true, Vec::new()).unwrap()
+        let app = app_needing_two_tiles();
+        Sweep::new(SweepMode::Binders, vec![app], tiles, true, Vec::new()).unwrap()
     }
 
     /// One sweep per mode: the properties below hold for both.
@@ -878,8 +913,8 @@ mod tests {
         [
             Sweep::new(
                 SweepMode::Binders,
-                vec![app()],
-                &[0, 1, 2, 3],
+                vec![app_needing_two_tiles()],
+                &[1, 2, 3],
                 true,
                 binders.to_vec(),
             ),
@@ -947,6 +982,20 @@ mod tests {
             err(Binders, vec![app()], &[]),
             Some("sweep has no tile counts".into())
         );
+        assert_eq!(
+            err(Binders, vec![app()], &[1, 0]),
+            Some("tile count 0 must be at least 1".into())
+        );
+        assert_eq!(
+            err(UseCases, vec![app()], &[MAX_SWEEP_TILES + 1, 1]),
+            Some("tile count 4097 must be at most 4096".into())
+        );
+        assert_eq!(err(Binders, vec![app()], &[MAX_SWEEP_TILES]), None);
+        assert_eq!(tile_counts_up_to(3), Ok(vec![1, 2, 3]));
+        assert_eq!(tile_counts_up_to(0), Err("must be at least 1".into()));
+        for max in [MAX_SWEEP_TILES + 1, usize::MAX] {
+            assert_eq!(tile_counts_up_to(max), Err("must be at most 4096".into()));
+        }
         // Duplicate names are a per-point rejection, not a malformed sweep.
         assert_eq!(err(UseCases, vec![app(), app()], &[1]), None);
         // No strategies sweeps greedy: 2 tile counts x fsl/noc.
@@ -980,7 +1029,7 @@ mod tests {
 
     #[test]
     fn jsonl_round_trips_shards_exactly() {
-        for shard in sharded(&sweep(&[0, 1, 2, 3]), 2) {
+        for shard in sharded(&sweep(&[1, 2, 3]), 2) {
             let text = shard.to_jsonl();
             let back = DseShard::from_jsonl(&text).unwrap();
             assert_eq!(back, shard);
@@ -991,7 +1040,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_missing_and_duplicate_shards() {
-        let shards = sharded(&sweep(&[0, 1, 2, 3]), 3);
+        let shards = sharded(&sweep(&[1, 2, 3]), 3);
         assert!(matches!(
             merge_reports(&shards[..2]),
             Err(MergeError::MissingShards { ref missing, count: 3 }) if missing == &vec![2]
@@ -1016,7 +1065,7 @@ mod tests {
 
     #[test]
     fn merge_rejects_truncated_shards() {
-        let mut shards = sharded(&sweep(&[0, 1, 2, 3]), 2);
+        let mut shards = sharded(&sweep(&[1, 2, 3]), 2);
         shards[1].records.pop();
         assert!(matches!(
             merge_reports(&shards),
@@ -1076,7 +1125,7 @@ mod tests {
         // A crashed 3-way sharded sweep's partials seed an unsharded
         // resume, and the unsharded run seeds a shard: every record
         // carries its canonical seq, so shard geometry does not matter.
-        let s = sweep(&[0, 1, 2, 3]);
+        let s = sweep(&[1, 2, 3]);
         let opts = FlowOptions::default();
         let cold = cold(&s);
         let partials = sharded(&s, 3);
@@ -1090,7 +1139,7 @@ mod tests {
     fn resume_rejects_foreign_sweeps() {
         let other = cold(&sweep(&[1, 2])); // different sweep
         assert!(matches!(
-            sweep(&[0, 1, 2, 3]).run(ShardSpec::full(), &[other], &FlowOptions::default()),
+            sweep(&[1, 2, 3]).run(ShardSpec::full(), &[other], &FlowOptions::default()),
             Err(ResumeError::SweepMismatch { .. })
         ));
     }
@@ -1125,7 +1174,7 @@ mod tests {
 
     #[test]
     fn foreign_records_are_rejected_at_parse_time() {
-        let shards = sharded(&sweep(&[0, 1, 2, 3]), 2);
+        let shards = sharded(&sweep(&[1, 2, 3]), 2);
         // Concatenating two different shards' files corrupts ownership.
         let concatenated = format!("{}{}", shards[0].to_jsonl(), shards[1].to_jsonl());
         assert!(DseShard::from_jsonl(&concatenated).is_err());

@@ -35,7 +35,8 @@ pub struct SweepSpec {
     pub mode: SweepMode,
     /// Application XML documents, in admission order.
     pub apps_xml: Vec<String>,
-    /// Tile counts to sweep (`mamps dse <max>` sweeps `1..=max`).
+    /// Tile counts to sweep (`mamps dse <max>` sweeps `1..=max`), each
+    /// from 1 to 4,096.
     pub tile_counts: Vec<usize>,
     /// Whether to sweep NoC configurations alongside FSL.
     pub include_noc: bool,
@@ -236,6 +237,19 @@ mod tests {
         let local = Sweep::new(SweepMode::Binders, vec![app], &[1, 2], false, Vec::new());
         let resolved = spec.resolve().expect("valid spec");
         assert_eq!(resolved.header(), local.expect("valid sweep").header());
+        // A peer's tile counts are bounded before any worker builds a
+        // platform from them.
+        let bound = crate::dse::shard::MAX_SWEEP_TILES;
+        for (tiles, reason) in [
+            (0, "tile count 0 must be at least 1"),
+            (bound + 1, "tile count 4097 must be at most 4096"),
+        ] {
+            let spec = SweepSpec {
+                tile_counts: vec![tiles],
+                ..spec.clone()
+            };
+            assert_eq!(spec.resolve().expect_err("out-of-range tiles"), reason);
+        }
         let unknown = SweepSpec {
             binders: vec!["quantum".into()],
             ..spec

@@ -49,9 +49,27 @@ grep -qE '[1-9]' <<<"$out" || fail "dse printed no nonzero figures"
 echo "== mamps dse --cache-dir (cold vs warm runs byte-identical)"
 "$BIN" dse "$APP" 4 --cache-dir "$tmp/cache" >"$tmp/dse-cold.txt"
 [ -s "$tmp/cache/analysis-cache-0-of-1.jsonl" ] || fail "--cache-dir left no cache file"
+CACHE_FILES="analysis-cache-0-of-1.jsonl pass-cache-0-of-1.jsonl"
+mkdir "$tmp/cold-cache"
+for f in $CACHE_FILES; do cp "$tmp/cache/$f" "$tmp/cold-cache/$f"; done
+same_cache_files() {
+  for f in $CACHE_FILES; do
+    cmp "$tmp/cold-cache/$f" "$tmp/cache/$f" || fail "$f differs from the cold run's after $1"
+  done
+}
 "$BIN" dse "$APP" 4 --cache-dir "$tmp/cache" >"$tmp/dse-warm.txt"
 diff -u "$tmp/dse-cold.txt" "$tmp/dse-warm.txt" \
   || fail "warm-cache dse report differs from the cold run"
+same_cache_files "a warm run"
+# A line torn inside a multi-byte character is skipped like any torn
+# line, and the next persist restores the canonical file.
+printf '{"graph":1,"caps":[],"result":{"Err":{"Deadlock":"caf\xc3' \
+  >>"$tmp/cache/analysis-cache-0-of-1.jsonl"
+"$BIN" dse "$APP" 4 --cache-dir "$tmp/cache" >"$tmp/dse-torn.txt" \
+  || fail "a cache line torn inside a character failed the run"
+diff -u "$tmp/dse-cold.txt" "$tmp/dse-torn.txt" \
+  || fail "dse report over a torn cache file differs from the cold run"
+same_cache_files "a run over a torn cache file"
 
 echo "== mamps dse --resume (torn partial, byte-identical to cold)"
 "$BIN" dse "$APP" 4 --shard 0/2 --out "$tmp/part.jsonl"

@@ -426,8 +426,8 @@ struct SweepShape {
 /// Parses the sweep's shape from the positional arguments and the
 /// `--apps` / `--binders` flags, the only reader of both; `None` is a
 /// usage error. Binder names and max-tiles are checked here, so
-/// `dse-submit` fails locally on an unknown binder or an empty tile
-/// range instead of after a coordinator round trip.
+/// `dse-submit` fails locally on an unknown binder or an out-of-range
+/// tile count instead of after a coordinator round trip.
 fn sweep_shape(args: &Args) -> Result<Option<SweepShape>, Box<dyn std::error::Error>> {
     let list = |v: &str| -> Vec<String> {
         v.split(',')
@@ -446,14 +446,12 @@ fn sweep_shape(args: &Args) -> Result<Option<SweepShape>, Box<dyn std::error::Er
         (None, [app, max]) => (shard::SweepMode::Binders, vec![app.clone()], max),
         _ => return Ok(None),
     };
-    let max: usize = max.parse()?;
-    if max == 0 {
-        return Err("<max-tiles> must be at least 1".into());
-    }
+    let tile_counts =
+        shard::tile_counts_up_to(max.parse()?).map_err(|e| format!("<max-tiles> {e}"))?;
     Ok(Some(SweepShape {
         mode,
         app_paths,
-        tile_counts: (1..=max).collect(),
+        tile_counts,
         binders,
     }))
 }

@@ -670,10 +670,12 @@ fn cli_dse_rejects_an_empty_app_list() {
     assert!(err.contains("sweep has no applications"), "{err}");
 }
 
-/// Max-tiles 0 is an empty tile range, so every sweep command rejects it
-/// before it reads an input: `dse` in both modes prints nothing and
-/// writes no shard or cache file, and `dse-submit` fails before it
-/// connects (no coordinator listens on its socket).
+/// Max-tiles 0 is an empty tile range, and more than 4,096 tiles is past
+/// the sweep bound (`usize::MAX` used to panic building the list), so
+/// every sweep command rejects both before it reads an input: `dse` in
+/// both modes prints nothing and writes no shard or cache file, and
+/// `dse-submit` fails before it connects (no coordinator listens on its
+/// socket).
 #[test]
 fn cli_sweeps_reject_zero_max_tiles() {
     let dir = std::env::temp_dir().join(format!("mamps_cli_zero_tiles_{}", std::process::id()));
@@ -684,27 +686,37 @@ fn cli_sweeps_reject_zero_max_tiles() {
     let socket = dir.join("absent.sock");
     let socket = socket.to_str().unwrap();
     let cache = ["--cache-dir", "cache"];
-    let runs: [Vec<&str>; 5] = [
-        [&["dse", app, "0"][..], &cache].concat(),
-        [
-            &["dse", app, "0", "--shard", "0/2", "--out", "s.jsonl"][..],
-            &cache,
-        ]
-        .concat(),
-        [&["dse", "0", "--apps", app][..], &cache].concat(),
-        vec!["dse-submit", app, "0", "--socket", socket],
-        vec!["dse-submit", "0", "--apps", app, "--socket", socket],
-    ];
-    for args in runs {
-        let out = Command::new(bin())
-            .current_dir(&dir)
-            .args(&args)
-            .output()
-            .unwrap();
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
-        assert!(out.stdout.is_empty(), "{args:?}");
-        assert_eq!(err, "error: <max-tiles> must be at least 1\n", "{args:?}");
+    for (max, reason) in [
+        ("0", "at least 1"),
+        ("4097", "at most 4096"),
+        ("18446744073709551615", "at most 4096"),
+    ] {
+        let runs: [Vec<&str>; 5] = [
+            [&["dse", app, max][..], &cache].concat(),
+            [
+                &["dse", app, max, "--shard", "0/2", "--out", "s.jsonl"][..],
+                &cache,
+            ]
+            .concat(),
+            [&["dse", max, "--apps", app][..], &cache].concat(),
+            vec!["dse-submit", app, max, "--socket", socket],
+            vec!["dse-submit", max, "--apps", app, "--socket", socket],
+        ];
+        for args in runs {
+            let out = Command::new(bin())
+                .current_dir(&dir)
+                .args(&args)
+                .output()
+                .unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+            assert_eq!(
+                err,
+                format!("error: <max-tiles> must be {reason}\n"),
+                "{args:?}"
+            );
+        }
     }
     assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "wrote nothing");
     std::fs::remove_dir_all(&dir).ok();
