@@ -430,22 +430,19 @@ mod tests {
     use mamps_sdf::model::HomogeneousModelBuilder;
 
     pub(crate) fn app() -> ApplicationModel {
-        let mut b = SdfGraphBuilder::new("a");
-        let ids: Vec<_> = (0..3).map(|i| b.add_actor(format!("a{i}"), 1)).collect();
-        for i in 0..2 {
-            b.add_channel_full(format!("e{i}"), ids[i], 1, ids[i + 1], 1, 0, 16);
-        }
-        let g = b.build().unwrap();
-        let mut mb = HomogeneousModelBuilder::new("microblaze");
-        for i in 0..3 {
-            mb.actor(format!("a{i}"), 100, 2048, 256);
-        }
-        mb.finish(g, None).unwrap()
+        chain_app(2048)
     }
 
-    /// [`app`] with actors of 50 KiB instruction memory: two fit in a
-    /// tile's 128 KiB, three do not, so its 1-tile points are skipped.
+    /// [`app`] with actors of 100 KiB instruction memory. A tile holds
+    /// 256 KiB of instruction and data memory, so two actors fit and
+    /// three do not: every 1-tile point is skipped.
     pub(crate) fn app_needing_two_tiles() -> ApplicationModel {
+        chain_app(100 * 1024)
+    }
+
+    /// A chain of three unit-rate 100-cycle actors with `imem` bytes of
+    /// instruction memory each.
+    fn chain_app(imem: u64) -> ApplicationModel {
         let mut b = SdfGraphBuilder::new("a");
         let ids: Vec<_> = (0..3).map(|i| b.add_actor(format!("a{i}"), 1)).collect();
         for i in 0..2 {
@@ -454,7 +451,7 @@ mod tests {
         let g = b.build().unwrap();
         let mut mb = HomogeneousModelBuilder::new("microblaze");
         for i in 0..3 {
-            mb.actor(format!("a{i}"), 100, 100 * 1024, 256);
+            mb.actor(format!("a{i}"), 100, imem, 256);
         }
         mb.finish(g, None).unwrap()
     }
