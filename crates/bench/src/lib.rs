@@ -102,7 +102,7 @@ pub fn mjpeg_expanded_graph(
         max_states: 2_000_000,
         ..mamps_sdf::state_space::AnalysisOptions::default()
     };
-    (mapped.expanded, opts)
+    (mapped.expanded(app.graph(), &arch).unwrap(), opts)
 }
 
 /// The stream geometry used by all benches: one frame of the small

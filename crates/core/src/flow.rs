@@ -3,7 +3,6 @@
 //! the executable platform model). Each automated step is timed, feeding
 //! the Table 1 designer-effort report.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mamps_codegen::project::{generate_project, Project};
@@ -13,7 +12,7 @@ use mamps_mapping::MapError;
 use mamps_platform::arch::{ArchError, Architecture};
 use mamps_platform::interconnect::Interconnect;
 use mamps_sdf::model::ApplicationModel;
-use mamps_sdf::passes::PassRunner;
+use mamps_sdf::passes::timed;
 use mamps_sim::{Engine, SimError, System, WcetTimes};
 
 use crate::validate::GuaranteeReport;
@@ -174,16 +173,6 @@ pub fn run_flow_with_arch(
     run_flow_on(app, arch, opts, Duration::ZERO)
 }
 
-/// Runs `f` under the pass runner's wall-clock accounting (uncached:
-/// generation and simulation outputs must never be replayed), or
-/// directly when no runner is configured.
-fn timed<T>(passes: &Option<Arc<PassRunner>>, name: &'static str, f: impl FnOnce() -> T) -> T {
-    match passes {
-        Some(r) => r.time(name, f),
-        None => f(),
-    }
-}
-
 fn run_flow_on(
     app: &ApplicationModel,
     arch: Architecture,
@@ -194,21 +183,26 @@ fn run_flow_on(
     let mapped = map_application(app, &arch, &opts.map)?;
     let mapping_time = t1.elapsed();
 
+    // Timed, never cached: generated files and simulator verdicts.
     let t2 = Instant::now();
-    let project = timed(&opts.map.passes, "platform-gen", || {
+    let project = timed(opts.map.passes.as_deref(), "platform-gen", || {
         generate_project(app, app.graph(), &mapped.mapping, &arch, PROJECT_NAME)
     })?;
     let platform_generation = t2.elapsed();
 
     // "Synthesis": elaborate the executable platform and verify it boots.
     let t3 = Instant::now();
-    timed(&opts.map.passes, "boot-sim", || -> Result<(), SimError> {
-        let wcet = WcetTimes::new(mapped.mapping.binding.wcet_of.clone());
-        let system =
-            System::new(app.graph(), &mapped.mapping, &arch, &wcet)?.with_engine(opts.sim_engine);
-        let _boot = system.run(BOOT_ITERATIONS, 1_000_000_000)?;
-        Ok(())
-    })?;
+    timed(
+        opts.map.passes.as_deref(),
+        "boot-sim",
+        || -> Result<(), SimError> {
+            let wcet = WcetTimes::new(mapped.mapping.binding.wcet_of.clone());
+            let system = System::new(app.graph(), &mapped.mapping, &arch, &wcet)?
+                .with_engine(opts.sim_engine);
+            let _boot = system.run(BOOT_ITERATIONS, 1_000_000_000)?;
+            Ok(())
+        },
+    )?;
     let synthesis = t3.elapsed();
 
     Ok(FlowResult {
@@ -383,7 +377,7 @@ pub fn run_multi_flow(
     // Timed, never cached: these are measurements, not derivations.
     let t1 = Instant::now();
     let group_measured: Vec<f64> = timed(
-        &opts.map.passes,
+        opts.map.passes.as_deref(),
         "validate-sim",
         || -> Result<_, SimError> {
             let mut measured = Vec::with_capacity(outcome.groups.len());

@@ -7,16 +7,16 @@
 //! identical — so the worst-case guarantee holds for every binder.
 //!
 //! Each pass is driven through a [`PassRunner`] (see
-//! [`mamps_sdf::passes`]): its inputs are reduced to a stable
-//! fingerprint, its output is a serializable value, and when the runner
-//! carries a [`mamps_sdf::passes::PassCache`] an unchanged pass replays
-//! its memoized output instead of re-executing. Fingerprints are chosen
-//! per pass: `wire-alloc` and `schedule` never read actor execution
-//! times, so their keys exclude WCETs and both replay across a
-//! WCET-only edit; `bind` and `buffer-size` depend on WCETs and
-//! re-execute. Replayed outputs are exactly the values the original run
-//! produced, so cold, warm and incremental runs build identical
-//! mappings by construction.
+//! [`mamps_sdf::passes`]). Only the two passes that cost more to run than
+//! to replay are memoized: `bind` and `buffer-size` reduce their inputs
+//! to a stable fingerprint, and when the runner carries a
+//! [`mamps_sdf::passes::PassCache`] an unchanged pass replays its
+//! memoized output instead of re-executing. `wire-alloc` and `schedule`
+//! are timed but always run: each is a single walk over the channels or
+//! a single liveness simulation, cheaper than decoding a stored result.
+//! Replayed outputs are exactly the values the original run produced and
+//! the uncached passes are pure functions of them, so cold, warm and
+//! incremental runs build identical mappings by construction.
 //!
 //! The helpers the passes are built from — wire allocation, the initial
 //! buffer allocation, expand-then-analyse and deadlock-driven growth —
@@ -31,7 +31,7 @@ use mamps_sdf::buffer::{capacity_lower_bound, grow_step};
 use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::SdfGraph;
 use mamps_sdf::model::ApplicationModel;
-use mamps_sdf::passes::{fingerprint, PassRunner};
+use mamps_sdf::passes::{fingerprint, timed, PassRunner};
 use mamps_sdf::ratio::gcd;
 use mamps_sdf::state_space::{throughput, AnalysisOptions, ThroughputResult};
 use mamps_sdf::SdfError;
@@ -85,18 +85,34 @@ impl MapOptions {
     }
 }
 
-/// A mapped application: the mapping, the expanded analysis graph it was
-/// verified on, and the throughput analysis result.
+/// A mapped application: the mapping and the throughput analysis it was
+/// verified with.
 #[derive(Debug, Clone)]
 pub struct MappedApplication {
     /// The mapping (common input format for platform generation).
     pub mapping: Mapping,
-    /// The Fig. 4-expanded, statically-ordered analysis graph.
-    pub expanded: SdfGraph,
-    /// The worst-case throughput analysis of `expanded`.
+    /// The worst-case throughput analysis of the mapping's expanded graph
+    /// ([`MappedApplication::expanded`]).
     pub analysis: ThroughputResult,
     /// Name of the binding strategy that produced the mapping.
     pub strategy: &'static str,
+}
+
+impl MappedApplication {
+    /// The Fig. 4-expanded, statically-ordered graph `analysis` was
+    /// computed on, rebuilt on demand from the application `graph` and the
+    /// `arch` this mapping was made for (expansion is deterministic).
+    ///
+    /// # Errors
+    ///
+    /// As [`expand`]; never for the graph and architecture of the mapping.
+    pub fn expanded(&self, graph: &SdfGraph, arch: &Architecture) -> Result<SdfGraph, MapError> {
+        expand(
+            &wcet_graph(graph, &self.mapping.binding),
+            &self.mapping,
+            arch,
+        )
+    }
 }
 
 /// Runs `f` as the pass `name` under `passes`, or directly (uncached,
@@ -115,28 +131,6 @@ where
         Some(r) => r.run(name, input, f),
         None => f(),
     }
-}
-
-/// The channel structure of `graph` — endpoints, rates, initial tokens —
-/// as a fingerprint part. Deliberately excludes actor execution times:
-/// passes that never read WCETs (`wire-alloc`, `schedule`) key on this,
-/// so a WCET-only edit leaves their fingerprints unchanged and they
-/// replay from the cache.
-pub(crate) fn channel_structure_value(graph: &SdfGraph) -> Value {
-    Value::Seq(
-        graph
-            .channels()
-            .map(|(_, ch)| {
-                Value::Seq(vec![
-                    Value::Int(ch.src().0 as i128),
-                    Value::Int(ch.dst().0 as i128),
-                    Value::Int(ch.production_rate() as i128),
-                    Value::Int(ch.consumption_rate() as i128),
-                    Value::Int(ch.initial_tokens() as i128),
-                ])
-            })
-            .collect(),
-    )
 }
 
 /// `graph` with every actor's execution time set to its bound WCET.
@@ -216,18 +210,17 @@ pub(crate) fn expand_and_analyse(
     mapping: &Mapping,
     arch: &Architecture,
     cache: Option<&GlobalAnalysisCache>,
-) -> Result<(SdfGraph, Result<ThroughputResult, SdfError>), MapError> {
+) -> Result<Result<ThroughputResult, SdfError>, MapError> {
     let e = expand(graph, mapping, arch)?;
     let opts = AnalysisOptions {
         auto_concurrency: true,
         max_states: MAX_STATES,
         ..AnalysisOptions::default()
     };
-    let r = match cache {
+    Ok(match cache {
         Some(cache) => cache.throughput(&e, &opts),
         None => throughput(&e, &opts),
-    };
-    Ok((e, r))
+    })
 }
 
 /// [`expand_and_analyse`] with both errors as one [`MapError`].
@@ -236,9 +229,8 @@ fn analyse(
     mapping: &Mapping,
     arch: &Architecture,
     cache: Option<&GlobalAnalysisCache>,
-) -> Result<(SdfGraph, ThroughputResult), MapError> {
-    let (e, r) = expand_and_analyse(graph, mapping, arch, cache)?;
-    Ok((e, r?))
+) -> Result<ThroughputResult, MapError> {
+    Ok(expand_and_analyse(graph, mapping, arch, cache)??)
 }
 
 /// Phase 1 of buffer sizing, shared by the `buffer-size` and
@@ -257,7 +249,7 @@ pub(crate) fn grow_to_liveness(
     m: &mut Mapping,
     arch: &Architecture,
     cache: Option<&GlobalAnalysisCache>,
-) -> Result<(SdfGraph, ThroughputResult), MapError> {
+) -> Result<ThroughputResult, MapError> {
     let mut attempt = 0;
     loop {
         match analyse(graph, m, arch, cache) {
@@ -328,8 +320,9 @@ fn grow_buffer(m: &mut Mapping, &(idx, buffer, step): &(usize, Buffer, u64), und
 ///   throughput target.
 /// * Propagated analysis errors.
 ///
-/// Every error arm is memoized like a success: an infeasible point stays
-/// infeasible on replay.
+/// `bind` and `buffer-size` memoize every error arm like a success: an
+/// infeasible point stays infeasible on replay. `wire-alloc` and
+/// `schedule` rerun and fail again.
 pub fn map_application(
     app: &ApplicationModel,
     arch: &Architecture,
@@ -348,39 +341,13 @@ pub fn map_application(
         || bind(app, arch, &opts.bind, opts.cache.as_deref()),
     )?;
     let graph = app.graph();
-    let wcet_graph = wcet_graph(graph, &binding);
-
-    // Keyed WCET-free: wires depend on placement and topology only.
-    let wires = run_pass(
-        &opts.passes,
-        "wire-alloc",
-        || {
-            fingerprint(vec![
-                channel_structure_value(graph),
-                binding.tile_of.to_value(),
-                arch.to_value(),
-                opts.bind.occupancy.connections.to_value(),
-                Value::Int(WIRES_PER_CONNECTION as i128),
-            ])
-        },
-        || allocate_wires(graph, &binding, arch, &opts.bind.occupancy),
-    )?;
-
-    // Static-order schedules. Also WCET-free: ordering follows the
-    // repetition vector and liveness order, never execution times.
-    let schedules = run_pass(
-        &opts.passes,
-        "schedule",
-        || {
-            fingerprint(vec![
-                Value::Int(graph.actor_count() as i128),
-                channel_structure_value(graph),
-                binding.tile_of.to_value(),
-                arch.to_value(),
-            ])
-        },
-        || build_schedules(graph, &binding, arch),
-    )?;
+    let passes = opts.passes.as_deref();
+    let wires = timed(passes, "wire-alloc", || {
+        allocate_wires(graph, &binding, arch, &opts.bind.occupancy)
+    })?;
+    let schedules = timed(passes, "schedule", || {
+        build_schedules(graph, &binding, arch)
+    })?;
 
     // The throughput target; without a model constraint, buffers grow
     // until saturation.
@@ -389,13 +356,8 @@ pub fn map_application(
 
     // Buffer sizing: the dominant pass (phase-1 deadlock growth plus the
     // phase-2 greedy search, each step one expand + throughput analysis).
-    // On a replay only the final allocation and analysis come back; the
-    // expanded graph is rebuilt below. Expansion is deterministic, and
-    // one rebuild per replayed mapping is cheap next to the search it
-    // replays, though not next to one analysis: every probe pays for an
-    // expansion, hit or miss, and a cold sweep spends about two fifths as
-    // long expanding as analysing (ARCHITECTURE.md, performance notes).
-    let mut expanded = None;
+    // A replay decodes the final allocation and analysis and nothing
+    // else: the WCET graph and every expansion live inside the body.
     let (sized_channels, analysis) = run_pass(
         &opts.passes,
         "buffer-size",
@@ -411,6 +373,7 @@ pub fn map_application(
             ])
         },
         || -> Result<(Vec<ChannelAlloc>, ThroughputResult), MapError> {
+            let wcet_graph = wcet_graph(graph, &mapping.binding);
             // One mapping, mutated in place across the search: the greedy
             // growth probes many candidate allocations, and cloning the
             // binding, the schedules and the channel vector once per
@@ -425,16 +388,16 @@ pub fn map_application(
             // whose expansion or analysis fails is skipped.
             let moves = growth_moves(graph, &m.binding);
             for _ in 0..GROWTH_BUDGET {
-                if target.is_some_and(|t| current.1.iterations_per_cycle >= t) {
+                if target.is_some_and(|t| current.iterations_per_cycle >= t) {
                     break;
                 }
                 let Ok(Some(next)) = grow_step(
                     &mut m,
                     &moves,
-                    current.1.iterations_per_cycle,
+                    current.iterations_per_cycle,
                     grow_buffer,
                     |m| Ok::<_, Infallible>(analyse(&wcet_graph, m, arch, cache).ok()),
-                    |r| r.1.iterations_per_cycle,
+                    |r| r.iterations_per_cycle,
                 ) else {
                     break; // saturated
                 };
@@ -442,29 +405,22 @@ pub fn map_application(
             }
 
             if let Some(t) = target {
-                if current.1.iterations_per_cycle < t {
+                if current.iterations_per_cycle < t {
                     return Err(MapError::ConstraintUnmet(format!(
                         "target {t}, achieved {}",
-                        current.1.iterations_per_cycle
+                        current.iterations_per_cycle
                     )));
                 }
             }
-
-            expanded = Some(current.0);
-            Ok((m.channels, current.1))
+            Ok((m.channels, current))
         },
     )?;
 
     mapping.channels = sized_channels;
     mapping.guaranteed_iterations = analysis.iterations_per_cycle.numer().max(0) as u64;
     mapping.guaranteed_cycles = analysis.iterations_per_cycle.denom() as u64;
-    let expanded = match expanded {
-        Some(e) => e,
-        None => expand(&wcet_graph, &mapping, arch)?,
-    };
     Ok(MappedApplication {
         mapping,
-        expanded,
         analysis,
         strategy: opts.bind.strategy.name(),
     })
@@ -606,6 +562,10 @@ mod tests {
             ..MapOptions::default()
         };
         let cold = map_application(&app, &arch, &opts).unwrap();
+        // Only the two passes that cost more to run than to replay are
+        // memoized.
+        let memoized: Vec<String> = pass_cache.export().into_iter().map(|e| e.pass).collect();
+        assert_eq!(memoized, ["bind", "buffer-size"]);
         let warm = map_application(&app, &arch, &opts).unwrap();
 
         // Neither cache ever changes results.
@@ -614,19 +574,24 @@ mod tests {
         assert_eq!(cold.mapping, warm.mapping);
         assert_eq!(cold.analysis, warm.analysis);
 
-        // The cold run executed every pass once; the warm run replayed
-        // every pass from the cache.
+        // The warm run replayed bind and buffer-size and ran wire-alloc
+        // and schedule again.
         let report = opts.passes.as_ref().unwrap().report();
-        for name in ["bind", "wire-alloc", "schedule", "buffer-size"] {
+        for (name, hits) in [
+            ("bind", 1),
+            ("wire-alloc", 0),
+            ("schedule", 0),
+            ("buffer-size", 1),
+        ] {
             let p = report.get(name).unwrap_or_else(|| panic!("{name} ran"));
-            assert_eq!((p.runs, p.hits), (1, 1), "pass {name}: {p:?}");
+            assert_eq!((p.runs, p.hits), (2 - hits, hits), "pass {name}: {p:?}");
         }
-        assert!(pass_cache.stats().hits >= 4, "{}", pass_cache.stats());
+        assert_eq!(pass_cache.stats().hits, 2, "{}", pass_cache.stats());
         assert!(cache.stats().inserts > 0, "{}", cache.stats());
     }
 
     #[test]
-    fn wcet_edit_replays_wcet_free_passes_only() {
+    fn wcet_edit_reruns_bind_and_buffer_size() {
         // The edit must keep the work ordering (and hence the greedy
         // placement) stable, like a small WCET refinement would.
         let app = pipeline_app(&[50, 90, 50], 8);
@@ -639,13 +604,8 @@ mod tests {
         };
         let first = map_application(&app, &arch, &opts).unwrap();
         let second = map_application(&edited, &arch, &opts).unwrap();
-        // The edit only touched a WCET, so the placement is unchanged and
-        // the WCET-free passes replay; bind and buffer-size re-execute.
+        // Both memoized passes read WCETs, so the edit re-executes them.
         let report = opts.passes.as_ref().unwrap().report();
-        for name in ["wire-alloc", "schedule"] {
-            let p = report.get(name).unwrap();
-            assert_eq!((p.runs, p.hits), (1, 1), "pass {name}: {p:?}");
-        }
         for name in ["bind", "buffer-size"] {
             let p = report.get(name).unwrap();
             assert_eq!((p.runs, p.hits), (2, 0), "pass {name}: {p:?}");

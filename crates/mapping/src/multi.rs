@@ -534,7 +534,7 @@ fn verify_shared(
                 || -> Result<(Vec<ChannelAlloc>, ThroughputResult), RejectReason> {
                     let mut m = mapping.clone();
                     match grow_to_liveness(&graph, &mut m, arch, opts.cache.as_deref()) {
-                        Ok((_, analysis)) => Ok((m.channels, analysis)),
+                        Ok(analysis) => Ok((m.channels, analysis)),
                         Err(MapError::Sdf(SdfError::Deadlock(msg))) => {
                             Err(RejectReason::SharedAnalysis(format!(
                                 "combined static orders stay deadlocked after {} \

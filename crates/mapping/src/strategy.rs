@@ -598,8 +598,8 @@ fn fitness(
     let wcet_graph = wcet_graph(graph, &binding);
     let mapping = initial_mapping(graph, binding, schedules, &wires);
     match expand_and_analyse(&wcet_graph, &mapping, arch, cache) {
-        Ok((_, Ok(t))) => t.as_f64(),
-        Ok((_, Err(_))) => DEADLOCK_PENALTY,
+        Ok(Ok(t)) => t.as_f64(),
+        Ok(Err(_)) => DEADLOCK_PENALTY,
         Err(_) => STRUCTURE_PENALTY,
     }
 }

@@ -1,22 +1,24 @@
-//! Named, fingerprint-keyed pipeline passes with memoization.
+//! Named pipeline passes, memoized by input fingerprint where that pays.
 //!
 //! The mapping flow is a fixed sequence of stages (bind → wire-alloc →
-//! schedule → buffer-size → verify). This module turns each stage into a
-//! *pass*: a named unit whose inputs are reduced to a stable 64-bit
+//! schedule → buffer-size, plus verify-shared for a use-case), each a
+//! named *pass* that a [`PassRunner`] drives, timing it and counting its
+//! runs and cache hits. A pass that costs more to run than to replay
+//! (`bind`, `buffer-size`, `verify-shared`) goes through
+//! [`PassRunner::run`]: its inputs are reduced to a stable 64-bit
 //! fingerprint (the same pinned FNV-1a walk as [`serde::stable_hash`],
-//! which also backs [`crate::cache::GraphFingerprint`]) and whose output
-//! is a serde [`Value`] tree. A [`PassRunner`] drives passes, records
-//! per-pass wall time and cache hits, and — when a [`PassCache`] is
-//! attached — skips any pass whose input fingerprint was seen before,
-//! replaying the memoized output instead.
+//! which also backs [`crate::cache::GraphFingerprint`]), its output is a
+//! serde [`Value`] tree, and with a [`PassCache`] attached a fingerprint
+//! seen before replays the memoized output. The rest (`wire-alloc`,
+//! `schedule`, and steps whose outputs must never be replayed) go through
+//! [`timed`] and always run.
 //!
 //! That is what makes re-mapping *incremental*: after a one-actor WCET
-//! edit, only the passes whose fingerprints actually changed re-execute;
-//! the unchanged prefix (and any unchanged sibling application in a
-//! use-case) replays from the cache. Because a replayed output is the
-//! deserialized form of the exact value the original run produced, cold,
-//! warm and incremental runs print byte-identical reports by
-//! construction.
+//! edit, only the memoized passes whose fingerprints changed re-execute;
+//! unchanged ones (and any unchanged sibling application in a use-case)
+//! replay from the cache. A replayed output is the deserialized form of
+//! the exact value the original run produced, so cold, warm and
+//! incremental runs print byte-identical reports by construction.
 //!
 //! Three deliberate design points:
 //!
@@ -280,13 +282,24 @@ impl PassRunner {
     }
 
     /// Runs the pass `name` unconditionally, recording only wall time.
-    /// For steps whose output must never be replayed (code generation
-    /// into a project directory, simulator measurements).
+    /// For steps that cost less to run than to replay (`wire-alloc`,
+    /// `schedule`) and steps whose output must never be replayed (code
+    /// generation into a project directory, simulator measurements).
     pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let out = f();
         self.record(name, false, start.elapsed().as_nanos() as u64);
         out
+    }
+}
+
+/// Runs `f` as the uncached step `name`: under `runner`'s wall-time
+/// accounting ([`PassRunner::time`]), or directly when no runner is
+/// configured.
+pub fn timed<T>(runner: Option<&PassRunner>, name: &'static str, f: impl FnOnce() -> T) -> T {
+    match runner {
+        Some(r) => r.time(name, f),
+        None => f(),
     }
 }
 

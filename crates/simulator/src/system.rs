@@ -581,7 +581,7 @@ mod tests {
         let mapped = map_application(&app, &arch, &MapOptions::default()).unwrap();
         let tile_of = &mapped.mapping.binding.tile_of;
         assert_ne!(tile_of[0], tile_of[1], "the channel must cross tiles");
-        let g = &mapped.expanded;
+        let g = &mapped.expanded(app.graph(), &arch).unwrap();
         let drn = g.actor_by_name("e0__drn").unwrap();
         let des = g.actor_by_name("e0__des").unwrap();
         assert!(g.channels().all(|(_, c)| (c.src(), c.dst()) != (des, drn)));

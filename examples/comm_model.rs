@@ -38,12 +38,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = two_actor_app(128); // 32-word tokens
     let arch = Architecture::homogeneous("demo", 2, Interconnect::fsl())?;
     let mapped = map_application(&app, &arch, &MapOptions::default())?;
+    let expanded = mapped.expanded(app.graph(), &arch)?;
     println!("--- Fig. 4 expansion of channel `link` (DOT) ---");
-    println!("{}", to_dot(&mapped.expanded));
+    println!("{}", to_dot(&expanded));
     println!(
         "expanded graph: {} actors, {} channels (from 2 actors, 1 channel)",
-        mapped.expanded.actor_count(),
-        mapped.expanded.channel_count()
+        expanded.actor_count(),
+        expanded.channel_count()
     );
 
     // Fig. 4 parameters per interconnect.

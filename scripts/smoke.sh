@@ -93,6 +93,15 @@ grep -qE 'pass +runs +hits +wall' "$tmp/map-stats.txt" \
 for pass in bind wire-alloc schedule buffer-size; do
   grep -q "$pass" "$tmp/map-stats.txt" || fail "map --stats lost the $pass pass"
 done
+# The memo contract: a warm map replays bind and buffer-size and reruns
+# wire-alloc and schedule, which cost less to run than to replay.
+"$BIN" map "$APP" "$ARCH" --cache-dir "$tmp/map-cache" >/dev/null 2>&1
+"$BIN" map "$APP" "$ARCH" --cache-dir "$tmp/map-cache" --stats >/dev/null 2>"$tmp/map-warm.txt"
+for row in "bind 0 1" "wire-alloc 1 0" "schedule 1 0" "buffer-size 0 1"; do
+  read -r pass runs hits <<<"$row"
+  grep -qE "^$pass +$runs +$hits " "$tmp/map-warm.txt" \
+    || fail "warm map --stats: $pass is not at $runs runs and $hits hits"
+done
 
 echo "== mamps map --binder spiral"
 out=$("$BIN" map "$APP" "$ARCH" --binder spiral)

@@ -161,7 +161,8 @@ fn mjpeg_expansion_matches_golden() {
     let arch = Architecture::homogeneous("fsl2", 2, Interconnect::fsl()).unwrap();
     let mapped = map_application(&app, &arch, &MapOptions::default()).unwrap();
     let want = std::fs::read(root.join("crates/sdf/tests/data/mjpeg_fsl2_expanded.json")).unwrap();
-    let got = serde::json::to_string(&mapped.expanded).into_bytes();
+    let expanded = mapped.expanded(app.graph(), &arch).unwrap();
+    let got = serde::json::to_string(&expanded).into_bytes();
     let at = got.iter().zip(&want).take_while(|(a, b)| a == b).count();
     let near = &got[at.saturating_sub(80)..(at + 40).min(got.len())];
     assert!(

@@ -8,7 +8,7 @@
 //!   re-run against the warm cache) use-case mappings are byte-identical
 //!   to fresh cold runs of the same inputs;
 //! * regression — the pass cache survives its on-disk JSONL round trip
-//!   and a warm process replays every flow pass from it.
+//!   and a warm process replays every memoized flow pass from it.
 
 use std::sync::Arc;
 
@@ -136,7 +136,9 @@ proptest! {
 }
 
 /// The on-disk JSONL pass cache makes a *new process* incremental: a
-/// fresh cache warmed from the persisted files replays every flow pass.
+/// fresh cache warmed from the persisted files replays every memoized
+/// pass (`bind`, `buffer-size`) and reruns the cheap `wire-alloc` and
+/// `schedule`.
 #[test]
 fn persisted_pass_cache_replays_across_processes() {
     let dir = std::env::temp_dir().join(format!("mamps-passes-test-{}", std::process::id()));
@@ -166,9 +168,14 @@ fn persisted_pass_cache_replays_across_processes() {
     assert_eq!(mapping_bytes(&cold.mapping), mapping_bytes(&warm.mapping));
     assert_eq!(cold.analysis, warm.analysis);
     let report = runner.report();
-    for name in ["bind", "wire-alloc", "schedule", "buffer-size"] {
+    for (name, hits) in [
+        ("bind", 1),
+        ("wire-alloc", 0),
+        ("schedule", 0),
+        ("buffer-size", 1),
+    ] {
         let p = report.get(name).unwrap();
-        assert_eq!((p.runs, p.hits), (0, 1), "pass {name} should replay: {p:?}");
+        assert_eq!((p.runs, p.hits), (1 - hits, hits), "pass {name}: {p:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
