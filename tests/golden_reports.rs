@@ -137,7 +137,7 @@ fn dse_cache_files_match_golden() {
                 204_022,
                 0xf858_507d_8fa9_2ae3
             ),
-            ("pass-cache-0-of-1.jsonl", 28_140, 0x3bdd_b9b3_cd1c_0e8f),
+            ("pass-cache-0-of-1.jsonl", 17_851, 0xc953_ba28_d807_b05d),
         ]
     );
 }
