@@ -185,24 +185,20 @@ fn run_flow_on(
 
     // Timed, never cached: generated files and simulator verdicts.
     let t2 = Instant::now();
-    let project = timed(opts.map.passes.as_deref(), "platform-gen", || {
+    let project = timed(&opts.map.passes, "platform-gen", || {
         generate_project(app, app.graph(), &mapped.mapping, &arch, PROJECT_NAME)
     })?;
     let platform_generation = t2.elapsed();
 
     // "Synthesis": elaborate the executable platform and verify it boots.
     let t3 = Instant::now();
-    timed(
-        opts.map.passes.as_deref(),
-        "boot-sim",
-        || -> Result<(), SimError> {
-            let wcet = WcetTimes::new(mapped.mapping.binding.wcet_of.clone());
-            let system = System::new(app.graph(), &mapped.mapping, &arch, &wcet)?
-                .with_engine(opts.sim_engine);
-            let _boot = system.run(BOOT_ITERATIONS, 1_000_000_000)?;
-            Ok(())
-        },
-    )?;
+    timed(&opts.map.passes, "boot-sim", || -> Result<(), SimError> {
+        let wcet = WcetTimes::new(mapped.mapping.binding.wcet_of.clone());
+        let system =
+            System::new(app.graph(), &mapped.mapping, &arch, &wcet)?.with_engine(opts.sim_engine);
+        let _boot = system.run(BOOT_ITERATIONS, 1_000_000_000)?;
+        Ok(())
+    })?;
     let synthesis = t3.elapsed();
 
     Ok(FlowResult {
@@ -377,7 +373,7 @@ pub fn run_multi_flow(
     // Timed, never cached: these are measurements, not derivations.
     let t1 = Instant::now();
     let group_measured: Vec<f64> = timed(
-        opts.map.passes.as_deref(),
+        &opts.map.passes,
         "validate-sim",
         || -> Result<_, SimError> {
             let mut measured = Vec::with_capacity(outcome.groups.len());

@@ -7,16 +7,13 @@
 //! identical — so the worst-case guarantee holds for every binder.
 //!
 //! Each pass is driven through a [`PassRunner`] (see
-//! [`mamps_sdf::passes`]). Only the two passes that cost more to run than
-//! to replay are memoized: `bind` and `buffer-size` reduce their inputs
-//! to a stable fingerprint, and when the runner carries a
-//! [`mamps_sdf::passes::PassCache`] an unchanged pass replays its
-//! memoized output instead of re-executing. `wire-alloc` and `schedule`
-//! are timed but always run: each is a single walk over the channels or
-//! a single liveness simulation, cheaper than decoding a stored result.
-//! Replayed outputs are exactly the values the original run produced and
-//! the uncached passes are pure functions of them, so cold, warm and
-//! incremental runs build identical mappings by construction.
+//! [`mamps_sdf::passes`]). `bind` and `buffer-size`, which cost more to
+//! run than to replay, are keyed by a fingerprint of their inputs, and
+//! with a [`mamps_sdf::passes::PassCache`] an unchanged one replays its
+//! memoized output. `wire-alloc` and `schedule`, one walk over the
+//! channels and one liveness simulation, are cheaper than a replay and
+//! always run. Either way the values are the ones a cold run computes, so
+//! cold, warm and incremental runs build identical mappings.
 //!
 //! The helpers the passes are built from — wire allocation, the initial
 //! buffer allocation, expand-then-analyse and deadlock-driven growth —
@@ -100,12 +97,12 @@ pub struct MappedApplication {
 
 impl MappedApplication {
     /// The Fig. 4-expanded, statically-ordered graph `analysis` was
-    /// computed on, rebuilt on demand from the application `graph` and the
-    /// `arch` this mapping was made for (expansion is deterministic).
+    /// computed on, rebuilt from the application `graph` and the `arch`
+    /// this mapping was made for.
     ///
     /// # Errors
     ///
-    /// As [`expand`]; never for the graph and architecture of the mapping.
+    /// As [`expand`].
     pub fn expanded(&self, graph: &SdfGraph, arch: &Architecture) -> Result<SdfGraph, MapError> {
         expand(
             &wcet_graph(graph, &self.mapping.binding),
@@ -341,11 +338,10 @@ pub fn map_application(
         || bind(app, arch, &opts.bind, opts.cache.as_deref()),
     )?;
     let graph = app.graph();
-    let passes = opts.passes.as_deref();
-    let wires = timed(passes, "wire-alloc", || {
+    let wires = timed(&opts.passes, "wire-alloc", || {
         allocate_wires(graph, &binding, arch, &opts.bind.occupancy)
     })?;
-    let schedules = timed(passes, "schedule", || {
+    let schedules = timed(&opts.passes, "schedule", || {
         build_schedules(graph, &binding, arch)
     })?;
 
@@ -562,8 +558,7 @@ mod tests {
             ..MapOptions::default()
         };
         let cold = map_application(&app, &arch, &opts).unwrap();
-        // Only the two passes that cost more to run than to replay are
-        // memoized.
+        // Only the passes that cost more to run than to replay memoize.
         let memoized: Vec<String> = pass_cache.export().into_iter().map(|e| e.pass).collect();
         assert_eq!(memoized, ["bind", "buffer-size"]);
         let warm = map_application(&app, &arch, &opts).unwrap();

@@ -2,15 +2,13 @@
 //!
 //! The mapping flow is a fixed sequence of stages (bind → wire-alloc →
 //! schedule → buffer-size, plus verify-shared for a use-case), each a
-//! named *pass* that a [`PassRunner`] drives, timing it and counting its
-//! runs and cache hits. A pass that costs more to run than to replay
-//! (`bind`, `buffer-size`, `verify-shared`) goes through
-//! [`PassRunner::run`]: its inputs are reduced to a stable 64-bit
-//! fingerprint (the same pinned FNV-1a walk as [`serde::stable_hash`],
+//! named *pass* that a [`PassRunner`] times and counts. A pass that costs
+//! more to run than to replay (`bind`, `buffer-size`, `verify-shared`)
+//! goes through [`PassRunner::run`]: its inputs are reduced to a stable
+//! 64-bit fingerprint (the pinned FNV-1a walk of [`serde::stable_hash`],
 //! which also backs [`crate::cache::GraphFingerprint`]), its output is a
 //! serde [`Value`] tree, and with a [`PassCache`] attached a fingerprint
-//! seen before replays the memoized output. The rest (`wire-alloc`,
-//! `schedule`, and steps whose outputs must never be replayed) go through
+//! seen before replays the memoized output. The rest go through
 //! [`timed`] and always run.
 //!
 //! That is what makes re-mapping *incremental*: after a one-actor WCET
@@ -37,7 +35,7 @@
 //! the analysis-cache files.
 
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use serde::{intern, stable_hash, Deserialize, Serialize, Value};
@@ -191,7 +189,7 @@ impl fmt::Display for PassReport {
 /// the same way the analysis cache is.
 #[derive(Debug, Default)]
 pub struct PassRunner {
-    cache: Option<std::sync::Arc<PassCache>>,
+    cache: Option<Arc<PassCache>>,
     stats: Mutex<Vec<PassStat>>,
 }
 
@@ -205,7 +203,7 @@ impl PassRunner {
     /// A runner backed by `cache`: pass outputs are memoized and
     /// replayed across invocations (and across processes, once the cache
     /// is persisted).
-    pub fn with_cache(cache: std::sync::Arc<PassCache>) -> PassRunner {
+    pub fn with_cache(cache: Arc<PassCache>) -> PassRunner {
         PassRunner {
             cache: Some(cache),
             stats: Mutex::new(Vec::new()),
@@ -213,7 +211,7 @@ impl PassRunner {
     }
 
     /// The attached pass cache, if any.
-    pub fn cache(&self) -> Option<&std::sync::Arc<PassCache>> {
+    pub fn cache(&self) -> Option<&Arc<PassCache>> {
         self.cache.as_ref()
     }
 
@@ -258,27 +256,21 @@ impl PassRunner {
         T: Serialize + for<'de> Deserialize<'de>,
         E: Serialize + for<'de> Deserialize<'de>,
     {
+        let Some(cache) = &self.cache else {
+            return self.time(name, f);
+        };
         let start = Instant::now();
-        match &self.cache {
-            None => {
-                let out = f();
-                self.record(name, false, start.elapsed().as_nanos() as u64);
-                out
-            }
-            Some(cache) => {
-                let fp = input();
-                if let Some(v) = cache.lookup(name, fp) {
-                    if let Ok(out) = Result::<T, E>::from_value(&v) {
-                        self.record(name, true, start.elapsed().as_nanos() as u64);
-                        return out;
-                    }
-                }
-                let out = f();
-                cache.insert(name, fp, out.to_value());
-                self.record(name, false, start.elapsed().as_nanos() as u64);
-                out
+        let fp = input();
+        if let Some(v) = cache.lookup(name, fp) {
+            if let Ok(out) = Result::<T, E>::from_value(&v) {
+                self.record(name, true, start.elapsed().as_nanos() as u64);
+                return out;
             }
         }
+        let out = f();
+        cache.insert(name, fp, out.to_value());
+        self.record(name, false, start.elapsed().as_nanos() as u64);
+        out
     }
 
     /// Runs the pass `name` unconditionally, recording only wall time.
@@ -296,7 +288,7 @@ impl PassRunner {
 /// Runs `f` as the uncached step `name`: under `runner`'s wall-time
 /// accounting ([`PassRunner::time`]), or directly when no runner is
 /// configured.
-pub fn timed<T>(runner: Option<&PassRunner>, name: &'static str, f: impl FnOnce() -> T) -> T {
+pub fn timed<T>(runner: &Option<Arc<PassRunner>>, name: &'static str, f: impl FnOnce() -> T) -> T {
     match runner {
         Some(r) => r.time(name, f),
         None => f(),
@@ -306,7 +298,6 @@ pub fn timed<T>(runner: Option<&PassRunner>, name: &'static str, f: impl FnOnce(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     fn fp(n: u64) -> impl FnOnce() -> u64 {
         move || n
