@@ -468,6 +468,7 @@ mod tests {
             total_configs: total,
             signature: SweepSignature {
                 apps: vec!["a".into()],
+                digests: vec![0],
                 tile_counts: vec![1, 2],
                 include_noc: false,
                 binders: vec!["greedy".into()],

@@ -159,6 +159,9 @@ impl fmt::Display for SweepMode {
 pub struct SweepSignature {
     /// Application (graph) names, in use-case admission order.
     pub apps: Vec<String>,
+    /// Each application's [`serde::stable_hash_of`] digest, in the order
+    /// of `apps`: two versions of one graph name are different sweeps.
+    pub digests: Vec<u64>,
     /// Tile counts swept.
     pub tile_counts: Vec<usize>,
     /// Whether NoC configurations were swept alongside FSL.
@@ -169,15 +172,14 @@ pub struct SweepSignature {
 
 impl fmt::Display for SweepSignature {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let apps = self.apps.iter().zip(&self.digests);
+        let apps: Vec<String> = apps.map(|(a, d)| format!("{a}@{d:016x}")).collect();
+        let tiles: Vec<String> = self.tile_counts.iter().map(usize::to_string).collect();
         write!(
             f,
             "apps={}; tiles={}; noc={}; binders={}",
-            self.apps.join(","),
-            self.tile_counts
-                .iter()
-                .map(|t| t.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
+            apps.join(","),
+            tiles.join(","),
             self.include_noc,
             self.binders.join(",")
         )
@@ -768,6 +770,7 @@ impl Sweep {
             total_configs: configs.len() as u64,
             signature: SweepSignature {
                 apps: apps.iter().map(|a| a.graph().name().to_string()).collect(),
+                digests: apps.iter().map(serde::stable_hash_of).collect(),
                 tile_counts: tile_counts.to_vec(),
                 include_noc,
                 binders: strategies.iter().map(|s| s.name().to_string()).collect(),
@@ -1142,6 +1145,22 @@ mod tests {
             sweep(&[1, 2, 3]).run(ShardSpec::full(), &[other], &FlowOptions::default()),
             Err(ResumeError::SweepMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn an_edited_application_is_a_different_sweep() {
+        // Two versions of one graph name: the second doubles a WCET.
+        let [old, new] = [70, 140].map(|wcet| {
+            let app = named_app("v", &[70, wcet]);
+            Sweep::new(SweepMode::Binders, vec![app], &[1, 2], true, Vec::new()).unwrap()
+        });
+        let opts = FlowOptions::default();
+        let resumed = new.run(ShardSpec::full(), &[cold(&old)], &opts);
+        assert!(matches!(resumed, Err(ResumeError::SweepMismatch { .. })));
+        let halves = [(&old, 0), (&new, 1)]
+            .map(|(s, i)| s.run(ShardSpec::new(i, 2).unwrap(), &[], &opts).unwrap());
+        let merged = merge_reports(&halves);
+        assert!(matches!(merged, Err(MergeError::SweepMismatch { .. })));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! needs arrives in the [`Assign`](super::protocol::ServerMsg::Assign)
 //! message — but keeps warm local caches: the coordinator's analysis and
 //! pass-cache entries arrive with the first assignment, a cache that grew
-//! during a range is shipped back whole with that range's completion,
-//! and parsed sweeps are memoized per job fingerprint. A worker exits cleanly (0) when the coordinator
+//! past what the coordinator sent during a range is shipped back whole
+//! with that range's completion, and parsed sweeps are memoized per job
+//! fingerprint. A worker exits cleanly (0) when the coordinator
 //! tells it to shut down *or* simply disappears (EOF): a killed
 //! coordinator is an expected event, not a worker error.
 
@@ -65,9 +66,6 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
     let passes = Arc::new(PassCache::new());
     let runner = Arc::new(PassRunner::with_cache(Arc::clone(&passes)));
     let mut sweeps: HashMap<u64, Sweep> = HashMap::new();
-    // Cache sizes at the last ship-back: entries beyond these are news
-    // the coordinator has not seen from us.
-    let (mut shipped_analysis, mut shipped_passes) = (0usize, 0usize);
     let worker_id = u64::from(std::process::id());
     let mut summary = WorkerSummary::default();
     // Fault-injection knob for the test harness: hold each completed
@@ -95,6 +93,9 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
             }) => {
                 analysis.import(warm_analysis);
                 passes.import(warm_passes);
+                // The coordinator knows every entry it sent and every one
+                // shipped before: only growth past these sizes is news.
+                let known = (analysis.len(), passes.len());
                 let sweep = match sweeps.entry(job) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(v) => v.insert(
@@ -117,14 +118,12 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
                 // Ship cache growth with the completion; resending the
                 // full export is fine — the coordinator's import is
                 // idempotent — but skip it entirely when nothing grew.
-                let a_out = if analysis.len() > shipped_analysis {
-                    shipped_analysis = analysis.len();
+                let a_out = if analysis.len() > known.0 {
                     analysis.export()
                 } else {
                     Vec::new()
                 };
-                let p_out = if passes.len() > shipped_passes {
-                    shipped_passes = passes.len();
+                let p_out = if passes.len() > known.1 {
                     passes.export()
                 } else {
                     Vec::new()

@@ -124,7 +124,7 @@ pub struct GenConfig {
     pub seed: u64,
     /// Topology family.
     pub family: Family,
-    /// Actor count (clamped to at least 2).
+    /// Actor count (clamped to at least 2; at most 4,096).
     pub actors: usize,
     /// Inclusive WCET range, in cycles (clamped to at least 1).
     pub wcet_min: u64,
@@ -172,6 +172,10 @@ impl GenConfig {
     }
 }
 
+/// Largest actor count [`generate`] accepts: counts arrive from the
+/// command line, and larger graphs take minutes or outgrow memory.
+const MAX_ACTORS: usize = 4096;
+
 /// Generates the application model described by `cfg`.
 ///
 /// Deterministic: equal configurations produce structurally equal models
@@ -180,9 +184,16 @@ impl GenConfig {
 ///
 /// # Errors
 ///
-/// Propagates graph- and model-validation errors; with the invariants the
+/// [`SdfError::InvalidGraph`] for more than 4,096 actors. Otherwise
+/// propagates graph- and model-validation errors; with the invariants the
 /// generator maintains these indicate a bug in the generator itself.
 pub fn generate(cfg: &GenConfig) -> Result<ApplicationModel, SdfError> {
+    if cfg.actors > MAX_ACTORS {
+        return Err(SdfError::InvalidGraph(format!(
+            "{} actors requested; the generator makes at most {MAX_ACTORS}",
+            cfg.actors
+        )));
+    }
     let n = cfg.actors.max(2);
     let family_index = Family::ALL
         .iter()
@@ -442,6 +453,18 @@ mod tests {
                 }
                 check_liveness(app.graph()).unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn actor_counts_past_the_bound_are_errors() {
+        let mut cfg = GenConfig::new(1, Family::Tree);
+        cfg.actors = MAX_ACTORS;
+        assert_eq!(generate(&cfg).unwrap().graph().actor_count(), MAX_ACTORS);
+        for actors in [MAX_ACTORS + 1, usize::MAX] {
+            cfg.actors = actors;
+            let want = format!("{actors} actors requested; the generator makes at most 4096");
+            assert_eq!(generate(&cfg).err(), Some(SdfError::InvalidGraph(want)));
         }
     }
 

@@ -492,16 +492,15 @@ fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
             let max_rate: u64 = args.get("max-rate", str::parse)?.unwrap_or(3);
             let slack: Option<u64> = args.get("slack", str::parse)?;
             let dir = std::path::PathBuf::from(args.required("out", "DIR")?);
-            std::fs::create_dir_all(&dir)?;
 
+            // Nothing is written until every file is generated and checked.
             let arch = synthesize(&arch_spec, &format!("gen_{}", arch_spec.slug()))?;
             let arch_xml = architecture_to_xml(&arch);
             if architecture_to_xml(&architecture_from_xml(&arch_xml)?) != arch_xml {
                 return Err("generated platform does not round-trip the parser".into());
             }
             let arch_file = format!("arch_{}.xml", arch_spec.slug());
-            std::fs::write(dir.join(&arch_file), &arch_xml)?;
-
+            let mut files = vec![(arch_file.clone(), arch_xml)];
             let mut manifest = String::new();
             for k in 0..count {
                 let cfg = GenConfig {
@@ -524,7 +523,6 @@ fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                     .into());
                 }
                 let file = format!("{}_s{}.xml", cfg.family.slug(), cfg.seed);
-                std::fs::write(dir.join(&file), &xml)?;
                 let channels = app.graph().channels().count();
                 manifest.push_str(&format!(
                     "app={file} arch={arch_file} family={} seed={} actors={} channels={} constrained={}\n",
@@ -534,8 +532,13 @@ fn run(argv: &[String]) -> Result<ExitCode, Box<dyn std::error::Error>> {
                     channels,
                     if slack.is_some() { "yes" } else { "no" },
                 ));
+                files.push((file, xml));
             }
-            std::fs::write(dir.join("manifest.txt"), &manifest)?;
+            files.push(("manifest.txt".into(), manifest));
+            std::fs::create_dir_all(&dir)?;
+            for (file, text) in &files {
+                std::fs::write(dir.join(file), text)?;
+            }
             println!(
                 "generated {count} scenario(s) ({} arch {arch_spec}) -> {}",
                 if family.is_none() {

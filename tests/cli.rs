@@ -454,6 +454,20 @@ fn cli_gen_is_deterministic_across_processes_and_round_trips() {
         String::from_utf8_lossy(&bad.stderr)
     );
 
+    // More actors than the generator's bound: exit 1, nothing written.
+    for actors in ["4097", "100000000"] {
+        let huge = dir.join("huge");
+        let bad = Command::new(bin())
+            .args(["gen", "--actors", actors, "--out"])
+            .arg(&huge)
+            .output()
+            .unwrap();
+        let err = String::from_utf8_lossy(&bad.stderr);
+        assert_eq!(bad.status.code(), Some(1), "--actors {actors}: {err}");
+        assert!(err.contains("the generator makes at most 4096"), "{err}");
+        assert!(!huge.exists(), "--actors {actors} wrote {}", huge.display());
+    }
+
     // Missing --out: usage error, nothing written.
     let bad = Command::new(bin()).arg("gen").output().unwrap();
     assert!(!bad.status.success());
@@ -653,6 +667,48 @@ fn cli_sharded_dse_merges_to_the_unsharded_report() {
     assert!(!bad.status.success());
     assert!(String::from_utf8_lossy(&bad.stderr).contains("--out"));
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard file names each application by its digest, so `--resume`
+/// rejects a partial of another version of the same graph name: here the
+/// `work` actor at 1,400 cycles instead of 700.
+#[test]
+fn cli_resume_rejects_a_partial_of_an_edited_application() {
+    let dir = std::env::temp_dir().join(format!("mamps_cli_resume_edit_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("examples/data/pipeline_small_app.xml");
+    let a = std::fs::read_to_string(data).unwrap();
+    let b = a.replace("\"700\"", "\"1400\"");
+    assert_ne!(a, b);
+    std::fs::write(dir.join("a.xml"), a).unwrap();
+    std::fs::write(dir.join("b.xml"), b).unwrap();
+    let dse = |args: &[&str]| {
+        Command::new(bin())
+            .current_dir(&dir)
+            .arg("dse")
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    let old = dse(&["a.xml", "2", "--shard", "0/1", "--out", "old.jsonl"]);
+    assert!(
+        old.status.success(),
+        "{}",
+        String::from_utf8_lossy(&old.stderr)
+    );
+    let out = dse(&["b.xml", "2", "--resume", "old.jsonl"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        out.stdout.is_empty(),
+        "no report from another version's points"
+    );
+    assert!(
+        err.contains("resume file comes from a different sweep"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

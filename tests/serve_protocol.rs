@@ -2,14 +2,16 @@
 //! event sequences the lease table keeps leased ranges disjoint, drains
 //! to exhaustive coverage, and treats duplicate completions as no-ops;
 //! the merge ledger dedups by seq regardless of arrival order; every
-//! protocol message round-trips the canonical JSON encoding; and
-//! coordinators run in this process, stopped by their flag, serve the
-//! report of a plain sweep, also when a worker drops its lease.
+//! protocol message round-trips the canonical JSON encoding; coordinators
+//! run in this process, stopped by their flag, serve the report of a plain
+//! sweep, also when a worker drops its lease; and a worker ships back only
+//! cache entries its coordinator has not sent it.
 
 use std::io::BufReader;
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use mamps::flow::dse::lease::{ItemState, LeaseTable, MergeLedger, SeqRange};
 use mamps::flow::dse::shard::{
@@ -22,8 +24,10 @@ use mamps::flow::serve::{
     SweepSpec, WorkerConfig,
 };
 use mamps::flow::FlowOptions;
+use mamps::mapping::{PassCache, PassRunner};
 use mamps::sdf::gen::pipeline_app;
 use mamps::sdf::xml::application_to_xml;
+use mamps::sdf::GlobalAnalysisCache;
 use proptest::prelude::*;
 
 fn header(total: u64) -> ShardHeader {
@@ -33,6 +37,7 @@ fn header(total: u64) -> ShardHeader {
         total_configs: total,
         signature: SweepSignature {
             apps: vec!["app".into()],
+            digests: vec![0],
             tile_counts: vec![1, 2, 3],
             include_noc: true,
             binders: vec!["greedy".into()],
@@ -271,9 +276,10 @@ fn complete_ledger_renders_like_the_plain_report() {
 }
 
 /// A four-point binder sweep (1 and 2 tiles, FSL and NoC) of a small
-/// pipeline, and the report single-process `mamps dse` prints for it.
-fn small_sweep() -> (SweepSpec, String) {
-    let app = pipeline_app("pipe", &[40, 10, 25], 16, &[1], None);
+/// pipeline whose middle actor takes `wcet` cycles, and the report
+/// single-process `mamps dse` prints for it.
+fn small_sweep(wcet: u64) -> (SweepSpec, String) {
+    let app = pipeline_app("pipe", &[40, wcet, 25], 16, &[1], None);
     let spec = SweepSpec {
         mode: SweepMode::Binders,
         apps_xml: vec![application_to_xml(&app)],
@@ -353,7 +359,7 @@ fn with_coordinator<T>(cfg: ServeConfig, body: impl FnOnce(&Path, &mut dyn FnMut
 #[test]
 fn served_sweeps_run_and_stop_in_process() {
     let dir = scratch_dir("sweeps");
-    let (spec, expected) = small_sweep();
+    let (spec, expected) = small_sweep(10);
     for round in 0..2 {
         let cfg = ServeConfig {
             socket: dir.join("serve.sock"),
@@ -377,7 +383,7 @@ fn served_sweeps_run_and_stop_in_process() {
 #[test]
 fn a_dropped_lease_is_reassigned_in_process() {
     let dir = scratch_dir("drop");
-    let (spec, expected) = small_sweep();
+    let (spec, expected) = small_sweep(10);
     let cfg = ServeConfig {
         socket: dir.join("serve.sock"),
         state_dir: dir.join("state"),
@@ -406,5 +412,89 @@ fn a_dropped_lease_is_reassigned_in_process() {
     });
     assert_eq!(outcome.report, expected);
     assert_eq!(outcome.stats.reassigned, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The coordinator keys its history by the sweep header, which names each
+/// application by its digest: a second version of one graph name is a new
+/// job, not a replay of the first version's report.
+#[test]
+fn an_edited_application_is_served_as_a_new_job() {
+    let dir = scratch_dir("versions");
+    let cfg = ServeConfig {
+        socket: dir.join("serve.sock"),
+        state_dir: dir.join("state"),
+        ..ServeConfig::default()
+    };
+    let [(spec_a, plain_a), (spec_b, plain_b)] = [10, 80].map(small_sweep);
+    assert_ne!(plain_a, plain_b);
+    let served = with_coordinator(cfg, |socket, start_worker| {
+        start_worker();
+        [&spec_a, &spec_b].map(|spec| run_submit(socket, spec, |_, _| {}).unwrap())
+    });
+    assert_eq!([&served[0].report, &served[1].report], [&plain_a, &plain_b]);
+    assert_eq!(
+        served[1].stats.evaluated, 4,
+        "the second version was evaluated"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker driven by a raw test listener: the `Assign`'s warm entries
+/// already cover its whole range, so evaluating the range adds nothing
+/// and the `Complete` ships no cache entry back.
+#[test]
+fn a_worker_does_not_echo_the_warm_entries_it_was_sent() {
+    let dir = scratch_dir("echo");
+    let socket = dir.join("raw.sock");
+    let listener = UnixListener::bind(&socket).unwrap();
+    let (spec, _) = small_sweep(10);
+    let range = SeqRange { start: 0, end: 4 };
+    let (analysis, passes) = (
+        Arc::new(GlobalAnalysisCache::new()),
+        Arc::new(PassCache::new()),
+    );
+    let mut opts = FlowOptions::default();
+    opts.map.cache = Some(Arc::clone(&analysis));
+    opts.map.passes = Some(Arc::new(PassRunner::with_cache(Arc::clone(&passes))));
+    spec.resolve().unwrap().evaluate(range.seqs(), &opts);
+    let assign = ServerMsg::Assign {
+        job: 1,
+        lease: 1,
+        range,
+        spec,
+        analysis: analysis.export(),
+        passes: passes.export(),
+    };
+    assert!(matches!(&assign, ServerMsg::Assign { analysis, passes, .. }
+        if !analysis.is_empty() && !passes.is_empty()));
+    let worker = WorkerConfig {
+        socket: socket.clone(),
+        jobs: 1,
+    };
+    std::thread::scope(|s| {
+        let handle = s.spawn(|| run_worker(&worker).map_err(|e| e.to_string()));
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut writer = stream;
+        let mut next = || read_msg::<ClientMsg>(&mut reader).unwrap();
+        assert!(matches!(next(), Some(ClientMsg::Fetch { .. })));
+        write_msg(&mut writer, &assign).unwrap();
+        match next() {
+            Some(ClientMsg::Complete {
+                records,
+                analysis,
+                passes,
+                ..
+            }) => {
+                assert_eq!(records.len(), 4);
+                assert_eq!((analysis.len(), passes.len()), (0, 0), "echoed entries");
+            }
+            other => panic!("expected a completion, got {other:?}"),
+        }
+        assert!(matches!(next(), Some(ClientMsg::Fetch { .. })));
+        write_msg(&mut writer, &ServerMsg::Shutdown).unwrap();
+        handle.join().unwrap().unwrap();
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
