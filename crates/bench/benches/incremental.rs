@@ -9,10 +9,10 @@
 //! the *original* inputs, after editing one WCET of the pipeline
 //! application (what `--cache-dir` delivers to a delta re-map). The edit
 //! invalidates only the edited application's bind and buffer-size passes
-//! and the combined verify-shared pass; the WCET-free wire-alloc and
-//! schedule passes and everything about the untouched MJPEG
-//! application — including its dominant buffer-size search — replay from
-//! the cache.
+//! and the combined verify-shared pass; the untouched MJPEG application's
+//! bind and buffer-size — its dominant buffer-size search included —
+//! replay from the cache. Wire-alloc and schedule are never memoized: they
+//! cost less to rerun than to replay.
 //!
 //! Before timing, cold and incremental outcomes are asserted byte-equal
 //! to a plain-flow reference on the edited inputs — a speedup that
@@ -89,10 +89,10 @@ fn outcome_bytes(o: &UseCaseMapping) -> String {
 
 fn bench(c: &mut Criterion) {
     let original_xml = include_str!("../../../examples/data/pipeline_small_app.xml");
-    // The one-WCET edit: the work actor's 700-cycle execution time becomes
-    // 707 (the string "700" appears exactly once, and the edit keeps the
-    // decreasing-work placement order of the greedy binder stable, so the
-    // WCET-free wire-alloc and schedule fingerprints survive).
+    // The one-WCET edit: the work actor's 700-cycle execution time and
+    // WCET become 707 (the only two "700" strings). The edit keeps the
+    // greedy binder's decreasing-work placement order stable, as a small
+    // WCET refinement would.
     let edited_xml = original_xml.replace("\"700\"", "\"707\"");
     assert_ne!(
         original_xml, edited_xml,

@@ -220,16 +220,6 @@ pub(crate) fn expand_and_analyse(
     })
 }
 
-/// [`expand_and_analyse`] with both errors as one [`MapError`].
-fn analyse(
-    graph: &SdfGraph,
-    mapping: &Mapping,
-    arch: &Architecture,
-    cache: Option<&GlobalAnalysisCache>,
-) -> Result<ThroughputResult, MapError> {
-    Ok(expand_and_analyse(graph, mapping, arch, cache)??)
-}
-
 /// Phase 1 of buffer sizing, shared by the `buffer-size` and
 /// `verify-shared` passes: analyses `m` and, while the analysis
 /// deadlocks, grows every channel allocation by one uniform step — a
@@ -249,8 +239,8 @@ pub(crate) fn grow_to_liveness(
 ) -> Result<ThroughputResult, MapError> {
     let mut attempt = 0;
     loop {
-        match analyse(graph, m, arch, cache) {
-            Err(MapError::Sdf(SdfError::Deadlock(_))) if attempt < DEADLOCK_GROWTH_ATTEMPTS => {
+        match expand_and_analyse(graph, m, arch, cache)? {
+            Err(SdfError::Deadlock(_)) if attempt < DEADLOCK_GROWTH_ATTEMPTS => {
                 attempt += 1;
                 for (cid, ch) in graph.channels() {
                     let c = &mut m.channels[cid.0];
@@ -259,7 +249,7 @@ pub(crate) fn grow_to_liveness(
                     c.local_capacity += gcd(ch.production_rate(), ch.consumption_rate());
                 }
             }
-            result => return result,
+            result => return Ok(result?),
         }
     }
 }
@@ -392,7 +382,10 @@ pub fn map_application(
                     &moves,
                     current.iterations_per_cycle,
                     grow_buffer,
-                    |m| Ok::<_, Infallible>(analyse(&wcet_graph, m, arch, cache).ok()),
+                    |m| {
+                        let probe = expand_and_analyse(&wcet_graph, m, arch, cache);
+                        Ok::<_, Infallible>(probe.ok().and_then(Result::ok))
+                    },
                     |r| r.iterations_per_cycle,
                 ) else {
                     break; // saturated

@@ -110,8 +110,8 @@ pub enum Binder {
     ///
     /// The fitness of a chromosome is the **guaranteed throughput** of the
     /// candidate binding, evaluated with the mapping flow's own helpers:
-    /// NoC wires allocated and schedules built as the `wire-alloc` and
-    /// `schedule` passes do, channels at the `buffer-size` pass's initial
+    /// wires and schedules from the functions the `wire-alloc` and
+    /// `schedule` passes run, channels at the `buffer-size` pass's initial
     /// allocation, and the same expand-then-analyse step. Fitness values
     /// are memoized per assignment so repeated chromosomes cost nothing.
     /// Assignments that violate tile memory get a large negative penalty,

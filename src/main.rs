@@ -34,11 +34,12 @@
 //! `dse`: the run loads the `*.jsonl` analysis-cache files *and* the
 //! `pass-cache-*.jsonl` whole-pass memo files in `DIR` at startup and
 //! writes its own (per-shard-named) files back. The pass cache memoizes
-//! entire flow passes (bind, wire-alloc, schedule, buffer-size,
-//! verify-shared) by input fingerprint, so a warm run replays every
-//! unchanged pass — `mamps remap` is the incremental workflow: after
-//! editing one WCET, only the invalidated passes re-execute, and the
-//! report stays byte-identical to a cold run. `--resume f.jsonl`
+//! the flow passes that cost more to run than to replay (bind,
+//! buffer-size, verify-shared) by input fingerprint, so a warm run
+//! replays every unchanged one and reruns the cheap wire-alloc and
+//! schedule — `mamps remap` is the incremental workflow: after editing
+//! one WCET, only the invalidated passes re-execute, and the report stays
+//! byte-identical to a cold run. `--resume f.jsonl`
 //! (repeatable) seeds a sweep with the evaluated points of partial
 //! shard files from a crashed run of the same sweep — a torn trailing
 //! line is dropped, the rest is reused, and the output stays
