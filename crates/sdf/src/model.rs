@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 
 use crate::error::SdfError;
-use crate::graph::{ActorId, SdfGraph};
+use crate::graph::{ActorId, ChannelId, SdfGraph};
 use crate::ratio::Ratio;
 
 /// Direction of a function argument relative to the actor.
@@ -99,6 +99,10 @@ impl ApplicationModel {
         implementations: HashMap<String, Vec<ActorImplementation>>,
         throughput_constraint: Option<ThroughputConstraint>,
     ) -> Result<ApplicationModel, SdfError> {
+        // Channel names are unique (`SdfGraphBuilder::build` checks), so
+        // one map resolves every argument binding.
+        let channels: HashMap<&str, ChannelId> =
+            graph.channels().map(|(cid, ch)| (ch.name(), cid)).collect();
         for (aid, actor) in graph.actors() {
             let impls = implementations.get(actor.name()).ok_or_else(|| {
                 SdfError::InvalidGraph(format!("actor `{}` has no implementation", actor.name()))
@@ -118,7 +122,7 @@ impl ApplicationModel {
                             im.function_name, binding.arg_index
                         )));
                     }
-                    let cid = graph.channel_by_name(&binding.channel).ok_or_else(|| {
+                    let &cid = channels.get(binding.channel.as_str()).ok_or_else(|| {
                         SdfError::InvalidGraph(format!(
                             "implementation `{}` binds unknown channel `{}`",
                             im.function_name, binding.channel

@@ -193,10 +193,14 @@ impl std::error::Error for XmlError {}
 /// [`XmlError`] on malformed input.
 pub fn parse(input: &str) -> Result<Element, XmlError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        counted: 0,
+        newlines: 0,
+        line_start: 0,
     };
-    p.skip_prolog();
+    p.skip_prolog()?;
     let root = p.element()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -209,24 +213,41 @@ pub fn parse(input: &str) -> Result<Element, XmlError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Newlines are counted up to `counted`, which only moves forward, as
+    /// `pos` does: `newlines` of them lie before it, the last one ending
+    /// at `line_start`. Every position query is then linear overall.
+    counted: usize,
+    newlines: usize,
+    line_start: usize,
 }
 
 impl<'a> Parser<'a> {
-    /// 1-based line of the current position.
-    fn line(&self) -> usize {
-        1 + self.bytes[..self.pos.min(self.bytes.len())]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count()
+    /// Counts the newlines up to the current position.
+    fn count_lines(&mut self) {
+        let end = self.pos.min(self.bytes.len());
+        for (i, &b) in self.bytes[self.counted..end].iter().enumerate() {
+            if b == b'\n' {
+                self.newlines += 1;
+                self.line_start = self.counted + i + 1;
+            }
+        }
+        self.counted = end;
     }
 
-    /// `line L, column C` of the current position, for syntax errors.
-    fn position(&self) -> String {
-        let upto = &self.bytes[..self.pos.min(self.bytes.len())];
-        let line = 1 + upto.iter().filter(|&&b| b == b'\n').count();
-        let col = 1 + upto.iter().rev().take_while(|&&b| b != b'\n').count();
+    /// 1-based line of the current position.
+    fn line(&mut self) -> usize {
+        self.count_lines();
+        1 + self.newlines
+    }
+
+    /// `line L, column C` of the current position, for syntax errors; the
+    /// column counts bytes.
+    fn position(&mut self) -> String {
+        let line = self.line();
+        let col = 1 + self.counted - self.line_start;
         format!("line {line}, column {col}")
     }
 
@@ -236,26 +257,29 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn skip_prolog(&mut self) {
+    fn skip_prolog(&mut self) -> Result<(), XmlError> {
         self.skip_ws();
         loop {
-            if self.rest().starts_with("<?") {
-                if let Some(end) = self.rest().find("?>") {
-                    self.pos += end + 2;
-                }
+            let (what, close) = if self.rest().starts_with("<?") {
+                ("declaration", "?>")
             } else if self.rest().starts_with("<!--") {
-                if let Some(end) = self.rest().find("-->") {
-                    self.pos += end + 3;
-                }
+                ("comment", "-->")
             } else {
-                break;
-            }
+                return Ok(());
+            };
+            let Some(end) = self.rest().find(close) else {
+                return Err(XmlError::Syntax(format!("unterminated {what}")));
+            };
+            self.pos += end + close.len();
             self.skip_ws();
         }
     }
 
+    /// The input from the current position. The parser only stops after
+    /// an ASCII byte or at a found `<`, so `pos` is a character boundary
+    /// and no revalidation of the tail is needed.
     fn rest(&self) -> &'a str {
-        std::str::from_utf8(&self.bytes[self.pos..]).unwrap_or("")
+        self.input.get(self.pos..).unwrap_or("")
     }
 
     fn expect(&mut self, c: u8) -> Result<(), XmlError> {
@@ -416,6 +440,14 @@ mod tests {
         ));
         assert!(matches!(parse("<a"), Err(XmlError::Syntax(_))));
         assert!(matches!(parse("<a/><b/>"), Err(XmlError::Syntax(_))));
+        // An unterminated prolog item is an error, not an endless loop.
+        for (doc, what) in [
+            ("<?xml version=\"1.0\"", "declaration"),
+            ("<!-- x", "comment"),
+        ] {
+            let e = parse(doc).unwrap_err().to_string();
+            assert_eq!(e, format!("xml syntax error: unterminated {what}"));
+        }
         let e = Element::new("x");
         assert!(matches!(e.req("k"), Err(XmlError::MissingAttr(_, _, _))));
         let e = Element::new("x").attr("k", "notanumber");
@@ -450,6 +482,28 @@ mod tests {
         // Hand-built elements have no position and none is printed.
         let e = Element::new("x").req("k").unwrap_err();
         assert_eq!(e.to_string(), "element <x> misses attribute `k`");
+    }
+
+    #[test]
+    fn positions_past_ten_thousand_lines_are_exact() {
+        // 10,000 leaves on lines 2..=10,001, then an attribute without
+        // `=` on line 10,002.
+        let mut xml = String::from("<root>\n");
+        for i in 0..10_000 {
+            let _ = writeln!(xml, "  <leaf n=\"{i}\"/>");
+        }
+        let doc = parse(&format!("{xml}</root>")).unwrap();
+        assert!(doc.children.iter().zip(2..).all(|(c, line)| c.line == line));
+        let e = parse(&format!("{xml}    <bad att></root>")).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "xml syntax error: expected `=` at line 10002, column 13"
+        );
+        let e = parse(&format!("{xml}<a>\n</b>\n</root>")).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "mismatched tags: <a> closed by </b> (line 10003)"
+        );
     }
 
     #[test]
