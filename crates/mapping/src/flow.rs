@@ -28,7 +28,7 @@ use mamps_sdf::buffer::{capacity_lower_bound, grow_step};
 use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::SdfGraph;
 use mamps_sdf::model::ApplicationModel;
-use mamps_sdf::passes::{fingerprint, timed, PassRunner};
+use mamps_sdf::passes::{fingerprint, timed, Fingerprint, PassRunner};
 use mamps_sdf::ratio::gcd;
 use mamps_sdf::state_space::{throughput, AnalysisOptions, ThroughputResult};
 use mamps_sdf::SdfError;
@@ -315,15 +315,22 @@ pub fn map_application(
     arch: &Architecture,
     opts: &MapOptions,
 ) -> Result<MappedApplication, MapError> {
+    // The `bind` and `buffer-size` keys both begin with the application
+    // and the platform. The `bind` key builds the two trees once, hashes
+    // them into the head of both keys and drops them before the binder
+    // runs; the `buffer-size` key goes on with what binding produced.
+    let mut sized_key: Option<Fingerprint> = None;
     let binding = run_pass(
         &opts.passes,
         "bind",
         || {
-            fingerprint(vec![
-                app.to_value(),
-                arch.to_value(),
-                opts.bind.fingerprint_value(),
-            ])
+            let (app_v, arch_v) = (app.to_value(), arch.to_value());
+            // Seven parts: these two and the five the key below adds.
+            sized_key
+                .insert(Fingerprint::new(7))
+                .part(&app_v)
+                .part(&arch_v);
+            fingerprint(&[&app_v, &arch_v, &opts.bind.fingerprint_value()])
         },
         || bind(app, arch, &opts.bind, opts.cache.as_deref()),
     )?;
@@ -348,15 +355,15 @@ pub fn map_application(
         &opts.passes,
         "buffer-size",
         || {
-            fingerprint(vec![
-                app.to_value(),
-                arch.to_value(),
-                mapping.binding.to_value(),
-                mapping.channels.to_value(),
-                target.to_value(),
-                Value::Int(GROWTH_BUDGET as i128),
-                Value::Int(MAX_STATES as i128),
-            ])
+            sized_key
+                .take()
+                .expect("one runner hashes both keys, the bind key first")
+                .part(&mapping.binding.to_value())
+                .part(&mapping.channels.to_value())
+                .part(&target.to_value())
+                .part(&Value::Int(GROWTH_BUDGET as i128))
+                .part(&Value::Int(MAX_STATES as i128))
+                .finish()
         },
         || -> Result<(Vec<ChannelAlloc>, ThroughputResult), MapError> {
             let wcet_graph = wcet_graph(graph, &mapping.binding);
@@ -576,6 +583,51 @@ mod tests {
         }
         assert_eq!(pass_cache.stats().hits, 2, "{}", pass_cache.stats());
         assert!(cache.stats().inserts > 0, "{}", cache.stats());
+    }
+
+    #[test]
+    fn borrowed_part_fingerprints_equal_the_tree_hash() {
+        use mamps_sdf::cache::GraphFingerprint;
+        // The three memoized key shapes (`bind`, `buffer-size` and
+        // `verify-shared`) over the values a mapping run hashes: hashing
+        // borrowed parts, at once or one at a time, streams the bytes of
+        // the tree they would form.
+        let app = pipeline_app(&[50, 90, 50], 8);
+        let arch = Architecture::homogeneous("x", 3, Interconnect::noc_for_tiles(3)).unwrap();
+        let m = map_application(&app, &arch, &MapOptions::default())
+            .unwrap()
+            .mapping;
+        let (app_v, arch_v) = (app.to_value(), arch.to_value());
+        let target = app.throughput_constraint().map(|c| c.as_ratio());
+        let budgets = [GROWTH_BUDGET, MAX_STATES].map(|n| Value::Int(n as i128));
+        let graph = Value::Int(GraphFingerprint::of(app.graph()).hash().into());
+        let shapes = [
+            vec![
+                app_v.clone(),
+                arch_v.clone(),
+                BindOptions::default().fingerprint_value(),
+            ],
+            vec![
+                app_v,
+                arch_v.clone(),
+                m.binding.to_value(),
+                m.channels.to_value(),
+                target.to_value(),
+                budgets[0].clone(),
+                budgets[1].clone(),
+            ],
+            vec![graph, m.to_value(), arch_v, budgets[1].clone()],
+        ];
+        for parts in shapes {
+            let borrowed: Vec<&Value> = parts.iter().collect();
+            let tree = serde::stable_hash(&Value::Seq(parts.clone()));
+            assert_eq!(fingerprint(&borrowed), tree);
+            let mut key = Fingerprint::new(parts.len());
+            for part in &parts {
+                key.part(part);
+            }
+            assert_eq!(key.finish(), tree);
+        }
     }
 
     #[test]

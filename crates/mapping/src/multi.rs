@@ -524,11 +524,11 @@ fn verify_shared(
                 &opts.passes,
                 "verify-shared",
                 || {
-                    fingerprint(vec![
-                        serde::Value::Int(i128::from(GraphFingerprint::of(&graph).hash())),
-                        mapping.to_value(),
-                        arch.to_value(),
-                        serde::Value::Int(MAX_STATES as i128),
+                    fingerprint(&[
+                        &serde::Value::Int(i128::from(GraphFingerprint::of(&graph).hash())),
+                        &mapping.to_value(),
+                        &arch.to_value(),
+                        &serde::Value::Int(MAX_STATES as i128),
                     ])
                 },
                 || -> Result<(Vec<ChannelAlloc>, ThroughputResult), RejectReason> {

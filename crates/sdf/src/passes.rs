@@ -38,20 +38,59 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use serde::{intern, stable_hash, Deserialize, Serialize, Value};
+use serde::{intern, Deserialize, Serialize, StableHasher, Value};
 
 use crate::memo::{MemoEntry, MemoStore};
 
 /// Reduces the parts of a pass input to one stable 64-bit fingerprint.
 ///
-/// The parts are hashed as a [`Value::Seq`] through [`stable_hash`]'s
-/// tagged, length-prefixed walk, so `["a", "bc"]` and `["ab", "c"]`
-/// cannot collide structurally and the result is identical across
-/// processes and platforms (it is what the on-disk pass cache is keyed
-/// by).
-pub fn fingerprint(parts: Vec<Value>) -> u64 {
-    stable_hash(&Value::Seq(parts))
+/// The parts are hashed as one [`Value::Seq`] through
+/// [`serde::stable_hash`]'s tagged, length-prefixed walk, so `["a",
+/// "bc"]` and `["ab", "c"]` cannot collide structurally and the result is
+/// identical across processes and platforms (it is what the on-disk pass
+/// cache is keyed by). The parts are borrowed: `fingerprint(&[&a, &b])`
+/// equals `stable_hash(&Value::Seq(vec![a, b]))` without moving `a` and
+/// `b` into a tree.
+pub fn fingerprint(parts: &[&Value]) -> u64 {
+    let mut key = Fingerprint::new(parts.len());
+    for part in parts {
+        key.part(part);
+    }
+    key.finish()
 }
+
+/// A [`fingerprint`] hashed one part at a time, for a key whose first
+/// parts exist long before the rest: `Fingerprint::new(n)` and `n` calls
+/// of [`part`](Self::part) give what `fingerprint` gives over those `n`
+/// parts, and each part can be dropped as soon as it is hashed.
+#[derive(Debug, Clone)]
+pub struct Fingerprint(StableHasher);
+
+impl Fingerprint {
+    /// A key of `parts` parts, none hashed yet.
+    pub fn new(parts: usize) -> Fingerprint {
+        let mut h = StableHasher::new();
+        h.seq(parts);
+        Fingerprint(h)
+    }
+
+    /// Hashes the next part.
+    pub fn part(&mut self, part: &Value) -> &mut Fingerprint {
+        self.0.value(part);
+        self
+    }
+
+    /// The fingerprint, once every part is hashed.
+    pub fn finish(&self) -> u64 {
+        self.0.finish()
+    }
+}
+
+/// The passes that memoize through [`PassRunner::run`]. A pass-cache
+/// entry of any other pass, such as the `wire-alloc` and `schedule`
+/// lines of directories written before those two stopped memoizing, is
+/// dead: nothing looks it up, so loading a cache directory drops it.
+pub(crate) const MEMOIZED: [&str; 3] = ["bind", "buffer-size", "verify-shared"];
 
 /// Cache key: which pass, over which input fingerprint. The derived `Ord`
 /// (pass name, then input) is the on-disk sort order.
@@ -93,6 +132,10 @@ impl MemoEntry for PassEntry {
             input: key.input,
             output,
         }
+    }
+
+    fn is_live(&self) -> bool {
+        MEMOIZED.contains(&self.pass.as_str())
     }
 }
 
@@ -240,7 +283,8 @@ impl PassRunner {
         PassReport(self.stats.lock().expect("pass stats poisoned").clone())
     }
 
-    /// Runs (or replays) the pass `name`.
+    /// Runs (or replays) the pass `name`: `bind`, `buffer-size` or
+    /// `verify-shared`, the passes whose pass-cache entries a load keeps.
     ///
     /// `input` reduces the pass inputs to a stable fingerprint; it is
     /// only invoked when a cache is attached. `f` is the pass body; both
@@ -256,6 +300,7 @@ impl PassRunner {
         T: Serialize + for<'de> Deserialize<'de>,
         E: Serialize + for<'de> Deserialize<'de>,
     {
+        debug_assert!(MEMOIZED.contains(&name), "pass `{name}` is not in MEMOIZED");
         let Some(cache) = &self.cache else {
             return self.time(name, f);
         };
@@ -306,11 +351,11 @@ mod tests {
     #[test]
     fn cacheless_runner_never_fingerprints() {
         let runner = PassRunner::new();
-        let out: Result<u64, String> = runner.run("p", || unreachable!("lazy"), || Ok(7));
+        let out: Result<u64, String> = runner.run("bind", || unreachable!("lazy"), || Ok(7));
         assert_eq!(out, Ok(7));
         let report = runner.report();
-        assert_eq!(report.get("p").unwrap().runs, 1);
-        assert_eq!(report.get("p").unwrap().hits, 0);
+        assert_eq!(report.get("bind").unwrap().runs, 1);
+        assert_eq!(report.get("bind").unwrap().hits, 0);
     }
 
     #[test]
@@ -318,18 +363,18 @@ mod tests {
         let cache = Arc::new(PassCache::new());
         let runner = PassRunner::with_cache(cache.clone());
 
-        let a: Result<Vec<u64>, String> = runner.run("p", fp(1), || Ok(vec![1, 2, 3]));
-        let b: Result<Vec<u64>, String> = runner.run("p", fp(1), || unreachable!("must replay"));
+        let a: Result<Vec<u64>, String> = runner.run("bind", fp(1), || Ok(vec![1, 2, 3]));
+        let b: Result<Vec<u64>, String> = runner.run("bind", fp(1), || unreachable!("must replay"));
         assert_eq!(a, b);
 
-        let e1: Result<Vec<u64>, String> = runner.run("p", fp(2), || Err("boom".into()));
+        let e1: Result<Vec<u64>, String> = runner.run("bind", fp(2), || Err("boom".into()));
         let e2: Result<Vec<u64>, String> =
-            runner.run("p", fp(2), || unreachable!("errors replay too"));
+            runner.run("bind", fp(2), || unreachable!("errors replay too"));
         assert_eq!(e1, e2);
         assert_eq!(e2, Err("boom".to_string()));
 
         let report = runner.report();
-        let p = report.get("p").unwrap();
+        let p = report.get("bind").unwrap();
         assert_eq!((p.runs, p.hits), (2, 2));
         assert_eq!(cache.stats().hits, 2);
         assert_eq!(cache.stats().misses, 2);
@@ -340,12 +385,12 @@ mod tests {
     fn undecodable_entry_is_a_miss_not_an_error() {
         let cache = Arc::new(PassCache::new());
         // A foreign entry of the wrong shape under the key we will ask for.
-        cache.insert("p", 9, Value::Str("not a Result".into()));
+        cache.insert("bind", 9, Value::Str("not a Result".into()));
         let runner = PassRunner::with_cache(Arc::clone(&cache));
-        let out: Result<u64, String> = runner.run("p", fp(9), || Ok(42));
+        let out: Result<u64, String> = runner.run("bind", fp(9), || Ok(42));
         assert_eq!(out, Ok(42));
         // The recompute overwrote the stale entry; now it replays.
-        let again: Result<u64, String> = runner.run("p", fp(9), || unreachable!());
+        let again: Result<u64, String> = runner.run("bind", fp(9), || unreachable!());
         assert_eq!(again, Ok(42));
         // Overwriting replaced a value under a known key: one insert.
         assert_eq!(cache.stats().inserts, 1);

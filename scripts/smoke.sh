@@ -57,10 +57,15 @@ same_cache_files() {
     cmp "$tmp/cold-cache/$f" "$tmp/cache/$f" || fail "$f differs from the cold run's after $1"
   done
 }
+# Inode, mtime and size: a warm run that changed nothing must not even
+# rewrite the files with equal bytes.
+stamps() { for f in $CACHE_FILES; do stat -c '%i %Y %s' "$tmp/cache/$f"; done; }
+cold_stamps=$(stamps)
 "$BIN" dse "$APP" 4 --cache-dir "$tmp/cache" >"$tmp/dse-warm.txt"
 diff -u "$tmp/dse-cold.txt" "$tmp/dse-warm.txt" \
   || fail "warm-cache dse report differs from the cold run"
 same_cache_files "a warm run"
+[ "$(stamps)" = "$cold_stamps" ] || fail "a warm run rewrote an unchanged cache file"
 # A line torn inside a multi-byte character is skipped like any torn
 # line, and the next persist restores the canonical file.
 printf '{"graph":1,"caps":[],"result":{"Err":{"Deadlock":"caf\xc3' \
@@ -70,6 +75,14 @@ printf '{"graph":1,"caps":[],"result":{"Err":{"Deadlock":"caf\xc3' \
 diff -u "$tmp/dse-cold.txt" "$tmp/dse-torn.txt" \
   || fail "dse report over a torn cache file differs from the cold run"
 same_cache_files "a run over a torn cache file"
+# An entry of a pass that no longer memoizes is dropped on load, and the
+# next persist leaves it out.
+printf '{"pass":"schedule","input":1,"output":{"Ok":[]}}\n' \
+  >>"$tmp/cache/pass-cache-0-of-1.jsonl"
+"$BIN" dse "$APP" 4 --cache-dir "$tmp/cache" >"$tmp/dse-dead.txt"
+diff -u "$tmp/dse-cold.txt" "$tmp/dse-dead.txt" \
+  || fail "dse report over a dead pass-cache entry differs from the cold run"
+same_cache_files "a run over a dead pass-cache entry"
 
 echo "== mamps dse --resume (torn partial, byte-identical to cold)"
 "$BIN" dse "$APP" 4 --shard 0/2 --out "$tmp/part.jsonl"
