@@ -17,7 +17,7 @@
 //! * [`buffer`] — the capacity lower bound and growth step of buffer sizing.
 //! * [`transform`] — self-edges, buffer-capacity reverse channels and
 //!   static-order constraint encodings.
-//! * [`memo`] — the sharded, counted memo store behind the analysis
+//! * [`memo`] — the one-lock, counted memo store behind the analysis
 //!   [`cache`] and the [`passes`] cache.
 //! * [`model`] — the application model joining the graph with per-actor
 //!   implementation metadata (WCET, memory sizes, argument bindings).
