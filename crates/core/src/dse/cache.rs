@@ -82,16 +82,11 @@ impl std::fmt::Display for CacheDirLoad {
             self.files,
             if self.files == 1 { "" } else { "s" }
         )?;
-        let notes: Vec<String> = [
-            (self.dropped, "dead entries dropped"),
-            (self.skipped_lines, "unparseable lines skipped"),
-        ]
-        .into_iter()
-        .filter(|&(n, _)| n > 0)
-        .map(|(n, what)| format!("{n} {what}"))
-        .collect();
-        if !notes.is_empty() {
-            write!(f, " ({})", notes.join(", "))?;
+        if self.dropped > 0 {
+            write!(f, " ({} dead entries dropped)", self.dropped)?;
+        }
+        if self.skipped_lines > 0 {
+            write!(f, " ({} unparseable lines skipped)", self.skipped_lines)?;
         }
         Ok(())
     }
@@ -141,7 +136,7 @@ pub fn load_cache_dir<E: MemoEntry>(cache: &MemoStore<E>, dir: &Path) -> io::Res
         let meta = file.metadata()?;
         let mut bytes = Vec::with_capacity(usize::try_from(meta.len()).unwrap_or(0));
         file.read_to_end(&mut bytes)?;
-        let (skipped, dropped) = (load.skipped_lines, load.dropped);
+        let before = (load.skipped_lines, load.dropped);
         let mut parsed: Vec<E> = Vec::new();
         for line in bytes.split(|&b| b == b'\n') {
             let Ok(line) = std::str::from_utf8(line) else {
@@ -158,7 +153,7 @@ pub fn load_cache_dir<E: MemoEntry>(cache: &MemoStore<E>, dir: &Path) -> io::Res
                 Err(_) => load.skipped_lines += 1,
             }
         }
-        let whole = only && (load.skipped_lines, load.dropped) == (skipped, dropped);
+        let whole = only && (load.skipped_lines, load.dropped) == before;
         load.imported += match mark_of(&path, &meta) {
             Some(mark) if whole => cache.import_file(parsed, mark),
             _ => cache.import(parsed),
