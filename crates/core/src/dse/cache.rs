@@ -1,261 +1,55 @@
-//! On-disk layer of the memo caches: warm sweeps across processes and
-//! shards.
+//! Cache files of warm sweeps across processes and shards.
 //!
 //! A [`MemoStore`] (the analysis cache or the pass cache) memoizes within
-//! one process. This module persists it under a directory (`mamps dse
-//! --cache-dir DIR`) so the next run — the same process re-invoked, or the
-//! *other shards* of a split sweep — starts warm. One load/persist pair
-//! serves every entry type:
+//! one process and persists itself to JSONL files; its module docs
+//! (`mamps_sdf::memo`) own the file format and the rule for when a
+//! persist writes. This module names those files under a directory
+//! (`mamps dse --cache-dir DIR`), so the next run — the same process
+//! re-invoked, or the *other shards* of a split sweep — starts warm.
 //!
-//! * **Format.** One JSON object per line (the store's [`MemoEntry`],
-//!   canonical bytes), seq-free: lines are keyed by the entry itself, so
-//!   files can be concatenated, truncated or partially written without
-//!   any ordering contract. Entries are exported sorted by key, so equal
-//!   caches produce identical files.
-//! * **Naming.** Each run writes `<PREFIX><index>-of-<count>.jsonl` for
-//!   its own [`ShardSpec`] (`analysis-cache-` or `pass-cache-`, per
-//!   [`MemoEntry::PREFIX`]) — concurrent shard processes sharing one
-//!   `--cache-dir` never write the same file. On startup each loader reads
-//!   every `<PREFIX>*.jsonl` of its own entry type, whichever shard
-//!   produced it, and ignores every other file in the directory.
-//! * **Robustness.** The cache is advisory: a line that fails to parse
-//!   or is not UTF-8 (torn tail of a killed run, cut even inside a
-//!   multi-byte character) is skipped and counted, never an error — the
-//!   worst case is re-analysing a design point. Files are written to a
-//!   temporary name unique to the writer and renamed into place, so a
-//!   reader never observes a half-written cache file and two writers of
-//!   one file never truncate each other's temporary.
-//! * **Unchanged files stay.** A store carries a [`SyncMark`], the file
-//!   (path, inode, length, mtime) its map is known to equal. Loading sets
-//!   it when the directory holds one file of the store's type and every
-//!   line of it went, in strictly ascending key order, into an empty
-//!   store; a persist sets it once the file is written or found equal;
-//!   every insert, replaced value and key-adding import clears it. A
-//!   persist whose mark names its target, with the file's metadata as
-//!   recorded, returns without rendering or reading. Any other persist
-//!   renders the entries and writes nothing when the file already holds
-//!   those bytes. So a warm run that changed nothing leaves its files
-//!   (and their inodes and mtimes) as they were, while a file edited
-//!   behind the store, split across shard files, out of key order, with
-//!   duplicated, torn or dead lines is rewritten canonically by the next
-//!   persist. One relaxation: a line that parses but is not canonical
-//!   (say, reformatted by hand) stays until the store changes. Next to
-//!   concurrent writers this is safe: files are only ever replaced whole
-//!   by a rename, never written in place, so a replaced file has a new
-//!   inode, the compared file is one writer's complete output, and
-//!   finding it equal is the same outcome as writing it and having the
-//!   rename land just before that writer's.
+//! Each run writes `<PREFIX><index>-of-<count>.jsonl` for its own
+//! [`ShardSpec`] (`analysis-cache-` or `pass-cache-`, per
+//! [`MemoEntry::PREFIX`]), so concurrent shard processes sharing one
+//! `--cache-dir` never write the same file. On startup each loader reads
+//! every `<PREFIX>*.jsonl` of its own entry type, whichever shard produced
+//! it, and ignores every other file in the directory.
 
-use std::fs;
-use std::io::{self, Read, Write};
-use std::os::unix::fs::MetadataExt;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use mamps_sdf::memo::{MemoEntry, MemoStore, SyncMark};
+pub use mamps_sdf::memo::CacheDirLoad;
+use mamps_sdf::memo::{MemoEntry, MemoStore};
 
 use crate::dse::shard::ShardSpec;
 
-/// What loading a cache directory found.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheDirLoad {
-    /// `*.jsonl` files read.
-    pub files: usize,
-    /// Entries imported into the in-memory cache (first occurrence of
-    /// each key wins; later duplicates are not counted).
-    pub imported: usize,
-    /// Entries dropped because this build no longer looks them up
-    /// ([`MemoEntry::is_live`]): pass-cache entries of passes that no
-    /// longer memoize.
-    pub dropped: usize,
-    /// Lines skipped because they were not UTF-8 or did not parse as a
-    /// cache entry.
-    pub skipped_lines: usize,
-}
-
-impl std::fmt::Display for CacheDirLoad {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} entries from {} file{}",
-            self.imported,
-            self.files,
-            if self.files == 1 { "" } else { "s" }
-        )?;
-        if self.dropped > 0 {
-            write!(f, " ({} dead entries dropped)", self.dropped)?;
-        }
-        if self.skipped_lines > 0 {
-            write!(f, " ({} unparseable lines skipped)", self.skipped_lines)?;
-        }
-        Ok(())
-    }
-}
-
-/// Loads every `<E::PREFIX>*.jsonl` file of `dir` into `cache`. A missing
-/// directory is an empty cache, not an error (the run will create it on
-/// persist). Files are visited in name order, so which duplicate of a key
-/// wins is deterministic. Entries that are not [live](MemoEntry::is_live)
-/// are dropped and counted.
-///
-/// When the directory holds exactly one such file, `cache` was empty and
-/// every line was imported in strictly ascending key order, the file
-/// becomes the cache's [`SyncMark`]: [`persist_cache`] to it then has
-/// nothing to write.
+/// Loads every `<E::PREFIX>*.jsonl` file of `dir` into `cache`.
 ///
 /// # Errors
 ///
-/// Only real I/O errors (unreadable directory or file); lines that are
-/// not UTF-8 or do not parse are skipped and counted in
-/// [`CacheDirLoad::skipped_lines`].
+/// As [`MemoStore::load_dir`].
 pub fn load_cache_dir<E: MemoEntry>(cache: &MemoStore<E>, dir: &Path) -> io::Result<CacheDirLoad> {
-    let mut load = CacheDirLoad::default();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(load),
-        Err(e) => return Err(e),
-    };
-    let mut files: Vec<PathBuf> = entries
-        .collect::<Result<Vec<_>, _>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with(E::PREFIX) && n.ends_with(".jsonl"))
-        })
-        .collect();
-    files.sort();
-    let only = files.len() == 1;
-    for path in files {
-        // Bytes, not a string: a line cut inside a multi-byte character
-        // is one more torn line, not an error for the whole file. The
-        // metadata is taken from the handle before reading, so a mark
-        // never names a newer file than the bytes read.
-        let mut file = fs::File::open(&path)?;
-        let meta = file.metadata()?;
-        let mut bytes = Vec::with_capacity(usize::try_from(meta.len()).unwrap_or(0));
-        file.read_to_end(&mut bytes)?;
-        let before = (load.skipped_lines, load.dropped);
-        let mut parsed: Vec<E> = Vec::new();
-        for line in bytes.split(|&b| b == b'\n') {
-            let Ok(line) = std::str::from_utf8(line) else {
-                load.skipped_lines += 1;
-                continue;
-            };
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            match serde::json::from_str::<E>(line) {
-                Ok(e) if e.is_live() => parsed.push(e),
-                Ok(_) => load.dropped += 1,
-                Err(_) => load.skipped_lines += 1,
-            }
-        }
-        let whole = only && (load.skipped_lines, load.dropped) == before;
-        load.imported += match mark_of(&path, &meta) {
-            Some(mark) if whole => cache.import_file(parsed, mark),
-            _ => cache.import(parsed),
-        };
-        load.files += 1;
-    }
-    Ok(load)
+    cache.load_dir(dir)
 }
 
 /// Persists `cache` to its shard-owned `<E::PREFIX><i>-of-<n>.jsonl` file
-/// in `dir` (creating the directory if needed) and returns the file's
-/// path.
-///
-/// When the cache's [`SyncMark`] names that file and its metadata still
-/// matches, the cache is known to equal it and nothing is rendered or
-/// read. Otherwise the entries are rendered; a file that already holds
-/// exactly those bytes is left in place, and any other is replaced
-/// atomically (write to a temporary name unique to this writer — process
-/// id plus a process-wide counter — then rename), so concurrent loaders
-/// see either the old or the new cache, never a torn one, and concurrent
-/// persists of one file all succeed. Either way the file becomes the
-/// mark, unless the cache changed while it was rendered.
+/// in `dir` and returns the file's path.
 ///
 /// # Errors
 ///
-/// I/O errors creating the directory or writing the file.
+/// As [`MemoStore::persist`].
 pub fn persist_cache<E: MemoEntry>(
     cache: &MemoStore<E>,
     dir: &Path,
     spec: ShardSpec,
 ) -> io::Result<PathBuf> {
-    static WRITES: AtomicU64 = AtomicU64::new(0);
-    let name = format!("{}{}-of-{}.jsonl", E::PREFIX, spec.index, spec.count);
-    let path = dir.join(&name);
-    let unchanged = |mark: SyncMark| {
-        mark.path == path && fs::metadata(&path).is_ok_and(|m| mark_of(&path, &m) == Some(mark))
-    };
-    if cache.sync_mark().is_some_and(unchanged) {
-        return Ok(path);
-    }
-    fs::create_dir_all(dir)?;
-    let (entries, edition) = cache.export_edition();
-    let mut out = String::new();
-    for entry in entries {
-        serde::json::emit(&entry.to_value(), &mut out);
-        out.push('\n');
-    }
-    let meta = match held(&path, out.as_bytes()) {
-        Some(meta) => meta,
-        None => {
-            let writer = WRITES.fetch_add(1, Ordering::Relaxed);
-            let tmp = dir.join(format!(".{name}.{}-{writer}.tmp", std::process::id()));
-            let written = write_file(&tmp, out.as_bytes())
-                .and_then(|meta| fs::rename(&tmp, &path).map(|()| meta));
-            if written.is_err() {
-                let _ = fs::remove_file(&tmp);
-            }
-            written?
-        }
-    };
-    if let Some(mark) = mark_of(&path, &meta) {
-        cache.mark_synced(edition, mark);
-    }
+    let path = dir.join(format!(
+        "{}{}-of-{}.jsonl",
+        E::PREFIX,
+        spec.index,
+        spec.count
+    ));
+    cache.persist(&path)?;
     Ok(path)
-}
-
-/// The [`SyncMark`] of the file at `path` with metadata `meta`; `None`
-/// where the platform reports no modification time.
-fn mark_of(path: &Path, meta: &fs::Metadata) -> Option<SyncMark> {
-    Some(SyncMark {
-        path: path.to_path_buf(),
-        inode: meta.ino(),
-        len: meta.len(),
-        mtime: meta.modified().ok()?,
-    })
-}
-
-/// Writes `bytes` to a new file at `path` and returns its metadata, which
-/// a rename into place keeps.
-fn write_file(path: &Path, bytes: &[u8]) -> io::Result<fs::Metadata> {
-    let mut file = fs::File::create(path)?;
-    file.write_all(bytes)?;
-    file.metadata()
-}
-
-/// The metadata of the file at `path` when it holds exactly `bytes`: the
-/// length first, then fixed-size chunks, so no second copy of the file is
-/// held. A file that cannot be opened or read counts as different.
-fn held(path: &Path, bytes: &[u8]) -> Option<fs::Metadata> {
-    let mut file = fs::File::open(path).ok()?;
-    let meta = file.metadata().ok()?;
-    if meta.len() != bytes.len() as u64 {
-        return None;
-    }
-    let mut chunk = [0u8; 8 * 1024];
-    bytes
-        .chunks(chunk.len())
-        .all(|expected| {
-            let got = &mut chunk[..expected.len()];
-            file.read_exact(got).is_ok() && got == expected
-        })
-        .then_some(meta)
 }
 
 /// [`load_cache_dir`] under the name callers of the pass cache know.
@@ -271,6 +65,9 @@ mod tests {
     use mamps_sdf::state_space::AnalysisOptions;
     use mamps_sdf::{GlobalAnalysisCache, PassCache};
     use serde::Value;
+    use std::fs;
+    use std::io::Write;
+    use std::os::unix::fs::MetadataExt;
 
     fn populated_analysis() -> GlobalAnalysisCache {
         let cache = GlobalAnalysisCache::new();
@@ -337,13 +134,16 @@ mod tests {
     }
 
     /// `populated_passes` persisted to a fresh `dir` and loaded back into
-    /// a new store, which then carries the file as its sync mark.
+    /// a new store, which is then known to equal the file: persisting it
+    /// leaves the file as it was.
     fn loaded_passes(dir: &Path) -> (PassCache, PathBuf) {
         let path = persist_cache(&populated_passes(), dir, ShardSpec::full()).unwrap();
         let warm = PassCache::new();
         let load = load_cache_dir(&warm, dir).unwrap();
         assert_eq!((load.files, load.skipped_lines, load.dropped), (1, 0, 0));
-        assert_eq!(warm.sync_mark().map(|m| m.path), Some(path.clone()));
+        let before = stamp(&path);
+        persist_cache(&warm, dir, ShardSpec::full()).unwrap();
+        assert_eq!(stamp(&path), before, "the loaded store equals its file");
         (warm, path)
     }
 
@@ -425,8 +225,6 @@ mod tests {
         let dir = tempdir("mark-unchanged");
         let (warm, path) = loaded_passes(&dir);
         let before = stamp(&path);
-        assert_eq!(persist_cache(&warm, &dir, ShardSpec::full()).unwrap(), path);
-        assert_eq!(stamp(&path), before, "the file was left as it was");
         // An import that adds no key leaves the mark in place.
         assert_eq!(warm.import(populated_passes().export()), 0);
         persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
@@ -448,7 +246,6 @@ mod tests {
         let (warm, path) = loaded_passes(&dir);
         let written = inode(&path);
         change(&warm);
-        assert!(warm.sync_mark().is_none(), "{what} cleared the mark");
         persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
         assert_ne!(inode(&path), written, "{what} replaced the file");
         assert_eq!(fs::read(&path).unwrap(), canonical(&warm), "{what}");
@@ -526,7 +323,6 @@ mod tests {
             let warm = PassCache::new();
             let load = load_cache_dir(&warm, &dir).unwrap();
             assert_eq!((load.imported, load.skipped_lines), (cache.len(), 0));
-            assert!(warm.sync_mark().is_none(), "{what} lines set no mark");
             persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
             assert_eq!(fs::read(&path).unwrap(), canonical, "{what} rewritten");
             let _ = fs::remove_dir_all(&dir);
@@ -546,10 +342,17 @@ mod tests {
         let warm = PassCache::new();
         let load = load_cache_dir(&warm, &dir).unwrap();
         assert_eq!((load.files, load.imported), (2, cache.len()));
-        assert!(warm.sync_mark().is_none(), "two files set no mark");
         let own = persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
         assert_eq!(fs::read(&own).unwrap(), canonical(&cache));
         let first = persist_cache(&warm, &dir, ShardSpec::new(0, 2).unwrap()).unwrap();
+        assert_eq!(fs::read(&first).unwrap(), canonical(&cache));
+        // A store loaded from several files is known to equal none of
+        // them, so it rewrites its own file even when that holds its bytes.
+        let again = PassCache::new();
+        load_cache_dir(&again, &dir).unwrap();
+        let written = inode(&first);
+        persist_cache(&again, &dir, ShardSpec::new(0, 2).unwrap()).unwrap();
+        assert_ne!(inode(&first), written, "several files set no mark");
         assert_eq!(fs::read(&first).unwrap(), canonical(&cache));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -591,7 +394,6 @@ mod tests {
             load.to_string(),
             "3 entries from 1 file (1 dead entries dropped)"
         );
-        assert!(warm.sync_mark().is_none(), "a dropped line sets no mark");
         persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
         assert_eq!(
             fs::read(&path).unwrap(),

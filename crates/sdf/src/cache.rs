@@ -22,9 +22,10 @@
 //!
 //! The store itself is the generic [`MemoStore`] over [`CacheEntry`]:
 //! one lock around a key-ordered map, counted, exported sorted and
-//! imported first-wins, and persisted by `mamps_core::dse::cache` as
-//! `analysis-cache-*.jsonl` under `--cache-dir`, which is what makes a
-//! second sweep over the same corpus warm across processes and shards.
+//! imported first-wins, and persisted by [`MemoStore::persist`] to the
+//! `analysis-cache-*.jsonl` files that `mamps_core::dse::cache` names
+//! under `--cache-dir`, which is what makes a second sweep over the same
+//! corpus warm across processes and shards.
 //!
 //! Hash collisions: two *different* graphs colliding on the 64-bit
 //! fingerprint would alias cache entries. The keys mix every actor,

@@ -18,7 +18,7 @@
 //! * [`transform`] — self-edges, buffer-capacity reverse channels and
 //!   static-order constraint encodings.
 //! * [`memo`] — the one-lock, counted memo store behind the analysis
-//!   [`cache`] and the [`passes`] cache.
+//!   [`cache`] and the [`passes`] cache, and its JSONL cache files.
 //! * [`model`] — the application model joining the graph with per-actor
 //!   implementation metadata (WCET, memory sizes, argument bindings).
 //! * [`gen`] — seeded synthetic scenario generation (topology families,

@@ -1,4 +1,5 @@
-//! The one memo-table abstraction behind the flow's caches.
+//! The one memo-table abstraction behind the flow's caches, and the files
+//! it persists to.
 //!
 //! [`MemoStore<E>`] is a global, thread-safe map from a key to a memoized
 //! value, generic over its on-disk entry type `E` ([`MemoEntry`]). The
@@ -14,19 +15,52 @@
 //!
 //! The map is ordered by key, so [`export`](MemoStore::export) walks it
 //! as it stands and equal stores export byte-identical JSONL regardless
-//! of insertion order. [`import`](MemoStore::import) is first-wins;
-//! `mamps_core::dse::cache` persists the entries under `--cache-dir` as
-//! `<E::PREFIX><i>-of-<n>.jsonl`.
+//! of insertion order. [`import`](MemoStore::import) is first-wins.
 //!
-//! A store may carry a [`SyncMark`]: the file its map is known to equal.
-//! Loading one canonical file into an empty store sets it, and so does a
-//! persist; every change to the map clears it. While the mark still
-//! names the file as it stands on disk, persisting to that file has
-//! nothing to write and skips the render.
+//! ## Cache files
+//!
+//! [`MemoStore::persist`] writes the store to one file and
+//! [`MemoStore::load_dir`] reads back every `<E::PREFIX>*.jsonl` file of
+//! a directory; `mamps_core::dse::cache` names each shard's file
+//! (`mamps dse --cache-dir DIR`).
+//!
+//! * **Format.** One JSON object per line (the entry, canonical bytes),
+//!   keyed by the entry itself, so files can be concatenated, truncated
+//!   or partially written without any ordering contract. Entries are
+//!   written in key order, so equal stores produce identical files.
+//! * **Robustness.** The cache is advisory: a line that is not UTF-8 or
+//!   does not parse (torn tail of a killed run, cut even inside a
+//!   multi-byte character) is skipped and counted, never an error, and
+//!   an entry this build no longer looks up ([`MemoEntry::is_live`]) is
+//!   dropped and counted; the worst case is re-analysing a design point.
+//!   A file is written to a temporary name unique to the writer and
+//!   renamed into place, so no reader sees a half-written file.
+//! * **When a persist writes.** A store carries a sync mark: the file
+//!   (path, inode, length, mtime) its map is known to equal. Loading sets
+//!   it when the directory holds one file of the store's type and every
+//!   line of it went, in strictly ascending key order, into an empty
+//!   store; a persist sets it once the file is written, unless the store
+//!   changed meanwhile; every insert, replaced value and key-adding
+//!   import clears it. A persist whose mark names its target, with the
+//!   file's metadata as recorded, returns without rendering or reading;
+//!   every other persist renders the entries and replaces the file. So a
+//!   warm run that changed nothing leaves its file (inode and mtime too)
+//!   as it was. A file edited behind the store, out of key order, or with
+//!   duplicated, torn or dead lines is rewritten canonically, and a store
+//!   loaded from several files (a directory shared by shards) rewrites
+//!   its own file even when that already holds its bytes. A line that
+//!   parses but is not canonical (say, reformatted by hand) stays until
+//!   the store changes. Files are only ever replaced whole by a rename,
+//!   never written in place, so a file that another writer replaced has
+//!   a new inode and no longer matches the mark.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::fs;
+use std::io::{self, Read, Write};
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::SystemTime;
 
@@ -61,15 +95,60 @@ pub trait MemoEntry: Serialize + for<'de> Deserialize<'de> {
 /// that any replacement or edit of it changes: a rename brings a new
 /// inode, an edit in place a new length or modification time.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SyncMark {
-    /// Where the file is.
-    pub path: PathBuf,
-    /// Its inode number.
-    pub inode: u64,
-    /// Its length in bytes.
-    pub len: u64,
-    /// Its modification time.
-    pub mtime: SystemTime,
+struct SyncMark {
+    path: PathBuf,
+    inode: u64,
+    len: u64,
+    mtime: SystemTime,
+}
+
+impl SyncMark {
+    /// The mark of the file at `path` with metadata `meta`; `None` where
+    /// the platform reports no modification time.
+    fn of(path: &Path, meta: &fs::Metadata) -> Option<SyncMark> {
+        Some(SyncMark {
+            path: path.to_path_buf(),
+            inode: meta.ino(),
+            len: meta.len(),
+            mtime: meta.modified().ok()?,
+        })
+    }
+}
+
+/// What [`MemoStore::load_dir`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheDirLoad {
+    /// `*.jsonl` files read.
+    pub files: usize,
+    /// Entries imported into the in-memory cache (first occurrence of
+    /// each key wins; later duplicates are not counted).
+    pub imported: usize,
+    /// Entries dropped because this build no longer looks them up
+    /// ([`MemoEntry::is_live`]): pass-cache entries of passes that no
+    /// longer memoize.
+    pub dropped: usize,
+    /// Lines skipped because they were not UTF-8 or did not parse as a
+    /// cache entry.
+    pub skipped_lines: usize,
+}
+
+impl fmt::Display for CacheDirLoad {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} entries from {} file{}",
+            self.imported,
+            self.files,
+            if self.files == 1 { "" } else { "s" }
+        )?;
+        if self.dropped > 0 {
+            write!(f, " ({} dead entries dropped)", self.dropped)?;
+        }
+        if self.skipped_lines > 0 {
+            write!(f, " ({} unparseable lines skipped)", self.skipped_lines)?;
+        }
+        Ok(())
+    }
 }
 
 /// Counter snapshot of a [`MemoStore`].
@@ -115,8 +194,8 @@ struct Table<E: MemoEntry> {
     counts: CacheStats,
     /// The file `map` is known to equal, if any.
     synced: Option<SyncMark>,
-    /// Changes made to `map` so far: a mark taken from an export is only
-    /// set while this still reads what the export saw.
+    /// Changes made to `map` so far: a persist sets the mark only while
+    /// this still reads what its export saw.
     edits: u64,
 }
 
@@ -127,12 +206,6 @@ impl<E: MemoEntry> Table<E> {
         self.edits += 1;
     }
 }
-
-/// Which state of a store an [`export_edition`](MemoStore::export_edition)
-/// saw; [`mark_synced`](MemoStore::mark_synced) accepts it only while the
-/// store is still in that state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edition(u64);
 
 impl<E: MemoEntry> fmt::Debug for MemoStore<E> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -214,53 +287,44 @@ impl<E: MemoEntry> MemoStore<E> {
     /// Every entry in key order, so equal stores export byte-identical
     /// JSONL regardless of insertion order.
     pub fn export(&self) -> Vec<E> {
-        self.export_edition().0
+        self.export_edits().0
     }
 
-    /// [`export`](Self::export), and the [`Edition`] of the store it
-    /// exported, for [`mark_synced`](Self::mark_synced) once the entries
-    /// are on disk.
-    pub fn export_edition(&self) -> (Vec<E>, Edition) {
+    /// [`export`](Self::export), and the number of changes the store had
+    /// seen when it exported, for [`mark_synced`](Self::mark_synced) once
+    /// the entries are on disk.
+    fn export_edits(&self) -> (Vec<E>, u64) {
         let t = self.table();
         let entries = t
             .map
             .iter()
             .map(|(k, v)| E::join(k.clone(), v.clone()))
             .collect();
-        (entries, Edition(t.edits))
+        (entries, t.edits)
     }
 
-    /// The file the store is known to equal, if any.
-    pub fn sync_mark(&self) -> Option<SyncMark> {
-        self.table().synced.clone()
-    }
-
-    /// Marks the store as equal to `file`, which holds the entries of
-    /// `edition`. A no-op when the store changed since that export.
-    pub fn mark_synced(&self, edition: Edition, file: SyncMark) {
+    /// Marks the store as equal to `file`, which holds the entries it had
+    /// after `edits` changes. A no-op when it changed since.
+    fn mark_synced(&self, edits: u64, file: SyncMark) {
         let mut t = self.table();
-        if t.edits == edition.0 {
+        if t.edits == edits {
             t.synced = Some(file);
         }
     }
 
-    /// Loads entries (e.g. parsed from an on-disk cache file) into the
-    /// store, returning how many were new. Existing entries win over
-    /// imported ones, so duplicates across files are harmless. Imports
-    /// touch no counter: the counters account for *this* run's lookups
-    /// and inserts only. An import that adds a key clears the sync mark.
+    /// Loads entries (e.g. received from a DSE worker) into the store,
+    /// returning how many were new. Existing entries win over imported
+    /// ones, so duplicates are harmless. Imports touch no counter: the
+    /// counters account for *this* run's lookups and inserts only. An
+    /// import that adds a key clears the sync mark.
     pub fn import<I: IntoIterator<Item = E>>(&self, entries: I) -> usize {
         self.import_marking(entries, None)
     }
 
-    /// [`import`](Self::import) of every entry of `file`, in file order.
-    /// When the store was empty and the keys come strictly ascending,
-    /// the map then equals the file entry for entry, and `file` becomes
+    /// [`import`](Self::import), and when `file` holds `entries` in file
+    /// order, the store was empty and the keys come strictly ascending,
+    /// the map then equals the file entry for entry and `file` becomes
     /// the sync mark.
-    pub fn import_file<I: IntoIterator<Item = E>>(&self, entries: I, file: SyncMark) -> usize {
-        self.import_marking(entries, Some(file))
-    }
-
     fn import_marking<I: IntoIterator<Item = E>>(
         &self,
         entries: I,
@@ -286,6 +350,118 @@ impl<E: MemoEntry> MemoStore<E> {
             t.synced = file;
         }
         added
+    }
+
+    /// Loads every `<E::PREFIX>*.jsonl` file of `dir` into the store, and
+    /// marks it as equal to the file when that is all it holds (see the
+    /// module docs). A missing directory is an empty cache, not an error
+    /// (the run creates it on persist). Files are visited in name order,
+    /// so which duplicate of a key wins is deterministic.
+    ///
+    /// # Errors
+    ///
+    /// Only real I/O errors (unreadable directory or file); lines that are
+    /// not UTF-8 or do not parse are skipped and counted in
+    /// [`CacheDirLoad::skipped_lines`].
+    pub fn load_dir(&self, dir: &Path) -> io::Result<CacheDirLoad> {
+        let mut load = CacheDirLoad::default();
+        let entries = match fs::read_dir(dir) {
+            Ok(e) => e,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(load),
+            Err(e) => return Err(e),
+        };
+        let mut files: Vec<PathBuf> = entries
+            .collect::<Result<Vec<_>, _>>()?
+            .into_iter()
+            .map(|e| e.path())
+            .filter(|p| {
+                p.file_name()
+                    .and_then(|n| n.to_str())
+                    .is_some_and(|n| n.starts_with(E::PREFIX) && n.ends_with(".jsonl"))
+            })
+            .collect();
+        files.sort();
+        let only = files.len() == 1;
+        for path in files {
+            // Bytes, not a string: a line cut inside a multi-byte character
+            // is one more torn line, not an error for the whole file. The
+            // metadata is taken from the handle before reading, so a mark
+            // never names a newer file than the bytes read.
+            let mut file = fs::File::open(&path)?;
+            let meta = file.metadata()?;
+            let mut bytes = Vec::with_capacity(usize::try_from(meta.len()).unwrap_or(0));
+            file.read_to_end(&mut bytes)?;
+            let before = (load.skipped_lines, load.dropped);
+            let mut parsed: Vec<E> = Vec::new();
+            for line in bytes.split(|&b| b == b'\n') {
+                let Ok(line) = std::str::from_utf8(line) else {
+                    load.skipped_lines += 1;
+                    continue;
+                };
+                let line = line.trim();
+                if line.is_empty() {
+                    continue;
+                }
+                match serde::json::from_str::<E>(line) {
+                    Ok(e) if e.is_live() => parsed.push(e),
+                    Ok(_) => load.dropped += 1,
+                    Err(_) => load.skipped_lines += 1,
+                }
+            }
+            let whole = only && (load.skipped_lines, load.dropped) == before;
+            let mark = SyncMark::of(&path, &meta).filter(|_| whole);
+            load.imported += self.import_marking(parsed, mark);
+            load.files += 1;
+        }
+        Ok(load)
+    }
+
+    /// Replaces the file at `path` (creating its directory if needed) with
+    /// every entry in key order, unless the store is marked as equal to
+    /// that file as it stands (see the module docs). The temporary name
+    /// it renames into place is unique to this writer (process id plus a
+    /// process-wide counter), so concurrent persists of one file all
+    /// succeed.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors creating the directory or writing the file.
+    pub fn persist(&self, path: &Path) -> io::Result<()> {
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let current = |mark: SyncMark| {
+            mark.path == path
+                && fs::metadata(path).is_ok_and(|m| SyncMark::of(path, &m) == Some(mark))
+        };
+        let mark = self.table().synced.clone();
+        if mark.is_some_and(current) {
+            return Ok(());
+        }
+        let (entries, edits) = self.export_edits();
+        let mut out = String::new();
+        for entry in entries {
+            serde::json::emit(&entry.to_value(), &mut out);
+            out.push('\n');
+        }
+        if let Some(dir) = path.parent() {
+            fs::create_dir_all(dir)?;
+        }
+        let name = path.file_name().unwrap_or_default().to_string_lossy();
+        let writer = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_file_name(format!(".{name}.{}-{writer}.tmp", std::process::id()));
+        // The handle's metadata, which the rename keeps.
+        let written = fs::File::create(&tmp).and_then(|mut file| {
+            file.write_all(out.as_bytes())?;
+            let meta = file.metadata()?;
+            fs::rename(&tmp, path)?;
+            Ok(meta)
+        });
+        if written.is_err() {
+            let _ = fs::remove_file(&tmp);
+        }
+        if let Some(mark) = SyncMark::of(path, &written?) {
+            self.mark_synced(edits, mark);
+        }
+        Ok(())
     }
 }
 
@@ -319,31 +495,32 @@ mod tests {
 
     #[test]
     fn only_a_whole_ascending_file_or_a_current_export_sets_the_mark() {
+        let mark = |cache: &PassCache| cache.table().synced.clone();
         // A file loaded into an empty store in strictly ascending key
         // order is the store; out of order, duplicated or on top of other
         // entries it is not.
         let cache = PassCache::new();
-        assert_eq!(cache.import_file(entries(&[1, 2, 3]), file(1)), 3);
-        assert_eq!(cache.sync_mark(), Some(file(1)));
+        assert_eq!(cache.import_marking(entries(&[1, 2, 3]), Some(file(1))), 3);
+        assert_eq!(mark(&cache), Some(file(1)));
         for keys in [&[2, 1][..], &[1, 1]] {
             let cache = PassCache::new();
-            cache.import_file(entries(keys), file(1));
-            assert_eq!(cache.sync_mark(), None, "keys {keys:?}");
+            cache.import_marking(entries(keys), Some(file(1)));
+            assert_eq!(mark(&cache), None, "keys {keys:?}");
         }
         let cache = PassCache::new();
         cache.insert("bind", 0, Value::Null);
-        cache.import_file(entries(&[1, 2]), file(1));
-        assert_eq!(cache.sync_mark(), None, "the store held an entry");
+        cache.import_marking(entries(&[1, 2]), Some(file(1)));
+        assert_eq!(mark(&cache), None, "the store held an entry");
 
         // A mark taken from an export is set only while the store still
         // holds what was exported.
-        let (_, edition) = cache.export_edition();
+        let (_, edits) = cache.export_edits();
         cache.insert("bind", 9, Value::Null);
-        cache.mark_synced(edition, file(2));
-        assert_eq!(cache.sync_mark(), None, "an insert came in between");
-        let (_, edition) = cache.export_edition();
-        cache.mark_synced(edition, file(3));
-        assert_eq!(cache.sync_mark(), Some(file(3)));
+        cache.mark_synced(edits, file(2));
+        assert_eq!(mark(&cache), None, "an insert came in between");
+        let (_, edits) = cache.export_edits();
+        cache.mark_synced(edits, file(3));
+        assert_eq!(mark(&cache), Some(file(3)));
     }
 
     #[test]

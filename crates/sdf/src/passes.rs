@@ -30,9 +30,9 @@
 //!   treated as a miss and recomputed — the cache can never wedge a run.
 //!
 //! The store is the generic [`MemoStore`] over [`PassEntry`], the same
-//! one behind [`crate::cache::GlobalAnalysisCache`];
-//! `mamps_core::dse::cache` persists it as `pass-cache-*.jsonl` next to
-//! the analysis-cache files.
+//! one behind [`crate::cache::GlobalAnalysisCache`]; it persists itself
+//! ([`MemoStore::persist`]) to the `pass-cache-*.jsonl` files that
+//! `mamps_core::dse::cache` names next to the analysis-cache files.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
