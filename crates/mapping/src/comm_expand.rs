@@ -42,18 +42,42 @@
 
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::CommParams;
-use mamps_platform::tile::TileKind;
 use mamps_platform::types::words_per_token;
 use mamps_sdf::graph::{ActorId, ChannelId, SdfGraph, SdfGraphBuilder};
 use mamps_sdf::transform::add_static_orders;
 
 use crate::error::MapError;
-use crate::mapping::{ChannelAlloc, Mapping, ScheduleEntry};
+use crate::mapping::{Binding, ChannelAlloc, Mapping, ScheduleEntry};
 
-/// Per-word execution time of a word loop with `setup` amortized over `n`
-/// words, rounded up (conservative).
-fn per_word_cycles(setup: u64, cycles_per_word: u64, n: u64) -> u64 {
-    cycles_per_word + setup.div_ceil(n.max(1))
+/// Cycles charged to each firing of `actor` for posting its cross-tile
+/// tokens: on a CA or IP tile the PE posts one request per token (the
+/// setup cycles) while dedicated hardware moves the words. Zero on a tile
+/// whose PE moves its own tokens. The analysis adds it to the actor's
+/// execution time, and the simulator to every firing.
+pub fn posting_overhead(
+    graph: &SdfGraph,
+    binding: &Binding,
+    arch: &Architecture,
+    actor: ActorId,
+) -> u64 {
+    let tile = arch.tile(binding.tile_of[actor.0]);
+    if tile.kind().pe_moves_tokens() {
+        return 0;
+    }
+    // Self-edges aside, a channel is outgoing exactly when `actor` is its
+    // source.
+    let mut tokens = 0;
+    for &cid in graph.outgoing(actor).iter().chain(graph.incoming(actor)) {
+        let ch = graph.channel(cid);
+        if !ch.is_self_edge() && binding.crosses_tiles(ch.src(), ch.dst()) {
+            tokens += if ch.src() == actor {
+                ch.production_rate()
+            } else {
+                ch.consumption_rate()
+            };
+        }
+    }
+    tokens * tile.pe_token_overhead(0)
 }
 
 /// Expands `graph` (application graph with bound WCETs) according to
@@ -74,26 +98,10 @@ pub fn expand(
     let mut b = SdfGraphBuilder::new(format!("{}:comm", graph.name()));
 
     // Original actors keep the execution times of the input graph (the
-    // caller chooses WCETs or measured times); on CA/IP tiles the PE posts
-    // a request per token (setup cycles) which we charge to the actor.
+    // caller chooses WCETs or measured times) plus their posting overhead.
     let mut actor_ids: Vec<ActorId> = Vec::with_capacity(graph.actor_count());
     for (aid, actor) in graph.actors() {
-        let tile = arch.tile(binding.tile_of[aid.0]);
-        let mut exec = actor.execution_time();
-        if !matches!(tile.kind(), TileKind::Master | TileKind::Slave) {
-            for &cid in graph.outgoing(aid) {
-                let ch = graph.channel(cid);
-                if !ch.is_self_edge() && binding.crosses_tiles(ch.src(), ch.dst()) {
-                    exec += ch.production_rate() * tile.pe_token_overhead(0);
-                }
-            }
-            for &cid in graph.incoming(aid) {
-                let ch = graph.channel(cid);
-                if !ch.is_self_edge() && binding.crosses_tiles(ch.src(), ch.dst()) {
-                    exec += ch.consumption_rate() * tile.pe_token_overhead(0);
-                }
-            }
-        }
+        let exec = actor.execution_time() + posting_overhead(graph, binding, arch, aid);
         actor_ids.push(b.add_actor(actor.name(), exec));
     }
     // Self-edges bounding each original actor to one concurrent firing.
@@ -183,33 +191,14 @@ pub fn expand(
             alloc.wires,
         );
 
-        let ser_cost = src_tile.stream_cycles(0); // setup part
-        let ser_word = per_word_cycles(
-            ser_cost,
-            match src_tile.ca() {
-                Some(ca) => ca.cycles_per_word,
-                None => src_tile.serialization().cycles_per_word,
-            },
-            n_words,
-        );
-        let des_cost = dst_tile.stream_cycles(0);
-        let des_word = per_word_cycles(
-            des_cost,
-            match dst_tile.ca() {
-                Some(ca) => ca.cycles_per_word,
-                None => dst_tile.serialization().cycles_per_word,
-            },
-            n_words,
-        );
-
         let name = ch.name();
         let frag = b.add_actor(format!("{name}__frag"), 0);
-        let ser = b.add_actor(format!("{name}__ser"), ser_word);
+        let ser = b.add_actor(format!("{name}__ser"), src_tile.word_cycles(n_words));
         let srel = b.add_actor(format!("{name}__srel"), 0);
         let lat = b.add_actor(format!("{name}__lat"), params.latency);
         let rate = b.add_actor(format!("{name}__rate"), params.cycles_per_word);
         let drn = b.add_actor(format!("{name}__drn"), 0);
-        let des = b.add_actor(format!("{name}__des"), des_word);
+        let des = b.add_actor(format!("{name}__des"), dst_tile.word_cycles(n_words));
         let asm = b.add_actor(format!("{name}__asm"), 0);
         let drel = b.add_actor(format!("{name}__drel"), 0);
         word_loops[cid.0] = Some((ser, des, n_words));

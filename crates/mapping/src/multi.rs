@@ -51,7 +51,6 @@ use std::fmt;
 use std::ops::Range;
 
 use mamps_platform::arch::Architecture;
-use mamps_platform::tile::TileKind;
 use mamps_platform::types::TileId;
 use mamps_sdf::graph::{ActorId, ChannelId, SdfGraph, SdfGraphBuilder};
 use mamps_sdf::model::ApplicationModel;
@@ -566,7 +565,7 @@ fn verify_shared(
 /// dmem)`. CA and IP tiles buffer in dedicated NI/CA RAM and are exempt.
 fn dmem_overflow(arch: &Architecture, need: impl Fn(usize) -> u64) -> Option<(usize, u64, u64)> {
     arch.tiles().iter().enumerate().find_map(|(t, tile)| {
-        if !matches!(tile.kind(), TileKind::Master | TileKind::Slave) {
+        if !tile.kind().pe_moves_tokens() {
             return None;
         }
         let (need, dmem) = (need(t), tile.dmem_bytes());

@@ -15,7 +15,6 @@
 //! order — a valid static order for any live graph.
 
 use mamps_platform::arch::Architecture;
-use mamps_platform::tile::TileKind;
 use mamps_platform::types::TileId;
 use mamps_sdf::graph::{ActorId, SdfGraph};
 use mamps_sdf::liveness::check_liveness;
@@ -63,8 +62,7 @@ pub fn build_schedules(
         }
         debug_assert_eq!(ordered.len(), actors.len());
 
-        let pe_handles_tokens =
-            matches!(arch.tile(tile).kind(), TileKind::Master | TileKind::Slave);
+        let pe_handles_tokens = arch.tile(tile).kind().pe_moves_tokens();
 
         let mut round = Vec::new();
         for &a in &ordered {

@@ -33,6 +33,15 @@ pub enum TileKind {
     HardwareIp,
 }
 
+impl TileKind {
+    /// True for master and slave tiles, whose PE runs the token
+    /// (de-)serialization word loops itself and keeps channel buffers in
+    /// its data memory; CA and IP tiles do both in dedicated hardware.
+    pub fn pe_moves_tokens(self) -> bool {
+        matches!(self, TileKind::Master | TileKind::Slave)
+    }
+}
+
 /// Cost model for moving one token between local memory and the NI.
 ///
 /// Serialization fragments a token into 32-bit words (paper §4.1). On a
@@ -232,12 +241,13 @@ impl TileConfig {
         }
     }
 
-    /// Cycles the NI-side engine (PE loop or CA) needs to stream one token.
-    pub fn stream_cycles(&self, words: u64) -> u64 {
-        match self.ca {
-            Some(ca) => ca.pe_cycles(words),
-            None => self.serialization.pe_cycles(words),
-        }
+    /// Cycles per word of the loop (PE or CA) that streams tokens of
+    /// `n_words` words, with the per-token setup amortized over the words
+    /// and rounded up (conservative). The analysis and the simulator both
+    /// charge this figure, so a WCET run reproduces the bound exactly.
+    pub fn word_cycles(&self, n_words: u64) -> u64 {
+        let cost = self.ca.unwrap_or(self.serialization);
+        cost.cycles_per_word + cost.setup_cycles.div_ceil(n_words.max(1))
     }
 }
 

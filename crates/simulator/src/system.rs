@@ -2,9 +2,12 @@
 //! architecture) and the engine-independent system state.
 //!
 //! The simulator is an *independent* implementation of the platform
-//! semantics — it shares no code with the SDF analysis. Agreement between
-//! the two (measured >= guaranteed bound, with equality when actual firing
-//! times equal the WCETs) is therefore a genuine validation of the flow,
+//! semantics — it shares no code with the SDF analysis beyond the
+//! platform's cost model: the per-word loop cost
+//! ([`TileConfig::word_cycles`](mamps_platform::tile::TileConfig::word_cycles))
+//! and the per-firing [`posting_overhead`]. Agreement between the two
+//! (measured >= guaranteed bound, with equality when actual firing times
+//! equal the WCETs) is therefore a genuine validation of the flow,
 //! mirroring the paper's FPGA measurements in Fig. 6.
 //!
 //! Two execution engines drive the shared `SimState`:
@@ -25,6 +28,7 @@ use mamps_platform::tile::TileKind;
 use mamps_sdf::graph::SdfGraph;
 use mamps_sdf::repetition::repetition_vector;
 
+use mamps_mapping::comm_expand::posting_overhead;
 use mamps_mapping::mapping::Mapping;
 
 use crate::exec_time::FiringTimes;
@@ -32,13 +36,6 @@ use crate::fifo::{ChannelState, CrossChannelState, LocalChannelState, SelfEdgeSt
 use crate::noc_sim::Connection;
 use crate::processor::{Op, Worker, WorkerKind};
 use crate::trace::{Measurement, SimError, TraceEvent};
-
-/// Per-word cycles with setup amortized, rounded up — must match the
-/// analysis model ([`mamps_mapping::comm_expand`]) so that WCET-driven
-/// simulation reproduces the bound exactly.
-fn per_word_cycles(setup: u64, cycles_per_word: u64, n: u64) -> u64 {
-    cycles_per_word + setup.div_ceil(n.max(1))
-}
 
 /// Execution engine selection for [`System`].
 ///
@@ -171,20 +168,6 @@ impl<'a> SimState<'a> {
                     dst_tile_id,
                     alloc.wires,
                 );
-                let (ser_setup, ser_cpw) = match src_tile.ca() {
-                    Some(ca) => (ca.setup_cycles, ca.cycles_per_word),
-                    None => (
-                        src_tile.serialization().setup_cycles,
-                        src_tile.serialization().cycles_per_word,
-                    ),
-                };
-                let (des_setup, des_cpw) = match dst_tile.ca() {
-                    Some(ca) => (ca.setup_cycles, ca.cycles_per_word),
-                    None => (
-                        dst_tile.serialization().setup_cycles,
-                        dst_tile.serialization().cycles_per_word,
-                    ),
-                };
                 ChannelState::Cross(CrossChannelState {
                     send_words: ch.initial_tokens() * n_words,
                     src_space: alloc.alpha_src - ch.initial_tokens(),
@@ -194,8 +177,8 @@ impl<'a> SimState<'a> {
                     assembled: 0,
                     dst_word_space: alloc.alpha_dst * n_words,
                     n_words,
-                    ser_word: per_word_cycles(ser_setup, ser_cpw, n_words),
-                    des_word: per_word_cycles(des_setup, des_cpw, n_words),
+                    ser_word: src_tile.word_cycles(n_words),
+                    des_word: dst_tile.word_cycles(n_words),
                     prod: ch.production_rate(),
                     cons: ch.consumption_rate(),
                     src_tile: src_tile_id,
@@ -223,7 +206,7 @@ impl<'a> SimState<'a> {
                 }
             }
         }
-        let offloads = |t| !matches!(arch.tile(t).kind(), TileKind::Master | TileKind::Slave);
+        let offloads = |t| !arch.tile(t).kind().pe_moves_tokens();
         for (cid, st) in channels.iter().enumerate() {
             if let ChannelState::Cross(c) = st {
                 if offloads(c.src_tile) {
@@ -239,25 +222,10 @@ impl<'a> SimState<'a> {
             }
         }
 
-        // CA/IP posting overhead per firing (mirrors the analysis model).
-        let mut fire_overhead = vec![0u64; graph.actor_count()];
-        for (aid, _) in graph.actors() {
-            let tile = arch.tile(binding.tile_of[aid.0]);
-            if !matches!(tile.kind(), TileKind::Master | TileKind::Slave) {
-                for &cid in graph.outgoing(aid) {
-                    let ch = graph.channel(cid);
-                    if !ch.is_self_edge() && binding.crosses_tiles(ch.src(), ch.dst()) {
-                        fire_overhead[aid.0] += ch.production_rate() * tile.pe_token_overhead(0);
-                    }
-                }
-                for &cid in graph.incoming(aid) {
-                    let ch = graph.channel(cid);
-                    if !ch.is_self_edge() && binding.crosses_tiles(ch.src(), ch.dst()) {
-                        fire_overhead[aid.0] += ch.consumption_rate() * tile.pe_token_overhead(0);
-                    }
-                }
-            }
-        }
+        let fire_overhead = graph
+            .actors()
+            .map(|(aid, _)| posting_overhead(graph, binding, arch, aid))
+            .collect();
 
         Ok(SimState {
             graph,
