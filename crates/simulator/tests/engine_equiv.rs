@@ -19,8 +19,16 @@
 //! pipeline helper and full generated topology families (split-joins,
 //! trees, cycles). Deterministic cases at the end pin the burst corner
 //! cases.
+//!
+//! Every comparison first checks the premise that makes a burst exact
+//! (the `mamps_sim::event` module docs): each pool a start consumes has
+//! one consuming worker. From the workers a system builds and the round
+//! each PE walks, every actor has at most one firing worker, and every
+//! cross-tile channel at most one serializing and one de-serializing
+//! worker. This pins that the schedules (`mamps_mapping::schedule`) and
+//! the simulator agree on which tiles offload their word loops.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 
@@ -33,6 +41,7 @@ use mamps_platform::tile::TileConfig;
 use mamps_sdf::gen::{actual_times, generate, pipeline_app, strategies, Family, GenConfig};
 use mamps_sdf::graph::SdfGraph;
 use mamps_sdf::model::{ActorImplementation, ApplicationModel};
+use mamps_sim::processor::WorkerKind;
 use mamps_sim::{
     render_gantt, render_trace, Engine, FiringTimes, Measurement, SimError, System, TraceTimes,
     WcetTimes,
@@ -167,6 +176,7 @@ impl Case<'_> {
             self.system(engine)?
                 .run_traced(iterations, max_cycles, 20_000)
         };
+        self.one_worker_per_pool()?;
         let (untraced, untraced_ref) = (run(Engine::Event), run(Engine::Lockstep));
         prop_assert_eq!(
             &untraced,
@@ -200,6 +210,42 @@ impl Case<'_> {
                 // Same verdict, same message — errors must agree too.
                 prop_assert_eq!(e.map(|(m, _)| m), l.map(|(m, _)| m));
             }
+        }
+        Ok(())
+    }
+
+    /// Checks that no actor has two firing workers and no channel two
+    /// serializing or two de-serializing workers (see the module docs).
+    fn one_worker_per_pool(&self) -> Result<(), TestCaseError> {
+        // A run of zero iterations reports the built workers and nothing
+        // else; a build error is left to the comparison.
+        let Ok(built) = self.system(Engine::Event).and_then(|s| s.run(0, 0)) else {
+            return Ok(());
+        };
+        const FIRE: &str = "the firings of actor";
+        const SEND: &str = "the serialization of channel";
+        const RECV: &str = "the de-serialization of channel";
+        let mut workers: BTreeMap<(&str, usize), BTreeSet<usize>> = BTreeMap::new();
+        for (w, &(kind, _)) in built.worker_busy.iter().enumerate() {
+            let pools = match kind {
+                WorkerKind::Pe { tile } => self.mapping.schedules[tile]
+                    .iter()
+                    .map(|entry| match *entry {
+                        ScheduleEntry::Fire { actor, .. } => (FIRE, actor.0),
+                        ScheduleEntry::Send { channel, .. } => (SEND, channel.0),
+                        ScheduleEntry::Receive { channel, .. } => (RECV, channel.0),
+                    })
+                    .collect(),
+                WorkerKind::Ip { actor } => vec![(FIRE, actor.0)],
+                WorkerKind::EngineSend { channel } => vec![(SEND, channel.0)],
+                WorkerKind::EngineRecv { channel } => vec![(RECV, channel.0)],
+            };
+            for pool in pools {
+                workers.entry(pool).or_default().insert(w);
+            }
+        }
+        for ((pool, index), ws) in workers {
+            prop_assert!(ws.len() == 1, "workers {ws:?} share {pool} {index}");
         }
         Ok(())
     }
