@@ -480,7 +480,8 @@ pub enum MergeError {
     },
     /// Not every shard of the sweep is present.
     MissingShards {
-        /// The absent shard indices.
+        /// The first absent shard indices, at most nine: the message names
+        /// eight and marks a ninth with an ellipsis.
         missing: Vec<u32>,
         /// The sweep's shard count.
         count: u32,
@@ -515,11 +516,11 @@ impl fmt::Display for MergeError {
                 if missing.len() == 1 { "" } else { "s" },
                 missing
                     .iter()
+                    .take(8)
                     .map(|i| i.to_string())
                     .collect::<Vec<_>>()
                     .join(", "),
-                // The list is capped at the first few absentees.
-                if missing.len() >= 8 { ", …" } else { "" }
+                if missing.len() > 8 { ", …" } else { "" }
             ),
             MergeError::IncompleteSweep { covered, total } => write!(
                 f,
@@ -587,9 +588,9 @@ pub fn merge_reports(shards: &[DseShard]) -> Result<DseShard, MergeError> {
     if seen.len() as u64 != u64::from(count) {
         // Indices are distinct and below `count`, so fewer than `count`
         // of them means some are absent. Name the first few (scanning
-        // from 0 finds them after at most |seen| + 8 steps) rather than
+        // from 0 finds them after at most |seen| + 9 steps) rather than
         // materializing a possibly huge list.
-        let missing: Vec<u32> = (0..count).filter(|i| !seen.contains(i)).take(8).collect();
+        let missing: Vec<u32> = (0..count).filter(|i| !seen.contains(i)).take(9).collect();
         return Err(MergeError::MissingShards { missing, count });
     }
 
@@ -1054,6 +1055,19 @@ mod tests {
             Err(MergeError::DuplicateShard { index: 1 })
         ));
         assert_eq!(merge_reports(&[]), Err(MergeError::NoShards));
+    }
+
+    #[test]
+    fn missing_shards_are_named_up_to_eight_and_a_ninth_is_an_ellipsis() {
+        for (count, message) in [
+            (9, "missing shards 1, 2, 3, 4, 5, 6, 7, 8 of 9"),
+            (10, "missing shards 1, 2, 3, 4, 5, 6, 7, 8, … of 10"),
+        ] {
+            let spec = ShardSpec::new(0, count).unwrap();
+            let first = sweep(&[1, 2]).run(spec, &[], &FlowOptions::default());
+            let err = merge_reports(&[first.unwrap()]).unwrap_err();
+            assert_eq!(err.to_string(), message);
+        }
     }
 
     #[test]
