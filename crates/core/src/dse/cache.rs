@@ -71,6 +71,12 @@ mod tests {
 
     fn populated_analysis() -> GlobalAnalysisCache {
         let cache = GlobalAnalysisCache::new();
+        analyse_rings(&cache);
+        cache
+    }
+
+    /// Analyses four two-actor rings through `cache`.
+    fn analyse_rings(cache: &GlobalAnalysisCache) {
         for n in 2..6u64 {
             let mut b = SdfGraphBuilder::new("g");
             let a = b.add_actor("a", n);
@@ -82,7 +88,6 @@ mod tests {
                 .throughput(&g, &AnalysisOptions::default())
                 .expect("bounded two-actor ring analyses");
         }
-        cache
     }
 
     fn populated_passes() -> PassCache {
@@ -408,6 +413,138 @@ mod tests {
         persist_cache(&again, &dir, ShardSpec::full()).unwrap();
         assert_eq!(stamp(&path), before);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `populated_analysis` persisted to a fresh `dir` and attached to a new
+    /// store, which leaves the file (inode, mtime and bytes) as it was.
+    fn attached_analysis(dir: &Path) -> (GlobalAnalysisCache, PathBuf) {
+        let path = persist_cache(&populated_analysis(), dir, ShardSpec::full()).unwrap();
+        let warm = GlobalAnalysisCache::new();
+        let load = load_cache_dir(&warm, dir).unwrap();
+        assert!(load.attached, "{load}");
+        assert_eq!((load.files, load.imported, load.skipped_lines), (1, 4, 0));
+        let before = stamp(&path);
+        persist_cache(&warm, dir, ShardSpec::full()).unwrap();
+        assert_eq!(stamp(&path), before, "an untouched attached store");
+        (warm, path)
+    }
+
+    #[test]
+    fn an_attached_analysis_cache_answers_like_an_eager_one_and_keeps_its_mark() {
+        let dir = tempdir("attach-lookup");
+        let (attached, path) = attached_analysis(&dir);
+        // The same file as two shards' files loads eagerly.
+        let shards = dir.join("shards");
+        fs::create_dir_all(&shards).unwrap();
+        for i in 0..2 {
+            fs::copy(&path, shards.join(format!("analysis-cache-{i}-of-2.jsonl"))).unwrap();
+        }
+        let eager = GlobalAnalysisCache::new();
+        let load = load_cache_dir(&eager, &shards).unwrap();
+        assert_eq!((load.files, load.imported, load.attached), (2, 4, false));
+        // The analyses of `populated_analysis` again: every one is a hit.
+        analyse_rings(&attached);
+        analyse_rings(&eager);
+        assert_eq!(attached.stats(), eager.stats());
+        assert_eq!(attached.stats().hits, 4);
+        assert_eq!(attached.export(), eager.export());
+        let before = stamp(&path);
+        persist_cache(&attached, &dir, ShardSpec::full()).unwrap();
+        assert_eq!(stamp(&path), before, "a looked-up store kept its mark");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_attached_store_persisted_to_another_shard_renders_its_entries() {
+        let dir = tempdir("attach-other");
+        let (warm, path) = attached_analysis(&dir);
+        let before = stamp(&path);
+        let other = persist_cache(&warm, &dir, ShardSpec::new(1, 2).unwrap()).unwrap();
+        assert_eq!(fs::read(&other).unwrap(), before.2);
+        assert_eq!(stamp(&path), before, "the attached file stays");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Attaches `populated_analysis` from its file, applies `edit` to the
+    /// file, and checks that the next persist of the untouched store
+    /// restores the bytes it attached.
+    fn restored_after_edit(what: &str, edit: impl FnOnce(&Path)) {
+        let dir = tempdir("attach-edited");
+        let (warm, path) = attached_analysis(&dir);
+        let attached = fs::read(&path).unwrap();
+        edit(&path);
+        persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
+        assert_eq!(fs::read(&path).unwrap(), attached, "{what} restored");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_attached_file_edited_or_deleted_behind_the_store_is_restored() {
+        use std::os::unix::fs::FileExt;
+        let open = |path: &Path| fs::OpenOptions::new().append(true).open(path).unwrap();
+        restored_after_edit("an append", |path| open(path).write_all(b"{}\n").unwrap());
+        restored_after_edit("a truncation", |path| open(path).set_len(10).unwrap());
+        restored_after_edit("a same-length rewrite", |path| {
+            // A digit of the first graph fingerprint, and a later mtime.
+            let digit = fs::read(path).unwrap()[10] ^ 1;
+            let file = fs::OpenOptions::new().write(true).open(path).unwrap();
+            file.write_all_at(&[digit], 10).unwrap();
+            let later = std::time::SystemTime::now() + std::time::Duration::from_secs(1);
+            file.set_modified(later).unwrap();
+        });
+        restored_after_edit("a deletion", |path| fs::remove_file(path).unwrap());
+    }
+
+    #[test]
+    fn a_torn_non_utf8_or_non_json_analysis_file_loads_eagerly_and_is_rewritten() {
+        let full = canonical(&populated_analysis());
+        for (what, file, imported) in [
+            ("a torn tail", full[..full.len() - 9].to_vec(), 3),
+            (
+                "a non-UTF-8 line",
+                [&full[..], b"{\"graph\":\xff}\n"].concat(),
+                4,
+            ),
+            ("a `not json` line", [&full[..], b"not json\n"].concat(), 4),
+        ] {
+            let dir = tempdir("attach-refused");
+            fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("analysis-cache-0-of-1.jsonl");
+            fs::write(&path, file).unwrap();
+            let warm = GlobalAnalysisCache::new();
+            let load = load_cache_dir(&warm, &dir).unwrap();
+            assert!(!load.attached, "{what}");
+            assert_eq!((load.imported, load.skipped_lines), (imported, 1), "{what}");
+            persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
+            assert_eq!(fs::read(&path).unwrap(), canonical(&warm), "{what}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_duplicated_or_unparseable_line_stays_until_the_attached_store_is_touched() {
+        let cache = populated_analysis();
+        let canonical = canonical(&cache);
+        let first = canonical.split_inclusive(|&b| b == b'\n').next().unwrap();
+        for (what, line) in [
+            ("a duplicated line", first),
+            ("a `{…}` line that does not parse", b"{\"graph\":1}\n"),
+        ] {
+            let dir = tempdir("attach-relaxed");
+            let path = persist_cache(&cache, &dir, ShardSpec::full()).unwrap();
+            fs::write(&path, [&canonical[..], line].concat()).unwrap();
+            let warm = GlobalAnalysisCache::new();
+            let load = load_cache_dir(&warm, &dir).unwrap();
+            assert_eq!((load.imported, load.attached), (5, true), "{what}");
+            let before = stamp(&path);
+            persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
+            assert_eq!(stamp(&path), before, "an untouched store keeps {what}");
+            // Touched, the store parses the line and drops its mark.
+            assert_eq!(warm.len(), 4);
+            persist_cache(&warm, &dir, ShardSpec::full()).unwrap();
+            assert_eq!(fs::read(&path).unwrap(), canonical, "{what} rewritten");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

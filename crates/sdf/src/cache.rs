@@ -166,6 +166,7 @@ impl MemoEntry for CacheEntry {
     type Key = AnalysisKey;
     type Value = Result<ThroughputResult, SdfError>;
     const PREFIX: &'static str = "analysis-cache-";
+    const ATTACH: bool = true;
 
     fn split(self) -> (AnalysisKey, Self::Value) {
         let key = AnalysisKey {

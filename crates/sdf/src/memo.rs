@@ -53,6 +53,21 @@
 //!   the store changes. Files are only ever replaced whole by a rename,
 //!   never written in place, so a file that another writer replaced has
 //!   a new inode and no longer matches the mark.
+//!
+//!   An [`ATTACH`](MemoEntry::ATTACH) store (the analysis cache) attaches
+//!   a directory's one file of its type when the store is empty and the
+//!   file is valid UTF-8, empty or ending in a newline, with one `{…}`
+//!   per non-blank line: it keeps the bytes and takes the mark, unparsed.
+//!   The first `get`, `put`, `import`, `export`, `len`, `is_empty`,
+//!   `stats` or unskipped persist parses them under the lock as a load
+//!   would, keeping the mark only where that load would have set it;
+//!   `Debug` and the mark check do not. So a warm run that looks nothing
+//!   up never parses the file, and a file appended to, truncated,
+//!   rewritten or deleted behind an untouched store is restored to the
+//!   attached bytes. Any other file loads as above, so a torn, non-UTF-8
+//!   or non-JSON line is still rewritten. One more relaxation: a
+//!   duplicated, out-of-order, or `{…}` but unparseable line of an
+//!   attached file stays until a run touches the store.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -77,6 +92,12 @@ pub trait MemoEntry: Serialize + for<'de> Deserialize<'de> {
     /// File-name prefix of this entry type's files under `--cache-dir`;
     /// a loader reads only `<PREFIX>*.jsonl`.
     const PREFIX: &'static str;
+
+    /// Whether [`MemoStore::load_dir`] may attach a file of this type
+    /// unparsed, to be parsed on first use (see the module docs): set by
+    /// the analysis cache, which a warm sweep never looks up, and not by
+    /// the pass cache, which it looks up at every design point.
+    const ATTACH: bool = false;
 
     /// Splits an entry into its key and value.
     fn split(self) -> (Self::Key, Self::Value);
@@ -121,7 +142,8 @@ pub struct CacheDirLoad {
     /// `*.jsonl` files read.
     pub files: usize,
     /// Entries imported into the in-memory cache (first occurrence of
-    /// each key wins; later duplicates are not counted).
+    /// each key wins; later duplicates are not counted), or for a file
+    /// attached unparsed ([`attached`](Self::attached)), its entry lines.
     pub imported: usize,
     /// Entries dropped because this build no longer looks them up
     /// ([`MemoEntry::is_live`]): pass-cache entries of passes that no
@@ -130,6 +152,9 @@ pub struct CacheDirLoad {
     /// Lines skipped because they were not UTF-8 or did not parse as a
     /// cache entry.
     pub skipped_lines: usize,
+    /// Whether the one file was attached unparsed, to be parsed on the
+    /// store's first use (see the module docs).
+    pub attached: bool,
 }
 
 impl fmt::Display for CacheDirLoad {
@@ -146,6 +171,9 @@ impl fmt::Display for CacheDirLoad {
         }
         if self.skipped_lines > 0 {
             write!(f, " ({} unparseable lines skipped)", self.skipped_lines)?;
+        }
+        if self.attached {
+            write!(f, " (attached, parsed on first use)")?;
         }
         Ok(())
     }
@@ -197,6 +225,9 @@ struct Table<E: MemoEntry> {
     /// Changes made to `map` so far: a persist sets the mark only while
     /// this still reads what its export saw.
     edits: u64,
+    /// The bytes of the file the store was attached to, not yet parsed;
+    /// `map` is empty while they are held.
+    attached: Option<Vec<u8>>,
 }
 
 impl<E: MemoEntry> Table<E> {
@@ -205,13 +236,47 @@ impl<E: MemoEntry> Table<E> {
         self.synced = None;
         self.edits += 1;
     }
+
+    /// The counters, with the entries parsed so far.
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            entries: self.map.len(),
+            ..self.counts
+        }
+    }
+
+    /// [`MemoStore::import_marking`] on the locked table.
+    fn import(&mut self, items: impl IntoIterator<Item = E>, mut file: Option<SyncMark>) -> usize {
+        let before = self.map.len();
+        if before > 0 {
+            file = None;
+        }
+        for e in items {
+            let (key, value) = e.split();
+            if file.is_some() && self.map.last_key_value().is_some_and(|(l, _)| *l >= key) {
+                file = None;
+            }
+            self.map.entry(key).or_insert(value);
+        }
+        let added = self.map.len() - before;
+        if added > 0 {
+            self.edited();
+        }
+        if file.is_some() {
+            self.synced = file;
+        }
+        added
+    }
 }
 
 impl<E: MemoEntry> fmt::Debug for MemoStore<E> {
+    /// Shows an attached file as its length, unparsed.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let t = self.lock();
         f.debug_struct("MemoStore")
             .field("prefix", &E::PREFIX)
-            .field("stats", &self.stats())
+            .field("stats", &t.stats())
+            .field("attached_bytes", &t.attached.as_ref().map(Vec::len))
             .finish()
     }
 }
@@ -231,15 +296,32 @@ impl<E: MemoEntry> MemoStore<E> {
                 counts: CacheStats::default(),
                 synced: None,
                 edits: 0,
+                attached: None,
             }),
         }
     }
 
-    /// Locks the table. Each method leaves it consistent after every
-    /// step, so a thread that panicked while holding the lock left
-    /// nothing half-done and the poison flag is ignored.
-    fn table(&self) -> MutexGuard<'_, Table<E>> {
+    /// Locks the table as it stands, an attached file unparsed. Each
+    /// method leaves it consistent after every step, so a thread that
+    /// panicked while holding the lock left nothing half-done and the
+    /// poison flag is ignored.
+    fn lock(&self) -> MutexGuard<'_, Table<E>> {
         self.table.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the table, first parsing an attached file into it as
+    /// [`load_dir`](Self::load_dir) would have, mark included.
+    fn table(&self) -> MutexGuard<'_, Table<E>> {
+        let mut t = self.lock();
+        // The filter compiles the parse out of types that never attach.
+        if let Some(bytes) = t.attached.take().filter(|_| E::ATTACH) {
+            let mut load = CacheDirLoad::default();
+            let parsed = parse_lines(&bytes, &mut load);
+            let whole = (load.skipped_lines, load.dropped) == (0, 0);
+            let mark = t.synced.take().filter(|_| whole);
+            t.import(parsed, mark);
+        }
+        t
     }
 
     /// The memoized value under `key`, if any. Counts a hit or a miss.
@@ -267,11 +349,7 @@ impl<E: MemoEntry> MemoStore<E> {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        let t = self.table();
-        CacheStats {
-            entries: t.map.len(),
-            ..t.counts
-        }
+        self.table().stats()
     }
 
     /// Entries currently stored.
@@ -321,42 +399,21 @@ impl<E: MemoEntry> MemoStore<E> {
         self.import_marking(entries, None)
     }
 
-    /// [`import`](Self::import), and when `file` holds `entries` in file
+    /// [`import`](Self::import), and when `file` holds `items` in file
     /// order, the store was empty and the keys come strictly ascending,
     /// the map then equals the file entry for entry and `file` becomes
     /// the sync mark.
-    fn import_marking<I: IntoIterator<Item = E>>(
-        &self,
-        entries: I,
-        mut file: Option<SyncMark>,
-    ) -> usize {
-        let mut t = self.table();
-        let before = t.map.len();
-        if before > 0 {
-            file = None;
-        }
-        for e in entries {
-            let (key, value) = e.split();
-            if file.is_some() && t.map.last_key_value().is_some_and(|(last, _)| *last >= key) {
-                file = None;
-            }
-            t.map.entry(key).or_insert(value);
-        }
-        let added = t.map.len() - before;
-        if added > 0 {
-            t.edited();
-        }
-        if file.is_some() {
-            t.synced = file;
-        }
-        added
+    fn import_marking(&self, items: impl IntoIterator<Item = E>, file: Option<SyncMark>) -> usize {
+        self.table().import(items, file)
     }
 
     /// Loads every `<E::PREFIX>*.jsonl` file of `dir` into the store, and
-    /// marks it as equal to the file when that is all it holds (see the
-    /// module docs). A missing directory is an empty cache, not an error
-    /// (the run creates it on persist). Files are visited in name order,
-    /// so which duplicate of a key wins is deterministic.
+    /// marks it as equal to the file when that is all it holds; for an
+    /// [`E::ATTACH`](MemoEntry::ATTACH) type, such a file may instead be
+    /// attached unparsed (see the module docs). A missing directory is an
+    /// empty cache, not an error (the run creates it on persist). Files
+    /// are visited in name order, so which duplicate of a key wins is
+    /// deterministic.
     ///
     /// # Errors
     ///
@@ -391,27 +448,23 @@ impl<E: MemoEntry> MemoStore<E> {
             let meta = file.metadata()?;
             let mut bytes = Vec::with_capacity(usize::try_from(meta.len()).unwrap_or(0));
             file.read_to_end(&mut bytes)?;
-            let before = (load.skipped_lines, load.dropped);
-            let mut parsed: Vec<E> = Vec::new();
-            for line in bytes.split(|&b| b == b'\n') {
-                let Ok(line) = std::str::from_utf8(line) else {
-                    load.skipped_lines += 1;
+            load.files += 1;
+            let mark = SyncMark::of(&path, &meta);
+            let attach = (only && E::ATTACH).then(|| entry_lines(&bytes)).flatten();
+            if let (Some(lines), Some(mark)) = (attach, &mark) {
+                let mut t = self.table();
+                if t.map.is_empty() {
+                    t.synced = Some(mark.clone());
+                    t.attached = Some(bytes);
+                    load.imported = lines;
+                    load.attached = true;
                     continue;
-                };
-                let line = line.trim();
-                if line.is_empty() {
-                    continue;
-                }
-                match serde::json::from_str::<E>(line) {
-                    Ok(e) if e.is_live() => parsed.push(e),
-                    Ok(_) => load.dropped += 1,
-                    Err(_) => load.skipped_lines += 1,
                 }
             }
+            let before = (load.skipped_lines, load.dropped);
+            let parsed = parse_lines(&bytes, &mut load);
             let whole = only && (load.skipped_lines, load.dropped) == before;
-            let mark = SyncMark::of(&path, &meta).filter(|_| whole);
-            load.imported += self.import_marking(parsed, mark);
-            load.files += 1;
+            load.imported += self.import_marking(parsed, mark.filter(|_| whole));
         }
         Ok(load)
     }
@@ -432,7 +485,7 @@ impl<E: MemoEntry> MemoStore<E> {
             mark.path == path
                 && fs::metadata(path).is_ok_and(|m| SyncMark::of(path, &m) == Some(mark))
         };
-        let mark = self.table().synced.clone();
+        let mark = self.lock().synced.clone();
         if mark.is_some_and(current) {
             return Ok(());
         }
@@ -465,9 +518,46 @@ impl<E: MemoEntry> MemoStore<E> {
     }
 }
 
+/// The live entries of a cache file's bytes, in file order, counting the
+/// other lines in `load.skipped_lines` and `load.dropped`.
+fn parse_lines<E: MemoEntry>(bytes: &[u8], load: &mut CacheDirLoad) -> Vec<E> {
+    let mut parsed = Vec::new();
+    for line in bytes.split(|&b| b == b'\n') {
+        let Ok(line) = std::str::from_utf8(line) else {
+            load.skipped_lines += 1;
+            continue;
+        };
+        let line = line.trim();
+        if line.is_empty() {
+            continue;
+        }
+        match serde::json::from_str::<E>(line) {
+            Ok(e) if e.is_live() => parsed.push(e),
+            Ok(_) => load.dropped += 1,
+            Err(_) => load.skipped_lines += 1,
+        }
+    }
+    parsed
+}
+
+/// The number of entry lines of a cache file's bytes, when they may be
+/// attached unparsed (valid UTF-8, empty or ending in a newline, one
+/// `{…}` per non-blank line).
+fn entry_lines(bytes: &[u8]) -> Option<usize> {
+    let text = std::str::from_utf8(bytes).ok()?;
+    if !text.is_empty() && !text.ends_with('\n') {
+        return None;
+    }
+    let lines = text.lines().map(str::trim).filter(|l| !l.is_empty());
+    lines
+        .map(|l| (l.starts_with('{') && l.ends_with('}')).then_some(1))
+        .sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::SyncMark;
+    use crate::cache::GlobalAnalysisCache;
     use crate::passes::{PassCache, PassEntry};
     use serde::Value;
     use std::sync::Barrier;
@@ -521,6 +611,23 @@ mod tests {
         let (_, edits) = cache.export_edits();
         cache.mark_synced(edits, file(3));
         assert_eq!(mark(&cache), Some(file(3)));
+    }
+
+    #[test]
+    fn debug_and_a_skipped_persist_leave_an_attached_store_unparsed() {
+        let dir = std::env::temp_dir().join(format!("mamps-memo-attach-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("analysis-cache-0-of-1.jsonl");
+        std::fs::write(&path, "{}\n").unwrap();
+        let cache = GlobalAnalysisCache::new();
+        assert!(cache.load_dir(&dir).unwrap().attached);
+        let held = |c: &GlobalAnalysisCache| c.lock().attached.is_some();
+        assert!(format!("{cache:?}").contains("attached_bytes: Some(3)"));
+        cache.persist(&path).unwrap();
+        assert!(held(&cache), "Debug and a skipped persist parse nothing");
+        assert_eq!(cache.len(), 0, "`{{}}` is no entry");
+        assert!(!held(&cache), "the first use parses");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

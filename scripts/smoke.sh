@@ -66,6 +66,12 @@ diff -u "$tmp/dse-cold.txt" "$tmp/dse-warm.txt" \
   || fail "warm-cache dse report differs from the cold run"
 same_cache_files "a warm run"
 [ "$(stamps)" = "$cold_stamps" ] || fail "a warm run rewrote an unchanged cache file"
+# A warm sweep looks no analysis up, so its analysis cache file is
+# attached unparsed, and it stays as it was.
+"$BIN" dse "$APP" 4 --cache-dir "$tmp/cache" --stats >/dev/null 2>"$tmp/dse-warm-stats.txt"
+grep -q '^cache warmed from disk: .*(attached, parsed on first use)$' "$tmp/dse-warm-stats.txt" \
+  || fail "a warm run did not attach its analysis cache file unparsed"
+[ "$(stamps)" = "$cold_stamps" ] || fail "a warm --stats run rewrote an unchanged cache file"
 # A line torn inside a multi-byte character is skipped like any torn
 # line, and the next persist restores the canonical file.
 printf '{"graph":1,"caps":[],"result":{"Err":{"Deadlock":"caf\xc3' \
@@ -75,6 +81,13 @@ printf '{"graph":1,"caps":[],"result":{"Err":{"Deadlock":"caf\xc3' \
 diff -u "$tmp/dse-cold.txt" "$tmp/dse-torn.txt" \
   || fail "dse report over a torn cache file differs from the cold run"
 same_cache_files "a run over a torn cache file"
+# A whole line that is not one JSON object keeps the file from being
+# attached: it is skipped, and the next persist restores the file.
+printf 'not json\n' >>"$tmp/cache/analysis-cache-0-of-1.jsonl"
+"$BIN" dse "$APP" 4 --cache-dir "$tmp/cache" >"$tmp/dse-not-json.txt"
+diff -u "$tmp/dse-cold.txt" "$tmp/dse-not-json.txt" \
+  || fail "dse report over a line that is not JSON differs from the cold run"
+same_cache_files "a run over a line that is not JSON"
 # An entry of a pass that no longer memoizes is dropped on load, and the
 # next persist leaves it out.
 printf '{"pass":"schedule","input":1,"output":{"Ok":[]}}\n' \
