@@ -159,8 +159,9 @@ impl fmt::Display for SweepMode {
 pub struct SweepSignature {
     /// Application (graph) names, in use-case admission order.
     pub apps: Vec<String>,
-    /// Each application's [`serde::stable_hash_of`] digest, in the order
-    /// of `apps`: two versions of one graph name are different sweeps.
+    /// Each application's [`serde::stable_hash_of`] digest
+    /// ([`ApplicationModel::digest`]), in the order of `apps`: two
+    /// versions of one graph name are different sweeps.
     pub digests: Vec<u64>,
     /// Tile counts swept.
     pub tile_counts: Vec<usize>,
@@ -771,7 +772,7 @@ impl Sweep {
             total_configs: configs.len() as u64,
             signature: SweepSignature {
                 apps: apps.iter().map(|a| a.graph().name().to_string()).collect(),
-                digests: apps.iter().map(serde::stable_hash_of).collect(),
+                digests: apps.iter().map(ApplicationModel::digest).collect(),
                 tile_counts: tile_counts.to_vec(),
                 include_noc,
                 binders: strategies.iter().map(|s| s.name().to_string()).collect(),
@@ -954,6 +955,24 @@ mod tests {
         assert!("a/b".parse::<ShardSpec>().is_err());
         assert!("0/0".parse::<ShardSpec>().is_err());
         assert!(ShardSpec::new(5, 2).is_err());
+    }
+
+    #[test]
+    fn sweep_digests_are_the_stable_hash_of_each_model() {
+        use mamps_sdf::gen::{generate, Family, GenConfig};
+        use serde::Deserialize;
+        let small = mamps_mjpeg::StreamConfig::small();
+        let mjpeg = mamps_mjpeg::mjpeg_application(&small, None).unwrap();
+        let generated = generate(&GenConfig::new(3, Family::Cyclic)).unwrap();
+        // A clone taken after the memo filled, and a deserialized model.
+        generated.digest();
+        let rebuilt = ApplicationModel::from_value(&mjpeg.to_value()).unwrap();
+        for app in [mjpeg, generated.clone(), generated, rebuilt] {
+            let want = serde::stable_hash_of(&app);
+            assert_eq!(app.digest(), want, "{}", app.graph().name());
+            let sweep = Sweep::new(SweepMode::Binders, vec![app], &[1], false, Vec::new());
+            assert_eq!(sweep.unwrap().header().signature.digests, [want]);
+        }
     }
 
     #[test]

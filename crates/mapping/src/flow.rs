@@ -28,7 +28,7 @@ use mamps_sdf::buffer::{capacity_lower_bound, grow_step};
 use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::SdfGraph;
 use mamps_sdf::model::ApplicationModel;
-use mamps_sdf::passes::{fingerprint, timed, Fingerprint, PassRunner};
+use mamps_sdf::passes::{timed, Fingerprint, PassRunner};
 use mamps_sdf::ratio::gcd;
 use mamps_sdf::state_space::{throughput, AnalysisOptions, ThroughputResult};
 use mamps_sdf::SdfError;
@@ -315,22 +315,25 @@ pub fn map_application(
     arch: &Architecture,
     opts: &MapOptions,
 ) -> Result<MappedApplication, MapError> {
-    // The `bind` and `buffer-size` keys both begin with the application
-    // and the platform. The `bind` key builds the two trees once, hashes
-    // them into the head of both keys and drops them before the binder
-    // runs; the `buffer-size` key goes on with what binding produced.
+    // The `bind` and `buffer-size` keys (`BIND_KEY_PARTS` and
+    // `BUFFER_SIZE_KEY_PARTS` parts) both begin with the application and
+    // the platform. Their heads come from the model's memo with the
+    // application hashed, so a sweep builds each application tree once,
+    // not once per point. The `bind` key builds the platform tree, hashes
+    // it into both heads and drops it before the binder runs; the
+    // `buffer-size` key goes on with what binding produced.
     let mut sized_key: Option<Fingerprint> = None;
     let binding = run_pass(
         &opts.passes,
         "bind",
         || {
-            let (app_v, arch_v) = (app.to_value(), arch.to_value());
-            // Seven parts: these two and the five the key below adds.
-            sized_key
-                .insert(Fingerprint::new(7))
-                .part(&app_v)
-                .part(&arch_v);
-            fingerprint(&[&app_v, &arch_v, &opts.bind.fingerprint_value()])
+            let (mut bind_key, sized) = app.key_heads();
+            let arch_v = arch.to_value();
+            sized_key.insert(sized).part(&arch_v);
+            bind_key
+                .part(&arch_v)
+                .part(&opts.bind.fingerprint_value())
+                .finish()
         },
         || bind(app, arch, &opts.bind, opts.cache.as_deref()),
     )?;
@@ -428,7 +431,7 @@ mod tests {
     use mamps_platform::interconnect::Interconnect;
     use mamps_sdf::graph::SdfGraphBuilder;
     use mamps_sdf::model::{HomogeneousModelBuilder, ThroughputConstraint};
-    use mamps_sdf::passes::PassCache;
+    use mamps_sdf::passes::{fingerprint, PassCache};
     use mamps_sdf::ratio::Ratio;
 
     fn pipeline_app(wcets: &[u64], token_size: u64) -> ApplicationModel {
@@ -618,15 +621,45 @@ mod tests {
             ],
             vec![graph, m.to_value(), arch_v, budgets[1].clone()],
         ];
-        for parts in shapes {
+        for parts in &shapes {
             let borrowed: Vec<&Value> = parts.iter().collect();
             let tree = serde::stable_hash(&Value::Seq(parts.clone()));
             assert_eq!(fingerprint(&borrowed), tree);
             let mut key = Fingerprint::new(parts.len());
-            for part in &parts {
+            for part in parts {
                 key.part(part);
             }
             assert_eq!(key.finish(), tree);
+        }
+        // The model's memoized heads of the `bind` and `buffer-size` keys,
+        // continued with the parts after the model, give the same keys.
+        let (bind_head, sized_head) = app.key_heads();
+        for (mut key, parts) in [(bind_head, &shapes[0]), (sized_head, &shapes[1])] {
+            for part in &parts[1..] {
+                key.part(part);
+            }
+            assert_eq!(key.finish(), serde::stable_hash(&Value::Seq(parts.clone())));
+        }
+    }
+
+    #[test]
+    fn a_deserialized_model_replays_the_original_keys() {
+        // The original's memo fills during the first run; the copy rebuilt
+        // from its tree starts with an empty memo and must hit both keys.
+        let app = pipeline_app(&[50, 90, 50], 8);
+        let rebuilt = ApplicationModel::from_value(&app.to_value()).unwrap();
+        let arch = Architecture::homogeneous("x", 3, Interconnect::noc_for_tiles(3)).unwrap();
+        let opts = MapOptions {
+            passes: Some(Arc::new(PassRunner::with_cache(Arc::new(PassCache::new())))),
+            ..MapOptions::default()
+        };
+        let first = map_application(&app, &arch, &opts).unwrap();
+        let second = map_application(&rebuilt, &arch, &opts).unwrap();
+        assert_eq!(first.mapping, second.mapping);
+        let report = opts.passes.as_ref().unwrap().report();
+        for name in ["bind", "buffer-size"] {
+            let p = report.get(name).unwrap();
+            assert_eq!((p.runs, p.hits), (1, 1), "pass {name}: {p:?}");
         }
     }
 

@@ -335,9 +335,7 @@ mod tests {
     /// `tests/golden_reports.rs` checks that the flow still builds it.
     fn mjpeg_expansion() -> SdfGraph {
         let json = include_str!("../tests/data/mjpeg_fsl2_expanded.json");
-        let mut g: SdfGraph = serde::json::from_str(json).unwrap();
-        g.rebuild_adjacency();
-        g
+        serde::json::from_str(json).unwrap()
     }
 
     #[test]

@@ -155,7 +155,7 @@ impl Channel {
 /// assert_eq!(g.actor_count(), 3);
 /// assert_eq!(g.channel_count(), 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SdfGraph {
     name: String,
     actors: Vec<Actor>,
@@ -238,7 +238,7 @@ impl SdfGraph {
             .map(ChannelId)
     }
 
-    /// Rebuilds the adjacency caches (needed after deserialization).
+    /// Rebuilds the adjacency caches from the channels.
     pub fn rebuild_adjacency(&mut self) {
         let n = self.actors.len();
         self.outgoing = vec![Vec::new(); n];
@@ -285,11 +285,22 @@ impl SdfGraph {
     }
 }
 
+/// A graph deserializes through [`SdfGraphBuilder::build`]: it gets the
+/// checks of a built graph and the adjacency lists its serialized form
+/// skips.
+impl<'de> Deserialize<'de> for SdfGraph {
+    fn from_value(value: &serde::Value) -> Result<SdfGraph, serde::Error> {
+        SdfGraphBuilder::from_value(value)?
+            .build()
+            .map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
+
 /// Builder for [`SdfGraph`].
 ///
 /// Checks name uniqueness, endpoint validity and non-zero rates at
 /// [`build`](SdfGraphBuilder::build) time.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Deserialize)]
 pub struct SdfGraphBuilder {
     // Crate-visible so builder-level transforms
     // ([`crate::transform::add_static_orders`]) can read the actor count

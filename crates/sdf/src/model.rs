@@ -13,11 +13,13 @@
 //! processor type.
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::SdfError;
 use crate::graph::{ActorId, ChannelId, SdfGraph};
+use crate::passes::{Fingerprint, BIND_KEY_PARTS, BUFFER_SIZE_KEY_PARTS};
 use crate::ratio::Ratio;
 
 /// Direction of a function argument relative to the actor.
@@ -83,6 +85,23 @@ pub struct ApplicationModel {
     implementations: HashMap<String, Vec<ActorImplementation>>,
     /// Optional minimum throughput the flow must guarantee.
     throughput_constraint: Option<ThroughputConstraint>,
+    /// What every pass key over the model starts from, filled on first
+    /// use from one `to_value()` tree. A built model never changes: its
+    /// fields are private and no method takes `&mut self`. A clone
+    /// carries equal values and so may carry the memo, and a
+    /// deserialized model starts with an empty one. So the memo always
+    /// describes the values beside it.
+    #[serde(skip)]
+    keys: OnceLock<ModelKeys>,
+}
+
+/// The memo behind [`ApplicationModel::digest`] and
+/// [`ApplicationModel::key_heads`].
+#[derive(Debug, Clone)]
+struct ModelKeys {
+    digest: u64,
+    bind: Fingerprint,
+    buffer_size: Fingerprint,
 }
 
 impl ApplicationModel {
@@ -152,6 +171,7 @@ impl ApplicationModel {
             graph,
             implementations,
             throughput_constraint,
+            keys: OnceLock::new(),
         })
     }
 
@@ -185,6 +205,38 @@ impl ApplicationModel {
     pub fn wcet(&self, actor: ActorId, processor_type: &str) -> Option<u64> {
         self.implementation_for(actor, processor_type)
             .map(|i| i.wcet)
+    }
+
+    /// The model's [`serde::stable_hash_of`] digest, computed once per
+    /// model.
+    pub fn digest(&self) -> u64 {
+        self.keys().digest
+    }
+
+    /// The heads of the `bind` and `buffer-size` pass keys, whose first
+    /// part is the model: [`Fingerprint::new`] of [`BIND_KEY_PARTS`] and
+    /// of [`BUFFER_SIZE_KEY_PARTS`], each with the model's tree hashed.
+    /// A head continued with the remaining parts gives the key that
+    /// [`crate::passes::fingerprint`] gives over all of them.
+    pub fn key_heads(&self) -> (Fingerprint, Fingerprint) {
+        let keys = self.keys();
+        (keys.bind.clone(), keys.buffer_size.clone())
+    }
+
+    fn keys(&self) -> &ModelKeys {
+        self.keys.get_or_init(|| {
+            let tree = self.to_value();
+            let head = |parts| {
+                let mut key = Fingerprint::new(parts);
+                key.part(&tree);
+                key
+            };
+            ModelKeys {
+                digest: serde::stable_hash(&tree),
+                bind: head(BIND_KEY_PARTS),
+                buffer_size: head(BUFFER_SIZE_KEY_PARTS),
+            }
+        })
     }
 }
 
@@ -427,6 +479,19 @@ mod tests {
         assert_eq!(m.wcet(a, "microblaze"), Some(10));
         assert_eq!(m.wcet(a, "accelerator"), Some(2));
         assert_eq!(m.wcet(a, "dsp"), None);
+    }
+
+    #[test]
+    fn filling_the_key_memo_changes_no_serialized_byte() {
+        use crate::gen::{generate, Family, GenConfig};
+        let m = generate(&GenConfig::new(7, Family::SplitJoin)).unwrap();
+        let (tree, json) = (m.to_value(), serde::json::to_string(&m));
+        m.digest();
+        let clone = m.clone();
+        for model in [&m, &clone] {
+            assert_eq!(model.to_value(), tree);
+            assert_eq!(serde::json::to_string(model), json);
+        }
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //!
 //! * **Lazy fingerprints.** `PassRunner::run` takes the input fingerprint
 //!   as a closure and only invokes it when a cache is attached, so
-//!   cache-less runs (the default) pay nothing for serialization.
+//!   cache-less runs (the default) build no tree. The application part
+//!   of the `bind` and `buffer-size` keys is hashed once per model
+//!   ([`crate::model::ApplicationModel::key_heads`]), so a sweep builds
+//!   one tree per application, not one per design point.
 //! * **Errors are memoized too.** A pass returns `Result<T, E>` and both
 //!   arms are cached: an infeasible binding stays infeasible on replay.
 //! * **Stale entries are advisory.** A cached value that no longer
@@ -59,10 +62,21 @@ pub fn fingerprint(parts: &[&Value]) -> u64 {
     key.finish()
 }
 
+/// Parts of the `bind` key: the application model, the architecture and
+/// the binder options.
+pub const BIND_KEY_PARTS: usize = 3;
+
+/// Parts of the `buffer-size` key: the application model, the
+/// architecture, the binding, the initial channel allocation, the
+/// throughput target, the growth budget and the state cap.
+pub const BUFFER_SIZE_KEY_PARTS: usize = 7;
+
 /// A [`fingerprint`] hashed one part at a time, for a key whose first
 /// parts exist long before the rest: `Fingerprint::new(n)` and `n` calls
 /// of [`part`](Self::part) give what `fingerprint` gives over those `n`
-/// parts, and each part can be dropped as soon as it is hashed.
+/// parts, and each part can be dropped as soon as it is hashed. A clone
+/// is a snapshot: continued with the remaining parts, it gives the key
+/// the original would.
 #[derive(Debug, Clone)]
 pub struct Fingerprint(StableHasher);
 

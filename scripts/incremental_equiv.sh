@@ -2,9 +2,10 @@
 # Incremental-equivalence gate: re-mapping through the on-disk pass cache
 # must be byte-for-byte identical to mapping from scratch — warm replays
 # of unchanged inputs, and incremental re-runs after a one-WCET edit,
-# over the checked-in example corpus. Only stdout is compared: stderr
-# carries the cache/pass statistics, which legitimately differ between
-# cold and warm runs. Run by CI's "Incremental equivalence" step and by
+# over the checked-in example corpus. Stdout is compared byte for byte;
+# stderr carries the cache/pass statistics, which legitimately differ
+# between cold and warm runs, and only the use-case sweep's replay counts
+# are checked there. Run by CI's "Incremental equivalence" step and by
 # smoke.sh:
 #
 #   cargo build --release && scripts/incremental_equiv.sh
@@ -57,8 +58,22 @@ diff -u "$tmp/multi-cold.txt" "$tmp/multi-incr.txt" \
 
 echo "== use-case dse delta sweep after one-WCET edit (byte-identical to cold)"
 "$BIN" dse 3 --apps "$APP,$APP2" --cache-dir "$tmp/dcache" >/dev/null
+# Use-case sweeps have no golden cache pin, so the replay counts are what
+# shows a key that silently stopped matching. An unchanged re-run replays
+# all 30 memoized passes (12 bind, 12 buffer-size, 6 verify-shared).
+"$BIN" dse 3 --apps "$APP,$APP2" --cache-dir "$tmp/dcache" --stats \
+  >/dev/null 2>"$tmp/dse-warm.err"
+grep -q '^pass cache: 30 hits / 0 misses /' "$tmp/dse-warm.err" \
+  || fail "unchanged use-case re-run: $(grep '^pass cache:' "$tmp/dse-warm.err")"
 "$BIN" dse 3 --apps "$APP,$tmp/pipeline_edit.xml" \
-  --cache-dir "$tmp/dcache" >"$tmp/dse-incr.txt"
+  --cache-dir "$tmp/dcache" --stats >"$tmp/dse-incr.txt" 2>"$tmp/dse-incr.err"
+# MJPEG replays bind and buffer-size at its 6 points; the edited pipeline
+# reruns them at its 6.
+for pass in bind buffer-size; do
+  awk -v p="$pass" '$1 == p && $2 == 6 && $3 == 6 { ok = 1 } END { exit !ok }' \
+    "$tmp/dse-incr.err" \
+    || fail "delta sweep $pass row, want 6 runs and 6 hits: $(grep "^$pass " "$tmp/dse-incr.err")"
+done
 "$BIN" dse 3 --apps "$APP,$tmp/pipeline_edit.xml" >"$tmp/dse-cold.txt"
 diff -u "$tmp/dse-cold.txt" "$tmp/dse-incr.txt" \
   || fail "delta dse sweep differs from the cold run (diff above)"
