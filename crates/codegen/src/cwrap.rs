@@ -8,26 +8,20 @@ use std::fmt::Write as _;
 
 use mamps_platform::arch::Architecture;
 use mamps_platform::types::TileId;
-use mamps_sdf::graph::SdfGraph;
-use mamps_sdf::model::{ApplicationModel, ArgDirection};
+use mamps_sdf::graph::{ActorId, SdfGraph};
+use mamps_sdf::model::{ActorImplementation, ArgDirection};
 
 use mamps_mapping::mapping::{Mapping, ScheduleEntry};
 
-use crate::GenError;
-
-/// Generates `tile<i>/main.c` for one tile.
-///
-/// # Errors
-///
-/// [`GenError::Invalid`] if an actor on the tile has no implementation for
-/// its processor type.
+/// Generates `tile<i>/main.c` for one tile, whose `actors` and their
+/// implementations [`memory_maps`](crate::memory_maps) resolved.
 pub fn tile_main_c(
-    app: &ApplicationModel,
     graph: &SdfGraph,
     mapping: &Mapping,
     arch: &Architecture,
     tile: TileId,
-) -> Result<String, GenError> {
+    actors: &[(ActorId, &ActorImplementation)],
+) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "/* Generated by the MAMPS platform generator. */");
     let _ = writeln!(out, "/* Tile {tile} ({}) */", arch.tile(tile).name());
@@ -35,7 +29,6 @@ pub fn tile_main_c(
     let _ = writeln!(out);
 
     let binding = &mapping.binding;
-    let actors = binding.actors_on(tile);
 
     // Channel descriptors used by this tile.
     let mut channels: Vec<usize> = Vec::new();
@@ -74,16 +67,7 @@ pub fn tile_main_c(
     let _ = writeln!(out);
 
     // Actor prototypes and wrappers.
-    for &a in &actors {
-        let im = app
-            .implementation_for(a, arch.tile(tile).processor().name())
-            .ok_or_else(|| {
-                GenError::Invalid(format!(
-                    "actor `{}` has no implementation for {}",
-                    graph.actor(a).name(),
-                    arch.tile(tile).processor()
-                ))
-            })?;
+    for &(a, im) in actors {
         let params: Vec<String> = im
             .args
             .iter()
@@ -164,7 +148,7 @@ pub fn tile_main_c(
         let _ = writeln!(out, "    mamps_channel_init(&ch_{});", ch.name());
     }
     // Initialization functions produce initial tokens (paper §3).
-    for &a in &actors {
+    for &(a, _) in actors {
         let has_initial_output = graph.outgoing(a).iter().any(|&cid| {
             let ch = graph.channel(cid);
             !ch.is_self_edge() && ch.initial_tokens() > 0
@@ -179,7 +163,7 @@ pub fn tile_main_c(
     );
     let _ = writeln!(out, "    return 0;");
     let _ = writeln!(out, "}}");
-    Ok(out)
+    out
 }
 
 /// Generates the shared runtime header `mamps_rt.h`.
@@ -228,7 +212,7 @@ mod tests {
     use mamps_mapping::flow::{map_application, MapOptions};
     use mamps_platform::interconnect::Interconnect;
     use mamps_sdf::graph::SdfGraphBuilder;
-    use mamps_sdf::model::HomogeneousModelBuilder;
+    use mamps_sdf::model::{ApplicationModel, HomogeneousModelBuilder};
 
     fn setup() -> (ApplicationModel, Architecture, Mapping) {
         let mut b = SdfGraphBuilder::new("app");
@@ -245,11 +229,22 @@ mod tests {
         (app, arch, mapped.mapping)
     }
 
+    /// `tile`'s `main.c` over the implementations `memory_maps` resolves.
+    fn main_c(
+        app: &ApplicationModel,
+        arch: &Architecture,
+        mapping: &Mapping,
+        tile: TileId,
+    ) -> String {
+        let (_, actors) = crate::memory_maps(app, app.graph(), mapping, arch).unwrap();
+        tile_main_c(app.graph(), mapping, arch, tile, &actors[tile.0])
+    }
+
     #[test]
     fn main_c_contains_wrapper_schedule_and_init() {
         let (app, arch, mapping) = setup();
         let src_tile = mapping.binding.tile_of[0];
-        let c = tile_main_c(&app, app.graph(), &mapping, &arch, src_tile).unwrap();
+        let c = main_c(&app, &arch, &mapping, src_tile);
         assert!(c.contains("fire_x"));
         assert!(c.contains("MAMPS_OP_FIRE"));
         assert!(c.contains("MAMPS_OP_SEND"));
@@ -266,7 +261,7 @@ mod tests {
     fn receive_side_has_recv_slot() {
         let (app, arch, mapping) = setup();
         let dst_tile = mapping.binding.tile_of[1];
-        let c = tile_main_c(&app, app.graph(), &mapping, &arch, dst_tile).unwrap();
+        let c = main_c(&app, &arch, &mapping, dst_tile);
         assert!(c.contains("MAMPS_OP_RECV"));
         assert!(c.contains("fire_y"));
     }
@@ -282,8 +277,8 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let (app, arch, mapping) = setup();
-        let a = tile_main_c(&app, app.graph(), &mapping, &arch, TileId(0)).unwrap();
-        let b = tile_main_c(&app, app.graph(), &mapping, &arch, TileId(0)).unwrap();
+        let a = main_c(&app, &arch, &mapping, TileId(0));
+        let b = main_c(&app, &arch, &mapping, TileId(0));
         assert_eq!(a, b);
     }
 }

@@ -8,6 +8,13 @@
 //! project goes to Xilinx Platform Studio; here it is the verifiable
 //! artefact of the generation step (Table 1, "Generating Xilinx project").
 //!
+//! Generation is two steps. [`check_platform`] computes the per-tile
+//! memory maps and allocates the NoC wires; these raise every
+//! [`GenError`] the generator returns. [`render_project`] turns what the
+//! check produced into the project's text and cannot fail.
+//! [`generate_project`] is the two in turn. A design-space sweep needs
+//! only the verdict, so its design points stop after the check.
+//!
 //! ## Example
 //!
 //! ```
@@ -42,7 +49,7 @@ pub mod project;
 pub mod tcl;
 
 pub use memmap::{memory_maps, TileMemoryMap};
-pub use project::{generate_project, Project};
+pub use project::{check_platform, generate_project, render_project, CheckedPlatform, Project};
 
 /// Errors of the platform generator.
 #[derive(Debug, Clone, PartialEq, Eq)]

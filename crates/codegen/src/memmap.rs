@@ -5,8 +5,8 @@
 use mamps_platform::arch::Architecture;
 use mamps_platform::tile::MAX_TILE_MEMORY_BYTES;
 use mamps_platform::types::TileId;
-use mamps_sdf::graph::SdfGraph;
-use mamps_sdf::model::ApplicationModel;
+use mamps_sdf::graph::{ActorId, SdfGraph};
+use mamps_sdf::model::{ActorImplementation, ApplicationModel};
 
 use mamps_mapping::mapping::Mapping;
 
@@ -30,11 +30,16 @@ pub struct TileMemoryMap {
     pub buffer_bytes: u64,
 }
 
+/// The actors bound to one tile, each with its implementation for the
+/// tile's processor type, in `Binding::actors_on` order.
+pub type TileActors<'a> = Vec<(ActorId, &'a ActorImplementation)>;
+
 fn round_4k(bytes: u64) -> u64 {
     bytes.div_ceil(4096) * 4096
 }
 
-/// Computes per-tile memory maps for a mapped application.
+/// Computes per-tile memory maps for a mapped application, and with them,
+/// per tile, the implementation each of its actors runs.
 ///
 /// Buffers are charged to the tiles of their endpoints: local channels
 /// entirely on their tile, cross-tile channels `alpha_src` tokens at the
@@ -42,20 +47,23 @@ fn round_4k(bytes: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// [`GenError::Invalid`] if a tile exceeds the MAMPS 256 kB memory limit.
-pub fn memory_maps(
-    app: &ApplicationModel,
+/// [`GenError::Invalid`] if an actor lacks an implementation for its
+/// tile's processor type, or a tile exceeds the MAMPS 256 kB memory limit.
+pub fn memory_maps<'a>(
+    app: &'a ApplicationModel,
     graph: &SdfGraph,
     mapping: &Mapping,
     arch: &Architecture,
-) -> Result<Vec<TileMemoryMap>, GenError> {
+) -> Result<(Vec<TileMemoryMap>, Vec<TileActors<'a>>), GenError> {
     let binding = &mapping.binding;
     let mut maps = Vec::with_capacity(arch.tile_count());
+    let mut placed = Vec::with_capacity(arch.tile_count());
     for t in 0..arch.tile_count() {
         let tile = TileId(t);
         let mut imem = RUNTIME_IMEM_BYTES;
         let mut dmem = RUNTIME_DMEM_BYTES;
         let mut buffers = 0u64;
+        let mut actors = TileActors::new();
         for a in binding.actors_on(tile) {
             let im = app
                 .implementation_for(a, arch.tile(tile).processor().name())
@@ -67,6 +75,7 @@ pub fn memory_maps(
                 })?;
             imem += im.instruction_memory;
             dmem += im.data_memory;
+            actors.push((a, im));
         }
         for (cid, ch) in graph.channels() {
             let alloc = mapping.channels[cid.0];
@@ -97,8 +106,9 @@ pub fn memory_maps(
             )));
         }
         maps.push(map);
+        placed.push(actors);
     }
-    Ok(maps)
+    Ok((maps, placed))
 }
 
 #[cfg(test)]
@@ -127,7 +137,7 @@ mod tests {
     #[test]
     fn maps_cover_all_tiles_and_round_to_4k() {
         let (app, arch, mapping) = setup();
-        let maps = memory_maps(&app, app.graph(), &mapping, &arch).unwrap();
+        let (maps, _) = memory_maps(&app, app.graph(), &mapping, &arch).unwrap();
         assert_eq!(maps.len(), 2);
         for m in &maps {
             assert_eq!(m.imem_bytes % 4096, 0);
@@ -140,7 +150,7 @@ mod tests {
     #[test]
     fn buffers_charged_to_endpoint_tiles() {
         let (app, arch, mapping) = setup();
-        let maps = memory_maps(&app, app.graph(), &mapping, &arch).unwrap();
+        let (maps, _) = memory_maps(&app, app.graph(), &mapping, &arch).unwrap();
         // Cross-tile channel: both tiles hold buffer bytes.
         if mapping.binding.tile_of[0] != mapping.binding.tile_of[1] {
             assert!(maps[0].buffer_bytes > 0);

@@ -9,10 +9,10 @@ use std::fmt::Write as _;
 
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::Interconnect;
-use mamps_platform::noc::WireAllocator;
+use mamps_platform::noc::{Link, WireAllocator};
 use mamps_platform::tile::TileKind;
 use mamps_platform::types::TileId;
-use mamps_sdf::graph::SdfGraph;
+use mamps_sdf::graph::{ChannelId, SdfGraph};
 
 use mamps_mapping::mapping::Mapping;
 
@@ -107,30 +107,40 @@ pub fn platform_netlist(
     out
 }
 
-/// Generates the NoC connection-programming driver source: the XY routes
-/// and SDM wire assignments of every inter-tile channel.
+/// One programmed NoC connection: the SDM wires and XY route of a
+/// cross-tile channel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChannelRoute {
+    /// The channel.
+    pub channel: ChannelId,
+    /// Tile of the channel's source actor.
+    pub from: TileId,
+    /// Tile of the channel's destination actor.
+    pub to: TileId,
+    /// Wires reserved on every link of the route.
+    pub wires: u32,
+    /// The route's links, empty between tiles on one router.
+    pub links: Vec<Link>,
+}
+
+/// Allocates NoC wires for every inter-tile channel in channel order, at
+/// least one wire each; empty on FSL.
 ///
 /// # Errors
 ///
 /// [`GenError::Invalid`] if wire allocation fails for the mapping (the
 /// mapping flow already validated this; a failure indicates an edited or
 /// corrupted mapping).
-pub fn noc_routes(
+pub fn allocate_routes(
     graph: &SdfGraph,
     mapping: &Mapping,
     arch: &Architecture,
-) -> Result<String, GenError> {
-    let noc = match arch.interconnect() {
-        Interconnect::Noc(noc) => noc,
-        Interconnect::Fsl { .. } => {
-            return Ok("/* point-to-point FSL: no route programming needed */\n".into())
-        }
+) -> Result<Vec<ChannelRoute>, GenError> {
+    let Interconnect::Noc(noc) = arch.interconnect() else {
+        return Ok(Vec::new());
     };
     let mut alloc = WireAllocator::new(*noc);
-    let mut out = String::new();
-    let _ = writeln!(out, "/* NoC connection programming, generated. */");
-    let _ = writeln!(out, "#include \"mamps_rt.h\"");
-    let _ = writeln!(out, "void mamps_noc_setup(void) {{");
+    let mut routes = Vec::new();
     for (cid, ch) in graph.channels() {
         if ch.is_self_edge() || !mapping.binding.crosses_tiles(ch.src(), ch.dst()) {
             continue;
@@ -138,18 +148,42 @@ pub fn noc_routes(
         let from = mapping.binding.tile_of[ch.src().0];
         let to = mapping.binding.tile_of[ch.dst().0];
         let wires = mapping.channels[cid.0].wires.max(1);
-        let route = alloc
+        let links = alloc
             .allocate(from, to, wires)
             .map_err(|e| GenError::Invalid(format!("channel `{}`: {e}", ch.name())))?;
+        routes.push(ChannelRoute {
+            channel: cid,
+            from,
+            to,
+            wires,
+            links,
+        });
+    }
+    Ok(routes)
+}
+
+/// Generates the NoC connection-programming driver source: the XY routes
+/// and SDM wire assignments of every inter-tile channel, as
+/// [`allocate_routes`] allocated them.
+pub fn noc_routes(graph: &SdfGraph, arch: &Architecture, routes: &[ChannelRoute]) -> String {
+    if let Interconnect::Fsl { .. } = arch.interconnect() {
+        return "/* point-to-point FSL: no route programming needed */\n".into();
+    }
+    let mut out = String::new();
+    let _ = writeln!(out, "/* NoC connection programming, generated. */");
+    let _ = writeln!(out, "#include \"mamps_rt.h\"");
+    let _ = writeln!(out, "void mamps_noc_setup(void) {{");
+    for route in routes {
         let hops: Vec<String> = route
+            .links
             .iter()
             .map(|l| format!("{{{},{}}}->{{{},{}}}", l.from.0, l.from.1, l.to.0, l.to.1))
             .collect();
         let _ = writeln!(
             out,
             "    /* {}: {} wires, route {} */",
-            ch.name(),
-            wires,
+            graph.channel(route.channel).name(),
+            route.wires,
             if hops.is_empty() {
                 "local".to_string()
             } else {
@@ -159,13 +193,14 @@ pub fn noc_routes(
         let _ = writeln!(
             out,
             "    noc_program_connection({cid}, {from}, {to}, {wires});",
-            cid = cid.0,
-            from = from.0,
-            to = to.0,
+            cid = route.channel.0,
+            from = route.from.0,
+            to = route.to.0,
+            wires = route.wires,
         );
     }
     let _ = writeln!(out, "}}");
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -202,7 +237,7 @@ mod tests {
     #[test]
     fn fsl_netlist_lists_tiles_and_links() {
         let (app, arch, mapping) = setup(false);
-        let maps = memory_maps(&app, app.graph(), &mapping, &arch).unwrap();
+        let (maps, _) = memory_maps(&app, app.graph(), &mapping, &arch).unwrap();
         let n = platform_netlist(app.graph(), &mapping, &arch, &maps);
         assert!(n.contains("INSTANCE = tile0"));
         assert!(n.contains("INSTANCE = tile2"));
@@ -215,19 +250,35 @@ mod tests {
     #[test]
     fn noc_netlist_and_routes() {
         let (app, arch, mapping) = setup(true);
-        let maps = memory_maps(&app, app.graph(), &mapping, &arch).unwrap();
+        let (maps, _) = memory_maps(&app, app.graph(), &mapping, &arch).unwrap();
         let n = platform_netlist(app.graph(), &mapping, &arch, &maps);
         assert!(n.contains("sdm_noc"));
         assert!(n.contains("C_FLOW_CONTROL = 1"));
-        let routes = noc_routes(app.graph(), &mapping, &arch).unwrap();
-        assert!(routes.contains("noc_program_connection"));
-        assert!(routes.contains("mamps_noc_setup"));
+        let routes = allocate_routes(app.graph(), &mapping, &arch).unwrap();
+        assert!(!routes.is_empty());
+        let text = noc_routes(app.graph(), &arch, &routes);
+        assert!(text.contains("noc_program_connection"));
+        assert!(text.contains("mamps_noc_setup"));
     }
 
     #[test]
     fn fsl_routes_are_trivial() {
         let (app, arch, mapping) = setup(false);
-        let routes = noc_routes(app.graph(), &mapping, &arch).unwrap();
-        assert!(routes.contains("point-to-point"));
+        let routes = allocate_routes(app.graph(), &mapping, &arch).unwrap();
+        assert!(routes.is_empty());
+        assert!(noc_routes(app.graph(), &arch, &routes).contains("point-to-point"));
+    }
+
+    #[test]
+    fn oversubscribed_links_are_rejected() {
+        let (app, arch, mut mapping) = setup(true);
+        for alloc in &mut mapping.channels {
+            alloc.wires = 9; // one more than a link carries
+        }
+        let err = allocate_routes(app.graph(), &mapping, &arch).unwrap_err();
+        assert!(
+            err.to_string().contains("has 8 free wires, 9 requested"),
+            "{err}"
+        );
     }
 }

@@ -14,8 +14,8 @@ use mamps_sdf::model::ApplicationModel;
 use mamps_mapping::mapping::Mapping;
 
 use crate::cwrap::{runtime_header, tile_main_c};
-use crate::memmap::{memory_maps, TileMemoryMap};
-use crate::netlist::{noc_routes, platform_netlist};
+use crate::memmap::{memory_maps, TileActors, TileMemoryMap};
+use crate::netlist::{allocate_routes, noc_routes, platform_netlist, ChannelRoute};
 use crate::tcl::xps_script;
 use crate::GenError;
 
@@ -56,19 +56,55 @@ impl Project {
     }
 }
 
-/// Generates the complete project for a mapped application.
+/// What [`check_platform`] established for a mapped application: the
+/// memory map of every tile, the implementation each placed actor runs,
+/// and the NoC route of every cross-tile channel. [`render_project`]
+/// turns it into the project's text.
+#[derive(Debug)]
+pub struct CheckedPlatform<'a> {
+    memory: Vec<TileMemoryMap>,
+    actors: Vec<TileActors<'a>>,
+    routes: Vec<ChannelRoute>,
+}
+
+/// Checks that a mapped application can be generated: computes the
+/// per-tile memory maps, then allocates the NoC wires. These two steps
+/// raise every [`GenError`] the generator returns, so a design point that
+/// passes the check always renders.
 ///
 /// # Errors
 ///
-/// Propagates memory-map and generation errors.
-pub fn generate_project(
-    app: &ApplicationModel,
+/// Propagates memory-map and wire-allocation errors, in that order.
+pub fn check_platform<'a>(
+    app: &'a ApplicationModel,
+    graph: &SdfGraph,
+    mapping: &Mapping,
+    arch: &Architecture,
+) -> Result<CheckedPlatform<'a>, GenError> {
+    let (memory, actors) = memory_maps(app, graph, mapping, arch)?;
+    let routes = allocate_routes(graph, mapping, arch)?;
+    Ok(CheckedPlatform {
+        memory,
+        actors,
+        routes,
+    })
+}
+
+/// Renders the project of a mapped application from what
+/// [`check_platform`] produced for the same graph, mapping and
+/// architecture.
+pub fn render_project(
+    checked: CheckedPlatform<'_>,
     graph: &SdfGraph,
     mapping: &Mapping,
     arch: &Architecture,
     project_name: &str,
-) -> Result<Project, GenError> {
-    let memory = memory_maps(app, graph, mapping, arch)?;
+) -> Project {
+    let CheckedPlatform {
+        memory,
+        actors,
+        routes,
+    } = checked;
     let mut files = BTreeMap::new();
 
     files.insert(
@@ -79,16 +115,15 @@ pub fn generate_project(
     files.insert("sw/mamps_rt.h".to_string(), runtime_header());
     files.insert(
         "sw/noc_setup.c".to_string(),
-        noc_routes(graph, mapping, arch)?,
+        noc_routes(graph, arch, &routes),
     );
-    for t in 0..arch.tile_count() {
-        let tile = TileId(t);
-        if mapping.binding.actors_on(tile).is_empty() {
+    for (t, on_tile) in actors.iter().enumerate() {
+        if on_tile.is_empty() {
             continue;
         }
         files.insert(
             format!("sw/tile{t}/main.c"),
-            tile_main_c(app, graph, mapping, arch, tile)?,
+            tile_main_c(graph, mapping, arch, TileId(t), on_tile),
         );
     }
 
@@ -123,7 +158,24 @@ pub fn generate_project(
     );
     files.insert("mapping.txt".to_string(), summary);
 
-    Ok(Project { files, memory })
+    Project { files, memory }
+}
+
+/// Generates the complete project for a mapped application:
+/// [`check_platform`], then [`render_project`].
+///
+/// # Errors
+///
+/// Propagates the errors of [`check_platform`].
+pub fn generate_project(
+    app: &ApplicationModel,
+    graph: &SdfGraph,
+    mapping: &Mapping,
+    arch: &Architecture,
+    project_name: &str,
+) -> Result<Project, GenError> {
+    let checked = check_platform(app, graph, mapping, arch)?;
+    Ok(render_project(checked, graph, mapping, arch, project_name))
 }
 
 #[cfg(test)]

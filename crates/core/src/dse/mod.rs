@@ -7,8 +7,9 @@
 //! strategies* ([`mamps_mapping::strategy`]). Every design point records
 //! which strategy produced it, so Pareto fronts can be read per strategy —
 //! e.g. a `spiral` point that ties `greedy` throughput at fewer allocated
-//! NoC wire-links. Design points are independent full flow runs, so
-//! [`explore_report`] evaluates them concurrently when
+//! NoC wire-links. Design points are independent flow runs that stop
+//! after the boot run, with the platform checked but no project
+//! rendered, so [`explore_report`] evaluates them concurrently when
 //! [`FlowOptions::jobs`] asks for it: [`crate::parallel::dynamic_map`]
 //! workers claim one point at a time, and the result is point-for-point
 //! identical to the sequential sweep.
@@ -69,12 +70,13 @@ pub mod lease;
 pub mod shard;
 
 use mamps_mapping::Binder;
+use mamps_platform::arch::Architecture;
 use mamps_platform::area::platform_area;
 use mamps_platform::interconnect::Interconnect;
 use mamps_sdf::model::ApplicationModel;
 use serde::{Deserialize, Serialize};
 
-use crate::flow::{run_flow, FlowOptions};
+use crate::flow::{check_flow, FlowError, FlowOptions, AUTO_ARCH_NAME};
 
 /// One evaluated design point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,7 +127,10 @@ pub struct DseReport {
 /// and its instantiation, and the binding strategy.
 pub(crate) type SweepConfig = (usize, &'static str, Interconnect, Binder);
 
-/// Runs the full flow for one sweep configuration.
+/// Runs the flow for one sweep configuration on the architecture
+/// [`crate::flow::run_flow`] would generate, through the boot run. The
+/// project is never rendered: a point needs only the verdict, and the
+/// platform check raises every generation error the render could meet.
 pub(crate) fn evaluate_dse_config(
     app: &ApplicationModel,
     (tiles, name, ic, strategy): &SweepConfig,
@@ -133,18 +138,19 @@ pub(crate) fn evaluate_dse_config(
 ) -> Result<DsePoint, SkippedPoint> {
     let mut point_opts = opts.clone();
     point_opts.map.bind.strategy = *strategy;
-    match run_flow(app, *tiles, *ic, &point_opts) {
-        Ok(flow) => {
+    let verdict = Architecture::homogeneous(AUTO_ARCH_NAME, *tiles, *ic)
+        .map_err(FlowError::from)
+        .and_then(|arch| Ok((check_flow(app, &arch, &point_opts)?.mapped, arch)));
+    match verdict {
+        Ok((mapped, arch)) => {
+            let binding = &mapped.mapping.binding;
             let cross_links = app
                 .graph()
                 .channels()
-                .filter(|(_, c)| {
-                    !c.is_self_edge() && flow.mapped.mapping.binding.crosses_tiles(c.src(), c.dst())
-                })
+                .filter(|(_, c)| !c.is_self_edge() && binding.crosses_tiles(c.src(), c.dst()))
                 .count();
-            let area = platform_area(&flow.arch, cross_links);
-            let binding = &flow.mapped.mapping.binding;
-            let mut per_tile_load = vec![0u64; flow.arch.tile_count()];
+            let area = platform_area(&arch, cross_links);
+            let mut per_tile_load = vec![0u64; arch.tile_count()];
             if let Ok(q) = mamps_sdf::repetition::repetition_vector(app.graph()) {
                 for (aid, _) in app.graph().actors() {
                     per_tile_load[binding.tile_of[aid.0].0] += binding.wcet_of[aid.0] * q.of(aid);
@@ -153,10 +159,10 @@ pub(crate) fn evaluate_dse_config(
             Ok(DsePoint {
                 tiles: *tiles,
                 interconnect: name,
-                strategy: flow.strategy(),
-                guaranteed: flow.guaranteed_throughput(),
+                strategy: mapped.strategy,
+                guaranteed: mapped.analysis.as_f64(),
                 slices: area.total.slices,
-                wire_units: flow.mapped.mapping.noc_wire_units(app.graph(), &flow.arch),
+                wire_units: mapped.mapping.noc_wire_units(app.graph(), &arch),
                 per_tile_load,
             })
         }
@@ -621,6 +627,28 @@ mod tests {
         assert!(!s.reason.is_empty(), "reason must name the failing step");
         assert_eq!(report.points.len(), 1);
         assert_eq!(report.points[0].tiles, 2);
+    }
+
+    #[test]
+    fn platform_check_failures_are_recorded_as_skips() {
+        // 84 KiB of instruction memory per actor: all three fit the
+        // binder's 256 KiB tile, but not beside the 8 KiB runtime code.
+        let report = explore_report(
+            &chain_app(84 * 1024),
+            &[1, 2],
+            true,
+            &FlowOptions::default(),
+        );
+        let reason = "generation step failed: cannot generate platform: tile tile0 \
+                      needs 266240 + 8192 bytes, exceeding the 262144-byte limit";
+        let skipped: Vec<_> = report
+            .skipped
+            .iter()
+            .map(|s| (s.tiles, s.interconnect, s.reason.as_str()))
+            .collect();
+        assert_eq!(skipped, [(1, "fsl", reason), (1, "noc", reason)]);
+        let tiles: Vec<_> = report.points.iter().map(|p| p.tiles).collect();
+        assert_eq!(tiles, [2, 2]);
     }
 
     #[test]

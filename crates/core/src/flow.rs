@@ -5,7 +5,7 @@
 
 use std::time::{Duration, Instant};
 
-use mamps_codegen::project::{generate_project, Project};
+use mamps_codegen::project::{check_platform, render_project, CheckedPlatform, Project};
 use mamps_codegen::GenError;
 use mamps_mapping::flow::{map_application, MapOptions, MappedApplication};
 use mamps_mapping::MapError;
@@ -81,6 +81,10 @@ pub struct StepTimings {
 /// Name of the generated project.
 const PROJECT_NAME: &str = "mamps_system";
 
+/// Name of the architecture [`run_flow`] generates. It is part of every
+/// `bind` pass key, so a sweep's design points use it too.
+pub(crate) const AUTO_ARCH_NAME: &str = "auto";
+
 /// Iterations of the warm-up/validation run in the synthesis step.
 const BOOT_ITERATIONS: u64 = 3;
 
@@ -135,11 +139,6 @@ impl FlowResult {
     pub fn guaranteed_throughput(&self) -> f64 {
         self.mapped.analysis.as_f64()
     }
-
-    /// Name of the binding strategy that produced the mapping.
-    pub fn strategy(&self) -> &'static str {
-        self.mapped.strategy
-    }
 }
 
 /// Runs the flow with an auto-generated homogeneous architecture of
@@ -155,7 +154,7 @@ pub fn run_flow(
     opts: &FlowOptions,
 ) -> Result<FlowResult, FlowError> {
     let t0 = Instant::now();
-    let arch = Architecture::homogeneous("auto", tiles, interconnect)?;
+    let arch = Architecture::homogeneous(AUTO_ARCH_NAME, tiles, interconnect)?;
     let architecture_generation = t0.elapsed();
     run_flow_on(app, arch, opts, architecture_generation)
 }
@@ -179,14 +178,57 @@ fn run_flow_on(
     opts: &FlowOptions,
     architecture_generation: Duration,
 ) -> Result<FlowResult, FlowError> {
+    let CheckedFlow {
+        mapped,
+        platform,
+        mut timings,
+    } = check_flow(app, &arch, opts)?;
+    let t = Instant::now();
+    let project = render_project(platform, app.graph(), &mapped.mapping, &arch, PROJECT_NAME);
+    timings.platform_generation += t.elapsed();
+    timings.architecture_generation = architecture_generation;
+    Ok(FlowResult {
+        arch,
+        mapped,
+        project,
+        timings,
+    })
+}
+
+/// A design point that [`check_flow`] mapped, checked and booted: the
+/// flow's verdict without the project text.
+pub(crate) struct CheckedFlow<'a> {
+    /// The mapping with its guaranteed throughput.
+    pub(crate) mapped: MappedApplication,
+    platform: CheckedPlatform<'a>,
+    /// Every step but the architecture's generation; the platform
+    /// generation covers the check only.
+    timings: StepTimings,
+}
+
+/// Maps `app` onto `arch`, checks that the platform can be generated (the
+/// `platform-gen` pass) and boots it (the `boot-sim` pass), stopping at
+/// the first step that fails. A sweep's design point needs no more;
+/// [`run_flow`] renders the project from the result.
+///
+/// # Errors
+///
+/// [`FlowError::Map`], [`FlowError::Gen`] or [`FlowError::Sim`], from the
+/// first step that fails.
+pub(crate) fn check_flow<'a>(
+    app: &'a ApplicationModel,
+    arch: &Architecture,
+    opts: &FlowOptions,
+) -> Result<CheckedFlow<'a>, FlowError> {
     let t1 = Instant::now();
-    let mapped = map_application(app, &arch, &opts.map)?;
+    let mapped = map_application(app, arch, &opts.map)?;
     let mapping_time = t1.elapsed();
 
-    // Timed, never cached: generated files and simulator verdicts.
+    // Timed, never cached: the check, like `wire-alloc`, costs less than a
+    // cache replay would, and a boot verdict is a measurement.
     let t2 = Instant::now();
-    let project = timed(&opts.map.passes, "platform-gen", || {
-        generate_project(app, app.graph(), &mapped.mapping, &arch, PROJECT_NAME)
+    let platform = timed(&opts.map.passes, "platform-gen", || {
+        check_platform(app, app.graph(), &mapped.mapping, arch)
     })?;
     let platform_generation = t2.elapsed();
 
@@ -195,18 +237,17 @@ fn run_flow_on(
     timed(&opts.map.passes, "boot-sim", || -> Result<(), SimError> {
         let wcet = WcetTimes::new(mapped.mapping.binding.wcet_of.clone());
         let system =
-            System::new(app.graph(), &mapped.mapping, &arch, &wcet)?.with_engine(opts.sim_engine);
+            System::new(app.graph(), &mapped.mapping, arch, &wcet)?.with_engine(opts.sim_engine);
         let _boot = system.run(BOOT_ITERATIONS, 1_000_000_000)?;
         Ok(())
     })?;
     let synthesis = t3.elapsed();
 
-    Ok(FlowResult {
-        arch,
+    Ok(CheckedFlow {
         mapped,
-        project,
+        platform,
         timings: StepTimings {
-            architecture_generation,
+            architecture_generation: Duration::ZERO,
             mapping: mapping_time,
             platform_generation,
             synthesis,

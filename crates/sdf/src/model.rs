@@ -78,7 +78,7 @@ impl ThroughputConstraint {
 }
 
 /// The application model: graph + implementations + constraint.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ApplicationModel {
     graph: SdfGraph,
     /// Implementations keyed by actor name.
@@ -93,6 +93,28 @@ pub struct ApplicationModel {
     /// describes the values beside it.
     #[serde(skip)]
     keys: OnceLock<ModelKeys>,
+}
+
+/// A model deserializes through [`ApplicationModel::new`]: it gets the
+/// checks of a built model, as its graph gets those of a built graph.
+impl<'de> Deserialize<'de> for ApplicationModel {
+    fn from_value(value: &serde::Value) -> Result<ApplicationModel, serde::Error> {
+        let parts = ModelParts::from_value(value)?;
+        ApplicationModel::new(
+            parts.graph,
+            parts.implementations,
+            parts.throughput_constraint,
+        )
+        .map_err(|e| serde::Error::custom(e.to_string()))
+    }
+}
+
+/// The serialized fields of an [`ApplicationModel`], before its checks.
+#[derive(Deserialize)]
+struct ModelParts {
+    graph: SdfGraph,
+    implementations: HashMap<String, Vec<ActorImplementation>>,
+    throughput_constraint: Option<ThroughputConstraint>,
 }
 
 /// The memo behind [`ApplicationModel::digest`] and
@@ -492,6 +514,29 @@ mod tests {
             assert_eq!(model.to_value(), tree);
             assert_eq!(serde::json::to_string(model), json);
         }
+    }
+
+    #[test]
+    fn deserializing_checks_the_model() {
+        let mut mb = HomogeneousModelBuilder::new("mb");
+        mb.actor("A", 1, 0, 0).actor("B", 1, 0, 0);
+        let mut tree = mb.finish(simple_graph(), None).unwrap().to_value();
+        let serde::Value::Map(fields) = &mut tree else {
+            panic!("a model serializes to a map")
+        };
+        let (_, serde::Value::Map(impls)) = fields
+            .iter_mut()
+            .find(|(k, _)| k == "implementations")
+            .unwrap()
+        else {
+            panic!("implementations serialize to a map")
+        };
+        impls.retain(|(actor, _)| actor != "B");
+        let err = ApplicationModel::from_value(&tree).unwrap_err();
+        assert!(
+            err.to_string().contains("actor `B` has no implementation"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -108,9 +108,21 @@ grep -q "ends mid-record" "$tmp/resume-err.txt" \
   || fail "torn resume file produced no mid-record warning"
 
 echo "== mamps dse --stats"
-"$BIN" dse "$APP" 4 --stats >/dev/null 2>"$tmp/stats.txt"
+"$BIN" dse "$APP" 4 --stats >"$tmp/stats-report.txt" 2>"$tmp/stats.txt"
 grep -q "analysis cache:" "$tmp/stats.txt" || fail "--stats printed no cache counters"
 grep -q "pass wall time" "$tmp/stats.txt" || fail "--stats printed no per-pass timings"
+# A sweep renders no project, but every mapped design point still runs
+# the platform check, and every checked one boots. The report's feasible
+# rows and its generation and boot skips fix both run counts, so a sweep
+# that dropped either step fails here while printing the same report.
+points=$(grep -cE '^[* ] +[a-z]+ +[0-9]+ +(fsl|noc) +[0-9.]+e' "$tmp/stats-report.txt" || true)
+gen_skips=$(grep -c 'generation step failed' "$tmp/stats-report.txt" || true)
+boot_skips=$(grep -c 'platform run failed' "$tmp/stats-report.txt" || true)
+[ "$points" -gt 0 ] || fail "dse --stats printed no feasible design point"
+grep -qE "^platform-gen +$((points + gen_skips + boot_skips)) " "$tmp/stats.txt" \
+  || fail "dse --stats: platform-gen did not run once per mapped design point"
+grep -qE "^boot-sim +$((points + boot_skips)) " "$tmp/stats.txt" \
+  || fail "dse --stats: boot-sim did not run once per checked design point"
 
 echo "== mamps map --stats (per-pass table)"
 "$BIN" map "$APP" "$ARCH" --stats >/dev/null 2>"$tmp/map-stats.txt"

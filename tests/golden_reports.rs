@@ -171,3 +171,58 @@ fn mjpeg_expansion_matches_golden() {
         String::from_utf8_lossy(near)
     );
 }
+
+/// The project `run_flow` generates for the MJPEG example on three
+/// platforms: 3 FSL tiles, a 2×2 NoC whose routes take hops, and 3 FSL
+/// tiles with communication assists. Each platform pins its file count,
+/// total bytes and the FNV-1a of every `(path, contents)` pair in path
+/// order, so a change to any generated byte fails here. Recorded by an
+/// earlier commit; a change that means to alter the generated project
+/// re-records the triples printed on failure.
+#[test]
+fn generated_projects_match_golden() {
+    use mamps::flow::{run_flow, run_flow_with_arch, FlowOptions, FlowResult};
+    use mamps::platform::arch::Architecture;
+    use mamps::platform::interconnect::Interconnect;
+    use mamps::sdf::xml::application_from_xml;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let xml = std::fs::read_to_string(root.join(DATA).join("mjpeg_small_app.xml")).unwrap();
+    let app = application_from_xml(&xml).unwrap();
+    let opts = FlowOptions::default();
+    let pin = |name, flow: FlowResult| {
+        let mut bytes = Vec::new();
+        for (path, contents) in &flow.project.files {
+            for part in [path, contents] {
+                bytes.extend_from_slice(part.as_bytes());
+                bytes.push(0);
+            }
+        }
+        (
+            name,
+            flow.project.file_count(),
+            flow.project.total_bytes(),
+            fnv1a(&bytes),
+        )
+    };
+    let noc = run_flow(&app, 4, Interconnect::noc_for_tiles(4), &opts).unwrap();
+    let routes = &noc.project.files["sw/noc_setup.c"];
+    assert!(routes.contains("->"), "no NoC route takes a hop:\n{routes}");
+    let ca = Architecture::homogeneous_with_ca("ca", 3, Interconnect::fsl()).unwrap();
+    let got = [
+        pin(
+            "fsl3",
+            run_flow(&app, 3, Interconnect::fsl(), &opts).unwrap(),
+        ),
+        pin("noc2x2", noc),
+        pin("ca3", run_flow_with_arch(&app, ca, &opts).unwrap()),
+    ];
+    assert_eq!(
+        got,
+        [
+            ("fsl3", 9, 8_016, 0x9947_a803_51e9_d097),
+            ("noc2x2", 10, 8_765, 0x4dea_3e46_9f24_71af),
+            ("ca3", 9, 7_532, 0xda09_2a0f_0b81_9e35),
+        ]
+    );
+}
