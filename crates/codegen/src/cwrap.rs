@@ -43,25 +43,17 @@ pub fn tile_main_c(
     for &c in &channels {
         let ch = graph.channel(mamps_sdf::graph::ChannelId(c));
         let alloc = mapping.channels[c];
-        let local = !binding.crosses_tiles(ch.src(), ch.dst());
+        let (kind, capacity) = match binding.cross_tiles(ch) {
+            None => ("MAMPS_CH_LOCAL", alloc.local_capacity),
+            Some((from, _)) if from == tile => ("MAMPS_CH_NI", alloc.alpha_src),
+            Some(_) => ("MAMPS_CH_NI", alloc.alpha_dst),
+        };
         let _ = writeln!(
             out,
-            "static mamps_channel_t ch_{} = {{ .id = {c}, .token_size = {}, .kind = {}, \
-             .capacity = {} }};",
+            "static mamps_channel_t ch_{} = {{ .id = {c}, .token_size = {}, .kind = {kind}, \
+             .capacity = {capacity} }};",
             ch.name(),
             ch.token_size(),
-            if local {
-                "MAMPS_CH_LOCAL"
-            } else {
-                "MAMPS_CH_NI"
-            },
-            if local {
-                alloc.local_capacity
-            } else if binding.tile_of[ch.src().0] == tile {
-                alloc.alpha_src
-            } else {
-                alloc.alpha_dst
-            },
         );
     }
     let _ = writeln!(out);

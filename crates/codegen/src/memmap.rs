@@ -41,9 +41,10 @@ fn round_4k(bytes: u64) -> u64 {
 /// Computes per-tile memory maps for a mapped application, and with them,
 /// per tile, the implementation each of its actors runs.
 ///
-/// Buffers are charged to the tiles of their endpoints: local channels
-/// entirely on their tile, cross-tile channels `alpha_src` tokens at the
-/// source and `alpha_dst` tokens at the destination.
+/// Buffers are charged to the tiles of their endpoints as
+/// [`Mapping::buffer_bytes_per_tile`] charges them for admission: local
+/// channels entirely on their tile, cross-tile channels `alpha_src`
+/// tokens at the source and `alpha_dst` tokens at the destination.
 ///
 /// # Errors
 ///
@@ -55,21 +56,20 @@ pub fn memory_maps<'a>(
     mapping: &Mapping,
     arch: &Architecture,
 ) -> Result<(Vec<TileMemoryMap>, Vec<TileActors<'a>>), GenError> {
-    let binding = &mapping.binding;
+    let buffers = mapping.buffer_bytes_per_tile(graph, arch.tile_count());
     let mut maps = Vec::with_capacity(arch.tile_count());
     let mut placed = Vec::with_capacity(arch.tile_count());
-    for t in 0..arch.tile_count() {
+    for (t, &buffer_bytes) in buffers.iter().enumerate() {
         let tile = TileId(t);
         let mut imem = RUNTIME_IMEM_BYTES;
-        let mut dmem = RUNTIME_DMEM_BYTES;
-        let mut buffers = 0u64;
+        let mut dmem = RUNTIME_DMEM_BYTES + buffer_bytes;
         let mut actors = TileActors::new();
-        for a in binding.actors_on(tile) {
+        for a in mapping.binding.actors_on(tile) {
             let im = app
                 .implementation_for(a, arch.tile(tile).processor().name())
                 .ok_or_else(|| {
                     GenError::Invalid(format!(
-                        "actor `{}` lacks an implementation for tile {tile}",
+                        "actor `{}` lacks an implementation for tile {t}",
                         graph.actor(a).name()
                     ))
                 })?;
@@ -77,31 +77,15 @@ pub fn memory_maps<'a>(
             dmem += im.data_memory;
             actors.push((a, im));
         }
-        for (cid, ch) in graph.channels() {
-            let alloc = mapping.channels[cid.0];
-            if ch.is_self_edge() {
-                continue;
-            }
-            let src_here = binding.tile_of[ch.src().0] == tile;
-            let dst_here = binding.tile_of[ch.dst().0] == tile;
-            if src_here && dst_here {
-                buffers += alloc.local_capacity * ch.token_size();
-            } else if src_here {
-                buffers += alloc.alpha_src * ch.token_size();
-            } else if dst_here {
-                buffers += alloc.alpha_dst * ch.token_size();
-            }
-        }
-        dmem += buffers;
         let map = TileMemoryMap {
             tile,
             imem_bytes: round_4k(imem),
             dmem_bytes: round_4k(dmem),
-            buffer_bytes: buffers,
+            buffer_bytes,
         };
         if map.imem_bytes + map.dmem_bytes > MAX_TILE_MEMORY_BYTES {
             return Err(GenError::Invalid(format!(
-                "tile {tile} needs {} + {} bytes, exceeding the {MAX_TILE_MEMORY_BYTES}-byte limit",
+                "tile {t} needs {} + {} bytes, exceeding the {MAX_TILE_MEMORY_BYTES}-byte limit",
                 map.imem_bytes, map.dmem_bytes
             )));
         }

@@ -65,11 +65,10 @@ pub fn platform_netlist(
     match arch.interconnect() {
         Interconnect::Fsl { fifo_depth } => {
             for (cid, ch) in graph.channels() {
-                if ch.is_self_edge() || !mapping.binding.crosses_tiles(ch.src(), ch.dst()) {
+                let Some((from, to)) = mapping.binding.cross_tiles(ch) else {
                     continue;
-                }
-                let src = arch.tile(mapping.binding.tile_of[ch.src().0]).name();
-                let dst = arch.tile(mapping.binding.tile_of[ch.dst().0]).name();
+                };
+                let (src, dst) = (arch.tile(from).name(), arch.tile(to).name());
                 let _ = writeln!(out, "BEGIN fsl_v20");
                 let _ = writeln!(out, " PARAMETER INSTANCE = fsl_{}", cid.0);
                 let _ = writeln!(out, " PARAMETER C_FSL_DEPTH = {fifo_depth}");
@@ -142,11 +141,9 @@ pub fn allocate_routes(
     let mut alloc = WireAllocator::new(*noc);
     let mut routes = Vec::new();
     for (cid, ch) in graph.channels() {
-        if ch.is_self_edge() || !mapping.binding.crosses_tiles(ch.src(), ch.dst()) {
+        let Some((from, to)) = mapping.binding.cross_tiles(ch) else {
             continue;
-        }
-        let from = mapping.binding.tile_of[ch.src().0];
-        let to = mapping.binding.tile_of[ch.dst().0];
+        };
         let wires = mapping.channels[cid.0].wires.max(1);
         let links = alloc
             .allocate(from, to, wires)

@@ -1,30 +1,30 @@
-//! Range leasing and incremental merging for the DSE coordinator service.
+//! Range leasing for the DSE coordinator service.
 //!
 //! The [`crate::serve`] coordinator splits a sweep's canonical seq space
 //! into contiguous ranges and hands them out to worker processes as
-//! *leases*. Workers crash, hang and disconnect; the two types here keep
-//! the sweep correct anyway:
+//! *leases*. Workers crash, hang and disconnect; [`LeaseTable`] keeps the
+//! sweep correct anyway. It tracks which ranges are pending, leased (to
+//! whom, until when) or done. Leases expire on a virtual-millisecond
+//! clock (the caller supplies `now`, so tests drive time
+//! deterministically), and a disconnected owner's leases are released at
+//! once. Completion is idempotent: a stale lease finishing after its
+//! range was reassigned — and the reassigned lease finishing too — both
+//! just confirm the range. A worker's completion is not trusted
+//! ([`LeaseTable::accept`]): only records inside the leased range and of
+//! the sweep's mode are merged, and the range is done only once all of it
+//! is recorded.
 //!
-//! * [`LeaseTable`] — which ranges are pending, leased (to whom, until
-//!   when) or done. Leases expire on a virtual-millisecond clock (the
-//!   caller supplies `now`, so tests drive time deterministically), and a
-//!   disconnected owner's leases are released at once. Completion is
-//!   idempotent: a stale lease finishing after its range was reassigned —
-//!   and the reassigned lease finishing too — both just confirm the range.
-//!   A worker's completion is not trusted ([`LeaseTable::accept`]): only
-//!   records inside the leased range and of the sweep's mode are merged,
-//!   and the range is done only once all of it is recorded.
-//! * [`MergeLedger`] — the incremental, seq-keyed merge of completed
-//!   records. At-least-once execution means the same seq can arrive more
-//!   than once (a timed-out worker that was not actually dead, a range
-//!   completed by both the original and the reassigned lease); the ledger
-//!   keeps the first outcome per seq, which is safe because design-point
-//!   outcomes are deterministic. Once complete, [`MergeLedger::to_shard`]
-//!   assembles the exact full-sweep [`DseShard`] a single-process run
-//!   would have produced — rendering it is byte-identical by
-//!   construction.
+//! Completed records go into the job's [`MergeLedger`], the seq-keyed
+//! assembly every sweep's shard comes out of (see [`crate::dse::shard`]).
+//! At-least-once execution means the same seq can arrive more than once
+//! (a timed-out worker that was not actually dead, a range completed by
+//! both the original and the reassigned lease); there as everywhere the
+//! first outcome per seq wins, which is safe because design-point
+//! outcomes are deterministic. Once complete, the ledger assembles the
+//! exact full-sweep shard a single-process run would have produced, so
+//! rendering it is byte-identical by construction.
 //!
-//! Both types are pure state machines (no I/O, no wall clock), which is
+//! The table is a pure state machine (no I/O, no wall clock), which is
 //! what `tests/serve_protocol.rs` leans on: arbitrary join/leave/timeout
 //! event sequences must keep leased ranges disjoint and eventually cover
 //! every seq exactly once.
@@ -34,7 +34,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::dse::shard::{DseShard, ShardHeader, ShardOutcome, ShardRecord};
+use crate::dse::shard::{MergeLedger, ShardRecord};
 
 /// A contiguous run of canonical sweep sequence numbers: `start`
 /// inclusive, `end` exclusive.
@@ -236,7 +236,7 @@ impl LeaseTable {
         let range = self.items[*self.by_lease.get(&lease)?].range;
         let mut completion = Completion::default();
         for record in records {
-            if !range.contains(record.seq) || !ledger.header.mode.admits(&record.outcome) {
+            if !range.contains(record.seq) || !ledger.header().mode.admits(&record.outcome) {
                 completion.rejected += 1;
             } else if ledger.insert(record.clone()) {
                 completion.fresh.push(record);
@@ -295,95 +295,10 @@ pub struct Completion {
     pub done: bool,
 }
 
-/// Incremental, seq-keyed merge of completed design-point records. See
-/// the module docs: first outcome per seq wins, duplicates are counted
-/// and dropped, and the completed ledger reassembles the exact
-/// single-process shard.
-pub struct MergeLedger {
-    header: ShardHeader,
-    outcomes: BTreeMap<u64, ShardOutcome>,
-    duplicates: u64,
-}
-
-impl MergeLedger {
-    /// An empty ledger for the sweep identified by `header` (the
-    /// coordinator always merges toward the full, unsharded shard).
-    pub fn new(header: ShardHeader) -> MergeLedger {
-        MergeLedger {
-            header,
-            outcomes: BTreeMap::new(),
-            duplicates: 0,
-        }
-    }
-
-    /// The sweep this ledger merges.
-    pub fn header(&self) -> &ShardHeader {
-        &self.header
-    }
-
-    /// Records one completed design point. Returns `true` when the seq
-    /// was fresh, `false` for a duplicate (which is dropped: outcomes are
-    /// deterministic, so the first one is as good as any).
-    pub fn insert(&mut self, record: ShardRecord) -> bool {
-        use std::collections::btree_map::Entry;
-        match self.outcomes.entry(record.seq) {
-            Entry::Vacant(v) => {
-                v.insert(record.outcome);
-                true
-            }
-            Entry::Occupied(_) => {
-                self.duplicates += 1;
-                false
-            }
-        }
-    }
-
-    /// Seqs recorded so far.
-    pub fn len(&self) -> u64 {
-        self.outcomes.len() as u64
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// Duplicate completions dropped so far.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
-    }
-
-    /// True when `seq` has already been recorded.
-    pub fn contains(&self, seq: u64) -> bool {
-        self.outcomes.contains_key(&seq)
-    }
-
-    /// True when every design point of the sweep is recorded.
-    pub fn is_complete(&self) -> bool {
-        self.len() == self.header.total_configs
-    }
-
-    /// Assembles the (possibly still partial) shard: the header plus the
-    /// records so far in canonical order. For a complete ledger this is
-    /// exactly the shard a single-process `mamps dse` run produces, so its
-    /// JSONL bytes and its report ([`DseShard::render`]) match byte for
-    /// byte.
-    pub fn to_shard(&self) -> DseShard {
-        let records = self.outcomes.iter().map(|(&seq, outcome)| ShardRecord {
-            seq,
-            outcome: outcome.clone(),
-        });
-        DseShard {
-            header: self.header.clone(),
-            records: records.collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dse::shard::{ShardSpec, SweepMode, SweepSignature};
+    use crate::dse::shard::{ShardHeader, ShardOutcome, ShardSpec, SweepMode, SweepSignature};
     use crate::dse::SkippedPoint;
 
     fn ranges(table: &LeaseTable) -> Vec<(SeqRange, ItemState)> {
@@ -527,20 +442,5 @@ mod tests {
             (ledger.len(), ledger.duplicates(), table.pending()),
             (2, 1, 1)
         );
-    }
-
-    #[test]
-    fn ledger_dedups_by_seq_and_completes() {
-        let mut ledger = MergeLedger::new(header(3));
-        assert!(ledger.insert(record(1)));
-        assert!(ledger.insert(record(0)));
-        assert!(!ledger.insert(record(1)), "duplicate seq must be dropped");
-        assert_eq!((ledger.len(), ledger.duplicates()), (2, 1));
-        assert!(!ledger.is_complete());
-        assert!(ledger.insert(record(2)));
-        assert!(ledger.is_complete());
-        // Records come back in canonical seq order regardless of arrival.
-        let seqs: Vec<u64> = ledger.to_shard().records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
     }
 }

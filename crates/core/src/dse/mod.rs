@@ -123,9 +123,9 @@ pub struct DseReport {
     pub skipped: Vec<SkippedPoint>,
 }
 
-/// One platform configuration of a sweep: tile count, interconnect kind
-/// and its instantiation, and the binding strategy.
-pub(crate) type SweepConfig = (usize, &'static str, Interconnect, Binder);
+/// One platform configuration of a sweep: tile count, interconnect (its
+/// [`Interconnect::kind_name`] names it in reports) and binding strategy.
+pub(crate) type SweepConfig = (usize, Interconnect, Binder);
 
 /// Runs the flow for one sweep configuration on the architecture
 /// [`crate::flow::run_flow`] would generate, through the boot run. The
@@ -133,7 +133,7 @@ pub(crate) type SweepConfig = (usize, &'static str, Interconnect, Binder);
 /// platform check raises every generation error the render could meet.
 pub(crate) fn evaluate_dse_config(
     app: &ApplicationModel,
-    (tiles, name, ic, strategy): &SweepConfig,
+    (tiles, ic, strategy): &SweepConfig,
     opts: &FlowOptions,
 ) -> Result<DsePoint, SkippedPoint> {
     let mut point_opts = opts.clone();
@@ -147,7 +147,7 @@ pub(crate) fn evaluate_dse_config(
             let cross_links = app
                 .graph()
                 .channels()
-                .filter(|(_, c)| !c.is_self_edge() && binding.crosses_tiles(c.src(), c.dst()))
+                .filter(|(_, c)| binding.cross_tiles(c).is_some())
                 .count();
             let area = platform_area(&arch, cross_links);
             let mut per_tile_load = vec![0u64; arch.tile_count()];
@@ -158,7 +158,7 @@ pub(crate) fn evaluate_dse_config(
             }
             Ok(DsePoint {
                 tiles: *tiles,
-                interconnect: name,
+                interconnect: ic.kind_name(),
                 strategy: mapped.strategy,
                 guaranteed: mapped.analysis.as_f64(),
                 slices: area.total.slices,
@@ -168,7 +168,7 @@ pub(crate) fn evaluate_dse_config(
         }
         Err(e) => Err(SkippedPoint {
             tiles: *tiles,
-            interconnect: name,
+            interconnect: ic.kind_name(),
             strategy: strategy.name(),
             reason: e.to_string(),
         }),
@@ -266,15 +266,14 @@ pub(crate) fn use_case_context(apps: &[ApplicationModel]) -> UseCaseContext {
 pub(crate) fn evaluate_use_case_config(
     apps: &[ApplicationModel],
     ctx: &UseCaseContext,
-    (tiles, name, ic, strategy): &SweepConfig,
+    (tiles, ic, strategy): &SweepConfig,
     opts: &FlowOptions,
 ) -> UseCasePoint {
     use mamps_mapping::multi::map_use_case;
-    use mamps_platform::arch::Architecture;
 
     let mut point = UseCasePoint {
         tiles: *tiles,
-        interconnect: name,
+        interconnect: ic.kind_name(),
         strategy: strategy.name(),
         admitted: Vec::new(),
         rejected: Vec::new(),
@@ -288,7 +287,7 @@ pub(crate) fn evaluate_use_case_config(
             return point;
         }
     };
-    let arch = match Architecture::homogeneous("auto", *tiles, *ic) {
+    let arch = match Architecture::homogeneous(AUTO_ARCH_NAME, *tiles, *ic) {
         Ok(a) => a,
         Err(e) => {
             point.rejected = apps
@@ -320,10 +319,9 @@ pub(crate) fn evaluate_use_case_config(
         .iter()
         .map(|a| {
             let g = uc.apps()[a.index].graph();
+            let binding = &a.mapped.mapping.binding;
             g.channels()
-                .filter(|(_, c)| {
-                    !c.is_self_edge() && a.mapped.mapping.binding.crosses_tiles(c.src(), c.dst())
-                })
+                .filter(|(_, c)| binding.cross_tiles(c).is_some())
                 .count()
         })
         .sum();
@@ -639,7 +637,7 @@ mod tests {
             true,
             &FlowOptions::default(),
         );
-        let reason = "generation step failed: cannot generate platform: tile tile0 \
+        let reason = "generation step failed: cannot generate platform: tile 0 \
                       needs 266240 + 8192 bytes, exceeding the 262144-byte limit";
         let skipped: Vec<_> = report
             .skipped

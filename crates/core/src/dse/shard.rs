@@ -19,14 +19,20 @@
 //!    total design-point count, plus one seq-tagged record per evaluated
 //!    point. [`DseShard::to_jsonl`] / [`DseShard::from_jsonl`] move it
 //!    through files — one JSON object per line, first line the header.
-//! 3. **Merging.** [`merge_reports`] validates that the shard files come
-//!    from the same sweep and form a complete, non-overlapping partition,
-//!    and restores the canonical evaluation order by sequence number — so
-//!    the merged shard is equal to the unsharded one, and
-//!    [`DseShard::render`] prints it byte-for-byte identically. Pareto
-//!    fronts are *not* merged per shard: the merged shard carries all
-//!    points, and rendering recomputes the global front per strategy.
+//! 3. **Assembly.** Every shard a sweep produces comes out of a
+//!    [`MergeLedger`]: records keyed by seq, the first outcome per seq
+//!    kept, listed in canonical order. [`Sweep::run`] absorbs its resume
+//!    files and inserts what it evaluates; [`merge_reports`] checks that
+//!    the shard files come from one sweep and form a complete,
+//!    non-overlapping partition, then absorbs them all; the
+//!    [`crate::serve`] coordinator absorbs its spool and inserts its
+//!    workers' completions. So merged, resumed and served shards equal
+//!    the unsharded one, and [`DseShard::render`] prints them
+//!    byte-for-byte identically. Pareto fronts are *not* merged per
+//!    shard: the merged shard carries all points, and rendering
+//!    recomputes the global front per strategy.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::str::FromStr;
 
@@ -541,6 +547,16 @@ fn header_identity(h: &ShardHeader) -> String {
     )
 }
 
+impl ShardHeader {
+    /// True when `other` belongs to the same sweep: mode, signature and
+    /// design-point count agree. The two shard specs may differ.
+    fn same_sweep(&self, other: &ShardHeader) -> bool {
+        self.mode == other.mode
+            && self.signature == other.signature
+            && self.total_configs == other.total_configs
+    }
+}
+
 /// Merges shard results into the full (0/1) shard of the sweep, in
 /// canonical seq order. It is equal to the unsharded run's shard, so its
 /// report — every global figure, the per-strategy Pareto front included,
@@ -555,11 +571,7 @@ pub fn merge_reports(shards: &[DseShard]) -> Result<DseShard, MergeError> {
     let reference = &first.header;
     for s in &shards[1..] {
         let h = &s.header;
-        if h.mode != reference.mode
-            || h.signature != reference.signature
-            || h.total_configs != reference.total_configs
-            || h.shard.count != reference.shard.count
-        {
+        if !h.same_sweep(reference) || h.shard.count != reference.shard.count {
             return Err(MergeError::SweepMismatch {
                 expected: header_identity(reference),
                 found: header_identity(h),
@@ -595,26 +607,24 @@ pub fn merge_reports(shards: &[DseShard]) -> Result<DseShard, MergeError> {
         return Err(MergeError::MissingShards { missing, count });
     }
 
-    // Restore the canonical evaluation order and check exact coverage.
-    let mut records: Vec<&ShardRecord> = shards.iter().flat_map(|s| &s.records).collect();
-    records.sort_by_key(|r| r.seq);
-    let total = reference.total_configs;
-    let exact =
-        records.len() as u64 == total && records.iter().enumerate().all(|(i, r)| r.seq == i as u64);
-    if !exact {
-        return Err(MergeError::IncompleteSweep {
-            covered: records.len() as u64,
-            total,
-        });
+    // Every design point exactly once: the full-sweep ledger holds each
+    // seq, and no record was left over.
+    let mut ledger = MergeLedger::new(ShardHeader {
+        shard: ShardSpec::full(),
+        ..reference.clone()
+    });
+    let mut covered = 0;
+    for s in shards {
+        ledger
+            .absorb(s)
+            .expect("every shard was checked to be of this sweep");
+        covered += s.records.len() as u64;
     }
-
-    Ok(DseShard {
-        header: ShardHeader {
-            shard: ShardSpec::full(),
-            ..reference.clone()
-        },
-        records: records.into_iter().cloned().collect(),
-    })
+    let total = reference.total_configs;
+    if covered != total || !ledger.is_complete() {
+        return Err(MergeError::IncompleteSweep { covered, total });
+    }
+    Ok(ledger.into_shard())
 }
 
 /// Errors seeding a sweep from partial shard files (`mamps dse --resume`).
@@ -644,35 +654,133 @@ impl fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-/// Collects the already-evaluated outcomes a resumed sweep can reuse:
-/// every record of `resume` whose seq the current shard owns. The resume
-/// shards' own shard specs are deliberately *not* matched against the
-/// current one — resuming a `0/1` full sweep from the partials of a
-/// crashed 4-way sharded run (or vice versa) is valid, because records
-/// carry their canonical seq and outcomes are deterministic.
-pub(crate) fn seed_outcomes(
-    expected: &ShardHeader,
-    resume: &[DseShard],
-) -> Result<std::collections::BTreeMap<u64, ShardOutcome>, ResumeError> {
-    let mut seeded = std::collections::BTreeMap::new();
-    for s in resume {
-        let h = &s.header;
-        if h.mode != expected.mode
-            || h.signature != expected.signature
-            || h.total_configs != expected.total_configs
-        {
+/// The seq-keyed assembly of one shard's records: every [`DseShard`] a
+/// sweep produces comes out of one. [`Sweep::run`] absorbs its resume
+/// files and inserts what it evaluates, [`merge_reports`] absorbs every
+/// shard file into a full-sweep ledger, and the [`crate::serve`]
+/// coordinator absorbs its spool and inserts its workers' completions
+/// ([`crate::dse::lease::LeaseTable::accept`]). The first outcome per seq
+/// wins and later ones are dropped, which is safe because design-point
+/// outcomes are deterministic. The shard lists its records in canonical
+/// seq order, so one set of outcomes, however it arrived, gives one shard
+/// and one report.
+pub struct MergeLedger {
+    header: ShardHeader,
+    outcomes: BTreeMap<u64, ShardOutcome>,
+    duplicates: u64,
+}
+
+impl MergeLedger {
+    /// An empty ledger for the shard of the sweep identified by `header`.
+    pub fn new(header: ShardHeader) -> MergeLedger {
+        MergeLedger {
+            header,
+            outcomes: BTreeMap::new(),
+            duplicates: 0,
+        }
+    }
+
+    /// The shard this ledger assembles.
+    pub fn header(&self) -> &ShardHeader {
+        &self.header
+    }
+
+    /// Absorbs the records of `file` that this ledger's shard owns, seqs
+    /// past the end of the sweep excluded; a seq already recorded keeps
+    /// its outcome. The file's own shard spec is deliberately not matched
+    /// against the ledger's: resuming a full sweep from the partials of a
+    /// crashed 4-way sharded run (or vice versa) is valid, because records
+    /// carry their canonical seq. A repeated seq is not counted as a
+    /// [`MergeLedger::duplicates`] completion.
+    ///
+    /// # Errors
+    ///
+    /// [`ResumeError::SweepMismatch`], with nothing absorbed, when `file`
+    /// belongs to a different sweep: its mode, [`SweepSignature`] or
+    /// design-point count disagrees.
+    pub fn absorb(&mut self, file: &DseShard) -> Result<(), ResumeError> {
+        if !file.header.same_sweep(&self.header) {
             return Err(ResumeError::SweepMismatch {
-                expected: header_identity(expected),
-                found: header_identity(h),
+                expected: header_identity(&self.header),
+                found: header_identity(&file.header),
             });
         }
-        for r in &s.records {
-            if expected.shard.owns(r.seq) {
-                seeded.insert(r.seq, r.outcome.clone());
+        let (shard, total) = (self.header.shard, self.header.total_configs);
+        for r in &file.records {
+            if r.seq < total && shard.owns(r.seq) {
+                self.outcomes
+                    .entry(r.seq)
+                    .or_insert_with(|| r.outcome.clone());
+            }
+        }
+        Ok(())
+    }
+
+    /// Records one completed design point. Returns `true` when the seq
+    /// was fresh, `false` for a duplicate (which is dropped and counted).
+    pub fn insert(&mut self, record: ShardRecord) -> bool {
+        match self.outcomes.entry(record.seq) {
+            Entry::Vacant(v) => {
+                v.insert(record.outcome);
+                true
+            }
+            Entry::Occupied(_) => {
+                self.duplicates += 1;
+                false
             }
         }
     }
-    Ok(seeded)
+
+    /// Seqs recorded so far.
+    pub fn len(&self) -> u64 {
+        self.outcomes.len() as u64
+    }
+
+    /// True when nothing has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.outcomes.is_empty()
+    }
+
+    /// Duplicate completions [`MergeLedger::insert`] dropped so far.
+    pub fn duplicates(&self) -> u64 {
+        self.duplicates
+    }
+
+    /// True when `seq` has already been recorded.
+    pub fn contains(&self, seq: u64) -> bool {
+        self.outcomes.contains_key(&seq)
+    }
+
+    /// True when every design point of the sweep is recorded.
+    pub fn is_complete(&self) -> bool {
+        self.len() == self.header.total_configs
+    }
+
+    /// The (possibly still partial) shard: the header plus the records so
+    /// far in canonical order. A complete full-sweep ledger gives exactly
+    /// the shard a single-process `mamps dse` run produces, so its JSONL
+    /// bytes and its report ([`DseShard::render`]) match byte for byte.
+    pub fn to_shard(&self) -> DseShard {
+        let records = self.outcomes.iter().map(|(&seq, outcome)| ShardRecord {
+            seq,
+            outcome: outcome.clone(),
+        });
+        DseShard {
+            header: self.header.clone(),
+            records: records.collect(),
+        }
+    }
+
+    /// [`MergeLedger::to_shard`], moving the records out.
+    pub fn into_shard(self) -> DseShard {
+        let records = self.outcomes.into_iter();
+        DseShard {
+            header: self.header,
+            records: records
+                .map(|(seq, outcome)| ShardRecord { seq, outcome })
+                .collect(),
+        }
+    }
 }
 
 /// Largest tile count a sweep may hold: the 64×64 mesh that
@@ -759,10 +867,9 @@ impl Sweep {
         let mut configs: Vec<SweepConfig> = Vec::new();
         for strategy in &strategies {
             for &tiles in tile_counts {
-                configs.push((tiles, "fsl", Interconnect::fsl(), *strategy));
+                configs.push((tiles, Interconnect::fsl(), *strategy));
                 if include_noc {
-                    let noc = Interconnect::noc_for_tiles(tiles);
-                    configs.push((tiles, "noc", noc, *strategy));
+                    configs.push((tiles, Interconnect::noc_for_tiles(tiles), *strategy));
                 }
             }
         }
@@ -824,11 +931,11 @@ impl Sweep {
     }
 
     /// Runs the design points `shard` owns (`--shard i/n` owns the seqs
-    /// with `seq % n == i`; [`ShardSpec::full`] owns them all). The owned
-    /// records of `resume` — partial shard files of a crashed or killed
-    /// run of the same sweep, sharded alike or not — seed the run and are
-    /// not evaluated again. Outcomes are deterministic, so the result is
-    /// identical to a cold run's.
+    /// with `seq % n == i`; [`ShardSpec::full`] owns them all) through a
+    /// [`MergeLedger`]. It absorbs `resume` — partial shard files of a
+    /// crashed or killed run of the same sweep, sharded alike or not —
+    /// and evaluates only the owned seqs still missing. Outcomes are
+    /// deterministic, so the result is identical to a cold run's.
     ///
     /// # Errors
     ///
@@ -839,23 +946,19 @@ impl Sweep {
         resume: &[DseShard],
         opts: &FlowOptions,
     ) -> Result<DseShard, ResumeError> {
-        let header = ShardHeader {
+        let mut ledger = MergeLedger::new(ShardHeader {
             shard,
             ..self.header.clone()
-        };
-        let mut outcomes = seed_outcomes(&header, resume)?;
-        let todo =
-            (0..header.total_configs).filter(|seq| shard.owns(*seq) && !outcomes.contains_key(seq));
-        for r in self.evaluate(todo, opts) {
-            outcomes.insert(r.seq, r.outcome);
+        });
+        for file in resume {
+            ledger.absorb(file)?;
         }
-        Ok(DseShard {
-            header,
-            records: outcomes
-                .into_iter()
-                .map(|(seq, outcome)| ShardRecord { seq, outcome })
-                .collect(),
-        })
+        let todo =
+            (0..self.header.total_configs).filter(|&seq| shard.owns(seq) && !ledger.contains(seq));
+        for record in self.evaluate(todo, opts) {
+            ledger.insert(record);
+        }
+        Ok(ledger.into_shard())
     }
 }
 
@@ -1041,6 +1144,50 @@ mod tests {
     }
 
     #[test]
+    fn ledger_keeps_the_first_outcome_per_seq() {
+        let s = sweep(&[1, 2]);
+        let full = cold(&s);
+        let r = &full.records;
+        // Completions out of order, one seq twice with another outcome.
+        let mut ledger = MergeLedger::new(s.header().clone());
+        assert!(ledger.insert(r[1].clone()));
+        assert!(ledger.insert(r[0].clone()));
+        let again = ShardRecord {
+            seq: 1,
+            outcome: r[3].outcome.clone(),
+        };
+        assert!(!ledger.insert(again), "a duplicate seq must be dropped");
+        assert_eq!((ledger.len(), ledger.duplicates()), (2, 1));
+        assert!(!ledger.is_complete());
+        // A file: a recorded seq keeps its outcome, a seq past the end is
+        // dropped, and neither counts as a duplicate completion.
+        let mut file = full.clone();
+        file.records[0].outcome = r[3].outcome.clone();
+        file.records.push(ShardRecord {
+            seq: 4,
+            outcome: r[2].outcome.clone(),
+        });
+        ledger.absorb(&file).unwrap();
+        assert_eq!((ledger.len(), ledger.duplicates()), (4, 1));
+        assert!(ledger.is_complete());
+        assert_eq!(ledger.to_shard(), full);
+        assert_eq!(ledger.into_shard(), full);
+        // A shard's ledger keeps the seqs its shard owns.
+        let odd = ShardHeader {
+            shard: ShardSpec::new(1, 2).unwrap(),
+            ..s.header().clone()
+        };
+        let mut ledger = MergeLedger::new(odd);
+        ledger.absorb(&full).unwrap();
+        assert_eq!(ledger.into_shard(), sharded(&s, 2).swap_remove(1));
+        // Another sweep's file is refused whole.
+        let mut ledger = MergeLedger::new(s.header().clone());
+        let foreign = ledger.absorb(&cold(&sweep(&[1, 2, 3])));
+        assert!(matches!(foreign, Err(ResumeError::SweepMismatch { .. })));
+        assert!(ledger.is_empty());
+    }
+
+    #[test]
     fn evaluate_skips_seqs_past_the_end_of_the_sweep() {
         let s = sweep(&[1, 2]);
         let opts = FlowOptions::default();
@@ -1101,12 +1248,26 @@ mod tests {
 
     #[test]
     fn merge_rejects_truncated_shards() {
-        let mut shards = sharded(&sweep(&[1, 2, 3]), 2);
-        shards[1].records.pop();
-        assert!(matches!(
-            merge_reports(&shards),
-            Err(MergeError::IncompleteSweep { .. })
-        ));
+        // A truncated file, a record that appears twice, and a record
+        // whose seq lies past the end of the sweep in place of an owned
+        // one: `covered` counts the records passed in.
+        let shards = sharded(&sweep(&[1, 2, 3]), 2);
+        let total = shards[0].header.total_configs;
+        let mut truncated = shards.clone();
+        truncated[1].records.pop();
+        let mut repeated = shards.clone();
+        let again = repeated[0].records[0].clone();
+        repeated[0].records.push(again);
+        let mut past_end = shards.clone();
+        past_end[0].records.last_mut().unwrap().seq = total;
+        for (bad, covered) in [
+            (truncated, total - 1),
+            (repeated, total + 1),
+            (past_end, total),
+        ] {
+            let err = MergeError::IncompleteSweep { covered, total };
+            assert_eq!(merge_reports(&bad), Err(err));
+        }
     }
 
     #[test]
@@ -1161,14 +1322,23 @@ mod tests {
         // A crashed 3-way sharded sweep's partials seed an unsharded
         // resume, and the unsharded run seeds a shard: every record
         // carries its canonical seq, so shard geometry does not matter.
-        let s = sweep(&[1, 2, 3]);
+        // Nor does overlap: a truncated full run and shard 1/3 share seqs.
         let opts = FlowOptions::default();
-        let cold = cold(&s);
-        let partials = sharded(&s, 3);
-        assert_eq!(s.run(ShardSpec::full(), &partials, &opts).unwrap(), cold);
-        let spec = ShardSpec::new(1, 3).unwrap();
-        let reseeded = s.run(spec, std::slice::from_ref(&cold), &opts).unwrap();
-        assert_eq!(reseeded, partials[1]);
+        for s in both_modes() {
+            let mode = s.header().mode;
+            let cold = cold(&s);
+            let partials = sharded(&s, 3);
+            let resumed = s.run(ShardSpec::full(), &partials, &opts).unwrap();
+            assert_eq!(resumed, cold, "{mode}");
+            let spec = ShardSpec::new(1, 3).unwrap();
+            let reseeded = s.run(spec, std::slice::from_ref(&cold), &opts).unwrap();
+            assert_eq!(reseeded, partials[1], "{mode}");
+            let mut torn = cold.clone();
+            torn.records.truncate(cold.records.len() / 2);
+            let overlapping = [torn, partials[1].clone()];
+            let resumed = s.run(ShardSpec::full(), &overlapping, &opts).unwrap();
+            assert_eq!(resumed, cold, "{mode}");
+        }
     }
 
     #[test]

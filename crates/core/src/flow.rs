@@ -82,7 +82,8 @@ pub struct StepTimings {
 const PROJECT_NAME: &str = "mamps_system";
 
 /// Name of the architecture [`run_flow`] generates. It is part of every
-/// `bind` pass key, so a sweep's design points use it too.
+/// `bind` pass key, so the design points of binder and use-case sweeps
+/// use it too.
 pub(crate) const AUTO_ARCH_NAME: &str = "auto";
 
 /// Iterations of the warm-up/validation run in the synthesis step.

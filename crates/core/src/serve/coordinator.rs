@@ -11,16 +11,18 @@
 //! 2. **Worker hang** (alive but stuck): the lease deadline passes and
 //!    the next fetch reverts the range; waiting fetchers look again at
 //!    least every 200 ms. If the stuck worker revives and completes after
-//!    all, the seq-keyed [`MergeLedger`] drops the duplicates —
-//!    at-least-once execution is safe because design-point outcomes are
-//!    deterministic.
+//!    all, the job's seq-keyed [`MergeLedger`] (the one assembly rule of
+//!    every sweep, in [`crate::dse::shard`]) keeps the first outcome and
+//!    drops the duplicates — at-least-once execution is safe because
+//!    design-point outcomes are deterministic.
 //! 3. **Coordinator death**: every accepted record is appended to the
 //!    job's *spool* (`job-<fingerprint>.jsonl` under `--state-dir`, in
 //!    shard-file format) before the lease completes, so even `kill -9`
 //!    leaves a file `from_jsonl_lossy` can resume. A graceful stop
 //!    additionally compacts the spools and persists the warm caches.
-//!    A restarted coordinator seeds a resubmitted sweep from its spool
-//!    and only evaluates what is missing.
+//!    A restarted coordinator absorbs a resubmitted sweep's spool into the
+//!    new job's ledger, as `mamps dse --resume` absorbs a resume file, and
+//!    only evaluates what is missing.
 //!
 //! The coordinator runs until its caller sets the stop flag passed to
 //! [`run_coordinator`]; `mamps dse-serve` sets it on SIGTERM/SIGINT. The
@@ -46,8 +48,8 @@ use std::time::{Duration, Instant};
 use mamps_sdf::{GlobalAnalysisCache, PassCache};
 
 use crate::dse::cache as dse_cache;
-use crate::dse::lease::{LeaseTable, MergeLedger};
-use crate::dse::shard::{push_line, seed_outcomes, DseShard, ShardRecord, ShardSpec};
+use crate::dse::lease::LeaseTable;
+use crate::dse::shard::{push_line, DseShard, MergeLedger, ShardRecord, ShardSpec};
 
 use super::protocol::{read_msg, write_msg, ClientMsg, JobStats, ServerMsg, SweepSpec};
 
@@ -370,7 +372,7 @@ fn handle_submit(shared: &Shared, writer: &mut UnixStream, spec: SweepSpec) -> s
             .cfg
             .state_dir
             .join(format!("job-{fingerprint:016x}.jsonl"));
-        let mut ledger = MergeLedger::new(header.clone());
+        let mut ledger = MergeLedger::new(header);
         match std::fs::read_to_string(&spool) {
             Ok(text) => match DseShard::from_jsonl_lossy(&text) {
                 Ok((old, dropped)) => {
@@ -380,16 +382,11 @@ fn handle_submit(shared: &Shared, writer: &mut UnixStream, spec: SweepSpec) -> s
                             spool.display()
                         );
                     }
-                    match seed_outcomes(&header, std::slice::from_ref(&old)) {
-                        Ok(seeded) => {
-                            for (seq, outcome) in seeded {
-                                ledger.insert(ShardRecord { seq, outcome });
-                            }
-                        }
-                        Err(e) => eprintln!(
+                    if let Err(e) = ledger.absorb(&old) {
+                        eprintln!(
                             "dse-serve: ignoring mismatched spool {}: {e}",
                             spool.display()
-                        ),
+                        );
                     }
                 }
                 Err(e) => {

@@ -13,8 +13,9 @@
 //!   Unix socket, accepts sweep submissions, partitions each sweep's
 //!   canonical seq space into leased ranges
 //!   ([`crate::dse::lease::LeaseTable`]), merges completed records
-//!   incrementally ([`crate::dse::lease::MergeLedger`]), and keeps one
-//!   warm analysis + pass cache across all submissions. It runs until
+//!   incrementally into a [`crate::dse::shard::MergeLedger`] (the ledger
+//!   `mamps dse` and `dse-merge` assemble their shards with), and keeps
+//!   one warm analysis + pass cache across all submissions. It runs until
 //!   its caller sets a stop flag: `mamps dse-serve` sets it on
 //!   SIGTERM/SIGINT, and tests run coordinators in-process, since the
 //!   module keeps no process-global state.
@@ -36,14 +37,15 @@
 //!
 //! Leases time out and are reassigned; a disconnected worker's leases
 //! revert immediately; duplicate completions from at-least-once
-//! execution are dropped by the seq-keyed merge (safe because outcomes
-//! are deterministic); and every accepted record is spooled to a
+//! execution are dropped by the seq-keyed ledger, where the first outcome
+//! per seq wins as in every sweep (safe because outcomes are
+//! deterministic); and every accepted record is spooled to a
 //! shard-format JSONL under `--state-dir` before its lease completes, so
 //! even a `kill -9`'d coordinator leaves a resumable file a restarted
 //! coordinator seeds from. The final merged report is byte-identical to
 //! single-process `mamps dse` by construction (same header, same
-//! records, same renderer) — `scripts/serve_fault.sh` enforces exactly
-//! that under injected faults, in CI.
+//! records, same ledger, same renderer) — `scripts/serve_fault.sh`
+//! enforces exactly that under injected faults, in CI.
 
 pub mod coordinator;
 pub mod protocol;

@@ -117,16 +117,9 @@ impl Occupancy {
             self.tile_buf[t] += bytes;
         }
         for (cid, ch) in graph.channels() {
-            if ch.is_self_edge() || !binding.crosses_tiles(ch.src(), ch.dst()) {
-                continue;
-            }
             let wires = mapping.channels[cid.0].wires;
-            if wires > 0 {
-                self.connections.push((
-                    binding.tile_of[ch.src().0],
-                    binding.tile_of[ch.dst().0],
-                    wires,
-                ));
+            if let Some((from, to)) = binding.cross_tiles(ch).filter(|_| wires > 0) {
+                self.connections.push((from, to, wires));
             }
         }
         Ok(())

@@ -64,12 +64,12 @@ pub fn posting_overhead(
     if tile.kind().pe_moves_tokens() {
         return 0;
     }
-    // Self-edges aside, a channel is outgoing exactly when `actor` is its
-    // source.
+    // A crossing channel is no self-edge, so it is outgoing exactly when
+    // `actor` is its source.
     let mut tokens = 0;
     for &cid in graph.outgoing(actor).iter().chain(graph.incoming(actor)) {
         let ch = graph.channel(cid);
-        if !ch.is_self_edge() && binding.crosses_tiles(ch.src(), ch.dst()) {
+        if binding.cross_tiles(ch).is_some() {
             tokens += if ch.src() == actor {
                 ch.production_rate()
             } else {
@@ -130,7 +130,7 @@ pub fn expand(
         let src = actor_ids[ch.src().0];
         let dst = actor_ids[ch.dst().0];
         let alloc: &ChannelAlloc = &mapping.channels[cid.0];
-        if ch.is_self_edge() || !binding.crosses_tiles(ch.src(), ch.dst()) {
+        let Some((from, to)) = binding.cross_tiles(ch) else {
             // Local channel: keep it, add the buffer-capacity reverse edge.
             b.add_channel_full(
                 ch.name(),
@@ -159,7 +159,7 @@ pub fn expand(
                 );
             }
             continue;
-        }
+        };
 
         // Cross-tile channel: full Fig. 4 expansion.
         let n_words = words_per_token(ch.token_size());
@@ -182,14 +182,8 @@ pub fn expand(
                 alloc.alpha_dst
             )));
         }
-        let src_tile = arch.tile(binding.tile_of[ch.src().0]);
-        let dst_tile = arch.tile(binding.tile_of[ch.dst().0]);
-        let params = CommParams::for_connection(
-            arch.interconnect(),
-            binding.tile_of[ch.src().0],
-            binding.tile_of[ch.dst().0],
-            alloc.wires,
-        );
+        let (src_tile, dst_tile) = (arch.tile(from), arch.tile(to));
+        let params = CommParams::for_connection(arch.interconnect(), from, to, alloc.wires);
 
         let name = ch.name();
         let frag = b.add_actor(format!("{name}__frag"), 0);

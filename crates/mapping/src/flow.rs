@@ -20,16 +20,15 @@
 //! are shared with the genetic binder's fitness ([`crate::strategy`]) and
 //! the shared-system verification of [`crate::multi`].
 
-use std::convert::Infallible;
 use std::sync::Arc;
 
 use mamps_platform::arch::Architecture;
-use mamps_sdf::buffer::{capacity_lower_bound, grow_step};
+use mamps_sdf::buffer::capacity_lower_bound;
 use mamps_sdf::cache::GlobalAnalysisCache;
 use mamps_sdf::graph::SdfGraph;
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::passes::{timed, Fingerprint, PassRunner};
-use mamps_sdf::ratio::gcd;
+use mamps_sdf::ratio::{gcd, Ratio};
 use mamps_sdf::state_space::{throughput, AnalysisOptions, ThroughputResult};
 use mamps_sdf::SdfError;
 use serde::{Deserialize, Serialize, Value};
@@ -155,11 +154,9 @@ pub(crate) fn allocate_wires(
     let mut wires = vec![0u32; graph.channel_count()];
     if let Some(mut alloc) = occupancy.wire_allocator(arch)? {
         for (cid, ch) in graph.channels() {
-            if ch.is_self_edge() || !binding.crosses_tiles(ch.src(), ch.dst()) {
+            let Some((from, to)) = binding.cross_tiles(ch) else {
                 continue;
-            }
-            let from = binding.tile_of[ch.src().0];
-            let to = binding.tile_of[ch.dst().0];
+            };
             let want = WIRES_PER_CONNECTION
                 .min(alloc.max_allocatable(from, to))
                 .max(1);
@@ -272,7 +269,7 @@ fn growth_moves(graph: &SdfGraph, binding: &Binding) -> Vec<(usize, Buffer, u64)
         let (p, c) = (ch.production_rate(), ch.consumption_rate());
         if ch.is_self_edge() {
             continue;
-        } else if binding.crosses_tiles(ch.src(), ch.dst()) {
+        } else if binding.cross_tiles(ch).is_some() {
             moves.push((cid.0, Buffer::Src, p));
             moves.push((cid.0, Buffer::Dst, c));
         } else {
@@ -295,6 +292,40 @@ fn grow_buffer(m: &mut Mapping, &(idx, buffer, step): &(usize, Buffer, u64), und
     } else {
         *field += step;
     }
+}
+
+/// One step of the greedy growth, the rule of the `buffer-size` search.
+///
+/// Grows `m` by each of `moves` in order, probes the grown mapping and
+/// reverts the move. Then grows `m` by the first move whose probed
+/// throughput is strictly the highest and strictly above `current`, and
+/// returns that move's analysis. Returns `None` and leaves `m` untouched
+/// when no move improves on `current`. `probe` returns `None` to skip a
+/// candidate. Each move is probed once, so a step never analyses the same
+/// distribution twice.
+fn grow_step(
+    m: &mut Mapping,
+    moves: &[(usize, Buffer, u64)],
+    current: Ratio,
+    mut probe: impl FnMut(&Mapping) -> Option<ThroughputResult>,
+) -> Option<ThroughputResult> {
+    let mut best: Option<(&(usize, Buffer, u64), ThroughputResult)> = None;
+    for mv in moves {
+        grow_buffer(m, mv, false);
+        let probed = probe(m);
+        grow_buffer(m, mv, true);
+        if let Some(t) = probed {
+            let bar = best
+                .as_ref()
+                .map_or(current, |(_, b)| b.iterations_per_cycle);
+            if t.iterations_per_cycle > bar {
+                best = Some((mv, t));
+            }
+        }
+    }
+    let (mv, t) = best?;
+    grow_buffer(m, mv, false);
+    Some(t)
 }
 
 /// Maps `app` onto `arch`: the automated "Mapping (SDF3)" step of Table 1,
@@ -387,17 +418,9 @@ pub fn map_application(
                 if target.is_some_and(|t| current.iterations_per_cycle >= t) {
                     break;
                 }
-                let Ok(Some(next)) = grow_step(
-                    &mut m,
-                    &moves,
-                    current.iterations_per_cycle,
-                    grow_buffer,
-                    |m| {
-                        let probe = expand_and_analyse(&wcet_graph, m, arch, cache);
-                        Ok::<_, Infallible>(probe.ok().and_then(Result::ok))
-                    },
-                    |r| r.iterations_per_cycle,
-                ) else {
+                let Some(next) = grow_step(&mut m, &moves, current.iterations_per_cycle, |m| {
+                    expand_and_analyse(&wcet_graph, m, arch, cache).ok()?.ok()
+                }) else {
                     break; // saturated
                 };
                 current = next;
@@ -432,7 +455,6 @@ mod tests {
     use mamps_sdf::graph::SdfGraphBuilder;
     use mamps_sdf::model::{HomogeneousModelBuilder, ThroughputConstraint};
     use mamps_sdf::passes::{fingerprint, PassCache};
-    use mamps_sdf::ratio::Ratio;
 
     fn pipeline_app(wcets: &[u64], token_size: u64) -> ApplicationModel {
         let n = wcets.len();
@@ -692,6 +714,58 @@ mod tests {
             first.mapping.binding.wcet_of,
             second.mapping.binding.wcet_of
         );
+    }
+
+    /// One growth step over `rates.len()` channels at zero allocation and
+    /// one move per channel growing its local capacity, with a probe that
+    /// reports `rates[i]` for the mapping whose channel `i` grew: the
+    /// step's throughput and every channel's local capacity after it.
+    fn grow_once(rates: &[Ratio], current: Ratio) -> (Option<Ratio>, Vec<u64>) {
+        let empty = ChannelAlloc {
+            wires: 0,
+            alpha_src: 0,
+            alpha_dst: 0,
+            local_capacity: 0,
+        };
+        let mut m = Mapping {
+            binding: Binding {
+                tile_of: Vec::new(),
+                processor_of: Vec::new(),
+                wcet_of: Vec::new(),
+            },
+            schedules: Vec::new(),
+            rounds_per_iteration: Vec::new(),
+            channels: vec![empty; rates.len()],
+            guaranteed_iterations: 0,
+            guaranteed_cycles: 1,
+        };
+        let moves: Vec<_> = (0..rates.len()).map(|i| (i, Buffer::Local, 1)).collect();
+        let best = grow_step(&mut m, &moves, current, |m| {
+            let i = m.channels.iter().position(|c| c.local_capacity > 0)?;
+            Some(ThroughputResult {
+                iterations_per_cycle: rates[i],
+                transient_cycles: 0,
+                period_cycles: 0,
+                iterations_per_period: 0,
+                states_explored: 0,
+            })
+        });
+        let capacities = m.channels.iter().map(|c| c.local_capacity).collect();
+        (best.map(|t| t.iterations_per_cycle), capacities)
+    }
+
+    #[test]
+    fn grow_step_takes_the_first_strictly_best_move() {
+        // Moves 1 and 3 tie for the best rate: the first of them wins.
+        let rates = [1, 2, 1, 2].map(|d| Ratio::new(d, 8));
+        let step = grow_once(&rates, Ratio::new(1, 16));
+        assert_eq!(step, (Some(Ratio::new(2, 8)), vec![0, 1, 0, 0]));
+    }
+
+    #[test]
+    fn grow_step_without_improvement_leaves_the_mapping_untouched() {
+        let rates = [1, 2, 1].map(|d| Ratio::new(d, 8));
+        assert_eq!(grow_once(&rates, Ratio::new(2, 8)), (None, vec![0, 0, 0]));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use mamps_platform::arch::Architecture;
 use mamps_platform::interconnect::Interconnect;
 use mamps_platform::types::{ProcessorType, TileId};
-use mamps_sdf::graph::{ActorId, ChannelId, SdfGraph};
+use mamps_sdf::graph::{ActorId, Channel, ChannelId, SdfGraph};
 use mamps_sdf::model::ApplicationModel;
 use mamps_sdf::ratio::Ratio;
 
@@ -33,9 +33,13 @@ impl Binding {
             .collect()
     }
 
-    /// True if the channel's endpoints are on different tiles.
-    pub fn crosses_tiles(&self, src: ActorId, dst: ActorId) -> bool {
-        self.tile_of[src.0] != self.tile_of[dst.0]
+    /// The tiles of `ch`'s source and destination actors when they
+    /// differ: the two ends of a cross-tile channel's connection. `None`
+    /// for a channel within one tile, so always for a self-edge.
+    pub fn cross_tiles(&self, ch: &Channel) -> Option<(TileId, TileId)> {
+        let from = self.tile_of[ch.src().0];
+        let to = self.tile_of[ch.dst().0];
+        (from != to).then_some((from, to))
     }
 }
 
@@ -139,13 +143,9 @@ impl Mapping {
         };
         graph
             .channels()
-            .map(|(cid, ch)| {
-                if ch.is_self_edge() || !self.binding.crosses_tiles(ch.src(), ch.dst()) {
-                    return 0;
-                }
-                let from = self.binding.tile_of[ch.src().0];
-                let to = self.binding.tile_of[ch.dst().0];
-                u64::from(self.channels[cid.0].wires) * noc.hops(from, to)
+            .filter_map(|(cid, ch)| {
+                let (from, to) = self.binding.cross_tiles(ch)?;
+                Some(u64::from(self.channels[cid.0].wires) * noc.hops(from, to))
             })
             .sum()
     }
@@ -283,8 +283,16 @@ mod tests {
             wcet_of: vec![1, 2, 3],
         };
         assert_eq!(b.actors_on(TileId(0)), vec![ActorId(0), ActorId(2)]);
-        assert!(b.crosses_tiles(ActorId(0), ActorId(1)));
-        assert!(!b.crosses_tiles(ActorId(0), ActorId(2)));
+        let mut g = mamps_sdf::graph::SdfGraphBuilder::new("g");
+        let a: Vec<_> = (0..3).map(|i| g.add_actor(format!("a{i}"), 1)).collect();
+        g.add_channel("there", a[0], 1, a[1], 1);
+        g.add_channel_with_tokens("back", a[1], 1, a[0], 1, 1);
+        g.add_channel("local", a[0], 1, a[2], 1);
+        g.add_channel_with_tokens("self", a[1], 1, a[1], 1, 1);
+        let g = g.build().unwrap();
+        let crossing: Vec<_> = g.channels().map(|(_, ch)| b.cross_tiles(ch)).collect();
+        let (t0, t1) = (TileId(0), TileId(1));
+        assert_eq!(crossing, [Some((t0, t1)), Some((t1, t0)), None, None]);
     }
 
     #[test]

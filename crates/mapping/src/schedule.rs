@@ -70,7 +70,7 @@ pub fn build_schedules(
             if pe_handles_tokens {
                 for &cid in graph.incoming(a) {
                     let ch = graph.channel(cid);
-                    if ch.is_self_edge() || !binding.crosses_tiles(ch.src(), ch.dst()) {
+                    if binding.cross_tiles(ch).is_none() {
                         continue;
                     }
                     round.push(ScheduleEntry::Receive {
@@ -86,7 +86,7 @@ pub fn build_schedules(
             if pe_handles_tokens {
                 for &cid in graph.outgoing(a) {
                     let ch = graph.channel(cid);
-                    if ch.is_self_edge() || !binding.crosses_tiles(ch.src(), ch.dst()) {
+                    if binding.cross_tiles(ch).is_none() {
                         continue;
                     }
                     round.push(ScheduleEntry::Send {

@@ -131,59 +131,59 @@ impl<'a> SimState<'a> {
         let mut channels = Vec::with_capacity(graph.channel_count());
         for (cid, ch) in graph.channels() {
             let alloc = mapping.channels[cid.0];
-            let state = if ch.is_self_edge() {
-                ChannelState::SelfEdge(SelfEdgeState {
+            let state = match binding.cross_tiles(ch) {
+                _ if ch.is_self_edge() => ChannelState::SelfEdge(SelfEdgeState {
                     tokens: ch.initial_tokens(),
                     cons: ch.consumption_rate(),
                     prod: ch.production_rate(),
-                })
-            } else if !binding.crosses_tiles(ch.src(), ch.dst()) {
-                if alloc.local_capacity < ch.initial_tokens() {
-                    return Err(SimError::Build(format!(
-                        "channel `{}` capacity below initial tokens",
-                        ch.name()
-                    )));
+                }),
+                None => {
+                    if alloc.local_capacity < ch.initial_tokens() {
+                        return Err(SimError::Build(format!(
+                            "channel `{}` capacity below initial tokens",
+                            ch.name()
+                        )));
+                    }
+                    ChannelState::Local(LocalChannelState {
+                        tokens: ch.initial_tokens(),
+                        space: alloc.local_capacity - ch.initial_tokens(),
+                        cons: ch.consumption_rate(),
+                        prod: ch.production_rate(),
+                    })
                 }
-                ChannelState::Local(LocalChannelState {
-                    tokens: ch.initial_tokens(),
-                    space: alloc.local_capacity - ch.initial_tokens(),
-                    cons: ch.consumption_rate(),
-                    prod: ch.production_rate(),
-                })
-            } else {
-                let src_tile_id = binding.tile_of[ch.src().0];
-                let dst_tile_id = binding.tile_of[ch.dst().0];
-                let src_tile = arch.tile(src_tile_id);
-                let dst_tile = arch.tile(dst_tile_id);
-                let n_words = mamps_platform::types::words_per_token(ch.token_size());
-                if alloc.alpha_src < ch.initial_tokens() {
-                    return Err(SimError::Build(format!(
-                        "channel `{}` alpha_src below initial tokens",
-                        ch.name()
-                    )));
+                Some((src_tile_id, dst_tile_id)) => {
+                    let src_tile = arch.tile(src_tile_id);
+                    let dst_tile = arch.tile(dst_tile_id);
+                    let n_words = mamps_platform::types::words_per_token(ch.token_size());
+                    if alloc.alpha_src < ch.initial_tokens() {
+                        return Err(SimError::Build(format!(
+                            "channel `{}` alpha_src below initial tokens",
+                            ch.name()
+                        )));
+                    }
+                    let params = CommParams::for_connection(
+                        arch.interconnect(),
+                        src_tile_id,
+                        dst_tile_id,
+                        alloc.wires,
+                    );
+                    ChannelState::Cross(CrossChannelState {
+                        send_words: ch.initial_tokens() * n_words,
+                        src_space: alloc.alpha_src - ch.initial_tokens(),
+                        srel_progress: 0,
+                        conn: Connection::new(params),
+                        asm_progress: 0,
+                        assembled: 0,
+                        dst_word_space: alloc.alpha_dst * n_words,
+                        n_words,
+                        ser_word: src_tile.word_cycles(n_words),
+                        des_word: dst_tile.word_cycles(n_words),
+                        prod: ch.production_rate(),
+                        cons: ch.consumption_rate(),
+                        src_tile: src_tile_id,
+                        dst_tile: dst_tile_id,
+                    })
                 }
-                let params = CommParams::for_connection(
-                    arch.interconnect(),
-                    src_tile_id,
-                    dst_tile_id,
-                    alloc.wires,
-                );
-                ChannelState::Cross(CrossChannelState {
-                    send_words: ch.initial_tokens() * n_words,
-                    src_space: alloc.alpha_src - ch.initial_tokens(),
-                    srel_progress: 0,
-                    conn: Connection::new(params),
-                    asm_progress: 0,
-                    assembled: 0,
-                    dst_word_space: alloc.alpha_dst * n_words,
-                    n_words,
-                    ser_word: src_tile.word_cycles(n_words),
-                    des_word: dst_tile.word_cycles(n_words),
-                    prod: ch.production_rate(),
-                    cons: ch.consumption_rate(),
-                    src_tile: src_tile_id,
-                    dst_tile: dst_tile_id,
-                })
             };
             channels.push(state);
         }

@@ -390,7 +390,7 @@ fn fixed_case(
     let g = app.graph();
     assert!(
         g.channels()
-            .any(|(_, c)| mapping.binding.crosses_tiles(c.src(), c.dst())),
+            .any(|(_, c)| mapping.binding.cross_tiles(c).is_some()),
         "the case needs a cross-tile channel"
     );
     tweak(&mut mapping);

@@ -106,6 +106,22 @@ diff -u "$tmp/dse-cold.txt" "$tmp/dse-resumed.txt" \
   || fail "resumed dse report differs from the cold run"
 grep -q "ends mid-record" "$tmp/resume-err.txt" \
   || fail "torn resume file produced no mid-record warning"
+# Overlapping partials of two shardings: the torn 0/2 file and shard 1/3
+# share seqs, and the first outcome of each seq is kept.
+for i in 0 1 2; do "$BIN" dse "$APP" 4 --shard "$i/3" --out "$tmp/third.$i.jsonl"; done
+"$BIN" dse "$APP" 4 --resume "$tmp/part-torn.jsonl" --resume "$tmp/third.1.jsonl" \
+  >"$tmp/dse-resumed-overlap.txt" 2>/dev/null
+diff -u "$tmp/dse-cold.txt" "$tmp/dse-resumed-overlap.txt" \
+  || fail "dse resumed from overlapping partials differs from the cold run"
+
+echo "== mamps dse-merge (a repeated record line is not a complete sweep)"
+n=$(grep -o '"total_configs":[0-9]*' "$tmp/third.0.jsonl" | cut -d: -f2)
+tail -n 1 "$tmp/third.1.jsonl" >>"$tmp/third.1.jsonl"
+if "$BIN" dse-merge "$tmp"/third.*.jsonl >/dev/null 2>"$tmp/merge-err.txt"; then
+  fail "dse-merge accepted a shard file that repeats a record"
+fi
+grep -q "records cover $((n + 1)) of $n design points" "$tmp/merge-err.txt" \
+  || fail "repeated record not reported: $(cat "$tmp/merge-err.txt")"
 
 echo "== mamps dse --stats"
 "$BIN" dse "$APP" 4 --stats >"$tmp/stats-report.txt" 2>"$tmp/stats.txt"

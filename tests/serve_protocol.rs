@@ -13,9 +13,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use mamps::flow::dse::lease::{ItemState, LeaseTable, MergeLedger, SeqRange};
+use mamps::flow::dse::lease::{ItemState, LeaseTable, SeqRange};
 use mamps::flow::dse::shard::{
-    ShardHeader, ShardOutcome, ShardRecord, ShardSpec, SweepMode, SweepSignature,
+    MergeLedger, ShardHeader, ShardOutcome, ShardRecord, ShardSpec, SweepMode, SweepSignature,
 };
 use mamps::flow::dse::SkippedPoint;
 use mamps::flow::serve::protocol::{read_msg, write_msg};
