@@ -1,5 +1,5 @@
 //! Ablation: the optimized state-space throughput kernel vs the retained
-//! naive reference implementation.
+//! naive reference implementation, and the whole analysis probe around it.
 //!
 //! The self-timed exploration is the innermost loop of the whole flow
 //! (buffer sizing, mapping and DSE bottom out in it), so its cost is
@@ -9,6 +9,14 @@
 //! graphs/second, and asserts both that the results are identical and that
 //! the fast path wins on the MJPEG expanded graph.
 //!
+//! A probe of the mapping step also expands the mapping (Fig. 4) and
+//! fingerprints the expansion for the analysis cache, and those set-up
+//! stages cost as much as the kernel. Two more rows time one whole probe
+//! on the MJPEG 3-tile mapping: `mjpeg_probe` on the mapping the flow
+//! chose, and `mjpeg_probe_deadlock` on that mapping at its initial
+//! buffer allocation, whose analysis stops at the liveness check like most
+//! genetic-fitness probes.
+//!
 //! `scripts/bench_json.sh` runs this target with `MAMPS_BENCH_JSON` set
 //! and assembles `BENCH_state_space.json`, the perf-trajectory snapshot
 //! checked in at the repository root.
@@ -17,9 +25,13 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use mamps_bench::{mjpeg_expanded_graph, quick_mode, short_criterion};
+use mamps_bench::{mjpeg_expanded_graph, mjpeg_mapped, quick_mode, short_criterion};
+use mamps_mapping::flow::MappedApplication;
+use mamps_sdf::buffer::capacity_lower_bound;
+use mamps_sdf::cache::GraphFingerprint;
 use mamps_sdf::graph::{SdfGraph, SdfGraphBuilder};
-use mamps_sdf::state_space::{reference, throughput, AnalysisOptions};
+use mamps_sdf::state_space::{reference, throughput, AnalysisOptions, ThroughputResult};
+use mamps_sdf::SdfError;
 
 /// Paper Fig. 2 with the execution times used throughout the test suite.
 fn fig2() -> SdfGraph {
@@ -108,6 +120,37 @@ fn bench(c: &mut Criterion) {
         medians[1][1] * 1e6
     );
 
+    // Whole probes: expand, fingerprint, analyse. The deadlocking one
+    // takes the flow's initial buffer allocation (two rate steps at each
+    // end of a crossing channel, the isolated lower bound locally).
+    let (app, arch, mapped) = mjpeg_mapped(3);
+    let graph = app.graph();
+    let mut initial = mapped.clone();
+    for (alloc, (cid, ch)) in initial.mapping.channels.iter_mut().zip(graph.channels()) {
+        alloc.alpha_src = ch.initial_tokens() + 2 * ch.production_rate();
+        alloc.alpha_dst = 2 * ch.consumption_rate();
+        alloc.local_capacity = capacity_lower_bound(graph, cid);
+    }
+    let probe = |m: &MappedApplication| -> (u64, Result<ThroughputResult, SdfError>) {
+        let expanded = m.expanded(graph, &arch).unwrap();
+        let fp = GraphFingerprint::of(&expanded).hash();
+        (fp, throughput(&expanded, &mjpeg_opts))
+    };
+    assert_eq!(
+        probe(&mapped).1.unwrap(),
+        throughput(&mjpeg, &mjpeg_opts).unwrap()
+    );
+    match probe(&initial).1 {
+        Err(SdfError::Deadlock(m)) if m.starts_with("no actor can fire") => {}
+        other => panic!("the initial allocation must fail the liveness check: {other:?}"),
+    }
+
+    c.bench_function("state_space/mjpeg_probe", |b| {
+        b.iter(|| std::hint::black_box(probe(&mapped)))
+    });
+    c.bench_function("state_space/mjpeg_probe_deadlock", |b| {
+        b.iter(|| std::hint::black_box(probe(&initial)))
+    });
     c.bench_function("state_space/fig2", |b| {
         b.iter(|| std::hint::black_box(throughput(&fig2, &fig2_opts).unwrap()))
     });

@@ -83,6 +83,25 @@ pub fn mjpeg_expanded_graph(
     mamps_sdf::graph::SdfGraph,
     mamps_sdf::state_space::AnalysisOptions,
 ) {
+    let (app, arch, mapped) = mjpeg_mapped(tiles);
+    let opts = mamps_sdf::state_space::AnalysisOptions {
+        auto_concurrency: true,
+        max_states: 2_000_000,
+        ..mamps_sdf::state_space::AnalysisOptions::default()
+    };
+    (mapped.expanded(app.graph(), &arch).unwrap(), opts)
+}
+
+/// The MJPEG decoder application, `tiles` homogeneous FSL tiles, and the
+/// decoder mapped on them by the default flow: the inputs of one mapping
+/// probe, which [`mjpeg_expanded_graph`] expands.
+pub fn mjpeg_mapped(
+    tiles: usize,
+) -> (
+    mamps_sdf::model::ApplicationModel,
+    mamps_platform::arch::Architecture,
+    mamps_mapping::flow::MappedApplication,
+) {
     let cfg = bench_stream_config();
     let app = mamps_mjpeg::app_model::mjpeg_application(&cfg, None).unwrap();
     let arch = mamps_platform::arch::Architecture::homogeneous(
@@ -97,12 +116,7 @@ pub fn mjpeg_expanded_graph(
         &mamps_mapping::flow::MapOptions::default(),
     )
     .unwrap();
-    let opts = mamps_sdf::state_space::AnalysisOptions {
-        auto_concurrency: true,
-        max_states: 2_000_000,
-        ..mamps_sdf::state_space::AnalysisOptions::default()
-    };
-    (mapped.expanded(app.graph(), &arch).unwrap(), opts)
+    (app, arch, mapped)
 }
 
 /// The stream geometry used by all benches: one frame of the small

@@ -493,13 +493,19 @@ pub enum MergeError {
         /// The sweep's shard count.
         count: u32,
     },
-    /// The records do not cover every design point exactly once (e.g. a
-    /// truncated shard file).
+    /// The records do not cover every design point exactly once. At least
+    /// one of `missing`, `repeated` and `past_end` is nonzero.
     IncompleteSweep {
-        /// Design points covered.
+        /// Records in the shard files.
         covered: u64,
         /// Design points the sweep has.
         total: u64,
+        /// Design points no record covers (e.g. a truncated shard file).
+        missing: u64,
+        /// Records of a design point that an earlier record covers.
+        repeated: u64,
+        /// Records whose seq lies past the sweep's last design point.
+        past_end: u64,
     },
 }
 
@@ -529,10 +535,27 @@ impl fmt::Display for MergeError {
                     .join(", "),
                 if missing.len() > 8 { ", …" } else { "" }
             ),
-            MergeError::IncompleteSweep { covered, total } => write!(
-                f,
-                "records cover {covered} of {total} design points (truncated shard file?)"
-            ),
+            MergeError::IncompleteSweep {
+                covered,
+                total,
+                missing,
+                repeated,
+                past_end,
+            } => {
+                write!(f, "records cover {covered} of {total} design points:")?;
+                let plural = |n: u64| if n == 1 { "" } else { "s" };
+                let causes = [
+                    (*missing, "design point", " missing (truncated shard file?)"),
+                    (*repeated, "record", " repeated"),
+                    (*past_end, "record", " past the last design point"),
+                ];
+                let present = causes.into_iter().filter(|&(n, _, _)| n > 0);
+                for (i, (n, what, cause)) in present.enumerate() {
+                    let sep = if i == 0 { " " } else { ", " };
+                    write!(f, "{sep}{n} {what}{}{cause}", plural(n))?;
+                }
+                Ok(())
+            }
         }
     }
 }
@@ -613,16 +636,26 @@ pub fn merge_reports(shards: &[DseShard]) -> Result<DseShard, MergeError> {
         shard: ShardSpec::full(),
         ..reference.clone()
     });
-    let mut covered = 0;
+    let total = reference.total_configs;
+    let (mut covered, mut past_end) = (0, 0);
     for s in shards {
         ledger
             .absorb(s)
             .expect("every shard was checked to be of this sweep");
         covered += s.records.len() as u64;
+        past_end += s.records.iter().filter(|r| r.seq >= total).count() as u64;
     }
-    let total = reference.total_configs;
-    if covered != total || !ledger.is_complete() {
-        return Err(MergeError::IncompleteSweep { covered, total });
+    // The ledger holds each in-range seq once, so every other in-range
+    // record repeats one.
+    let (missing, repeated) = (total - ledger.len(), covered - past_end - ledger.len());
+    if missing + repeated + past_end > 0 {
+        return Err(MergeError::IncompleteSweep {
+            covered,
+            total,
+            missing,
+            repeated,
+            past_end,
+        });
     }
     Ok(ledger.into_shard())
 }
@@ -1248,9 +1281,10 @@ mod tests {
 
     #[test]
     fn merge_rejects_truncated_shards() {
-        // A truncated file, a record that appears twice, and a record
-        // whose seq lies past the end of the sweep in place of an owned
-        // one: `covered` counts the records passed in.
+        // A truncated file, a record that appears twice, a record whose
+        // seq lies past the end of the sweep in place of an owned one, and
+        // a repeat in one file with a loss in another: `covered` counts
+        // the records passed in, and the message names each cause.
         let shards = sharded(&sweep(&[1, 2, 3]), 2);
         let total = shards[0].header.total_configs;
         let mut truncated = shards.clone();
@@ -1260,12 +1294,39 @@ mod tests {
         repeated[0].records.push(again);
         let mut past_end = shards.clone();
         past_end[0].records.last_mut().unwrap().seq = total;
-        for (bad, covered) in [
-            (truncated, total - 1),
-            (repeated, total + 1),
-            (past_end, total),
+        let mut repeat_and_loss = repeated.clone();
+        repeat_and_loss[1].records.pop();
+        let cover = |covered| format!("records cover {covered} of {total} design points:");
+        for (bad, covered, [missing, repeated, past_end], causes) in [
+            (
+                truncated,
+                total - 1,
+                [1, 0, 0],
+                "1 design point missing (truncated shard file?)",
+            ),
+            (repeated, total + 1, [0, 1, 0], "1 record repeated"),
+            (
+                past_end,
+                total,
+                [1, 0, 1],
+                "1 design point missing (truncated shard file?), \
+                 1 record past the last design point",
+            ),
+            (
+                repeat_and_loss,
+                total,
+                [1, 1, 0],
+                "1 design point missing (truncated shard file?), 1 record repeated",
+            ),
         ] {
-            let err = MergeError::IncompleteSweep { covered, total };
+            let err = MergeError::IncompleteSweep {
+                covered,
+                total,
+                missing,
+                repeated,
+                past_end,
+            };
+            assert_eq!(err.to_string(), format!("{} {causes}", cover(covered)));
             assert_eq!(merge_reports(&bad), Err(err));
         }
     }

@@ -95,7 +95,19 @@ pub fn expand(
     arch: &Architecture,
 ) -> Result<SdfGraph, MapError> {
     let binding = &mapping.binding;
-    let mut b = SdfGraphBuilder::new(format!("{}:comm", graph.name()));
+    let mut b = SdfGraphBuilder::new([graph.name(), ":comm"].concat());
+    // Presized: every analysis probe expands a graph. At most one self-edge
+    // per actor and two channels per local channel; a crossing channel
+    // adds 9 actors and 17 channels, and a static-order gate 1 and 2.
+    let crossing = graph
+        .channels()
+        .filter(|(_, ch)| binding.cross_tiles(ch).is_some())
+        .count();
+    let gates: usize = mapping.schedules.iter().map(Vec::len).sum();
+    b.reserve(
+        graph.actor_count() + 9 * crossing + gates,
+        graph.actor_count() + 2 * graph.channel_count() + 17 * crossing + 2 * gates,
+    );
 
     // Original actors keep the execution times of the input graph (the
     // caller chooses WCETs or measured times) plus their posting overhead.
@@ -112,7 +124,7 @@ pub fn expand(
             .any(|&c| graph.channel(c).is_self_edge());
         if !has_self {
             b.add_channel_with_tokens(
-                format!("__self_{}", actor.name()),
+                ["__self_", actor.name()].concat(),
                 actor_ids[aid.0],
                 1,
                 actor_ids[aid.0],
@@ -150,7 +162,7 @@ pub fn expand(
                     )));
                 }
                 b.add_channel_with_tokens(
-                    format!("__cap_{}", ch.name()),
+                    ["__cap_", ch.name()].concat(),
                     dst,
                     ch.consumption_rate(),
                     src,
@@ -185,51 +197,37 @@ pub fn expand(
         let (src_tile, dst_tile) = (arch.tile(from), arch.tile(to));
         let params = CommParams::for_connection(arch.interconnect(), from, to, alloc.wires);
 
-        let name = ch.name();
-        let frag = b.add_actor(format!("{name}__frag"), 0);
-        let ser = b.add_actor(format!("{name}__ser"), src_tile.word_cycles(n_words));
-        let srel = b.add_actor(format!("{name}__srel"), 0);
-        let lat = b.add_actor(format!("{name}__lat"), params.latency);
-        let rate = b.add_actor(format!("{name}__rate"), params.cycles_per_word);
-        let drn = b.add_actor(format!("{name}__drn"), 0);
-        let des = b.add_actor(format!("{name}__des"), dst_tile.word_cycles(n_words));
-        let asm = b.add_actor(format!("{name}__asm"), 0);
-        let drel = b.add_actor(format!("{name}__drel"), 0);
+        // `name` followed by `suffix`, allocated once at its final length.
+        let part = |suffix: &str| [ch.name(), suffix].concat();
+        let frag = b.add_actor(part("__frag"), 0);
+        let ser = b.add_actor(part("__ser"), src_tile.word_cycles(n_words));
+        let srel = b.add_actor(part("__srel"), 0);
+        let lat = b.add_actor(part("__lat"), params.latency);
+        let rate = b.add_actor(part("__rate"), params.cycles_per_word);
+        let drn = b.add_actor(part("__drn"), 0);
+        let des = b.add_actor(part("__des"), dst_tile.word_cycles(n_words));
+        let asm = b.add_actor(part("__asm"), 0);
+        let drel = b.add_actor(part("__drel"), 0);
         word_loops[cid.0] = Some((ser, des, n_words));
 
         // Forward path.
-        b.add_channel_full(format!("{name}__tok"), src, p, frag, 1, d0, ch.token_size());
-        b.add_channel(format!("{name}__w0"), frag, n_words, ser, 1);
-        b.add_channel(format!("{name}__w1"), ser, 1, lat, 1);
-        b.add_channel(format!("{name}__w2"), lat, 1, rate, 1);
-        b.add_channel(format!("{name}__w3"), rate, 1, drn, 1);
-        b.add_channel(format!("{name}__w4"), drn, 1, des, 1);
-        b.add_channel(format!("{name}__w5"), des, 1, asm, n_words);
-        b.add_channel_full(
-            format!("{name}__tok2"),
-            asm,
-            1,
-            dst,
-            q_r,
-            0,
-            ch.token_size(),
-        );
+        b.add_channel_full(part("__tok"), src, p, frag, 1, d0, ch.token_size());
+        b.add_channel(part("__w0"), frag, n_words, ser, 1);
+        b.add_channel(part("__w1"), ser, 1, lat, 1);
+        b.add_channel(part("__w2"), lat, 1, rate, 1);
+        b.add_channel(part("__w3"), rate, 1, drn, 1);
+        b.add_channel(part("__w4"), drn, 1, des, 1);
+        b.add_channel(part("__w5"), des, 1, asm, n_words);
+        b.add_channel_full(part("__tok2"), asm, 1, dst, q_r, 0, ch.token_size());
         // Source buffer space (alpha_src tokens; initial tokens occupy it).
-        b.add_channel(format!("{name}__cnt"), ser, 1, srel, n_words);
-        b.add_channel_with_tokens(
-            format!("{name}__asrc"),
-            srel,
-            1,
-            src,
-            p,
-            alloc.alpha_src - d0,
-        );
+        b.add_channel(part("__cnt"), ser, 1, srel, n_words);
+        b.add_channel_with_tokens(part("__asrc"), srel, 1, src, p, alloc.alpha_src - d0);
         // In-connection credits (alpha_n words).
-        b.add_channel_with_tokens(format!("{name}__an"), drn, 1, ser, 1, params.alpha_n);
+        b.add_channel_with_tokens(part("__an"), drn, 1, ser, 1, params.alpha_n);
         // Destination buffer space (alpha_dst tokens = alpha_dst * N words).
-        b.add_channel(format!("{name}__fre"), dst, q_r, drel, 1);
+        b.add_channel(part("__fre"), dst, q_r, drel, 1);
         b.add_channel_with_tokens(
-            format!("{name}__adst"),
+            part("__adst"),
             drel,
             n_words,
             des,
@@ -238,10 +236,10 @@ pub fn expand(
         );
         // Self-edges: word loops are sequential; the latency stage pipelines
         // `w` words; the rate stage serializes bandwidth.
-        b.add_channel_with_tokens(format!("{name}__sser"), ser, 1, ser, 1, 1);
-        b.add_channel_with_tokens(format!("{name}__sdes"), des, 1, des, 1, 1);
-        b.add_channel_with_tokens(format!("{name}__slat"), lat, 1, lat, 1, params.w);
-        b.add_channel_with_tokens(format!("{name}__srate"), rate, 1, rate, 1, 1);
+        b.add_channel_with_tokens(part("__sser"), ser, 1, ser, 1, 1);
+        b.add_channel_with_tokens(part("__sdes"), des, 1, des, 1, 1);
+        b.add_channel_with_tokens(part("__slat"), lat, 1, lat, 1, params.w);
+        b.add_channel_with_tokens(part("__srate"), rate, 1, rate, 1, 1);
     }
 
     // Static-order chains from the schedule entries, gated in the same

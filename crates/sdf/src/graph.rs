@@ -160,12 +160,55 @@ pub struct SdfGraph {
     name: String,
     actors: Vec<Actor>,
     channels: Vec<Channel>,
-    /// Outgoing channel ids per actor (same order as insertion).
+    /// Channel ids leaving each actor, in id order.
     #[serde(skip)]
-    outgoing: Vec<Vec<ChannelId>>,
-    /// Incoming channel ids per actor.
+    outgoing: Adjacency,
+    /// Channel ids entering each actor, in id order.
     #[serde(skip)]
-    incoming: Vec<Vec<ChannelId>>,
+    incoming: Adjacency,
+}
+
+/// The channels at one end of every actor, flattened: actor `a`'s list is
+/// `channels[offsets[a]..offsets[a + 1]]`. Two allocations per graph and
+/// direction, not one per actor: the Fig. 4 expansion builds a graph for
+/// every analysis probe.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Adjacency {
+    offsets: Vec<usize>,
+    channels: Vec<ChannelId>,
+}
+
+impl Adjacency {
+    /// Groups channel ids by the actor `end` gives for each channel, a
+    /// counting sort that keeps each group in channel-id order.
+    fn new(actors: usize, channels: &[Channel], end: impl Fn(&Channel) -> ActorId) -> Adjacency {
+        // `offsets[a + 2]` counts actor `a`'s channels; after the prefix
+        // sum `offsets[a + 1]` is where its list starts and serves as the
+        // fill cursor, so it ends where the list ends, as `offsets[a + 1]`
+        // must.
+        let mut offsets = vec![0; actors + 2];
+        for c in channels {
+            offsets[end(c).0 + 2] += 1;
+        }
+        for a in 2..offsets.len() {
+            offsets[a] += offsets[a - 1];
+        }
+        let mut ids = vec![ChannelId(0); channels.len()];
+        for (i, c) in channels.iter().enumerate() {
+            let cursor = &mut offsets[end(c).0 + 1];
+            ids[*cursor] = ChannelId(i);
+            *cursor += 1;
+        }
+        offsets.pop();
+        Adjacency {
+            offsets,
+            channels: ids,
+        }
+    }
+
+    fn of(&self, actor: ActorId) -> &[ChannelId] {
+        &self.channels[self.offsets[actor.0]..self.offsets[actor.0 + 1]]
+    }
 }
 
 impl SdfGraph {
@@ -215,14 +258,15 @@ impl SdfGraph {
             .map(|(i, c)| (ChannelId(i), c))
     }
 
-    /// Ids of channels leaving `actor` (including self-edges).
+    /// Ids of channels leaving `actor` (including self-edges), in id order.
     pub fn outgoing(&self, actor: ActorId) -> &[ChannelId] {
-        &self.outgoing[actor.0]
+        self.outgoing.of(actor)
     }
 
-    /// Ids of channels entering `actor` (including self-edges).
+    /// Ids of channels entering `actor` (including self-edges), in id
+    /// order.
     pub fn incoming(&self, actor: ActorId) -> &[ChannelId] {
-        &self.incoming[actor.0]
+        self.incoming.of(actor)
     }
 
     /// Looks up an actor by name.
@@ -241,12 +285,8 @@ impl SdfGraph {
     /// Rebuilds the adjacency caches from the channels.
     pub fn rebuild_adjacency(&mut self) {
         let n = self.actors.len();
-        self.outgoing = vec![Vec::new(); n];
-        self.incoming = vec![Vec::new(); n];
-        for (i, c) in self.channels.iter().enumerate() {
-            self.outgoing[c.src.0].push(ChannelId(i));
-            self.incoming[c.dst.0].push(ChannelId(i));
-        }
+        self.outgoing = Adjacency::new(n, &self.channels, Channel::src);
+        self.incoming = Adjacency::new(n, &self.channels, Channel::dst);
     }
 
     /// Returns a mutable reference to an actor (execution-time updates only).
@@ -266,14 +306,14 @@ impl SdfGraph {
         let mut stack = vec![0usize];
         seen[0] = true;
         while let Some(v) = stack.pop() {
-            for &c in &self.outgoing[v] {
+            for &c in self.outgoing(ActorId(v)) {
                 let w = self.channels[c.0].dst.0;
                 if !seen[w] {
                     seen[w] = true;
                     stack.push(w);
                 }
             }
-            for &c in &self.incoming[v] {
+            for &c in self.incoming(ActorId(v)) {
                 let w = self.channels[c.0].src.0;
                 if !seen[w] {
                     seen[w] = true;
@@ -318,6 +358,12 @@ impl SdfGraphBuilder {
             actors: Vec::new(),
             channels: Vec::new(),
         }
+    }
+
+    /// Reserves room for `actors` more actors and `channels` more channels.
+    pub fn reserve(&mut self, actors: usize, channels: usize) {
+        self.actors.reserve(actors);
+        self.channels.reserve(channels);
     }
 
     /// Adds an actor, returning its id.
@@ -434,8 +480,8 @@ impl SdfGraphBuilder {
             name: self.name,
             actors: self.actors,
             channels: self.channels,
-            outgoing: Vec::new(),
-            incoming: Vec::new(),
+            outgoing: Adjacency::default(),
+            incoming: Adjacency::default(),
         };
         g.rebuild_adjacency();
         Ok(g)
@@ -535,10 +581,32 @@ mod tests {
 
     #[test]
     fn rebuild_adjacency_is_idempotent() {
-        let g = fig2_graph();
-        let mut g2 = g.clone();
-        g2.rebuild_adjacency();
-        assert_eq!(g2.outgoing(ActorId(0)), g.outgoing(ActorId(0)));
-        assert_eq!(g2.incoming(ActorId(2)), g.incoming(ActorId(2)));
+        // Fig. 2, and a graph whose channels alternate between actors.
+        let mut b = SdfGraphBuilder::new("interleaved");
+        let (x, y, z) = (
+            b.add_actor("X", 1),
+            b.add_actor("Y", 1),
+            b.add_actor("Z", 1),
+        );
+        let ends = [(z, x), (x, y), (y, z), (x, x), (z, y), (x, z), (y, x)];
+        for (i, (src, dst)) in ends.into_iter().enumerate() {
+            b.add_channel(format!("e{i}"), src, 1, dst, 1);
+        }
+        for g in [fig2_graph(), b.build().unwrap()] {
+            let mut g2 = g.clone();
+            g2.rebuild_adjacency();
+            assert_eq!(g2.outgoing(ActorId(0)), g.outgoing(ActorId(0)));
+            assert_eq!(g2.incoming(ActorId(2)), g.incoming(ActorId(2)));
+            // Every actor lists the channels at each of its ends in id
+            // order.
+            for (a, _) in g.actors() {
+                let at = |end: fn(&Channel) -> ActorId| -> Vec<ChannelId> {
+                    let ids = g.channels().filter(|(_, c)| end(c) == a);
+                    ids.map(|(id, _)| id).collect()
+                };
+                assert_eq!(g.outgoing(a), at(Channel::src), "{} {a}", g.name());
+                assert_eq!(g.incoming(a), at(Channel::dst), "{} {a}", g.name());
+            }
+        }
     }
 }

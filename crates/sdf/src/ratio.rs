@@ -1,5 +1,5 @@
-//! Exact rational arithmetic used by the repetition-vector computation and
-//! the max-cycle-ratio analysis.
+//! Exact rational arithmetic used by the throughput results and the
+//! max-cycle-ratio analysis.
 //!
 //! The standard library has no rational type and external numeric crates are
 //! out of scope for this project, so a small, always-normalized `i128`
@@ -68,18 +68,6 @@ pub fn gcd(mut a: u64, mut b: u64) -> u64 {
         b = t;
     }
     a
-}
-
-/// Least common multiple of two positive integers.
-///
-/// # Panics
-///
-/// Panics if the result overflows `u64`.
-pub fn lcm(a: u64, b: u64) -> u64 {
-    if a == 0 || b == 0 {
-        return 0;
-    }
-    a / gcd(a, b) * b
 }
 
 fn gcd_i128(mut a: i128, mut b: i128) -> i128 {
@@ -268,11 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn gcd_lcm() {
+    fn gcd_of_pairs() {
         assert_eq!(gcd(12, 18), 6);
         assert_eq!(gcd(0, 5), 5);
-        assert_eq!(lcm(4, 6), 12);
-        assert_eq!(lcm(0, 6), 0);
     }
 
     #[test]

@@ -42,11 +42,22 @@
 //!   period — are bit-identical to the naive rescan in `reference`.
 //! * State snapshots are encoded into a reused scratch buffer (`Vec<u64>`:
 //!   channel fills followed by the sorted `(actor, remaining-time)` pairs of
-//!   ongoing firings) and interned in a `HashMap<Box<[u64]>, _>` looked up
-//!   by slice, so a revisited state costs zero allocations and a new state
-//!   costs exactly one (its interned storage).
+//!   ongoing firings) and interned in a `StateTable`: the keys lie
+//!   back-to-back in one arena, chained per 64-bit hash, and compared word
+//!   for word along the chain. A revisited state allocates nothing, and a
+//!   new one appends to the arena, which grows by doubling. The hash is
+//!   FxHash in four interleaved lanes, so the multiplies of consecutive
+//!   words overlap instead of waiting on each other; since the table
+//!   compares whole keys, the hash decides only where a key is looked up,
+//!   never which states are explored.
 //! * All scratch buffers live in a `Scratch` value that one analysis
 //!   reuses across its SCC runs.
+//!
+//! Before the kernel, [`throughput`] checks that the whole graph can
+//! complete an iteration without recording a firing order: each step
+//! fires a ready actor as often as its inputs allow, which the helper
+//! actors of a Fig. 4 expansion need, as they fire once per word. Most
+//! probes of the genetic binder end there, with a deadlock.
 //!
 //! The pre-optimization implementation is retained verbatim in
 //! `reference` as the oracle for property tests and the before/after
@@ -57,7 +68,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use crate::error::SdfError;
 use crate::graph::{ActorId, SdfGraph};
-use crate::liveness::simulate_iteration;
+use crate::liveness::iteration_completes;
 use crate::ratio::{gcd, Ratio};
 use crate::repetition::repetition_vector;
 
@@ -153,8 +164,9 @@ pub fn throughput(graph: &SdfGraph, opts: &AnalysisOptions) -> Result<Throughput
         return Err(SdfError::InvalidGraph("empty graph".into()));
     }
     // Exact deadlock detection on the whole graph (untimed), reusing `q`
-    // rather than recomputing it as `check_liveness` would.
-    simulate_iteration(graph, &q)?;
+    // rather than recomputing it as `check_liveness` would, and recording
+    // no witness order.
+    iteration_completes(graph, &q)?;
 
     let sccs = strongly_connected_components(graph);
     let mut scratch = Scratch::default();
@@ -378,7 +390,7 @@ impl KernelGraph {
 
 /// Interned store of visited states. Encoded state keys live back-to-back
 /// in one arena (`[chain-next, key-length, time, ref-completions, key
-/// words...]` records), indexed by a 64-bit FxHash through an
+/// words...]` records), indexed by a 64-bit [`key_hash`] through an
 /// identity-hashed map, so a snapshot costs one hash of the scratch key
 /// and — only for new states — one arena append. No per-state boxing, no
 /// SipHash, no re-hashing of keys when the table grows. Hash collisions
@@ -407,7 +419,7 @@ impl StateTable {
     /// Returns the `(time, ref_completions)` stored with `key` if it was
     /// seen before; otherwise interns it with the given values.
     fn get_or_insert(&mut self, key: &[u64], time: u64, completions: u64) -> Option<(u64, u64)> {
-        let hash = fx_hash(key);
+        let hash = key_hash(key);
         let head = self.index.entry(hash).or_insert(0);
         let mut at = *head;
         while at != 0 {
@@ -431,17 +443,30 @@ impl StateTable {
     }
 }
 
-/// FxHash (the rustc hash): one rotate-xor-multiply per word. Quality is
-/// ample for 64-bit buckets over state keys, and it is an order of
-/// magnitude cheaper than SipHash on the kilobyte-sized keys of large
-/// graphs.
-fn fx_hash(words: &[u64]) -> u64 {
+/// FxHash (the rustc hash) in four lanes: word `i` enters the
+/// rotate-xor-multiply chain of lane `i % 4`, and the lanes and the key
+/// length are folded into one hash at the end. A single chain waits on one
+/// multiply per word; four independent ones overlap, which matters on the
+/// hundreds of words of an expanded graph's key. Quality is ample for
+/// 64-bit buckets over state keys, and it is an order of magnitude cheaper
+/// than SipHash.
+fn key_hash(words: &[u64]) -> u64 {
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut h: u64 = 0;
-    for &w in words {
-        h = (h.rotate_left(5) ^ w).wrapping_mul(SEED);
+    let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(SEED);
+    let mut lanes = [0u64; 4];
+    let mut chunks = words.chunks_exact(4);
+    for c in &mut chunks {
+        lanes = [
+            step(lanes[0], c[0]),
+            step(lanes[1], c[1]),
+            step(lanes[2], c[2]),
+            step(lanes[3], c[3]),
+        ];
     }
-    h
+    for (lane, &w) in lanes.iter_mut().zip(chunks.remainder()) {
+        *lane = step(*lane, w);
+    }
+    lanes.into_iter().fold(words.len() as u64, step)
 }
 
 /// Hasher for keys that already are hashes (the [`StateTable`] index).

@@ -16,6 +16,8 @@
 //!   scheduler, so the analysed model and the generated implementation agree
 //!   (paper §5.1/§5.2).
 
+use std::fmt::Write;
+
 use crate::error::SdfError;
 use crate::graph::{ActorId, SdfGraph, SdfGraphBuilder};
 
@@ -166,6 +168,8 @@ pub fn add_static_orders(
         }
     }
     b.name.push_str(":ordered");
+    // `{tile}_{idx}`, formatted once per gate for its three names.
+    let mut id = String::new();
     for (tile, sched) in schedules.iter().enumerate() {
         if sched.len() <= 1 {
             continue;
@@ -173,13 +177,15 @@ pub fn add_static_orders(
         for (idx, &(a, reps_a)) in sched.iter().enumerate() {
             let (next, reps_next) = sched[(idx + 1) % sched.len()];
             let wrap = idx + 1 == sched.len();
-            let gate = b.add_actor(format!("__sog{tile}_{idx}"), 0);
+            id.clear();
+            write!(id, "{tile}_{idx}").expect("writing to a String cannot fail");
+            let gate = b.add_actor(["__sog", &id].concat(), 0);
             // Gate fires once per completed batch of `a`...
-            b.add_channel_with_tokens(format!("__soa{tile}_{idx}"), a, 1, gate, reps_a, 0);
+            b.add_channel_with_tokens(["__soa", &id].concat(), a, 1, gate, reps_a, 0);
             // ...and releases the whole next batch. The wrap-around edge is
             // preloaded so the first batch can start immediately.
             b.add_channel_with_tokens(
-                format!("__sob{tile}_{idx}"),
+                ["__sob", &id].concat(),
                 gate,
                 reps_next,
                 next,

@@ -114,6 +114,18 @@ for i in 0 1 2; do "$BIN" dse "$APP" 4 --shard "$i/3" --out "$tmp/third.$i.jsonl
 diff -u "$tmp/dse-cold.txt" "$tmp/dse-resumed-overlap.txt" \
   || fail "dse resumed from overlapping partials differs from the cold run"
 
+echo "== mamps dse-merge (a repeat and a loss are both named)"
+n=$(grep -o '"total_configs":[0-9]*' "$tmp/third.0.jsonl" | cut -d: -f2)
+cp "$tmp/third.0.jsonl" "$tmp/lossy.0.jsonl"
+tail -n 1 "$tmp/third.0.jsonl" >>"$tmp/lossy.0.jsonl"
+head -n -1 "$tmp/third.1.jsonl" >"$tmp/lossy.1.jsonl"
+cp "$tmp/third.2.jsonl" "$tmp/lossy.2.jsonl"
+if "$BIN" dse-merge "$tmp"/lossy.*.jsonl >/dev/null 2>"$tmp/lossy-err.txt"; then
+  fail "dse-merge accepted shard files that repeat one record and lose another"
+fi
+grep -q "records cover $n of $n design points: 1 design point missing (truncated shard file?), 1 record repeated" \
+  "$tmp/lossy-err.txt" || fail "repeat and loss not both reported: $(cat "$tmp/lossy-err.txt")"
+
 echo "== mamps dse-merge (a repeated record line is not a complete sweep)"
 n=$(grep -o '"total_configs":[0-9]*' "$tmp/third.0.jsonl" | cut -d: -f2)
 tail -n 1 "$tmp/third.1.jsonl" >>"$tmp/third.1.jsonl"

@@ -529,20 +529,37 @@ fn cli_oversized_iterations_fail_cleanly() {
     let arch = dir.join("arch.xml");
     let fsl = Architecture::homogeneous("cli", 3, Interconnect::fsl()).unwrap();
     std::fs::write(&arch, architecture_to_xml(&fsl)).unwrap();
-    let actor = |name: &str, direction: &str| {
+    let actor = |name: &str, ports: &[(&str, &str)]| {
+        let args: String = ports
+            .iter()
+            .enumerate()
+            .map(|(i, (channel, direction))| {
+                format!(r#"<arg channel="{channel}" direction="{direction}" index="{i}"/>"#)
+            })
+            .collect();
         format!(
-            r#"<actor executionTime="10" name="{name}"><implementation dmem="1024" function="f_{name}" imem="1024" processorType="microblaze" wcet="10"><arg channel="e" direction="{direction}" index="0"/></implementation></actor>"#
+            r#"<actor executionTime="10" name="{name}"><implementation dmem="1024" function="f_{name}" imem="1024" processorType="microblaze" wcet="10">{args}</implementation></actor>"#
         )
     };
     let app = |rates: (&str, &str), tokens: &str, token_size: &str| {
         format!(
             r#"<applicationGraph name="h">{}{}<channel name="e" srcActor="a" srcRate="{}" dstActor="b" dstRate="{}" initialTokens="{tokens}" tokenSize="{token_size}"/></applicationGraph>"#,
-            actor("a", "out"),
-            actor("b", "in"),
+            actor("a", &[("e", "out")]),
+            actor("b", &[("e", "in")]),
             rates.0,
             rates.1
         )
     };
+    // Both channels balance on their own (q = (2^40, 1) and (3^25, 1)), but
+    // together they need q[a] = 2^40 * 3^25, which does not fit u64. An
+    // unchecked LCM used to wrap and print an unbalanced vector as
+    // consistent.
+    let lcm = format!(
+        r#"<applicationGraph name="lcm">{}{}{}<channel name="e1" srcActor="a" srcRate="1" dstActor="b" dstRate="1099511627776" initialTokens="0" tokenSize="4"/><channel name="e2" srcActor="a" srcRate="1" dstActor="c" dstRate="847288609443" initialTokens="0" tokenSize="4"/></applicationGraph>"#,
+        actor("a", &[("e1", "out"), ("e2", "out")]),
+        actor("b", &[("e1", "in")]),
+        actor("c", &[("e2", "in")]),
+    );
     let max = u64::MAX.to_string();
     // Each case names its input, its command and the error it must give:
     // a wrapped token count used to read as a false deadlock.
@@ -570,6 +587,12 @@ fn cli_oversized_iterations_fail_cleanly() {
             app(("1", "1"), "0", &max),
             "map",
             "arithmetic overflow",
+        ),
+        (
+            "lcm",
+            lcm,
+            "analyze",
+            "arithmetic overflow: repetition vector scaling",
         ),
     ];
     for (name, xml, cmd, error) in cases {
