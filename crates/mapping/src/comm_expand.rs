@@ -197,7 +197,8 @@ pub fn expand(
         let (src_tile, dst_tile) = (arch.tile(from), arch.tile(to));
         let params = CommParams::for_connection(arch.interconnect(), from, to, alloc.wires);
 
-        // `name` followed by `suffix`, allocated once at its final length.
+        // The channel name followed by `suffix`, allocated once at its
+        // final length.
         let part = |suffix: &str| [ch.name(), suffix].concat();
         let frag = b.add_actor(part("__frag"), 0);
         let ser = b.add_actor(part("__ser"), src_tile.word_cycles(n_words));

@@ -182,10 +182,10 @@ impl Adjacency {
     /// Groups channel ids by the actor `end` gives for each channel, a
     /// counting sort that keeps each group in channel-id order.
     fn new(actors: usize, channels: &[Channel], end: impl Fn(&Channel) -> ActorId) -> Adjacency {
-        // `offsets[a + 2]` counts actor `a`'s channels; after the prefix
-        // sum `offsets[a + 1]` is where its list starts and serves as the
-        // fill cursor, so it ends where the list ends, as `offsets[a + 1]`
-        // must.
+        // After the prefix sum, `offsets[a + 1]` is where actor `a`'s list
+        // starts. The fill advances it to where the list ends, which is
+        // what `offsets[a + 1]` holds in the result; the last slot only
+        // counted and is dropped.
         let mut offsets = vec![0; actors + 2];
         for c in channels {
             offsets[end(c).0 + 2] += 1;

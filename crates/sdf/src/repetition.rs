@@ -69,17 +69,14 @@ pub fn repetition_vector(graph: &SdfGraph) -> Result<RepetitionVector, SdfError>
             entries: Vec::new(),
         });
     }
-    // Connectivity is checked only when propagation fails, so a connected
-    // graph is walked once; a disconnected one still reports
-    // `Disconnected` before anything else.
-    let disconnected = || !graph.is_connected();
+    // A disconnected graph reports `Disconnected` before any other error,
+    // but connectivity is checked only when propagation fails or leaves an
+    // actor unreached, so a connected graph is walked once.
     let frac = match firing_ratios(graph) {
-        Err(_) if disconnected() => return Err(SdfError::Disconnected),
+        Ok(frac) if frac.iter().all(|f| f.den != 0) => frac,
+        _ if !graph.is_connected() => return Err(SdfError::Disconnected),
         r => r?,
     };
-    if frac.iter().any(|f| f.den == 0) {
-        return Err(SdfError::Disconnected);
-    }
 
     // Scale the ratios to the smallest integer vector: multiply by the LCM
     // L of the denominators. That vector is already minimal: actor 0's
