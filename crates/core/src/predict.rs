@@ -2,8 +2,9 @@
 //!
 //! The paper's Fig. 6 "expected" series re-runs the SDF3 analysis with
 //! execution times measured on the test data instead of the WCETs. This
-//! module rebuilds the Fig. 4-expanded analysis graph of an existing
-//! mapping with per-actor mean times and analyses it.
+//! module expands a copy of an existing mapping whose binding carries the
+//! per-actor mean times (the Fig. 4 expansion charges the binding's
+//! times) and analyses it.
 
 use mamps_mapping::comm_expand::expand;
 use mamps_mapping::mapping::Mapping;
@@ -25,11 +26,9 @@ pub fn predicted_throughput(
     arch: &Architecture,
     times: &[u64],
 ) -> Result<Ratio, MapError> {
-    let mut g = graph.clone();
-    for (aid, _) in graph.actors() {
-        g.actor_mut(aid).set_execution_time(times[aid.0]);
-    }
-    let expanded = expand(&g, mapping, arch)?;
+    let mut measured = mapping.clone();
+    measured.binding.wcet_of = times.to_vec();
+    let expanded = expand(graph, &measured, arch)?;
     let t = throughput(
         &expanded,
         &AnalysisOptions {

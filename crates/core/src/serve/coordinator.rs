@@ -19,7 +19,7 @@
 //!    job's *spool* (`job-<fingerprint>.jsonl` under `--state-dir`, in
 //!    shard-file format) before the lease completes, so even `kill -9`
 //!    leaves a file `from_jsonl_lossy` can resume. A graceful stop
-//!    additionally compacts the spools and persists the warm caches.
+//!    additionally compacts the spools and persists the warm pass cache.
 //!    A restarted coordinator absorbs a resubmitted sweep's spool into the
 //!    new job's ledger, as `mamps dse --resume` absorbs a resume file, and
 //!    only evaluates what is missing.
@@ -29,13 +29,14 @@
 //! module holds no process-global state, so one process can run several
 //! coordinators, one after another or side by side on distinct sockets.
 //!
-//! The coordinator owns one warm [`GlobalAnalysisCache`] + [`PassCache`]
-//! across all submissions (loaded from `--cache-dir` at startup,
-//! persisted back on job completion and at shutdown). Workers get the
-//! warm entries with their first assignment. With each completion after
-//! which one of its caches grew, a worker sends that cache's whole
-//! export back, and the coordinator imports it first-wins. The Nth
-//! sweep over the same corpus is therefore served mostly from memo.
+//! The coordinator owns one warm [`PassCache`] across all submissions
+//! (loaded from `--cache-dir` at startup, persisted back on job
+//! completion and at shutdown). Workers get its entries with their first
+//! assignment, and each completion brings the pass entries its range
+//! added, imported first-wins once the lease is recognised. The Nth
+//! sweep over the same corpus therefore replays every memoized pass and
+//! looks no analysis up, so analysis results stay with the worker that
+//! computed them and the coordinator keeps no analysis cache.
 
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
@@ -45,7 +46,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use mamps_sdf::{GlobalAnalysisCache, PassCache};
+use mamps_sdf::passes::PassEntry;
+use mamps_sdf::PassCache;
 
 use crate::dse::cache as dse_cache;
 use crate::dse::lease::LeaseTable;
@@ -60,7 +62,9 @@ pub struct ServeConfig {
     pub socket: PathBuf,
     /// Directory for the per-job resumable spools.
     pub state_dir: PathBuf,
-    /// Warm-cache persistence directory (`--cache-dir`), as in `mamps dse`.
+    /// Warm pass-cache directory (`--cache-dir`): loads its
+    /// `pass-cache-*.jsonl` and persists to `pass-cache-0-of-1.jsonl`,
+    /// leaving every other file, analysis caches included, alone.
     pub cache_dir: Option<PathBuf>,
     /// Lease timeout in milliseconds before a range is reassigned.
     pub lease_timeout_ms: u64,
@@ -118,8 +122,7 @@ struct State {
 struct Shared {
     state: Mutex<State>,
     cv: Condvar,
-    analysis: Arc<GlobalAnalysisCache>,
-    passes: Arc<PassCache>,
+    passes: PassCache,
     cfg: ServeConfig,
     started: Instant,
     /// Connection identity for lease ownership; never reused.
@@ -149,7 +152,7 @@ impl Shared {
 
 /// Runs the coordinator until `stop` is set; the accept loop checks it
 /// every 50 ms. Returns only after the graceful shutdown finished
-/// (spools compacted, caches persisted, socket removed).
+/// (spools compacted, pass cache persisted, socket removed).
 ///
 /// # Errors
 ///
@@ -169,12 +172,10 @@ pub fn run_coordinator(
         .map_err(|e| format!("cannot listen on `{}`: {e}", cfg.socket.display()))?;
     listener.set_nonblocking(true)?;
 
-    let analysis = Arc::new(GlobalAnalysisCache::new());
-    let passes = Arc::new(PassCache::new());
+    let passes = PassCache::new();
     if let Some(dir) = &cfg.cache_dir {
-        let a = dse_cache::load_cache_dir(&analysis, dir)?;
         let p = dse_cache::load_cache_dir(&passes, dir)?;
-        eprintln!("dse-serve: cache warmed from disk: {a}; pass cache: {p}");
+        eprintln!("dse-serve: pass cache warmed from disk: {p}");
     }
 
     let shared = Arc::new(Shared {
@@ -185,7 +186,6 @@ pub fn run_coordinator(
             shutting_down: false,
         }),
         cv: Condvar::new(),
-        analysis,
         passes,
         cfg,
         started: Instant::now(),
@@ -227,7 +227,7 @@ pub fn run_coordinator(
 /// Flushes every in-flight job's spool, wakes all waiters so they answer
 /// their clients (`Shutdown` to fetching workers, `Reject` to waiting
 /// submitters), waits briefly for connections to drain, persists the warm
-/// caches, and removes the socket.
+/// pass cache, and removes the socket.
 fn graceful_shutdown(shared: &Shared) {
     eprintln!("dse-serve: shutting down");
     let mut st = shared.lock();
@@ -255,16 +255,14 @@ fn graceful_shutdown(shared: &Shared) {
         shared.cv.notify_all();
     }
     drop(st);
-    persist_caches(shared);
+    persist_passes(shared);
     let _ = std::fs::remove_file(&shared.cfg.socket);
     eprintln!("dse-serve: bye");
 }
 
-fn persist_caches(shared: &Shared) {
+fn persist_passes(shared: &Shared) {
     if let Some(dir) = &shared.cfg.cache_dir {
-        if let Err(e) = dse_cache::persist_cache(&shared.analysis, dir, ShardSpec::full())
-            .and_then(|_| dse_cache::persist_cache(&shared.passes, dir, ShardSpec::full()))
-        {
+        if let Err(e) = dse_cache::persist_cache(&shared.passes, dir, ShardSpec::full()) {
             eprintln!(
                 "dse-serve: could not persist caches to {}: {e}",
                 dir.display()
@@ -310,10 +308,9 @@ fn handle_connection(shared: &Shared, stream: UnixStream) -> std::io::Result<()>
                 job,
                 lease,
                 records,
-                analysis,
                 passes,
             })) => {
-                handle_complete(shared, job, lease, records, analysis, passes);
+                handle_complete(shared, job, lease, records, passes);
             }
         }
     };
@@ -510,13 +507,13 @@ fn handle_fetch(
         }
         if let Some((job, lease, range, spec)) = assigned {
             drop(st);
-            // First assignment of this connection ships the warm caches;
-            // afterwards the worker already has everything we have.
-            let (analysis, passes) = if *shipped_cache {
-                (Vec::new(), Vec::new())
+            // First assignment of this connection ships the warm pass
+            // cache; afterwards the worker already has everything we have.
+            let passes = if *shipped_cache {
+                Vec::new()
             } else {
                 *shipped_cache = true;
-                (shared.analysis.export(), shared.passes.export())
+                shared.passes.export()
             };
             eprintln!("dse-serve: leased {range} of {job:016x} to worker {worker}");
             write_msg(
@@ -526,7 +523,6 @@ fn handle_fetch(
                     lease,
                     range,
                     spec,
-                    analysis,
                     passes,
                 },
             )?;
@@ -536,22 +532,19 @@ fn handle_fetch(
     }
 }
 
-/// Merges a completed range: imports the worker's cache exports, records
-/// the outcomes that belong to the lease (appending the fresh ones to the
-/// spool), and finalizes the job when the ledger is complete. A lease
-/// whose range the records do not cover stays open until it expires.
+/// Merges a completed range: records the outcomes that belong to the
+/// lease (appending the fresh ones to the spool), imports the worker's
+/// new pass entries, and finalizes the job when the ledger is complete. A
+/// completion whose job or lease the coordinator does not know lands
+/// nothing. A lease whose range the records do not cover stays open until
+/// it expires.
 fn handle_complete(
     shared: &Shared,
     job_fp: u64,
     lease: u64,
     records: Vec<ShardRecord>,
-    analysis: Vec<mamps_sdf::cache::CacheEntry>,
-    passes: Vec<mamps_sdf::passes::PassEntry>,
+    passes: Vec<PassEntry>,
 ) {
-    // Cache imports are idempotent and internally synchronized.
-    shared.analysis.import(analysis);
-    shared.passes.import(passes);
-
     let mut st = shared.lock();
     let Some(idx) = st.jobs.iter().position(|j| j.fingerprint == job_fp) else {
         // Stale completion of an already-finalized job; nothing to merge.
@@ -561,6 +554,8 @@ fn handle_complete(
     let Some(completion) = job.table.accept(lease, records, &mut job.ledger) else {
         return; // not a lease of this job
     };
+    // Only a recognised lease lands entries, before a finalize persists.
+    shared.passes.import(passes);
     if !completion.done {
         let n = completion.rejected;
         eprintln!("dse-serve: lease {lease} of {job_fp:016x} left open ({n} foreign records)");
@@ -594,7 +589,7 @@ fn handle_complete(
 /// Renders the finished sweep (byte-identical to `mamps dse` by
 /// construction: same header, same records, same renderer), compacts the
 /// spool one last time, stores the report in the history, and persists
-/// the warm caches.
+/// the warm pass cache.
 fn finalize_job(shared: &Shared, st: &mut State, job: Job) {
     let report = job.ledger.to_shard().render();
     let stats = job.stats();
@@ -609,5 +604,5 @@ fn finalize_job(shared: &Shared, st: &mut State, job: Job) {
         job.fingerprint, stats.evaluated, stats.seeded, stats.duplicates, stats.reassigned
     );
     st.history.insert(job.fingerprint, (report, stats));
-    persist_caches(shared);
+    persist_passes(shared);
 }

@@ -15,10 +15,10 @@
 //!   ([`crate::dse::lease::LeaseTable`]), merges completed records
 //!   incrementally into a [`crate::dse::shard::MergeLedger`] (the ledger
 //!   `mamps dse` and `dse-merge` assemble their shards with), and keeps
-//!   one warm analysis + pass cache across all submissions. It runs until
-//!   its caller sets a stop flag: `mamps dse-serve` sets it on
-//!   SIGTERM/SIGINT, and tests run coordinators in-process, since the
-//!   module keeps no process-global state.
+//!   one warm pass cache across all submissions. It runs until its caller
+//!   sets a stop flag: `mamps dse-serve` sets it on SIGTERM/SIGINT, and
+//!   tests run coordinators in-process, since the module keeps no
+//!   process-global state.
 //! * [`worker::run_worker`] (`mamps dse-work`) fetches leased ranges and
 //!   evaluates them with [`Sweep::evaluate`](crate::dse::shard::Sweep::evaluate),
 //!   the evaluation path of single-process `mamps dse`.
@@ -31,7 +31,10 @@
 //! send [`ClientMsg`] (`Submit`, `Fetch`, `Complete`), the coordinator
 //! answers [`ServerMsg`] (`Assign`, `Progress`, `Done`, `Reject`,
 //! `Shutdown`). Specs are self-contained — application XML text travels
-//! inline — so workers need no shared filesystem with submitters.
+//! inline — so workers need no shared filesystem with submitters. Only
+//! pass-cache entries cross the socket, each at most once per connection;
+//! analysis results stay with the worker that computed them
+//! ([`coordinator`] module docs).
 //!
 //! # Fault tolerance
 //!

@@ -10,14 +10,13 @@
 //!
 //! The protocol ships *data, not references*: a [`SweepSpec`] carries the
 //! application XML text itself, so workers need no access to the
-//! submitter's files, and [`ServerMsg::Assign`] / [`ClientMsg::Complete`]
-//! carry warm-cache entries, so a fresh worker starts from the
-//! coordinator's accumulated analysis/pass memo instead of cold.
+//! submitter's files. A connection's first [`ServerMsg::Assign`] carries
+//! the coordinator's warm pass entries and each [`ClientMsg::Complete`]
+//! the ones its range added; analysis results never cross the socket.
 
 use std::io::{self, BufRead, Write};
 
 use mamps_mapping::Binder;
-use mamps_sdf::cache::CacheEntry;
 use mamps_sdf::passes::PassEntry;
 use mamps_sdf::xml::application_from_xml;
 use serde::{Deserialize, Serialize};
@@ -115,7 +114,7 @@ pub enum ClientMsg {
         worker: u64,
     },
     /// Deliver the evaluated records of a leased range, plus the
-    /// worker's cache entries when its caches grew (empty otherwise).
+    /// pass-cache entries the worker's store gained during it.
     Complete {
         /// Job fingerprint from the matching [`ServerMsg::Assign`].
         job: u64,
@@ -123,9 +122,8 @@ pub enum ClientMsg {
         lease: u64,
         /// Evaluated design points of the range.
         records: Vec<ShardRecord>,
-        /// Analysis-cache entries to merge into the coordinator's cache.
-        analysis: Vec<CacheEntry>,
-        /// Pass-cache entries to merge into the coordinator's cache.
+        /// Pass-cache entries the worker had neither received nor sent
+        /// before, for the coordinator's warm cache.
         passes: Vec<PassEntry>,
     },
 }
@@ -143,10 +141,8 @@ pub enum ServerMsg {
         range: SeqRange,
         /// The sweep (self-contained; workers cache the parse per job).
         spec: SweepSpec,
-        /// Warm analysis-cache entries (first assignment of a connection
+        /// Warm pass-cache entries (first assignment of a connection
         /// only; empty afterwards).
-        analysis: Vec<CacheEntry>,
-        /// Warm pass-cache entries (first assignment only).
         passes: Vec<PassEntry>,
     },
     /// Streamed to the submitter as ranges complete.

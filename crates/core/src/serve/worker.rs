@@ -5,15 +5,14 @@
 //!
 //! The worker is stateless with respect to the sweep — everything it
 //! needs arrives in the [`Assign`](super::protocol::ServerMsg::Assign)
-//! message — but keeps warm local caches: the coordinator's analysis and
-//! pass-cache entries arrive with the first assignment, a cache that grew
-//! past what the coordinator sent during a range is shipped back whole
-//! with that range's completion, and parsed sweeps are memoized per job
-//! fingerprint. A worker exits cleanly (0) when the coordinator
-//! tells it to shut down *or* simply disappears (EOF): a killed
-//! coordinator is an expected event, not a worker error.
+//! message — but keeps its analysis and pass caches across all its ranges
+//! and jobs, and memoizes parsed sweeps per job fingerprint. Only pass
+//! entries travel: each completion carries those whose keys the worker
+//! has neither received nor sent. A worker exits cleanly (0) when the
+//! coordinator tells it to shut down *or* simply disappears (EOF): a
+//! killed coordinator is an expected event, not a worker error.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::BufReader;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
@@ -65,6 +64,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
     let analysis = Arc::new(GlobalAnalysisCache::new());
     let passes = Arc::new(PassCache::new());
     let runner = Arc::new(PassRunner::with_cache(Arc::clone(&passes)));
+    // Keys of the pass entries received from or sent to the coordinator.
+    let mut known: HashSet<(String, u64)> = HashSet::new();
     let mut sweeps: HashMap<u64, Sweep> = HashMap::new();
     let worker_id = u64::from(std::process::id());
     let mut summary = WorkerSummary::default();
@@ -88,14 +89,10 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
                 lease,
                 range,
                 spec,
-                analysis: warm_analysis,
-                passes: warm_passes,
+                passes: warm,
             }) => {
-                analysis.import(warm_analysis);
-                passes.import(warm_passes);
-                // The coordinator knows every entry it sent and every one
-                // shipped before: only growth past these sizes is news.
-                let known = (analysis.len(), passes.len());
+                known.extend(warm.iter().map(|e| (e.pass.clone(), e.input)));
+                passes.import(warm);
                 let sweep = match sweeps.entry(job) {
                     std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                     std::collections::hash_map::Entry::Vacant(v) => v.insert(
@@ -115,16 +112,12 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
                 }
                 summary.ranges += 1;
                 summary.points += records.len() as u64;
-                // Ship cache growth with the completion; resending the
-                // full export is fine — the coordinator's import is
-                // idempotent — but skip it entirely when nothing grew.
-                let a_out = if analysis.len() > known.0 {
-                    analysis.export()
-                } else {
-                    Vec::new()
-                };
-                let p_out = if passes.len() > known.1 {
-                    passes.export()
+                // Every known key is in the store, so the store outgrew
+                // the set exactly when this range added an entry.
+                let gained = if passes.len() > known.len() {
+                    let mut all = passes.export();
+                    all.retain(|e| known.insert((e.pass.clone(), e.input)));
+                    all
                 } else {
                     Vec::new()
                 };
@@ -134,8 +127,7 @@ pub fn run_worker(cfg: &WorkerConfig) -> Result<WorkerSummary, Box<dyn std::erro
                         job,
                         lease,
                         records,
-                        analysis: a_out,
-                        passes: p_out,
+                        passes: gained,
                     },
                 )?;
             }

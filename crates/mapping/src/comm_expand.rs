@@ -80,9 +80,10 @@ pub fn posting_overhead(
     tokens * tile.pe_token_overhead(0)
 }
 
-/// Expands `graph` (application graph with bound WCETs) according to
-/// `mapping` on `arch` into the analysis-ready graph, static orders and
-/// self-edges included.
+/// Expands `graph` according to `mapping` on `arch` into the
+/// analysis-ready graph, static orders and self-edges included. `graph`
+/// gives the structure only: each actor is charged its bound time
+/// (`mapping.binding.wcet_of`) plus its [`posting_overhead`].
 ///
 /// # Errors
 ///
@@ -109,11 +110,10 @@ pub fn expand(
         graph.actor_count() + 2 * graph.channel_count() + 17 * crossing + 2 * gates,
     );
 
-    // Original actors keep the execution times of the input graph (the
-    // caller chooses WCETs or measured times) plus their posting overhead.
+    // Original actors take their bound times plus their posting overhead.
     let mut actor_ids: Vec<ActorId> = Vec::with_capacity(graph.actor_count());
     for (aid, actor) in graph.actors() {
-        let exec = actor.execution_time() + posting_overhead(graph, binding, arch, aid);
+        let exec = binding.wcet_of[aid.0] + posting_overhead(graph, binding, arch, aid);
         actor_ids.push(b.add_actor(actor.name(), exec));
     }
     // Self-edges bounding each original actor to one concurrent firing.

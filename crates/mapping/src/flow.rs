@@ -103,11 +103,7 @@ impl MappedApplication {
     ///
     /// As [`expand`].
     pub fn expanded(&self, graph: &SdfGraph, arch: &Architecture) -> Result<SdfGraph, MapError> {
-        expand(
-            &wcet_graph(graph, &self.mapping.binding),
-            &self.mapping,
-            arch,
-        )
+        expand(graph, &self.mapping, arch)
     }
 }
 
@@ -127,15 +123,6 @@ where
         Some(r) => r.run(name, input, f),
         None => f(),
     }
-}
-
-/// `graph` with every actor's execution time set to its bound WCET.
-pub(crate) fn wcet_graph(graph: &SdfGraph, binding: &Binding) -> SdfGraph {
-    let mut g = graph.clone();
-    for (aid, _) in graph.actors() {
-        g.actor_mut(aid).set_execution_time(binding.wcet_of[aid.0]);
-    }
-    g
 }
 
 /// NoC wire allocation, one connection per cross-tile channel, starting
@@ -384,7 +371,7 @@ pub fn map_application(
     // Buffer sizing: the dominant pass (phase-1 deadlock growth plus the
     // phase-2 greedy search, each step one expand + throughput analysis).
     // A replay decodes the final allocation and analysis and nothing
-    // else: the WCET graph and every expansion live inside the body.
+    // else: every expansion lives inside the body.
     let (sized_channels, analysis) = run_pass(
         &opts.passes,
         "buffer-size",
@@ -400,7 +387,6 @@ pub fn map_application(
                 .finish()
         },
         || -> Result<(Vec<ChannelAlloc>, ThroughputResult), MapError> {
-            let wcet_graph = wcet_graph(graph, &mapping.binding);
             // One mapping, mutated in place across the search: the greedy
             // growth probes many candidate allocations, and cloning the
             // binding, the schedules and the channel vector once per
@@ -408,7 +394,7 @@ pub fn map_application(
             // the throughput kernel.
             let mut m = mapping.clone();
             let cache = opts.cache.as_deref();
-            let mut current = grow_to_liveness(&wcet_graph, &mut m, arch, cache)?;
+            let mut current = grow_to_liveness(graph, &mut m, arch, cache)?;
 
             // Phase 2: greedy growth toward the target (or saturation when
             // no target is set, bounded by the growth budget). A candidate
@@ -419,7 +405,7 @@ pub fn map_application(
                     break;
                 }
                 let Some(next) = grow_step(&mut m, &moves, current.iterations_per_cycle, |m| {
-                    expand_and_analyse(&wcet_graph, m, arch, cache).ok()?.ok()
+                    expand_and_analyse(graph, m, arch, cache).ok()?.ok()
                 }) else {
                     break; // saturated
                 };

@@ -625,6 +625,8 @@ fn combine_group(
     for &(admitted, app, mapped) in members {
         let g = app.graph();
         let prefix = g.name();
+        // The expansion charges the combined binding's times; the graph
+        // carries them too, because its fingerprint keys `verify-shared`.
         for (aid, actor) in g.actors() {
             b.add_actor(
                 format!("{prefix}.{}", actor.name()),

@@ -58,7 +58,7 @@ use rand::{Rng, SeedableRng};
 use crate::binding::BindOptions;
 use crate::cost::CostBreakdown;
 use crate::error::MapError;
-use crate::flow::{allocate_wires, expand_and_analyse, initial_mapping, wcet_graph};
+use crate::flow::{allocate_wires, expand_and_analyse, initial_mapping};
 use crate::mapping::Binding;
 use crate::schedule::build_schedules;
 
@@ -595,9 +595,8 @@ fn fitness(
     let Ok(schedules) = build_schedules(graph, &binding, arch) else {
         return STRUCTURE_PENALTY;
     };
-    let wcet_graph = wcet_graph(graph, &binding);
     let mapping = initial_mapping(graph, binding, schedules, &wires);
-    match expand_and_analyse(&wcet_graph, &mapping, arch, cache) {
+    match expand_and_analyse(graph, &mapping, arch, cache) {
         Ok(Ok(t)) => t.as_f64(),
         Ok(Err(_)) => DEADLOCK_PENALTY,
         Err(_) => STRUCTURE_PENALTY,

@@ -141,6 +141,8 @@ impl ThroughputResult {
 /// * [`SdfError::AnalysisLimit`] on zero-delay cycles, state explosion, or
 ///   when no component bounds the rate (all actors have zero execution
 ///   time), in which case the throughput is unbounded.
+/// * [`SdfError::Overflow`] when the cycles one iteration spends in an
+///   actor without a self-edge do not fit `u64`.
 ///
 /// # Examples
 ///
@@ -189,10 +191,16 @@ pub fn throughput(graph: &SdfGraph, opts: &AnalysisOptions) -> Result<Throughput
                 }
                 // One firing per `exec` cycles; one global iteration needs
                 // q[a] firings.
+                let cycles = exec.checked_mul(q.of(a)).ok_or_else(|| {
+                    SdfError::Overflow(format!(
+                        "cycles per iteration of actor `{}`",
+                        graph.actor(a).name()
+                    ))
+                })?;
                 Some(ThroughputResult {
-                    iterations_per_cycle: Ratio::new(1, (exec * q.of(a)) as i128),
+                    iterations_per_cycle: Ratio::new(1, i128::from(cycles)),
                     transient_cycles: 0,
-                    period_cycles: exec * q.of(a),
+                    period_cycles: cycles,
                     iterations_per_period: 1,
                     states_explored: 1,
                 })
@@ -1049,6 +1057,26 @@ mod tests {
         let g = b.build().unwrap();
         let t = throughput(&g, &opts()).unwrap();
         assert_eq!(t.iterations_per_cycle, Ratio::new(1, 10));
+    }
+
+    #[test]
+    fn lone_actor_cycles_overflow_is_an_error() {
+        // A -> B at 2^20 : 1, so q = (1, 2^20) and B spends 2^20 * WCET
+        // cycles per iteration. An unchecked product wrapped to 0 (a zero
+        // denominator) at 2^50 and to 2^20 (a made-up rate) at 2^50 + 1.
+        let run = |wcet: u64| {
+            let mut b = SdfGraphBuilder::new("big");
+            let a = b.add_actor("A", 10);
+            let c = b.add_actor("B", wcet);
+            b.add_channel("e", a, 1 << 20, c, 1);
+            throughput(&b.build().unwrap(), &opts())
+        };
+        for wcet in [1 << 44, 1 << 50, (1 << 50) + 1, u64::MAX] {
+            let overflow = SdfError::Overflow("cycles per iteration of actor `B`".into());
+            assert_eq!(run(wcet), Err(overflow), "wcet {wcet}");
+        }
+        let fits = run(1 << 43).unwrap();
+        assert_eq!(fits.iterations_per_cycle, Ratio::new(1, 1 << 63));
     }
 
     #[test]

@@ -4,13 +4,16 @@
 # tests/serve_protocol.rs, driving the real binaries over Unix sockets
 # and injecting the two faults the service is built to survive.
 #
-# Three phases, each ending in a byte-diff against a cold single-process
+# Four phases, each ending in a byte-diff against a cold single-process
 # `mamps dse` run of the same sweep:
 #
 #   * happy path  — coordinator + 3 workers sweep every corpus app
 #                   (examples/data and examples/generated) and one
 #                   use-case sweep (`--apps`); each merged report must be
 #                   byte-identical to `mamps dse`;
+#   * warm start  — a fresh coordinator over the happy path's
+#                   `--cache-dir` (pass cache only) serves the MJPEG
+#                   sweep from its warm pass entries;
 #   * worker kill — one worker is `kill -9`ed while it holds a leased
 #                   range (MAMPS_DSE_WORK_DELAY_MS widens the window);
 #                   the coordinator must revert the lease, a surviving
@@ -44,6 +47,7 @@ QUICK=0
 tmp=$(mktemp -d)
 SOCK="$tmp/serve.sock"
 STATE="$tmp/serve-state"
+CACHE="$tmp/serve-cache"
 CPID=
 WPIDS=()
 
@@ -111,7 +115,7 @@ if ((!QUICK)); then
 fi
 
 echo "== serve_fault: happy path (coordinator + 3 workers, $((${#SWEEPS[@]} + 1)) sweeps)"
-start_coordinator happy
+start_coordinator happy --cache-dir "$CACHE"
 start_worker
 start_worker
 start_worker
@@ -137,6 +141,23 @@ echo "   ${#SWEEPS[@]} binder sweep(s) and 1 use-case sweep byte-identical to si
 
 APP=examples/data/mjpeg_small_app.xml
 REF="$tmp/ref-mjpeg_small_app.txt"
+
+echo "== serve_fault: a fresh coordinator warmed from the happy path's --cache-dir"
+rm -rf "$STATE"
+start_coordinator warm --cache-dir "$CACHE"
+start_worker
+start_worker
+"$BIN" dse-submit "$APP" 4 --socket "$SOCK" >"$tmp/serve-warm.txt" \
+  || fail "dse-submit over the warm pass cache failed"
+diff "$REF" "$tmp/serve-warm.txt" >/dev/null \
+  || fail "report over the warm pass cache differs from single-process dse"
+grep -q "^dse-serve: pass cache warmed from disk: [1-9]" "$tmp/coordinator-warm.log" \
+  || fail "the coordinator did not load the happy path's pass cache"
+stop_all
+if ls "$CACHE"/analysis-cache-* >/dev/null 2>&1; then
+  fail "the coordinator wrote an analysis cache to its --cache-dir"
+fi
+echo "   warm pass cache loaded, report still byte-identical"
 
 echo "== serve_fault: kill -9 a worker holding a leased range"
 rm -rf "$STATE"

@@ -54,11 +54,11 @@
 //! are reassigned when a worker hangs or disconnects; every completed
 //! point is spooled to a resumable shard-format JSONL under
 //! `--state-dir`, so a killed coordinator resumes a resubmitted sweep
-//! where it stopped; and the coordinator keeps one warm analysis + pass
-//! cache across all submissions (persisted via `--cache-dir`). The
-//! merged report on stdout is byte-identical to single-process
-//! `mamps dse` — `scripts/serve_fault.sh` enforces that under injected
-//! worker kills and a coordinator restart.
+//! where it stopped; and the coordinator keeps one warm pass cache across
+//! all submissions (persisted via `--cache-dir`), while each worker keeps
+//! its own analysis cache. The merged report on stdout is byte-identical
+//! to single-process `mamps dse` — `scripts/serve_fault.sh` enforces that
+//! under injected worker kills and a coordinator restart.
 //!
 //! Binding strategies (`--binder` / `--binders`) parse into a
 //! [`mamps::mapping::Binder`]: `greedy` (default), `spiral`, `genetic`.

@@ -560,6 +560,15 @@ fn cli_oversized_iterations_fail_cleanly() {
         actor("b", &[("e1", "in")]),
         actor("c", &[("e2", "in")]),
     );
+    // A -> B at 2^20 : 1, so q = (1, 2^20), with B's time at 2^50 or
+    // 2^50 + 1: B's cycles per iteration do not fit u64. An unchecked
+    // product used to panic on a zero denominator, or to print 1/2^20.
+    let big = |time: u64| {
+        app(("1048576", "1"), "0", "4").replace(
+            r#"<actor executionTime="10" name="b">"#,
+            &format!(r#"<actor executionTime="{time}" name="b">"#),
+        )
+    };
     let max = u64::MAX.to_string();
     // Each case names its input, its command and the error it must give:
     // a wrapped token count used to read as a false deadlock.
@@ -593,6 +602,18 @@ fn cli_oversized_iterations_fail_cleanly() {
             lcm,
             "analyze",
             "arithmetic overflow: repetition vector scaling",
+        ),
+        (
+            "big",
+            big(1 << 50),
+            "analyze",
+            "arithmetic overflow: cycles per iteration of actor `b`",
+        ),
+        (
+            "big_odd",
+            big((1 << 50) + 1),
+            "analyze",
+            "arithmetic overflow: cycles per iteration of actor `b`",
         ),
     ];
     for (name, xml, cmd, error) in cases {

@@ -4,8 +4,9 @@
 //! the merge ledger dedups by seq regardless of arrival order; every
 //! protocol message round-trips the canonical JSON encoding; coordinators
 //! run in this process, stopped by their flag, serve the report of a plain
-//! sweep, also when a worker drops its lease; and a worker ships back only
-//! cache entries its coordinator has not sent it.
+//! sweep, also when a worker drops its lease, and warm a later coordinator
+//! through their cache directory; and a worker ships back only the pass
+//! entries its store gained during the range.
 
 use std::io::BufReader;
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -27,7 +28,7 @@ use mamps::flow::FlowOptions;
 use mamps::mapping::{PassCache, PassRunner};
 use mamps::sdf::gen::pipeline_app;
 use mamps::sdf::xml::application_to_xml;
-use mamps::sdf::GlobalAnalysisCache;
+use mamps::sdf::{GlobalAnalysisCache, PassEntry};
 use proptest::prelude::*;
 
 fn header(total: u64) -> ShardHeader {
@@ -201,6 +202,11 @@ fn protocol_messages_round_trip_canonical_json() {
         seq: 7,
         outcome: outcome(7),
     };
+    let entry = PassEntry {
+        pass: "bind".into(),
+        input: 0x0123_4567_89ab_cdef,
+        output: serde::json::from_str(r#"{"Ok":[1,"two"]}"#).unwrap(),
+    };
     let client: Vec<ClientMsg> = vec![
         ClientMsg::Submit { spec: spec.clone() },
         ClientMsg::Fetch { worker: 4242 },
@@ -208,8 +214,7 @@ fn protocol_messages_round_trip_canonical_json() {
             job: 0xdead_beef,
             lease: 3,
             records: vec![record.clone()],
-            analysis: Vec::new(),
-            passes: Vec::new(),
+            passes: vec![entry.clone()],
         },
     ];
     for msg in client {
@@ -224,8 +229,7 @@ fn protocol_messages_round_trip_canonical_json() {
             lease: 2,
             range: SeqRange { start: 4, end: 8 },
             spec,
-            analysis: Vec::new(),
-            passes: Vec::new(),
+            passes: vec![entry],
         },
         ServerMsg::Progress {
             job: 1,
@@ -440,9 +444,22 @@ fn an_edited_application_is_served_as_a_new_job() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A worker driven by a raw test listener: the `Assign`'s warm entries
-/// already cover its whole range, so evaluating the range adds nothing
-/// and the `Complete` ships no cache entry back.
+/// The pass entries of a fresh store that imported `warm` and then
+/// evaluated `range` of `spec` with a fresh analysis cache, in key order.
+fn evaluated_entries(spec: &SweepSpec, range: SeqRange, warm: &[PassEntry]) -> Vec<PassEntry> {
+    let passes = Arc::new(PassCache::new());
+    passes.import(warm.to_vec());
+    let mut opts = FlowOptions::default();
+    opts.map.cache = Some(Arc::new(GlobalAnalysisCache::new()));
+    opts.map.passes = Some(Arc::new(PassRunner::with_cache(Arc::clone(&passes))));
+    spec.resolve().unwrap().evaluate(range.seqs(), &opts);
+    passes.export()
+}
+
+/// A worker driven by a raw test listener ships back exactly the pass
+/// entries its store gained during the range: none when the `Assign`'s
+/// warm entries cover the whole range 0..4, and only the entries the
+/// uncovered seqs added when they cover 0..2.
 #[test]
 fn a_worker_does_not_echo_the_warm_entries_it_was_sent() {
     let dir = scratch_dir("echo");
@@ -450,51 +467,124 @@ fn a_worker_does_not_echo_the_warm_entries_it_was_sent() {
     let listener = UnixListener::bind(&socket).unwrap();
     let (spec, _) = small_sweep(10);
     let range = SeqRange { start: 0, end: 4 };
-    let (analysis, passes) = (
-        Arc::new(GlobalAnalysisCache::new()),
-        Arc::new(PassCache::new()),
-    );
-    let mut opts = FlowOptions::default();
-    opts.map.cache = Some(Arc::clone(&analysis));
-    opts.map.passes = Some(Arc::new(PassRunner::with_cache(Arc::clone(&passes))));
-    spec.resolve().unwrap().evaluate(range.seqs(), &opts);
-    let assign = ServerMsg::Assign {
-        job: 1,
-        lease: 1,
-        range,
-        spec,
-        analysis: analysis.export(),
-        passes: passes.export(),
-    };
-    assert!(matches!(&assign, ServerMsg::Assign { analysis, passes, .. }
-        if !analysis.is_empty() && !passes.is_empty()));
     let worker = WorkerConfig {
         socket: socket.clone(),
         jobs: 1,
     };
-    std::thread::scope(|s| {
-        let handle = s.spawn(|| run_worker(&worker).map_err(|e| e.to_string()));
-        let (stream, _) = listener.accept().unwrap();
+    for warm_end in [4, 2] {
+        let warm = evaluated_entries(
+            &spec,
+            SeqRange {
+                start: 0,
+                end: warm_end,
+            },
+            &[],
+        );
+        assert!(!warm.is_empty());
+        let key = |e: &PassEntry| (e.pass.clone(), e.input);
+        let warm_keys: Vec<_> = warm.iter().map(key).collect();
+        let mut gained = evaluated_entries(&spec, range, &warm);
+        gained.retain(|e| !warm_keys.contains(&key(e)));
+        assert_eq!(gained.is_empty(), warm_end == 4, "warm seqs 0..{warm_end}");
+        let assign = ServerMsg::Assign {
+            job: 1,
+            lease: 1,
+            range,
+            spec: spec.clone(),
+            passes: warm,
+        };
+        std::thread::scope(|s| {
+            let handle = s.spawn(|| run_worker(&worker).map_err(|e| e.to_string()));
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = stream;
+            let mut next = || read_msg::<ClientMsg>(&mut reader).unwrap();
+            assert!(matches!(next(), Some(ClientMsg::Fetch { .. })));
+            write_msg(&mut writer, &assign).unwrap();
+            match next() {
+                Some(ClientMsg::Complete {
+                    records, passes, ..
+                }) => {
+                    assert_eq!(records.len(), 4);
+                    assert_eq!(passes, gained, "warm seqs 0..{warm_end}");
+                }
+                other => panic!("expected a completion, got {other:?}"),
+            }
+            assert!(matches!(next(), Some(ClientMsg::Fetch { .. })));
+            write_msg(&mut writer, &ServerMsg::Shutdown).unwrap();
+            handle.join().unwrap().unwrap();
+        });
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A coordinator with a cache directory persists its pass cache there
+/// and writes no analysis file. A second coordinator over that directory,
+/// with a fresh state directory, sends the persisted pass entries with a
+/// connection's first `Assign`, serves the plain report, lands no entry
+/// of a completion for a job it does not know, and leaves an
+/// analysis-cache file it finds there as it was.
+#[test]
+fn a_cache_dir_warms_the_next_coordinator_with_pass_entries_only() {
+    let dir = scratch_dir("cache_dir");
+    let cache = dir.join("cache");
+    let (spec, expected) = small_sweep(10);
+    let cfg = |state: &str| ServeConfig {
+        socket: dir.join("serve.sock"),
+        state_dir: dir.join(state),
+        cache_dir: Some(cache.clone()),
+        ..ServeConfig::default()
+    };
+    let cold = with_coordinator(cfg("state-cold"), |socket, start_worker| {
+        start_worker();
+        run_submit(socket, &spec, |_, _| {}).unwrap()
+    });
+    assert_eq!(cold.report, expected);
+    let mut files: Vec<_> = std::fs::read_dir(&cache)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["pass-cache-0-of-1.jsonl"]);
+    let persisted = PassCache::new();
+    persisted.load_dir(&cache).unwrap();
+    let persisted = persisted.export();
+    assert!(!persisted.is_empty());
+
+    let planted = cache.join("analysis-cache-0-of-1.jsonl");
+    std::fs::write(&planted, "not json\n").unwrap();
+    let warm = with_coordinator(cfg("state-warm"), |socket, start_worker| {
+        let submit = std::thread::spawn({
+            let (socket, spec) = (socket.to_path_buf(), spec.clone());
+            move || run_submit(&socket, &spec, |_, _| {}).map_err(|e| e.to_string())
+        });
+        let stream = connect(socket);
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let mut writer = stream;
-        let mut next = || read_msg::<ClientMsg>(&mut reader).unwrap();
-        assert!(matches!(next(), Some(ClientMsg::Fetch { .. })));
-        write_msg(&mut writer, &assign).unwrap();
-        match next() {
-            Some(ClientMsg::Complete {
-                records,
-                analysis,
-                passes,
-                ..
-            }) => {
-                assert_eq!(records.len(), 4);
-                assert_eq!((analysis.len(), passes.len()), (0, 0), "echoed entries");
-            }
-            other => panic!("expected a completion, got {other:?}"),
+        let stray = ClientMsg::Complete {
+            job: 0xdead_beef,
+            lease: 1,
+            records: Vec::new(),
+            passes: vec![PassEntry {
+                pass: "bind".into(),
+                input: 1,
+                output: serde::Value::Null,
+            }],
+        };
+        write_msg(&mut writer, &stray).unwrap();
+        write_msg(&mut writer, &ClientMsg::Fetch { worker: 0 }).unwrap();
+        match read_msg::<ServerMsg>(&mut reader).unwrap() {
+            Some(ServerMsg::Assign { passes, .. }) => assert_eq!(passes, persisted),
+            other => panic!("expected an assignment, got {other:?}"),
         }
-        assert!(matches!(next(), Some(ClientMsg::Fetch { .. })));
-        write_msg(&mut writer, &ServerMsg::Shutdown).unwrap();
-        handle.join().unwrap().unwrap();
+        drop((reader, writer));
+        start_worker();
+        submit.join().unwrap().unwrap()
     });
+    assert_eq!(warm.report, expected);
+    let after = PassCache::new();
+    after.load_dir(&cache).unwrap();
+    assert_eq!(after.export(), persisted, "the stray completion landed");
+    assert_eq!(std::fs::read_to_string(&planted).unwrap(), "not json\n");
     let _ = std::fs::remove_dir_all(&dir);
 }
